@@ -5,9 +5,13 @@
 //! Flow: run every campaign directly ([`run_campaign`] via spec) to get
 //! the uninterrupted reference reports, then submit all eight to a
 //! [`CampaignService`] whose farm only fits two at a time (so the queue,
-//! priority order and admission control are all exercised), crash the
-//! service once the long flagship campaign is provably mid-run, recover
-//! from the checkpoint directory, and drain. Campaigns that finished
+//! priority order, preemption and admission control are all exercised —
+//! the top-priority flagship is submitted last), crash the
+//! service once a mid-flight (round > 0) checkpoint of the long flagship
+//! campaign is on disk — polled from the store, because cadence
+//! checkpoints are written behind the round loop and the status round
+//! runs ahead of the durable one — recover from the checkpoint
+//! directory, and drain. Campaigns that finished
 //! before the kill lost their in-memory reports with the "process", so
 //! they are re-submitted; resumed ones continue from their snapshots.
 //!
@@ -15,7 +19,10 @@
 //! coverage reports must be byte-identical to its direct reference, at
 //! least one campaign must have resumed from a mid-flight (round > 0)
 //! checkpoint, and p95 resume latency must stay under
-//! [`MAX_RESUME_P95_US`] of host time.
+//! [`MAX_RESUME_P95_US`] of host time. With fewer than
+//! [`MIN_PERCENTILE_SAMPLES`] replays there is no p95 to speak of: the
+//! bench prints the replay count, reports the p95 as null and gates the
+//! slowest replay instead.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -39,6 +46,9 @@ const PRIORITIES: [u8; CAMPAIGNS] = [9, 5, 3, 7, 2, 6, 4, 8];
 
 /// Host-time p95 resume-latency gate, in µs.
 const MAX_RESUME_P95_US: u64 = 5_000_000;
+
+/// Fewest replays a p95 is quoted from.
+const MIN_PERCENTILE_SAMPLES: u64 = 10;
 
 /// Checkpoint cadence in rounds.
 const CHECKPOINT_EVERY: u64 = 3;
@@ -108,18 +118,30 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let ids: Vec<_> = specs
-        .iter()
-        .zip(PRIORITIES)
-        .map(|(s, pri)| service.submit(s.clone(), pri).expect("bench spec admitted"))
+    // The flagship goes in last: a submission costs about as much host
+    // time as a short campaign, so submitted first it could be done before
+    // the kill is armed. Submitted last it outranks and preempts whatever
+    // is running and is provably early in its run when the poll starts.
+    let mut ids: Vec<_> = (1..CAMPAIGNS)
+        .chain([0])
+        .map(|i| {
+            service
+                .submit(specs[i].clone(), PRIORITIES[i])
+                .expect("bench spec admitted")
+        })
         .collect();
+    ids.rotate_right(1); // back into spec order: ids[0] is the flagship
 
-    // Kill once the flagship campaign (highest priority, runs first) is
-    // past its first checkpoints.
+    // Kill once a mid-flight checkpoint of the flagship campaign is
+    // durable. The status round says what has executed, not what is on
+    // disk, so ask the disk.
+    let store = CheckpointStore::new(&dir).expect("checkpoint dir exists");
     let poll_start = Instant::now();
     loop {
+        if matches!(store.load(&store.path_for(ids[0].0)), Ok(c) if c.round > 0) {
+            break;
+        }
         match service.status(ids[0]).expect("known campaign") {
-            CampaignStatus::Running { round } if round >= 2 * CHECKPOINT_EVERY => break,
             CampaignStatus::Done | CampaignStatus::Failed(_) => break,
             _ if poll_start.elapsed().as_secs() > 60 => break,
             _ => std::thread::yield_now(),
@@ -130,7 +152,6 @@ fn main() -> ExitCode {
     eprintln!("  killed service with flagship at {kill_status:?}");
 
     // What survived on disk, and how far along each checkpoint was.
-    let store = CheckpointStore::new(&dir).expect("checkpoint dir exists");
     let mut checkpoint_rounds: Vec<(u64, u64)> = Vec::new();
     for path in store.list().expect("listable checkpoint dir") {
         match store.load(&path) {
@@ -198,22 +219,27 @@ fn main() -> ExitCode {
 
     let snapshot = taopt_telemetry::global().snapshot();
     let resume_hist = snapshot.histogram_total("service_resume_latency_us");
-    let (resume_p50_us, resume_p95_us, resumes) = resume_hist.as_ref().map_or((0, 0, 0), |h| {
-        (
-            h.quantile(0.5).unwrap_or(0),
-            h.quantile(0.95).unwrap_or(0),
-            h.count,
-        )
-    });
+    let (resume_p50_us, resume_max_us, resumes) = resume_hist
+        .as_ref()
+        .map_or((0, 0, 0), |h| (h.p50(), h.max, h.count));
+    // A p95 needs samples beyond it; two replays have a median and a max.
+    let resume_p95_us = resume_hist
+        .as_ref()
+        .filter(|h| h.count >= MIN_PERCENTILE_SAMPLES)
+        .and_then(|h| h.quantile(0.95));
     let checkpoints_written = snapshot.counter_total("service_checkpoints_written_total");
+    let checkpoints_superseded = snapshot.counter_total("service_checkpoints_superseded_total");
     println!(
-        "recovered {} campaigns ({mid_flight} mid-flight), {} replays, \
-         resume p50 {:.1}ms / p95 {:.1}ms, {checkpoints_written} checkpoints written, \
-         drain {recover_ms}ms (direct {direct_ms}ms)",
+        "recovered {} campaigns ({mid_flight} mid-flight), resume p50 {:.1}ms / p95 {} / \
+         max {:.1}ms over n={resumes} replays, {checkpoints_written} checkpoints written \
+         ({checkpoints_superseded} superseded unwritten), drain {recover_ms}ms (direct {direct_ms}ms)",
         recovery.resumed.len(),
-        resumes,
         resume_p50_us as f64 / 1000.0,
-        resume_p95_us as f64 / 1000.0,
+        resume_p95_us.map_or_else(
+            || format!("n/a (n < {MIN_PERCENTILE_SAMPLES})"),
+            |p95| format!("{:.1}ms", p95 as f64 / 1000.0)
+        ),
+        resume_max_us as f64 / 1000.0,
     );
 
     let doc = Value::Object(vec![
@@ -233,10 +259,18 @@ fn main() -> ExitCode {
         ("replays".to_owned(), Value::UInt(resumes)),
         ("byte_identical".to_owned(), Value::Bool(all_identical)),
         ("resume_p50_us".to_owned(), Value::UInt(resume_p50_us)),
-        ("resume_p95_us".to_owned(), Value::UInt(resume_p95_us)),
+        (
+            "resume_p95_us".to_owned(),
+            resume_p95_us.map_or(Value::Null, Value::UInt),
+        ),
+        ("resume_max_us".to_owned(), Value::UInt(resume_max_us)),
         (
             "checkpoints_written".to_owned(),
             Value::UInt(checkpoints_written),
+        ),
+        (
+            "checkpoints_superseded".to_owned(),
+            Value::UInt(checkpoints_superseded),
         ),
         ("direct_ms".to_owned(), Value::UInt(direct_ms)),
         ("recover_drain_ms".to_owned(), Value::UInt(recover_ms)),
@@ -254,8 +288,10 @@ fn main() -> ExitCode {
     report.gate(mid_flight > 0, || {
         "no campaign was mid-flight at the kill".to_owned()
     });
-    report.gate(resume_p95_us <= MAX_RESUME_P95_US, || {
-        format!("p95 resume latency {resume_p95_us}us exceeds {MAX_RESUME_P95_US}us")
+    // The slowest replay bounds the p95 from above whatever n is.
+    let gated_us = resume_p95_us.unwrap_or(resume_max_us);
+    report.gate(gated_us <= MAX_RESUME_P95_US, || {
+        format!("resume latency {gated_us}us (n={resumes}) exceeds {MAX_RESUME_P95_US}us")
     });
     report.finish()
 }

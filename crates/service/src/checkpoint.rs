@@ -13,9 +13,23 @@
 //! payload bytes, and the exact payload length. [`CheckpointStore::load`]
 //! validates all three before parsing, so truncation, bit rot and partial
 //! writes surface as [`ServiceError::Corrupt`] — never a panic and never
-//! a silently wrong resume. Writes go through a temp file plus atomic
-//! rename, so a crash *during* checkpointing leaves the previous
-//! checkpoint intact.
+//! a silently wrong resume.
+//!
+//! # Durability
+//!
+//! [`CheckpointStore::save`] writes a temp file, `sync_all`s it and
+//! renames it over the campaign's checkpoint, so a crash *during* a write
+//! leaves the previous checkpoint intact and a reader never sees a torn
+//! file. The rename itself is not fsynced: losing the *replacement* of an
+//! existing checkpoint to a power cut leaves the older, still valid
+//! snapshot, which resumes to the same result. Losing the *creation* of a
+//! campaign's first checkpoint would lose the campaign, so the two paths
+//! that create one ([`CampaignService::submit`](crate::CampaignService::submit),
+//! [`CampaignService::import_checkpoint`](crate::CampaignService::import_checkpoint))
+//! follow the save with [`CheckpointStore::sync_dir`]. Who calls `save`
+//! when — the caller for those two and for pause checkpoints, the
+//! write-behind writer thread for cadence checkpoints — is the service's
+//! business (`service.rs`, `# Durability`).
 //!
 //! The payload stores the campaign's [`CampaignSpec`] (its complete
 //! input), the round reached, and the [`CampaignDigest`] at that round.
@@ -26,6 +40,7 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use taopt::CampaignDigest;
 use taopt_ui_model::json::Value;
@@ -189,6 +204,11 @@ pub fn decode(text: &str, origin: &str) -> Result<Checkpoint, ServiceError> {
     Checkpoint::from_value(&value)
 }
 
+/// Whole microseconds of `d`, for the `*_us` histograms.
+pub(crate) fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u64::MAX as u128) as u64
+}
+
 /// A directory of checkpoint files, one per in-flight campaign.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
@@ -213,24 +233,44 @@ impl CheckpointStore {
         self.dir.join(format!("campaign-{campaign:08}.ckpt"))
     }
 
+    /// Where [`CheckpointStore::save`] stages a campaign's checkpoint
+    /// before the rename. One path per campaign: two concurrent saves of
+    /// the same campaign would collide on it.
+    pub(crate) fn tmp_path_for(&self, campaign: u64) -> PathBuf {
+        self.dir.join(format!("campaign-{campaign:08}.ckpt.tmp"))
+    }
+
     /// Atomically writes `checkpoint`, replacing any previous snapshot of
-    /// the same campaign. The old file survives a crash mid-write.
+    /// the same campaign. The old file survives a crash mid-write. The two
+    /// halves are timed into `service_checkpoint_encode_us` and
+    /// `service_checkpoint_fsync_us` (create + write + `sync_all` + rename).
     pub fn save(&self, checkpoint: &Checkpoint) -> Result<PathBuf, ServiceError> {
+        let telemetry = taopt_telemetry::global();
+        let start = Instant::now();
         let text = encode(checkpoint);
+        let encoded = Instant::now();
         let path = self.path_for(checkpoint.campaign);
-        let tmp = self
-            .dir
-            .join(format!("campaign-{:08}.ckpt.tmp", checkpoint.campaign));
+        let tmp = self.tmp_path_for(checkpoint.campaign);
         {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(text.as_bytes())?;
             f.sync_all()?;
         }
         fs::rename(&tmp, &path)?;
-        taopt_telemetry::global()
-            .counter("service_checkpoints_written_total")
-            .inc();
+        telemetry
+            .histogram("service_checkpoint_encode_us")
+            .record(micros(encoded - start));
+        telemetry
+            .histogram("service_checkpoint_fsync_us")
+            .record(micros(encoded.elapsed()));
+        telemetry.counter("service_checkpoints_written_total").inc();
         Ok(path)
+    }
+
+    /// Fsyncs the store's directory, making the *creation* of a checkpoint
+    /// file by a preceding [`CheckpointStore::save`] survive power loss.
+    pub fn sync_dir(&self) -> Result<(), ServiceError> {
+        Ok(fs::File::open(&self.dir)?.sync_all()?)
     }
 
     /// Loads and validates the checkpoint at `path`. Truncated, corrupted
@@ -273,21 +313,21 @@ impl CheckpointStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::spec::{AppSource, AppSpec};
     use taopt::experiments::ExperimentScale;
     use taopt::RunMode;
     use taopt_tools::ToolKind;
 
-    fn tmp_store(tag: &str) -> CheckpointStore {
+    pub(crate) fn tmp_store(tag: &str) -> CheckpointStore {
         let dir =
             std::env::temp_dir().join(format!("taopt-ckpt-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         CheckpointStore::new(dir).unwrap()
     }
 
-    fn sample(round: u64) -> Checkpoint {
+    pub(crate) fn sample(round: u64) -> Checkpoint {
         Checkpoint {
             version: CHECKPOINT_VERSION,
             campaign: 3,
@@ -321,6 +361,15 @@ mod tests {
         assert_eq!(store.list().unwrap(), vec![path]);
         store.remove(3);
         assert!(store.list().unwrap().is_empty());
+    }
+
+    #[test]
+    fn sync_dir_succeeds_on_a_live_store_and_reports_a_missing_one() {
+        let store = tmp_store("syncdir");
+        store.save(&sample(1)).unwrap();
+        store.sync_dir().unwrap();
+        fs::remove_dir_all(store.dir()).unwrap();
+        assert!(matches!(store.sync_dir(), Err(ServiceError::Io(_))));
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   running campaigns are asked to checkpoint and yield
 //!   ([`service`]).
 //! - **Durable checkpoint/resume** — every unfinished campaign always has
-//!   a validated, versioned snapshot on disk ([`checkpoint`]); a killed
+//!   a validated, versioned snapshot on disk ([`checkpoint`]): written
+//!   synchronously where a caller is promised durability (submit, import,
+//!   pause), write-behind on the running cadence so the round loop never
+//!   waits for the disk ([`service`], `# Durability`); a killed
 //!   service ([`CampaignService::crash`]) recovers every in-flight
 //!   campaign ([`CampaignService::recover`]) and finishes it
 //!   *byte-identical* to an uninterrupted run, because restore is
@@ -57,6 +60,7 @@ pub mod checkpoint;
 pub mod error;
 pub mod service;
 pub mod spec;
+mod writer;
 
 pub use checkpoint::{Checkpoint, CheckpointStore, CHECKPOINT_VERSION};
 pub use error::ServiceError;

@@ -14,19 +14,53 @@
 //!
 //! # Durability
 //!
-//! Every submission writes a round-0 checkpoint, and every runner
-//! re-checkpoints on a configurable round cadence, so at any instant each
-//! unfinished campaign has a durable snapshot. [`CampaignService::crash`]
-//! kills the service abruptly — no final checkpoints, mirroring a real
-//! process death — and [`CampaignService::recover`] rebuilds the whole
-//! queue from the checkpoint directory: every in-flight campaign resumes
-//! from its last snapshot by deterministic replay with digest
+//! Every unfinished campaign has a valid checkpoint on disk from the
+//! moment it is accepted until it completes, and which write a caller
+//! waits for depends on what the caller was promised:
+//!
+//! - **Synchronous, on the caller's thread** — the writes someone is
+//!   told are durable. [`CampaignService::submit`] and
+//!   [`CampaignService::import_checkpoint`] save the campaign's first
+//!   checkpoint and fsync the checkpoint directory before they return
+//!   (accepted ⇒ durable, file *and* directory entry). A runner asked to
+//!   yield — preemption, [`CampaignService::drain`],
+//!   [`CampaignService::export_checkpoint`] — saves its pause checkpoint
+//!   itself before the campaign turns [`CampaignStatus::Paused`], so
+//!   `Paused { round }` always names the round on disk.
+//! - **Write-behind, on the writer thread** — cadence checkpoints. Every
+//!   [`ServiceConfig::checkpoint_every`] rounds the runner hands
+//!   `(round, digest)` to the service's one checkpoint-writer thread and
+//!   runs on; the round loop never waits for `create` + `fsync` +
+//!   `rename`. The writer holds at most one unwritten checkpoint per
+//!   campaign (a newer hand-off replaces it), serves campaigns
+//!   round-robin, and writes through the same
+//!   [`CheckpointStore::save`]. So the durable snapshot trails the
+//!   executed round by at most one unwritten plus one in-flight
+//!   checkpoint per campaign; `service_checkpoint_lag_rounds` shows the
+//!   distance live. Trailing is free: a checkpoint supersedes its
+//!   predecessor and resume replays from round 0 whichever round is on
+//!   disk, so neither the result nor the recovery compute depends on it.
+//!
+//! Ordering between the two: before a runner writes a pause checkpoint,
+//! and before a completed campaign's checkpoint is deleted, the
+//! campaign's unwritten hand-off is discarded and a write in flight is
+//! waited out — an older cadence write can never land on top of a pause
+//! checkpoint or resurrect a finished campaign. A cadence write that
+//! fails is counted (`service_checkpoint_write_errors_total`) and fails
+//! the campaign at its next hand-off.
+//!
+//! [`CampaignService::crash`] kills the service abruptly — unwritten
+//! hand-offs are dropped and no final checkpoints are taken, mirroring a
+//! real process death — while [`CampaignService::shutdown`] lets the
+//! writer drain. [`CampaignService::recover`] rebuilds the whole queue
+//! from the checkpoint directory: every in-flight campaign resumes from
+//! its last durable snapshot by deterministic replay with digest
 //! verification, and completes byte-identical to an uninterrupted run
 //! (DESIGN.md §13).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -36,13 +70,14 @@ use parking_lot::{Condvar, Mutex};
 use taopt::{Campaign, CampaignDigest, CampaignSequence};
 use taopt_app_sim::AppEvolution;
 use taopt_chaos::{FaultKind, RecoveryKind};
-use taopt_telemetry::Labels;
+use taopt_telemetry::{Gauge, Labels};
 use taopt_ui_model::json::Value;
 use taopt_ui_model::VirtualTime;
 
-use crate::checkpoint::{Checkpoint, CheckpointStore, CHECKPOINT_VERSION};
+use crate::checkpoint::{micros, Checkpoint, CheckpointStore, CHECKPOINT_VERSION};
 use crate::error::ServiceError;
 use crate::spec::CampaignSpec;
+use crate::writer::{CheckpointWriter, HandOff};
 
 /// Service-level knobs.
 #[derive(Debug, Clone)]
@@ -51,12 +86,15 @@ pub struct ServiceConfig {
     pub farm_capacity: usize,
     /// Directory for durable checkpoints.
     pub checkpoint_dir: PathBuf,
-    /// Rounds between durable checkpoints of a running campaign.
+    /// Hand-off cadence: every this many rounds a running campaign hands
+    /// a checkpoint to the write-behind writer. The durable snapshot
+    /// trails by at most one unwritten + one in-flight checkpoint per
+    /// campaign; submit/import/pause/drain/export are synchronous.
     pub checkpoint_every: u64,
 }
 
 impl ServiceConfig {
-    /// Defaults: 16 devices, checkpoint every 8 rounds.
+    /// Defaults: 16 devices, a checkpoint hand-off every 8 rounds.
     pub fn new(checkpoint_dir: impl Into<PathBuf>) -> Self {
         ServiceConfig {
             farm_capacity: 16,
@@ -132,6 +170,8 @@ struct State {
 struct Shared {
     config: ServiceConfig,
     store: CheckpointStore,
+    /// Cadence checkpoints go to disk through here (see `# Durability`).
+    writer: CheckpointWriter,
     state: Mutex<State>,
     cv: Condvar,
 }
@@ -140,7 +180,9 @@ struct Shared {
 /// or [`CampaignService::crash`] crashes it (abrupt, like process death).
 pub struct CampaignService {
     shared: Arc<Shared>,
-    scheduler: Option<JoinHandle<()>>,
+    /// The scheduler and checkpoint-writer threads, until the service is
+    /// shut down, crashed or dropped.
+    threads: Option<(JoinHandle<()>, JoinHandle<()>)>,
 }
 
 impl CampaignService {
@@ -150,6 +192,7 @@ impl CampaignService {
         let shared = Arc::new(Shared {
             config,
             store,
+            writer: CheckpointWriter::new(),
             state: Mutex::new(State {
                 entries: BTreeMap::new(),
                 queue: Vec::new(),
@@ -165,10 +208,53 @@ impl CampaignService {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || scheduler_loop(&shared))
         };
+        let writer = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || shared.writer.run(&shared.store))
+        };
         Ok(CampaignService {
             shared,
-            scheduler: Some(scheduler),
+            threads: Some((scheduler, writer)),
         })
+    }
+
+    /// Stops both threads and joins them. A crash drops the writer's
+    /// unwritten hand-offs at once and takes no final checkpoints; a
+    /// graceful stop lets the writer drain once every runner has exited.
+    /// Nothing is written after this returns.
+    fn halt(&mut self, crash: bool) {
+        let Some((scheduler, writer)) = self.threads.take() else {
+            return;
+        };
+        if crash {
+            self.shared.writer.stop(true);
+        }
+        {
+            let mut st = self.shared.state.lock();
+            if crash {
+                st.crashed = true;
+            } else {
+                st.stop = true;
+            }
+        }
+        self.shared.cv.notify_all();
+        // The scheduler joins the runners, so after this nothing hands off.
+        let _ = scheduler.join();
+        if !crash {
+            self.shared.writer.stop(false);
+        }
+        let _ = writer.join();
+    }
+
+    /// Writes a campaign's *first* checkpoint on the caller's thread:
+    /// file and directory entry are durable before this returns.
+    fn create_checkpoint(&self, ckpt: &Checkpoint) -> Result<(), ServiceError> {
+        let store = &self.shared.store;
+        store.save(ckpt)?;
+        // Never leave behind a checkpoint whose submitter was told it failed.
+        store
+            .sync_dir()
+            .inspect_err(|_| store.remove(ckpt.campaign))
     }
 
     /// Restarts a killed service from its checkpoint directory: every
@@ -224,7 +310,8 @@ impl CampaignService {
 
     /// Submits a campaign. Admission control rejects specs the farm can
     /// never satisfy; accepted submissions are durable (a round-0
-    /// checkpoint hits disk before this returns).
+    /// checkpoint and its directory entry are fsynced before this
+    /// returns).
     pub fn submit(
         &self,
         spec: CampaignSpec,
@@ -251,7 +338,7 @@ impl CampaignService {
             st.next_id += 1;
             id
         };
-        self.shared.store.save(&Checkpoint {
+        self.create_checkpoint(&Checkpoint {
             version: CHECKPOINT_VERSION,
             campaign: id,
             priority,
@@ -364,38 +451,27 @@ impl CampaignService {
             .ok_or(ServiceError::UnknownCampaign(id.0))
     }
 
-    /// Kills the service abruptly: runners exit at their next round
-    /// boundary *without* writing a final checkpoint, exactly like a
-    /// process death. The last durable checkpoints stay on disk for
-    /// [`CampaignService::recover`].
+    /// Kills the service abruptly: checkpoints handed off but not yet
+    /// written are dropped and runners exit at their next round boundary
+    /// *without* writing a final checkpoint, exactly like a process
+    /// death. The last durable checkpoints stay on disk for
+    /// [`CampaignService::recover`]; nothing is written after this
+    /// returns.
     pub fn crash(mut self) {
         taopt_telemetry::global().fault(FaultKind::ServiceKilled.label(), None, VirtualTime::ZERO);
-        {
-            let mut st = self.shared.state.lock();
-            st.crashed = true;
-        }
-        self.shared.cv.notify_all();
-        if let Some(h) = self.scheduler.take() {
-            let _ = h.join();
-        }
+        self.halt(true);
     }
 
     /// Graceful shutdown: waits for every queued and running campaign to
-    /// reach a terminal state, then stops the scheduler. After a
-    /// [`CampaignService::drain`] there is nothing to wait for — the
-    /// checkpointed queue stays durable on disk for a later recover.
+    /// reach a terminal state, then stops the scheduler and lets the
+    /// checkpoint writer drain. After a [`CampaignService::drain`] there
+    /// is nothing to wait for — the checkpointed queue stays durable on
+    /// disk for a later recover.
     pub fn shutdown(mut self) {
         if !self.shared.state.lock().draining {
             self.wait_all();
         }
-        {
-            let mut st = self.shared.state.lock();
-            st.stop = true;
-        }
-        self.shared.cv.notify_all();
-        if let Some(h) = self.scheduler.take() {
-            let _ = h.join();
-        }
+        self.halt(false);
     }
 
     /// Number of campaigns not yet terminal (queued, running or paused)
@@ -417,8 +493,9 @@ impl CampaignService {
 
     /// Graceful drain: stops accepting submissions, asks every running
     /// campaign to checkpoint and yield, and blocks until the service is
-    /// quiescent. Returns the campaigns that now sit on disk as durable
-    /// checkpoints, ready for [`CampaignService::export_checkpoint`] or a
+    /// quiescent — every runner has written its pause checkpoint itself,
+    /// so the checkpoint writer holds nothing either. Returns the
+    /// campaigns that now sit on disk as durable checkpoints, ready for [`CampaignService::export_checkpoint`] or a
     /// later [`CampaignService::recover`].
     pub fn drain(&self) -> Vec<CampaignId> {
         let mut st = self.shared.state.lock();
@@ -544,7 +621,7 @@ impl CampaignService {
             campaign: id,
             ..ckpt
         };
-        self.shared.store.save(&ckpt)?;
+        self.create_checkpoint(&ckpt)?;
         {
             let mut st = self.shared.state.lock();
             st.entries.insert(
@@ -578,14 +655,7 @@ impl CampaignService {
 
 impl Drop for CampaignService {
     fn drop(&mut self) {
-        if let Some(h) = self.scheduler.take() {
-            {
-                let mut st = self.shared.state.lock();
-                st.crashed = true;
-            }
-            self.shared.cv.notify_all();
-            let _ = h.join();
-        }
+        self.halt(true);
     }
 }
 
@@ -711,8 +781,11 @@ fn record_failure(shared: &Arc<Shared>, id: u64, why: String) {
     shared.cv.notify_all();
 }
 
-/// Marks a campaign done with its report and drops its checkpoint.
+/// Marks a campaign done with its report and drops its checkpoint — after
+/// the writer has let go of the campaign, so no late cadence write can
+/// put the file back.
 fn record_completion(shared: &Arc<Shared>, id: u64, report: String) {
+    shared.writer.cancel(id);
     shared.store.remove(id);
     {
         let mut st = shared.state.lock();
@@ -763,7 +836,7 @@ fn replay_to(
 /// Records resume telemetry after a successful replay.
 fn note_resume(id: u64, spec: &CampaignSpec, resume_round: u64, restore_start: Instant) {
     let telemetry = taopt_telemetry::global();
-    let latency_us = restore_start.elapsed().as_micros().min(u64::MAX as u128) as u64;
+    let latency_us = micros(restore_start.elapsed());
     telemetry
         .registry()
         .histogram("service_resume_latency_us", Labels::instance(id as u32))
@@ -785,87 +858,107 @@ enum Drive {
     Exit,
 }
 
-/// Drives a campaign's rounds with pause handling and cadence
-/// checkpoints. `sequence_version` is the release the rounds belong to
-/// (0 for plain campaigns) — it rides into every checkpoint written here.
-#[allow(clippy::too_many_arguments)]
-fn drive_rounds(
-    shared: &Arc<Shared>,
+/// What one runner thread carries through its campaign's — or its
+/// release train's — round loops.
+struct Runner<'a> {
+    shared: &'a Arc<Shared>,
     id: u64,
-    spec: &CampaignSpec,
+    spec: &'a CampaignSpec,
     priority: Priority,
-    sequence_version: u64,
-    pause: &AtomicBool,
-    round_gauge: &taopt_telemetry::Gauge,
-    campaign: &mut Campaign,
-) -> Drive {
-    let every = shared.config.checkpoint_every.max(1);
-    loop {
-        {
-            let st = shared.state.lock();
-            if st.crashed {
-                // Process death: no final checkpoint; the last durable one
-                // stands and recover() will replay past this point.
-                return Drive::Exit;
-            }
-        }
-        if pause.swap(false, Ordering::SeqCst) {
-            let round = campaign.round();
-            let digest = campaign.digest();
-            let ckpt = Checkpoint {
-                version: CHECKPOINT_VERSION,
-                campaign: id,
-                priority,
-                round,
-                sequence_version,
-                spec: spec.clone(),
-                digest: Some(digest.clone()),
-            };
-            if let Err(e) = shared.store.save(&ckpt) {
-                record_failure(shared, id, e.to_string());
-                return Drive::Exit;
-            }
-            let mut st = shared.state.lock();
-            st.running.retain(|r| *r != id);
-            if let Some(e) = st.entries.get_mut(&id) {
-                e.status = CampaignStatus::Paused { round };
-                e.resume_round = round;
-                e.resume_sequence_version = sequence_version;
-                e.resume_digest = Some(digest);
-            }
-            st.queue.push(id);
-            drop(st);
-            shared.cv.notify_all();
-            return Drive::Exit;
-        }
+    pause: Arc<AtomicBool>,
+    round_gauge: Gauge,
+    /// `service_checkpoint_lag_rounds`: `executed - durable`.
+    lag_gauge: Gauge,
+    /// Rounds this runner has executed live (replay excluded). It starts
+    /// from a durable checkpoint, so 0 executed means 0 behind.
+    executed: u64,
+    /// How many of them the newest durable checkpoint covers; the
+    /// checkpoint writer stores it after each write.
+    durable: Arc<AtomicU64>,
+}
 
-        let advanced = campaign.advance_round();
-        let round = campaign.round();
-        round_gauge.set(round as i64);
-        {
-            let mut st = shared.state.lock();
-            if let Some(e) = st.entries.get_mut(&id) {
-                e.status = CampaignStatus::Running { round };
+impl Runner<'_> {
+    fn checkpoint(&self, campaign: &mut Campaign, sequence_version: u64) -> Checkpoint {
+        Checkpoint {
+            version: CHECKPOINT_VERSION,
+            campaign: self.id,
+            priority: self.priority,
+            round: campaign.round(),
+            sequence_version,
+            spec: self.spec.clone(),
+            digest: Some(campaign.digest()),
+        }
+    }
+
+    /// Drives a campaign's rounds with pause handling and cadence
+    /// checkpoint hand-offs. `sequence_version` is the release the rounds
+    /// belong to (0 for plain campaigns) — it rides into every checkpoint
+    /// taken here.
+    fn drive_rounds(&mut self, sequence_version: u64, campaign: &mut Campaign) -> Drive {
+        let shared = self.shared;
+        let id = self.id;
+        let every = shared.config.checkpoint_every.max(1);
+        loop {
+            {
+                let st = shared.state.lock();
+                if st.crashed {
+                    // Process death: no final checkpoint; the last durable one
+                    // stands and recover() will replay past this point.
+                    return Drive::Exit;
+                }
             }
-        }
-        if !advanced {
-            return Drive::Completed;
-        }
-        if round.is_multiple_of(every) {
-            let digest = campaign.digest();
-            let ckpt = Checkpoint {
-                version: CHECKPOINT_VERSION,
-                campaign: id,
-                priority,
-                round,
-                sequence_version,
-                spec: spec.clone(),
-                digest: Some(digest),
-            };
-            if let Err(e) = shared.store.save(&ckpt) {
-                record_failure(shared, id, e.to_string());
+            if self.pause.swap(false, Ordering::SeqCst) {
+                // The yielder is promised durability, so this write is the
+                // runner's own — ordered after anything the writer still
+                // holds for this campaign.
+                let ckpt = self.checkpoint(campaign, sequence_version);
+                shared.writer.cancel(id);
+                if let Err(e) = shared.store.save(&ckpt) {
+                    record_failure(shared, id, e.to_string());
+                    return Drive::Exit;
+                }
+                self.lag_gauge.set(0);
+                let mut st = shared.state.lock();
+                st.running.retain(|r| *r != id);
+                if let Some(e) = st.entries.get_mut(&id) {
+                    e.status = CampaignStatus::Paused { round: ckpt.round };
+                    e.resume_round = ckpt.round;
+                    e.resume_sequence_version = sequence_version;
+                    e.resume_digest = ckpt.digest;
+                }
+                st.queue.push(id);
+                drop(st);
+                shared.cv.notify_all();
                 return Drive::Exit;
             }
+
+            let advanced = campaign.advance_round();
+            let round = campaign.round();
+            self.round_gauge.set(round as i64);
+            {
+                let mut st = shared.state.lock();
+                if let Some(e) = st.entries.get_mut(&id) {
+                    e.status = CampaignStatus::Running { round };
+                }
+            }
+            if !advanced {
+                return Drive::Completed;
+            }
+            self.executed += 1;
+            if round.is_multiple_of(every) {
+                let hand_off = HandOff {
+                    checkpoint: self.checkpoint(campaign, sequence_version),
+                    executed: self.executed,
+                    durable: Arc::clone(&self.durable),
+                };
+                if let Err(e) = shared.writer.hand_off(hand_off) {
+                    record_failure(shared, id, e.to_string());
+                    return Drive::Exit;
+                }
+            }
+            let durable = self.durable.load(Ordering::Relaxed);
+            self.lag_gauge
+                .set(self.executed.saturating_sub(durable) as i64);
         }
     }
 }
@@ -876,10 +969,8 @@ fn drive_rounds(
 /// one campaign per version, with the checkpoint cursor tracking which
 /// release the stored round belongs to.
 fn run_one(shared: &Arc<Shared>, id: u64) {
-    let telemetry = taopt_telemetry::global();
-    let round_gauge = telemetry
-        .registry()
-        .gauge("service_campaign_round", Labels::instance(id as u32));
+    let registry = taopt_telemetry::global().registry();
+    let labels = Labels::instance(id as u32);
     let (spec, priority, resume_round, resume_sequence, resume_digest, pause) = {
         let st = shared.state.lock();
         let e = &st.entries[&id];
@@ -891,6 +982,17 @@ fn run_one(shared: &Arc<Shared>, id: u64) {
             e.resume_digest.clone(),
             Arc::clone(&e.pause),
         )
+    };
+    let mut runner = Runner {
+        shared,
+        id,
+        spec: &spec,
+        priority,
+        pause,
+        round_gauge: registry.gauge("service_campaign_round", labels),
+        lag_gauge: registry.gauge("service_checkpoint_lag_rounds", labels),
+        executed: 0,
+        durable: Arc::new(AtomicU64::new(0)),
     };
 
     let built = match spec.build() {
@@ -909,20 +1011,12 @@ fn run_one(shared: &Arc<Shared>, id: u64) {
             }
             note_resume(id, &spec, resume_round, restore_start);
         }
-        match drive_rounds(
-            shared,
-            id,
-            &spec,
-            priority,
-            0,
-            &pause,
-            &round_gauge,
-            &mut campaign,
-        ) {
+        match runner.drive_rounds(0, &mut campaign) {
             Drive::Exit => return,
             Drive::Completed => {}
         }
         let report = campaign.finish().coverage_report();
+        runner.lag_gauge.set(0);
         return record_completion(shared, id, report);
     };
 
@@ -951,16 +1045,7 @@ fn run_one(shared: &Arc<Shared>, id: u64) {
                 }
                 note_resume(id, &spec, resume_round, restore_start);
             }
-            match drive_rounds(
-                shared,
-                id,
-                &spec,
-                priority,
-                version,
-                &pause,
-                &round_gauge,
-                &mut campaign,
-            ) {
+            match runner.drive_rounds(version, &mut campaign) {
                 Drive::Exit => return,
                 Drive::Completed => {}
             }
@@ -985,5 +1070,6 @@ fn run_one(shared: &Arc<Shared>, id: u64) {
         ("versions".to_owned(), Value::Array(versions_out)),
     ])
     .to_json_string();
+    runner.lag_gauge.set(0);
     record_completion(shared, id, report);
 }

@@ -1,11 +1,14 @@
 //! Service-level integration and property tests: checkpoint-at-any-round
 //! resume is byte-identical (including across worker counts and under
-//! fault plans), damaged checkpoints are rejected cleanly, and the
+//! fault plans), damaged checkpoints are rejected cleanly, the
 //! service queue/priority/crash/recover lifecycle reproduces direct
-//! [`run_campaign`] results exactly.
+//! [`run_campaign`] results exactly, and the write-behind checkpoint
+//! writer keeps its promises (kill anywhere, no resurrection, pause
+//! ordering, write failures surface, fairness).
 
 use std::fs;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
@@ -76,6 +79,27 @@ fn tiny_spec(n_apps: usize, seed: u64, workers: usize) -> CampaignSpec {
 fn direct_report(spec: &CampaignSpec) -> String {
     let (apps, config) = spec.build().unwrap();
     run_campaign(apps, &config).coverage_report()
+}
+
+/// Spins (yielding) until `probe` returns a value; panics with `what`
+/// after a minute so a broken service fails the test instead of hanging.
+fn poll_until<T>(what: &str, mut probe: impl FnMut() -> Option<T>) -> T {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        if let Some(v) = probe() {
+            return v;
+        }
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// A campaign of `mins` virtual minutes (6 rounds each): long enough
+/// that a test can act on it mid-run.
+fn long_spec(n_apps: usize, seed: u64, mins: u64) -> CampaignSpec {
+    let mut spec = tiny_spec(n_apps, seed, 1);
+    spec.scale.duration = VirtualDuration::from_mins(mins);
+    spec
 }
 
 proptest! {
@@ -253,6 +277,85 @@ proptest! {
         fs::write(&path, &bytes).unwrap();
         prop_assert!(store.load(&path).is_err());
         let _ = fs::remove_dir_all(store.dir());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Kill-anywhere law: with a checkpoint handed off every round and two
+    /// campaigns running side by side, kill the service at any point,
+    /// recover, and every report is byte-identical to the direct run —
+    /// however far the durable snapshots trailed. Along the way no
+    /// checkpoint on disk is ever ahead of what its campaign executed.
+    #[test]
+    fn kill_anywhere_recovers_byte_identical(
+        seed in 0u64..500,
+        kill_round in 0u64..18,
+        watched in 0usize..2,
+    ) {
+        let dir = scratch(&format!("kill-{seed}-{kill_round}-{watched}"));
+        let mut config = ServiceConfig::new(&dir);
+        config.farm_capacity = 8;
+        config.checkpoint_every = 1;
+        let specs = [tiny_spec(2, seed, 1), tiny_spec(2, seed + 1, 2)];
+        let expected = [direct_report(&specs[0]), direct_report(&specs[1])];
+        let service = CampaignService::start(config.clone()).unwrap();
+        let ids = [
+            service.submit(specs[0].clone(), 4).unwrap(),
+            service.submit(specs[1].clone(), 4).unwrap(),
+        ];
+        let store = CheckpointStore::new(&dir).unwrap();
+
+        poll_until("the kill point", || {
+            for id in ids {
+                // Disk first, status second: a round is published in the
+                // status before it is handed off, so a durable round ahead
+                // of the status read *afterwards* was never executed.
+                if let Ok(ckpt) = store.load(&store.path_for(id.0)) {
+                    if let CampaignStatus::Running { round } = service.status(id).unwrap() {
+                        assert!(
+                            ckpt.round <= round,
+                            "campaign {id:?}: round {} on disk, {round} executed",
+                            ckpt.round
+                        );
+                    }
+                }
+            }
+            match service.status(ids[watched]).unwrap() {
+                CampaignStatus::Running { round } if round >= kill_round => Some(()),
+                CampaignStatus::Done | CampaignStatus::Failed(_) => Some(()),
+                _ => None,
+            }
+        });
+        let finished = ids.map(|id| service.result(id).unwrap());
+        service.crash();
+
+        // Process death leaves whole checkpoints only: the write in flight
+        // was waited out, everything unwritten was dropped.
+        for entry in fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            prop_assert!(
+                path.extension().is_some_and(|x| x == "ckpt"),
+                "crash left {path:?} behind"
+            );
+        }
+
+        let (service, recovery) = CampaignService::recover(config).unwrap();
+        prop_assert!(recovery.rejected.is_empty(), "{:?}", recovery.rejected);
+        service.wait_all();
+        for (i, id) in ids.iter().enumerate() {
+            if recovery.resumed.contains(id) {
+                prop_assert_eq!(service.status(*id).unwrap(), CampaignStatus::Done);
+                prop_assert_eq!(service.result(*id).unwrap(), Some(expected[i].clone()));
+            } else if let Some(report) = &finished[i] {
+                // Completed before the kill: its checkpoint was deleted.
+                prop_assert_eq!(report, &expected[i]);
+            }
+        }
+        prop_assert!(store.list().unwrap().is_empty());
+        service.shutdown();
+        let _ = fs::remove_dir_all(&dir);
     }
 }
 
@@ -590,5 +693,198 @@ fn recover_reports_unreadable_checkpoints_without_dying() {
         CampaignStatus::Done
     );
     service.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn finished_campaigns_never_reappear_on_disk() {
+    // 200 short campaigns, four at a time, a hand-off every round: each
+    // one's last cadence checkpoints race its completion. Completion must
+    // win every time — a checkpoint that outlives its campaign would be
+    // resurrected by the next recover().
+    let dir = scratch("no-resurrection");
+    let mut config = ServiceConfig::new(&dir);
+    config.farm_capacity = 8;
+    config.checkpoint_every = 1;
+    let service = CampaignService::start(config).unwrap();
+    let store = CheckpointStore::new(&dir).unwrap();
+    let mut ids = Vec::new();
+    for batch in 0..25u64 {
+        let submitted: Vec<_> = (0..8u64)
+            .map(|i| {
+                let mut spec = tiny_spec(1, 1 + 2 * (batch * 8 + i), 1);
+                spec.max_rounds = 2 + i % 5;
+                service.submit(spec, 4).unwrap()
+            })
+            .collect();
+        for id in submitted {
+            assert_eq!(service.wait(id).unwrap(), CampaignStatus::Done);
+            assert!(
+                !store.path_for(id.0).exists(),
+                "campaign {id:?} is done but its checkpoint is on disk"
+            );
+            ids.push(id);
+        }
+    }
+    // And none crept back while the later ones ran, or at shutdown.
+    assert!(store.list().unwrap().is_empty());
+    service.shutdown();
+    assert!(store.list().unwrap().is_empty());
+    assert_eq!(ids.len(), 200);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pause_checkpoint_is_the_one_on_disk() {
+    let dir = scratch("pause-order");
+    let mut config = ServiceConfig::new(&dir);
+    config.farm_capacity = 4;
+    config.checkpoint_every = 1;
+    let service = CampaignService::start(config).unwrap();
+    let store = CheckpointStore::new(&dir).unwrap();
+
+    // The low-priority campaign fills the farm and hands off a checkpoint
+    // every round; the high-priority one preempts it mid-run, so the
+    // pause checkpoint is taken with cadence writes still in the writer.
+    let mut low_spec = long_spec(3, 71, 30);
+    low_spec.capacity = Some(4);
+    let high_spec = long_spec(2, 73, 10);
+    let low_want = direct_report(&low_spec);
+    let low = service.submit(low_spec, 1).unwrap();
+    poll_until("the low-priority campaign to get going", || {
+        matches!(
+            service.status(low).unwrap(),
+            CampaignStatus::Running { round } if round >= 3
+        )
+        .then_some(())
+    });
+    let high = service.submit(high_spec, 9).unwrap();
+
+    // While it sits preempted, the file must stay exactly the pause
+    // checkpoint: same round, digest attached, no older write landing late.
+    let paused_round = poll_until("the preemption", || match service.status(low).unwrap() {
+        CampaignStatus::Paused { round } => Some(round),
+        _ => None,
+    });
+    let mut checked = 0;
+    loop {
+        let loaded = store.load(&store.path_for(low.0));
+        if service.status(low).unwrap()
+            != (CampaignStatus::Paused {
+                round: paused_round,
+            })
+        {
+            break; // resumed: the file moves on from here
+        }
+        let ckpt = loaded.expect("a paused campaign has its checkpoint on disk");
+        assert_eq!(ckpt.round, paused_round);
+        assert!(ckpt.digest.is_some(), "pause checkpoint lost its digest");
+        checked += 1;
+        std::thread::yield_now();
+    }
+    assert!(checked > 0, "never observed the paused campaign on disk");
+
+    assert_eq!(service.wait(high).unwrap(), CampaignStatus::Done);
+    assert_eq!(service.wait(low).unwrap(), CampaignStatus::Done);
+    assert_eq!(
+        service.result(low).unwrap().as_deref(),
+        Some(low_want.as_str())
+    );
+    service.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cadence_write_failure_fails_the_campaign_and_is_counted() {
+    let dir = scratch("write-fail");
+    let mut config = ServiceConfig::new(&dir);
+    config.farm_capacity = 4;
+    config.checkpoint_every = 1;
+    let service = CampaignService::start(config).unwrap();
+    let errors = taopt_telemetry::global().counter("service_checkpoint_write_errors_total");
+    let errors_before = errors.get();
+
+    let id = service.submit(long_spec(2, 81, 120), 4).unwrap();
+    poll_until("the campaign to get going", || {
+        matches!(
+            service.status(id).unwrap(),
+            CampaignStatus::Running { round } if round >= 2
+        )
+        .then_some(())
+    });
+    // Make the checkpoint unwritable mid-run (works as root too): a
+    // directory squatting on the temp path fails the writer's create.
+    // If a write is between create and rename right now, try again.
+    let tmp = dir.join(format!("campaign-{:08}.ckpt.tmp", id.0));
+    poll_until("the temp path to be free", || fs::create_dir(&tmp).ok());
+
+    // The campaign has ~700 rounds to go; it must fail at its next
+    // hand-off after the failed write, not run on without durability.
+    match service.wait(id).unwrap() {
+        CampaignStatus::Failed(why) => {
+            assert!(why.contains("checkpoint io"), "unexpected failure: {why}")
+        }
+        other => panic!("expected Failed, got {other:?}"),
+    }
+    assert!(
+        errors.get() > errors_before,
+        "the write error was swallowed"
+    );
+    // The last good checkpoint is still there for an operator to recover.
+    let store = CheckpointStore::new(&dir).unwrap();
+    assert!(store.load(&store.path_for(id.0)).is_ok());
+    service.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn writer_serves_concurrent_campaigns_fairly() {
+    let dir = scratch("fairness");
+    let mut config = ServiceConfig::new(&dir);
+    config.farm_capacity = 8;
+    config.checkpoint_every = 1;
+    let service = CampaignService::start(config).unwrap();
+    let store = CheckpointStore::new(&dir).unwrap();
+    let ids = [
+        service.submit(long_spec(2, 91, 120), 4).unwrap(),
+        service.submit(long_spec(2, 93, 120), 4).unwrap(),
+    ];
+
+    // Both run at once and both hand off every round: each file's round
+    // must keep advancing — neither tenant's checkpoints wait for the
+    // other to finish.
+    let mut advances = [0u32; 2];
+    let mut last = [0u64; 2];
+    poll_until("both checkpoints to advance side by side", || {
+        let both_running = ids
+            .iter()
+            .all(|id| matches!(service.status(*id).unwrap(), CampaignStatus::Running { .. }));
+        for (i, id) in ids.iter().enumerate() {
+            if let Ok(ckpt) = store.load(&store.path_for(id.0)) {
+                if both_running && ckpt.round > last[i] {
+                    advances[i] += 1;
+                }
+                last[i] = last[i].max(ckpt.round);
+            }
+        }
+        assert!(
+            ids.iter()
+                .all(|id| service.status(*id).unwrap() != CampaignStatus::Done),
+            "a campaign finished before both files advanced 3 times: {advances:?}"
+        );
+        advances.iter().all(|n| *n >= 3).then_some(())
+    });
+    // How far durability trails, and what it costs, is on /metrics.
+    let metrics = service.metrics_text();
+    for series in [
+        "service_checkpoint_lag_rounds",
+        "service_checkpoint_encode_us",
+        "service_checkpoint_fsync_us",
+        "service_checkpoints_superseded_total",
+        "service_checkpoint_write_errors_total",
+    ] {
+        assert!(metrics.contains(series), "{series} missing from /metrics");
+    }
+    service.crash();
     let _ = fs::remove_dir_all(&dir);
 }
