@@ -10,15 +10,14 @@
 //! information only.
 //!
 //! Exits non-zero when either gate fails:
-//! * speedup: the 4-worker campaign must be ≥ 1.5× faster (virtual
-//!   wall-clock) than the serial fault-free run;
-//! * determinism: 1-worker and 4-worker campaigns must produce
+//! * speedup: the campaign on a 4-thread host budget must be ≥ 1.5×
+//!   faster (virtual wall-clock) than the serial fault-free run;
+//! * determinism: campaigns on host budgets 1 and 4 must produce
 //!   byte-identical coverage reports.
 //!
 //! `farm` mode scales to a 100-app catalog and adds the host-side
-//! compute-pool gates (see [`farm`]): per-round host p50/p95, zero
-//! thread spawns after warmup, and pooled host time strictly below the
-//! legacy nested-spawn path.
+//! compute-pool gates (see [`farm`]): per-round host p50/p95 and zero
+//! thread spawns after warmup.
 //!
 //! ```text
 //! cargo run --release -p taopt-bench --bin campaign -- [quick|paper] [n_apps] [seed]
@@ -46,10 +45,10 @@ const MIN_SPEEDUP: f64 = 1.5;
 const FARM_APPS: usize = 100;
 /// Farm mode: shared device capacity.
 const FARM_CAPACITY: usize = 200;
-/// Farm mode: speedup gate at [`FARM_WORKERS`] workers.
+/// Farm mode: speedup gate at a [`FARM_THREADS`] host budget.
 const MIN_FARM_SPEEDUP: f64 = 6.0;
-/// Farm mode: parallel-phase worker count for the measured arm.
-const FARM_WORKERS: usize = 8;
+/// Farm mode: host-thread budget of the measured arm.
+const FARM_THREADS: usize = 8;
 
 fn app_config(args: &HarnessArgs, index: usize) -> SessionConfig {
     // Rotate the paper's three tools across the catalog; duration mode is
@@ -88,18 +87,18 @@ fn per_app_json(name: &str, session: &SessionResult) -> Value {
     ])
 }
 
-fn campaign_json(result: &CampaignResult, workers: usize, host_ms: u64) -> Value {
-    campaign_json_extra(result, workers, host_ms, Vec::new())
+fn campaign_json(result: &CampaignResult, host_threads: usize, host_ms: u64) -> Value {
+    campaign_json_extra(result, host_threads, host_ms, Vec::new())
 }
 
 fn campaign_json_extra(
     result: &CampaignResult,
-    workers: usize,
+    host_threads: usize,
     host_ms: u64,
     extra: Vec<(String, Value)>,
 ) -> Value {
     let mut fields = vec![
-        ("workers".to_owned(), Value::UInt(workers as u64)),
+        ("host_threads".to_owned(), Value::UInt(host_threads as u64)),
         ("rounds".to_owned(), Value::UInt(result.rounds)),
         (
             "wall_ms".to_owned(),
@@ -165,24 +164,15 @@ struct FarmArm {
     /// Per-round host microseconds, ascending.
     round_us: Vec<u64>,
     /// `host_threads_spawned_total` delta after warmup (pool construction
-    /// plus the first round) — must be 0 for the persistent pool, and is
-    /// the per-round churn for the legacy scoped-thread path.
+    /// plus the first round) — must be 0: rounds never spawn.
     spawned_after_warmup: u64,
 }
 
-/// Runs one farm campaign stepwise: `scoped` replays the pre-pool
-/// nested-`thread::scope` path, otherwise the persistent compute pool
-/// is budgeted at `host_threads`.
-fn run_farm_arm(
-    apps: &[NamedApp],
-    args: &HarnessArgs,
-    host_threads: usize,
-    scoped: bool,
-) -> FarmArm {
+/// Runs one farm campaign stepwise on a compute pool budgeted at
+/// `host_threads`.
+fn run_farm_arm(apps: &[NamedApp], args: &HarnessArgs, host_threads: usize) -> FarmArm {
     let config = CampaignConfig {
-        workers: FARM_WORKERS,
-        host_threads: if scoped { 0 } else { host_threads },
-        scoped_threads: scoped,
+        host_threads,
         capacity: Some(FARM_CAPACITY),
         ..CampaignConfig::default()
     };
@@ -215,24 +205,19 @@ fn run_farm_arm(
 /// Farm mode: a 100-app synthetic catalog on a 200-device shared farm,
 /// short sessions (the scheduler's packing, not per-app depth, is what
 /// is under test), campaign-scheduled under the persistent compute pool
-/// at host budgets 1 and [`FARM_WORKERS`], against both the serial
-/// one-app-at-a-time baseline and the legacy per-round
-/// `thread::scope` path at [`FARM_WORKERS`] workers.
+/// at host budgets 1 and [`FARM_THREADS`], against the serial
+/// one-app-at-a-time baseline.
 ///
 /// Virtual clocks (rounds × tick) keep the result-side gates
-/// deterministic on shared hardware; host-side gates compare the two
-/// in-process host measurements of the same workload:
-/// * speedup: the pooled [`FARM_WORKERS`]-budget campaign must finish
-///   the catalog ≥ [`MIN_FARM_SPEEDUP`]× faster than the serial
-///   baseline in virtual wall-clock;
-/// * determinism: legacy, pool×1 and pool×[`FARM_WORKERS`] coverage
-///   reports must be byte-identical (the host budget is a throughput
-///   knob, never a result knob);
+/// deterministic on shared hardware:
+/// * speedup: the [`FARM_THREADS`]-budget campaign must finish the
+///   catalog ≥ [`MIN_FARM_SPEEDUP`]× faster than the serial baseline in
+///   virtual wall-clock;
+/// * determinism: pool×1 and pool×[`FARM_THREADS`] coverage reports
+///   must be byte-identical (the host budget is a throughput knob,
+///   never a result knob);
 /// * no churn: after warmup the pooled arm must spawn **zero** host
-///   threads — `host_threads_spawned_total` stays flat across rounds;
-/// * no regression: pooled host_ms must be strictly below the legacy
-///   nested-spawn arm at the same worker count (min of two runs each,
-///   damping scheduler noise).
+///   threads — `host_threads_spawned_total` stays flat across rounds.
 fn farm(seed: u64) -> ExitCode {
     let scale = ExperimentScale {
         instances: 2,
@@ -250,7 +235,7 @@ fn farm(seed: u64) -> ExitCode {
     };
     eprintln!(
         "campaign farm: {FARM_APPS} generated apps, capacity {FARM_CAPACITY} devices, \
-         host budgets [1, {FARM_WORKERS}] + legacy scoped x{FARM_WORKERS}, seed {seed}"
+         host budgets [1, {FARM_THREADS}], seed {seed}"
     );
     let apps: Vec<NamedApp> = (0..FARM_APPS)
         .map(|i| {
@@ -281,24 +266,12 @@ fn farm(seed: u64) -> ExitCode {
         .fold(VirtualDuration::ZERO, |acc, (_, r)| acc + r.machine_time);
     eprintln!("  serial: wall {serial_wall} machine {serial_machine} host {serial_host_ms}ms");
 
-    // Arm 2: the legacy per-round thread::scope path at FARM_WORKERS
-    // workers (the pre-pool baseline, reproduced in-process), then the
-    // persistent pool at host budgets 1 and FARM_WORKERS. The legacy and
-    // pool-8 arms run twice and keep the faster host measurement, so the
-    // strict pool-beats-legacy gate compares minima, not scheduler noise.
-    let legacy_a = run_farm_arm(&apps, &args, 0, true);
-    let legacy_b = run_farm_arm(&apps, &args, 0, true);
-    let legacy_host_ms = legacy_a.host_ms.min(legacy_b.host_ms);
-    let legacy = legacy_a;
-    let pool_1 = run_farm_arm(&apps, &args, 1, false);
-    let pool_8a = run_farm_arm(&apps, &args, FARM_WORKERS, false);
-    let pool_8b = run_farm_arm(&apps, &args, FARM_WORKERS, false);
-    let pool_8_host_ms = pool_8a.host_ms.min(pool_8b.host_ms);
-    let pool_8 = pool_8a;
+    // Arm 2: the persistent pool at host budgets 1 and FARM_THREADS.
+    let pool_1 = run_farm_arm(&apps, &args, 1);
+    let pool_8 = run_farm_arm(&apps, &args, FARM_THREADS);
     for (tag, arm) in [
-        (format!("legacy x{FARM_WORKERS}"), &legacy),
         ("pool x1".to_owned(), &pool_1),
-        (format!("pool x{FARM_WORKERS}"), &pool_8),
+        (format!("pool x{FARM_THREADS}"), &pool_8),
     ] {
         eprintln!(
             "  {tag}: {} rounds, wall {}, host {}ms (p50 {}us p95 {}us), \
@@ -314,18 +287,14 @@ fn farm(seed: u64) -> ExitCode {
 
     let speedup =
         serial_wall.as_millis() as f64 / pool_8.result.wall_clock.as_millis().max(1) as f64;
-    let reference = legacy.result.coverage_report();
-    let deterministic = reference == pool_1.result.coverage_report()
-        && reference == pool_8.result.coverage_report();
+    let deterministic = pool_1.result.coverage_report() == pool_8.result.coverage_report();
 
-    let arm_json = |arm: &FarmArm, host_ms: u64, budget: usize, scoped: bool| {
+    let arm_json = |arm: &FarmArm, budget: usize| {
         campaign_json_extra(
             &arm.result,
-            FARM_WORKERS,
-            host_ms,
+            budget,
+            arm.host_ms,
             vec![
-                ("host_threads".to_owned(), Value::UInt(budget as u64)),
-                ("scoped_threads".to_owned(), Value::Bool(scoped)),
                 (
                     "host_us_p50".to_owned(),
                     Value::UInt(percentile(&arm.round_us, 50)),
@@ -360,11 +329,7 @@ fn farm(seed: u64) -> ExitCode {
         ),
         (
             "campaigns".to_owned(),
-            Value::Array(vec![
-                arm_json(&legacy, legacy_host_ms, FARM_WORKERS, true),
-                arm_json(&pool_1, pool_1.host_ms, 1, false),
-                arm_json(&pool_8, pool_8_host_ms, FARM_WORKERS, false),
-            ]),
+            Value::Array(vec![arm_json(&pool_1, 1), arm_json(&pool_8, FARM_THREADS)]),
         ),
         ("speedup_virtual_wall".to_owned(), Value::Float(speedup)),
         ("speedup_gate".to_owned(), Value::Float(MIN_FARM_SPEEDUP)),
@@ -374,31 +339,23 @@ fn farm(seed: u64) -> ExitCode {
     let out = "BENCH_campaign.json";
     let bytes = report.write_json(out, &doc);
     println!(
-        "campaign farm: serial wall {serial_wall} vs pool x{FARM_WORKERS} campaign wall {} \
-         -> speedup {speedup:.2}x; host {pool_8_host_ms}ms pooled vs {legacy_host_ms}ms legacy; \
+        "campaign farm: serial wall {serial_wall} vs pool x{FARM_THREADS} campaign wall {} \
+         -> speedup {speedup:.2}x; host {}ms pool x1 vs {}ms pool x{FARM_THREADS}; \
          deterministic: {deterministic}; wrote {out} ({bytes} bytes)",
-        pool_8.result.wall_clock,
+        pool_8.result.wall_clock, pool_1.host_ms, pool_8.host_ms,
     );
 
     report.gate(speedup >= MIN_FARM_SPEEDUP, || {
         format!("speedup {speedup:.2}x below the {MIN_FARM_SPEEDUP}x farm gate")
     });
     report.gate(deterministic, || {
-        "legacy, pool x1 and pool x8 campaigns diverged".to_owned()
+        format!("pool x1 and pool x{FARM_THREADS} campaigns diverged")
     });
-    report.gate(
-        pool_8.spawned_after_warmup == 0 && pool_8b.spawned_after_warmup == 0,
-        || {
-            format!(
-                "pooled arm spawned {} host threads after warmup (must be 0)",
-                pool_8
-                    .spawned_after_warmup
-                    .max(pool_8b.spawned_after_warmup)
-            )
-        },
-    );
-    report.gate(pool_8_host_ms < legacy_host_ms, || {
-        format!("pooled host {pool_8_host_ms}ms not below legacy nested-spawn {legacy_host_ms}ms")
+    report.gate(pool_8.spawned_after_warmup == 0, || {
+        format!(
+            "pooled arm spawned {} host threads after warmup (must be 0)",
+            pool_8.spawned_after_warmup
+        )
     });
     report.gate(pool_8.result.lease_conflicts == 0, || {
         format!(
@@ -446,12 +403,12 @@ fn main() -> ExitCode {
         .iter()
         .fold(VirtualDuration::ZERO, |acc, (_, r)| acc + r.machine_time);
 
-    // Arm 2: campaign-scheduled at 1 and 4 workers (identical results by
-    // construction; both are run to *prove* it).
+    // Arm 2: campaign-scheduled on host budgets 1 and 4 (identical
+    // results by construction; both are run to *prove* it).
     let mut campaigns = Vec::new();
-    for workers in [1usize, 4] {
+    for host_threads in [1usize, 4] {
         let config = CampaignConfig {
-            workers,
+            host_threads,
             capacity: Some(capacity),
             ..CampaignConfig::default()
         };
@@ -459,15 +416,15 @@ fn main() -> ExitCode {
         let result = run_campaign(catalog(&apps, &args), &config);
         let host_ms = host.elapsed().as_millis() as u64;
         eprintln!(
-            "  campaign x{workers}: {} rounds, wall {}, {} grants, {} steals, host {host_ms}ms",
+            "  campaign x{host_threads}: {} rounds, wall {}, {} grants, {} steals, host {host_ms}ms",
             result.rounds, result.wall_clock, result.grants, result.steals
         );
-        campaigns.push((workers, result, host_ms));
+        campaigns.push((host_threads, result, host_ms));
     }
 
-    let (_, four_workers, _) = campaigns.iter().find(|(w, _, _)| *w == 4).unwrap();
+    let (_, four_threads, _) = campaigns.iter().find(|(t, _, _)| *t == 4).unwrap();
     let speedup =
-        serial_wall.as_millis() as f64 / four_workers.wall_clock.as_millis().max(1) as f64;
+        serial_wall.as_millis() as f64 / four_threads.wall_clock.as_millis().max(1) as f64;
     let deterministic = campaigns[0].1.coverage_report() == campaigns[1].1.coverage_report();
 
     let doc = Value::Object(vec![
@@ -516,19 +473,19 @@ fn main() -> ExitCode {
     println!(
         "campaign bench: serial wall {} vs campaign wall {} -> speedup {speedup:.2}x \
          (machine {} vs {}); deterministic: {deterministic}; wrote {out} ({bytes} bytes)",
-        serial_wall, four_workers.wall_clock, serial_machine, four_workers.machine_time,
+        serial_wall, four_threads.wall_clock, serial_machine, four_threads.machine_time,
     );
 
     report.gate(speedup >= MIN_SPEEDUP, || {
         format!("speedup {speedup:.2}x below the {MIN_SPEEDUP}x gate")
     });
     report.gate(deterministic, || {
-        "1-worker and 4-worker campaigns diverged".to_owned()
+        "host budget 1 and 4 campaigns diverged".to_owned()
     });
-    report.gate(four_workers.lease_conflicts == 0, || {
+    report.gate(four_threads.lease_conflicts == 0, || {
         format!(
             "{} double-allocations observed",
-            four_workers.lease_conflicts
+            four_threads.lease_conflicts
         )
     });
     report.finish()

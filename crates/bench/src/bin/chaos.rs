@@ -13,7 +13,7 @@
 //! Exit gates (CI smoke): coverage retention at the moderate fault rate
 //! must stay above [`MIN_RETENTION`], no orphaned subspaces may remain
 //! unresolved at any rate, and a faulted campaign must produce
-//! byte-identical coverage reports at 1 and 4 workers.
+//! byte-identical coverage reports on host budgets 1 and 4.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -198,12 +198,12 @@ fn rate_json(rate: f64, s: &RateSummary, baseline: f64) -> Value {
     ])
 }
 
-/// Runs the same faulted campaign at 1 and 4 workers and reports whether
+/// Runs the same faulted campaign on host budgets 1 and 4 and reports whether
 /// the coverage reports (and fault statistics) came out byte-identical —
 /// the layered runtime's determinism pin, exercised end to end.
 fn campaign_arm(apps: &[NamedApp], args: &HarnessArgs) -> (bool, Value) {
     let take = apps.len().min(4);
-    let catalog = |_: usize| -> Vec<CampaignApp> {
+    let catalog = || -> Vec<CampaignApp> {
         apps[..take]
             .iter()
             .enumerate()
@@ -223,9 +223,9 @@ fn campaign_arm(apps: &[NamedApp], args: &HarnessArgs) -> (bool, Value) {
     let mut stats = Vec::new();
     let mut rounds = 0u64;
     let mut devices_lost = 0usize;
-    for workers in [1usize, 4] {
+    for host_threads in [1usize, 4] {
         let config = CampaignConfig {
-            workers,
+            host_threads,
             capacity: Some(capacity),
             faults: Some(FaultPlan::new(
                 args.seed,
@@ -233,11 +233,11 @@ fn campaign_arm(apps: &[NamedApp], args: &HarnessArgs) -> (bool, Value) {
             )),
             ..CampaignConfig::default()
         };
-        let result = run_campaign(catalog(workers), &config);
+        let result = run_campaign(catalog(), &config);
         rounds = result.rounds;
         devices_lost = result.apps.iter().map(|a| a.devices_lost).sum();
         eprintln!(
-            "  faulted campaign x{workers}: {} rounds, wall {}, {} devices lost",
+            "  faulted campaign x{host_threads}: {} rounds, wall {}, {} devices lost",
             result.rounds, result.wall_clock, devices_lost
         );
         reports.push(result.coverage_report());
@@ -409,7 +409,7 @@ fn main() -> ExitCode {
         format!("{orphans} unresolved orphaned subspaces (expect 0)")
     });
     report.gate(campaign_deterministic, || {
-        "faulted campaign differs between 1 and 4 workers".to_owned()
+        "faulted campaign differs between host budgets 1 and 4".to_owned()
     });
     report.finish()
 }

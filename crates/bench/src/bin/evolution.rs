@@ -4,7 +4,7 @@
 //! from both arms plus the rounds-to-first-dedication comparison.
 //!
 //! Exit gates (CI smoke): the warm-start sequence must be byte-identical
-//! at 1 and 4 workers (per-version coverage reports and evolution
+//! on host budgets 1 and 4 (per-version coverage reports and evolution
 //! reports), every version past the base must inject at least one
 //! regression crash and the campaign must catch all of them, and the
 //! warm arm must reach its first subspace dedication strictly earlier
@@ -108,9 +108,9 @@ fn release_train(seed: u64) -> AppEvolution {
 }
 
 /// Runs one arm of the comparison.
-fn run_arm(args: &Args, workers: usize, warm: bool) -> Vec<VersionOutcome> {
+fn run_arm(args: &Args, host_threads: usize, warm: bool) -> Vec<VersionOutcome> {
     let config = CampaignConfig {
-        workers,
+        host_threads,
         ..CampaignConfig::default()
     };
     run_campaign_sequence(
@@ -152,12 +152,12 @@ fn main() -> ExitCode {
     let mut report = BenchReport::new("evolution bench");
 
     // Gate 1: the warm-start release train is byte-deterministic across
-    // worker counts — per-version coverage reports and evolution reports.
+    // host budgets — per-version coverage reports and evolution reports.
     let mut deterministic = true;
     for (a, b) in warm1.iter().zip(&warm4) {
         let same = a.result.coverage_report() == b.result.coverage_report() && a.report == b.report;
         report.gate(same, || {
-            format!("version {} differs between 1 and 4 workers", a.version)
+            format!("version {} differs between host budgets 1 and 4", a.version)
         });
         deterministic &= same;
     }

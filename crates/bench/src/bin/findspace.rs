@@ -28,7 +28,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use taopt::findspace::{find_space_candidates, FindSpaceConfig, FindSpaceEngine, SimilarityCache};
+use taopt::findspace::{
+    find_space_candidates, FindSpaceConfig, FindSpaceEngine, SimilarityCache, SplitCandidate,
+};
 use taopt_bench::BenchReport;
 use taopt_ui_model::abstraction::abstract_hierarchy;
 use taopt_ui_model::{
@@ -55,10 +57,8 @@ const SCALED_ANALYZE_EVERY: usize = 25;
 /// Scaled replay: the analyzer-style window is rebased once it reaches
 /// this many events, preferring a split-candidate boundary as the cut.
 const WINDOW_CAP: usize = 2_000;
-/// Scaled gate: vectorized-arm per-analysis p95, microseconds.
+/// Scaled gate: engine per-analysis p95, microseconds.
 const MAX_P95_US: u64 = 9;
-/// Scaled replay: full-rescan cross-checks sampled across the run.
-const CROSS_CHECKS: u64 = 24;
 
 /// Builds an event whose abstract screen identity is `label`.
 fn event(t_ms: u64, label: u32) -> TraceEvent {
@@ -170,32 +170,60 @@ impl SynthStream {
 }
 
 /// Bitwise equality of two candidate lists.
-fn identical(
-    a: &[taopt::findspace::SplitCandidate],
-    b: &[taopt::findspace::SplitCandidate],
-) -> bool {
+fn identical(a: &[SplitCandidate], b: &[SplitCandidate]) -> bool {
     a.len() == b.len()
         && a.iter()
             .zip(b)
             .all(|(x, y)| x.index == y.index && x.score.to_bits() == y.score.to_bits())
 }
 
-/// The scaled arm: a 1M-event windowed replay pitting the vectorized
-/// lane sweep over the default sharded cache against the scalar
-/// reference sweep over the 1-shard reference cache, checkpoint by
-/// checkpoint.
+/// Streams the scaled replay: [`SCALED_ANALYZE_EVERY`] events are
+/// appended per checkpoint and `analyze(window, rebased)` is called on
+/// the bounded window (`rebased`: the window was cut since the last
+/// call). Once the window reaches [`WINDOW_CAP`] it is rebased
+/// analyzer-style — cut at the split index `analyze` returned when there
+/// is one, else mid-window — so memory stays bounded and every analysis
+/// sees a realistic post-dedication window. Returns `(rebases, max
+/// window)`.
+fn scaled_replay(
+    seed: u64,
+    mut analyze: impl FnMut(&[TraceEvent], bool) -> Option<usize>,
+) -> (u64, usize) {
+    let mut stream = SynthStream::new(seed);
+    let mut window: Vec<TraceEvent> = Vec::with_capacity(WINDOW_CAP + ANALYZE_EVERY);
+    let mut produced = 0usize;
+    let mut rebased = false;
+    let mut rebases = 0u64;
+    let mut max_window = 0usize;
+    while produced < SCALED_EVENTS {
+        for _ in 0..SCALED_ANALYZE_EVERY.min(SCALED_EVENTS - produced) {
+            window.push(stream.next_event());
+            produced += 1;
+        }
+        max_window = max_window.max(window.len());
+        let split = analyze(&window, rebased);
+        rebased = window.len() >= WINDOW_CAP;
+        if rebased {
+            let len = window.len();
+            let cut = split.unwrap_or(len / 2).clamp(5 * len / 8, 3 * len / 4);
+            window.drain(..cut);
+            rebases += 1;
+        }
+    }
+    (rebases, max_window)
+}
+
+/// The scaled arm: a 1M-event windowed replay of the engine over the
+/// default sharded cache, checked bitwise against the full rescan
+/// (`find_space_candidates` over a 1-shard cache) at every checkpoint.
 ///
-/// The window is rebased (analyzer-style: cut at a split-candidate
-/// boundary when one exists, else mid-window) whenever it reaches
-/// [`WINDOW_CAP`], so memory stays bounded and every analysis sees a
-/// realistic post-dedication window. Both arms share each rebase
-/// decision, which is taken from the scalar arm's output — legal only
-/// because the bit-identical gate proves the vectorized arm would have
-/// decided the same. Gates:
-/// * `bit_identical`: every checkpoint's candidates agree bitwise
-///   across arms, plus [`CROSS_CHECKS`] sampled full-rescan
-///   (`find_space_candidates`) agreements;
-/// * `engine_p95_us` ≤ [`MAX_P95_US`] on the vectorized arm.
+/// The replay runs twice over the same seeded stream: first the engine
+/// alone, timed (so the rescan's memory traffic never lands in the
+/// measured region), then the rescan, compared against the engine's
+/// stored candidates. Gates:
+/// * `bit_identical`: every checkpoint's candidates agree bitwise with
+///   the rescan;
+/// * `engine_p95_us` ≤ [`MAX_P95_US`].
 fn scaled(seed: u64) -> ExitCode {
     let config = FindSpaceConfig {
         l_min: VirtualDuration::from_mins(1),
@@ -205,15 +233,11 @@ fn scaled(seed: u64) -> ExitCode {
         "findspace scaled: {SCALED_EVENTS} events, window cap {WINDOW_CAP}, \
          analysis every {SCALED_ANALYZE_EVERY}, seed {seed:#x}"
     );
-    let mut stream = SynthStream::new(seed);
-    let vec_cache = SimilarityCache::new();
-    let ref_cache = SimilarityCache::with_shards(1);
-    let rescan_cache = SimilarityCache::new();
-    let mut vec_engine = FindSpaceEngine::new(config.clone());
-    let mut ref_engine = FindSpaceEngine::new(config.clone());
+    let engine_cache = SimilarityCache::new();
+    let mut engine = FindSpaceEngine::new(config.clone());
     let histogram = taopt_telemetry::global().histogram("findspace_analysis_us");
 
-    // Warm both arms so the first measured checkpoint is not paying
+    // Warm the engine so the first measured checkpoint is not paying
     // first-touch allocation.
     {
         let warm: Vec<TraceEvent> = (0..256)
@@ -223,71 +247,42 @@ fn scaled(seed: u64) -> ExitCode {
         let mut engine = FindSpaceEngine::new(config.clone());
         engine.extend_from(&warm, &cache);
         let _ = engine.analyze(K);
-        let _ = engine.analyze_reference(K);
     }
 
-    let mut window: Vec<TraceEvent> = Vec::with_capacity(WINDOW_CAP + ANALYZE_EVERY);
-    let mut produced = 0usize;
-    let mut analyses = 0u64;
-    let mut bit_identical = true;
-    let mut splits_found = 0u64;
-    let mut rebases = 0u64;
-    let mut cross_checked = 0u64;
-    let mut max_window = 0usize;
-    let cross_stride = (SCALED_EVENTS as u64 / SCALED_ANALYZE_EVERY as u64 / CROSS_CHECKS).max(1);
+    // Pass 1: the engine, timed — exactly what the analyzer pays per
+    // pass. Its candidates are kept for pass 2.
+    let mut engine_out: Vec<Vec<SplitCandidate>> =
+        Vec::with_capacity(SCALED_EVENTS / SCALED_ANALYZE_EVERY);
     let t0 = Instant::now();
-    while produced < SCALED_EVENTS {
-        for _ in 0..SCALED_ANALYZE_EVERY {
-            if produced >= SCALED_EVENTS {
-                break;
-            }
-            window.push(stream.next_event());
-            produced += 1;
+    let (rebases, max_window) = scaled_replay(seed, |window, rebased| {
+        if rebased {
+            engine.reset();
         }
-        max_window = max_window.max(window.len());
-
-        // Vectorized arm: default lane width over the sharded cache.
-        // The timed region is exactly what the analyzer pays per pass.
         let t = Instant::now();
-        vec_engine.extend_from(&window, &vec_cache);
-        let vec_out = vec_engine.analyze(K);
+        engine.extend_from(window, &engine_cache);
+        let out = engine.analyze(K);
         histogram.record(t.elapsed().as_micros() as u64);
-
-        // Scalar reference arm: verbatim pre-vectorization sweep over
-        // the 1-shard reference cache.
-        ref_engine.extend_from(&window, &ref_cache);
-        let ref_out = ref_engine.analyze_reference(K);
-        analyses += 1;
-
-        if !identical(&vec_out, &ref_out) {
-            bit_identical = false;
-        }
-        if !ref_out.is_empty() {
-            splits_found += 1;
-        }
-        if analyses.is_multiple_of(cross_stride) && cross_checked < CROSS_CHECKS {
-            cross_checked += 1;
-            if !identical(
-                &ref_out,
-                &find_space_candidates(&window, &config, &rescan_cache, K),
-            ) {
-                bit_identical = false;
-            }
-        }
-
-        if window.len() >= WINDOW_CAP {
-            let len = window.len();
-            let cut = ref_out
-                .first()
-                .map_or(len / 2, |c| c.index)
-                .clamp(5 * len / 8, 3 * len / 4);
-            window.drain(..cut);
-            vec_engine.reset();
-            ref_engine.reset();
-            rebases += 1;
-        }
-    }
+        let split = out.first().map(|c| c.index);
+        engine_out.push(out);
+        split
+    });
     let total = t0.elapsed();
+    let analyses = engine_out.len() as u64;
+    let splits_found = engine_out.iter().filter(|o| !o.is_empty()).count() as u64;
+
+    // Pass 2: the full rescan at every checkpoint of the same replay.
+    let rescan_cache = SimilarityCache::with_shards(1);
+    let mut checkpoint = 0usize;
+    let mut bit_identical = true;
+    scaled_replay(seed, |window, _| {
+        let out = find_space_candidates(window, &config, &rescan_cache, K);
+        bit_identical &= engine_out
+            .get(checkpoint)
+            .is_some_and(|e| identical(e, &out));
+        checkpoint += 1;
+        out.first().map(|c| c.index)
+    });
+    bit_identical &= checkpoint == engine_out.len();
 
     let hist_snap = taopt_telemetry::global()
         .snapshot()
@@ -310,14 +305,13 @@ fn scaled(seed: u64) -> ExitCode {
             "checkpoints_with_split".to_owned(),
             Value::UInt(splits_found),
         ),
-        ("cross_checks".to_owned(), Value::UInt(cross_checked)),
         (
             "cache_entries".to_owned(),
-            Value::UInt(vec_cache.len() as u64),
+            Value::UInt(engine_cache.len() as u64),
         ),
         (
             "cache_computations".to_owned(),
-            Value::UInt(vec_cache.computations()),
+            Value::UInt(engine_cache.computations()),
         ),
         ("total_us".to_owned(), Value::UInt(total.as_micros() as u64)),
         ("engine_p50_us".to_owned(), Value::UInt(p50_us)),
@@ -331,22 +325,19 @@ fn scaled(seed: u64) -> ExitCode {
     println!(
         "findspace scaled: {analyses} analyses over {SCALED_EVENTS} events in {:.1}ms \
          ({rebases} rebases, max window {max_window}); engine p50 {p50_us}us p95 {p95_us}us; \
-         bit-identical: {bit_identical}; {splits_found} checkpoints proposed a split; \
-         {cross_checked} rescan cross-checks; wrote {out} ({bytes} bytes)",
+         bit-identical to the rescan at all {analyses}: {bit_identical}; \
+         {splits_found} checkpoints proposed a split; wrote {out} ({bytes} bytes)",
         total.as_secs_f64() * 1e3,
     );
 
     report.gate(bit_identical, || {
-        "vectorized arm diverged from the scalar reference".to_owned()
+        "engine diverged from the full-rescan reference".to_owned()
     });
     report.gate(p95_us <= MAX_P95_US, || {
         format!("engine p95 {p95_us}us above the {MAX_P95_US}us gate")
     });
     report.gate(splits_found > 0, || {
         "replay never proposed a split — trace shape is not protective".to_owned()
-    });
-    report.gate(cross_checked > 0, || {
-        "no full-rescan cross-checks ran".to_owned()
     });
     report.finish()
 }

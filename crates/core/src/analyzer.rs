@@ -69,27 +69,14 @@ pub struct AnalyzerConfig {
     /// against fragmenting a functionality into micro-subspaces whose
     /// blocking rules would partition the space too finely.
     pub min_subspace_screens: usize,
-    /// Host threads [`OnlineTraceAnalyzer::ingest_round`] may use for
-    /// the per-instance analysis phase **when no compute pool is
-    /// attached** (the legacy per-call scoped-thread path). Results are
-    /// byte-identical at any value (the phase touches only per-instance
-    /// state plus the sharded, order-independent similarity cache);
-    /// `1` keeps the phase inline.
-    ///
-    /// Deprecated knob: superseded by the campaign-wide host budget
-    /// (`CampaignConfig::host_threads`). With a pool attached via
-    /// [`OnlineTraceAnalyzer::set_compute`] the worker count is derived
-    /// from the pool's budget and this value is ignored — one knob for
-    /// the whole campaign instead of one per analyzer.
-    pub analysis_workers: usize,
     /// Minimum summed window length (events past each instance's
     /// `start_index`, over the whole batch) before phase A is shipped
     /// to an attached [`ComputePool`]. Below it the batch runs inline:
     /// job submission, worker wake-up and the per-item event clone cost
     /// more than a few microsecond sweeps return. Purely a *where*
     /// knob — results are byte-identical either way (the
-    /// `pooled_ingestion_*` law pins it at 0, engaging the pool for
-    /// every batch).
+    /// `ingest_round_*` law pins it at 0, engaging the pool for every
+    /// batch).
     pub pool_min_window: usize,
 }
 
@@ -107,7 +94,6 @@ impl AnalyzerConfig {
             min_new_events: 10,
             merge_jaccard: 0.5,
             min_subspace_screens: 5,
-            analysis_workers: 1,
             pool_min_window: 4096,
         }
     }
@@ -125,7 +111,6 @@ impl AnalyzerConfig {
             min_new_events: 20,
             merge_jaccard: 0.5,
             min_subspace_screens: 5,
-            analysis_workers: 1,
             pool_min_window: 4096,
         }
     }
@@ -189,8 +174,8 @@ pub struct OnlineTraceAnalyzer {
     /// its decisions are order-independent.
     similarity_cache: Arc<SimilarityCache>,
     /// Campaign-wide host budget for phase A of
-    /// [`ingest_round`](Self::ingest_round); `None` falls back to the
-    /// legacy `analysis_workers` scoped-thread path.
+    /// [`ingest_round`](Self::ingest_round); `None` runs every batch
+    /// inline.
     compute: Option<Arc<ComputePool>>,
     /// Per-app screen interner shared by every instance's engine.
     arena: Arc<ScreenArena>,
@@ -307,9 +292,8 @@ impl OnlineTraceAnalyzer {
 
     /// Attaches a campaign-wide [`ComputePool`]: phase A of
     /// [`ingest_round`](Self::ingest_round) is then scheduled on it
-    /// whenever its budget and the batch allow parallelism, superseding
-    /// the per-analyzer `analysis_workers` knob (one budget for the
-    /// whole campaign). Results are byte-identical either way.
+    /// whenever its budget and the batch allow parallelism. Results are
+    /// byte-identical either way.
     pub fn set_compute(&mut self, pool: Arc<ComputePool>) {
         self.compute = Some(pool);
     }
@@ -457,55 +441,30 @@ impl OnlineTraceAnalyzer {
     }
 
     /// Analyzes an instance's trace if it is due; returns the ids of
-    /// subspaces that became **newly confirmed** by this call.
+    /// subspaces that became **newly confirmed** by this call. A
+    /// one-item [`ingest_round`](Self::ingest_round).
     pub fn maybe_analyze(
         &mut self,
         instance: InstanceId,
         trace: &Trace,
         now: VirtualTime,
     ) -> Vec<SubspaceId> {
-        let arena = self.arena.clone();
-        let state = self
-            .instances
-            .entry(instance)
-            .or_insert_with(|| InstanceState::new(&self.config.find_space, arena));
-        if !Self::analysis_due(&self.config, state, trace.len(), now) {
-            return Vec::new();
-        }
-        let (start, candidates) = Self::analysis_sweep(
-            state,
-            instance,
-            trace.events(),
-            now,
-            &self.similarity_cache,
-            &self.analysis_latency,
-        );
-        let validated = Self::validate_candidates(
-            self.config.min_subspace_screens,
-            trace.events(),
-            start,
-            candidates,
-        );
-        let confirmed = match validated {
-            Some(v) => self.apply_validated(instance, v, now),
-            None => Vec::new(),
-        };
-        self.cache_entries.set(self.similarity_cache.len() as i64);
-        confirmed
+        self.ingest_round(&[(instance, trace)], now)
     }
 
-    /// Batched ingestion: one call per round covering every instance's
+    /// Round ingestion: one call per round covering every instance's
     /// appended events, equivalent to calling
     /// [`maybe_analyze`](Self::maybe_analyze) for each `(instance,
-    /// trace)` pair in slice order — the differential suite and the
-    /// golden-trace second arm pin the equivalence bit-for-bit.
+    /// trace)` pair in slice order — the `parallel_equivalence` suite
+    /// pins the equivalence bit-for-bit.
     ///
     /// Phase A runs the registry-free work for the whole batch —
     /// due-gating, the per-instance sweep, **and candidate validation**
-    /// (`validate_candidates` reads only
-    /// the trace window and config thresholds) — on the attached
-    /// [`ComputePool`] when one is set (the campaign-wide budget), else
-    /// across the legacy `analysis_workers` scoped threads. Per-instance
+    /// (`validate_candidates` reads only the trace window and config
+    /// thresholds). Batches whose summed window reaches
+    /// [`AnalyzerConfig::pool_min_window`] run on the attached
+    /// [`ComputePool`] (the campaign-wide budget); smaller ones, and
+    /// every batch when no pool is attached, run inline. Per-instance
     /// state is disjoint and the sharded cache's decisions are
     /// order-independent, so any interleaving yields the same bytes.
     /// Phase B then applies validated splits — registry mutation plus
@@ -547,7 +506,7 @@ impl OnlineTraceAnalyzer {
         let results: Vec<Option<ValidatedSplit>> = if pooled {
             self.phase_a_pooled(batch, now)
         } else {
-            self.phase_a_scoped(batch, now)
+            self.phase_a_inline(batch, now)
         };
         // Phase B: sequential application in batch order.
         let mut confirmed = Vec::new();
@@ -560,63 +519,39 @@ impl OnlineTraceAnalyzer {
         confirmed
     }
 
-    /// Phase A on borrowed state: inline when `analysis_workers` is 1,
-    /// else the legacy per-call `std::thread::scope` spawn (kept as the
-    /// differential baseline the equivalence suite races the pool
-    /// against).
-    fn phase_a_scoped(
+    /// Phase A on borrowed state, one instance after another on the
+    /// calling thread.
+    fn phase_a_inline(
         &mut self,
         batch: &[(InstanceId, &Trace)],
         now: VirtualTime,
     ) -> Vec<Option<ValidatedSplit>> {
-        let mut results: Vec<Option<ValidatedSplit>> = Vec::new();
-        results.resize_with(batch.len(), || None);
-        let config = &self.config;
-        let cache: &SimilarityCache = &self.similarity_cache;
-        let latency = &self.analysis_latency;
-        let duplicates = &self.duplicates_counter;
-        let mut by_id: HashMap<InstanceId, &mut InstanceState> =
-            self.instances.iter_mut().map(|(k, v)| (*k, v)).collect();
-        let mut work: Vec<Option<(InstanceId, &Trace, &mut InstanceState)>> = batch
+        batch
             .iter()
-            .map(|(id, trace)| {
-                let item = by_id.remove(id).map(|state| (*id, *trace, state));
-                if item.is_none() {
-                    duplicates.inc();
+            .enumerate()
+            .map(|(i, (id, trace))| {
+                // Batches hold a handful of instances: a prefix scan
+                // finds duplicates without allocating.
+                if batch[..i].iter().any(|(seen, _)| seen == id) {
+                    self.duplicates_counter.inc();
+                    debug_assert!(false, "duplicate instance in ingest_round batch");
+                    return None;
                 }
-                item
+                let state = self
+                    .instances
+                    .get_mut(id)
+                    .expect("ingest_round inserts every batch instance's state");
+                Self::analyze_one(
+                    &self.config,
+                    state,
+                    *id,
+                    trace,
+                    now,
+                    &self.similarity_cache,
+                    &self.analysis_latency,
+                )
             })
-            .collect();
-        debug_assert!(
-            work.iter().all(Option::is_some),
-            "duplicate instance in ingest_round batch"
-        );
-        let workers = config.analysis_workers.clamp(1, work.len().max(1));
-        if workers <= 1 {
-            for (item, slot) in work.iter_mut().zip(results.iter_mut()) {
-                if let Some((id, trace, state)) = item {
-                    *slot = Self::analyze_one(config, state, *id, trace, now, cache, latency);
-                }
-            }
-        } else {
-            let chunk = work.len().div_ceil(workers);
-            let spawn_counter = taopt_telemetry::global().counter("host_threads_spawned_total");
-            std::thread::scope(|s| {
-                for (wchunk, rchunk) in work.chunks_mut(chunk).zip(results.chunks_mut(chunk)) {
-                    spawn_counter.inc();
-                    s.spawn(move || {
-                        for (item, slot) in wchunk.iter_mut().zip(rchunk) {
-                            if let Some((id, trace, state)) = item {
-                                *slot = Self::analyze_one(
-                                    config, state, *id, trace, now, cache, latency,
-                                );
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        results
+            .collect()
     }
 
     /// Phase A on the campaign's persistent [`ComputePool`].
@@ -640,8 +575,7 @@ impl OnlineTraceAnalyzer {
             result: Option<ValidatedSplit>,
         }
         // Not-due states are re-inserted only after the whole batch is
-        // scanned, so a duplicate id reliably finds its state missing
-        // (same detection the scoped path gets from `by_id.remove`).
+        // scanned, so a duplicate id reliably finds its state missing.
         let mut not_due: Vec<(InstanceId, InstanceState)> = Vec::new();
         let mut slots: Vec<Mutex<Option<IngestItem>>> = Vec::with_capacity(batch.len());
         for (id, trace) in batch {

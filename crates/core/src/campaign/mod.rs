@@ -16,8 +16,7 @@
 //!   and lease-churn counters;
 //! * [`pool`] — [`pool::ComputePool`], the persistent campaign-wide
 //!   host-thread budget: one condvar-parked work-stealing pool serving
-//!   both the per-app step tasks and the analyzer's phase-A tasks
-//!   (replacing the per-round scoped-thread spawns);
+//!   both the per-app step tasks and the analyzer's phase-A tasks;
 //! * [`scheduler`] — [`scheduler::run_campaign`], the round loop:
 //!   parallel step phase, then a sequential boundary for leasing,
 //!   scheduled kills, rate-planned fault losses, replacements and session

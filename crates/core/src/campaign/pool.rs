@@ -1,25 +1,21 @@
 //! Persistent host compute pool shared by every parallel hot path.
 //!
-//! Before this module, each campaign round spawned and joined fresh
-//! scoped worker threads in `advance_parallel`, and every app's
-//! `ingest_round` spawned *another* `analysis_workers` scoped threads
-//! inside the round — nested oversubscription (`workers ×
-//! analysis_workers` live threads at the worst point) plus per-round
-//! spawn/join churn on the host. [`ComputePool`] replaces both call
-//! sites with one long-lived budget: `host_threads - 1` workers are
-//! spawned once per [`super::scheduler::Campaign`] (or once per process
-//! for single-app sessions, via [`ComputePool::shared`]), park on a
-//! condvar while idle, and serve both consumers — per-app step tasks
-//! and phase-A analysis tasks.
+//! [`ComputePool`] is the one place host threads come from. Its
+//! `host_threads` budget is fixed when it is built: `host_threads - 1`
+//! workers are spawned once per [`super::scheduler::Campaign`] (or once
+//! per process for single-app sessions, via [`ComputePool::shared`]),
+//! park on a condvar while idle, and serve both consumers — the
+//! campaign's per-app step tasks (round advancement) and the analyzer's
+//! phase-A tasks (`ingest_round` batches above `pool_min_window`). No
+//! round and no analysis ever spawns a thread.
 //!
 //! # Scheduling model
 //!
 //! A [`ComputePool::run`] call publishes one *job*: `tasks` indexed
 //! units plus a closure invoked as `f(task_index, worker_id)`. Task
 //! indices are claimed from a shared atomic cursor, so idle workers
-//! steal whatever is left regardless of which consumer published it —
-//! the same self-scheduling loop the old scoped paths used, minus the
-//! thread churn. The *calling* thread always participates as worker 0
+//! steal whatever is left regardless of which consumer published it.
+//! The *calling* thread always participates as worker 0
 //! before blocking, which keeps two invariants:
 //!
 //! * **budget**: at most `host_threads` threads ever execute tasks
@@ -35,12 +31,12 @@
 //! # Determinism
 //!
 //! The pool adds no ordering of its own: tasks are independent by
-//! contract (each touches disjoint state behind its own lock), exactly
-//! as the scoped-thread predecessors required. The differential law in
-//! `crates/core/tests/parallel_equivalence.rs` pins pool-scheduled
-//! analysis byte-identical to the scoped-thread and serial paths, and
-//! the campaign determinism suites pin whole-campaign reports across
-//! `host_threads` budgets. See `DESIGN.md` §16.
+//! contract (each touches disjoint state behind its own lock). The
+//! ingestion law in `crates/core/tests/parallel_equivalence.rs` pins
+//! pool-scheduled analysis byte-identical to one-item-at-a-time
+//! ingestion at budgets 1/2/4/8, and the campaign determinism suites
+//! pin whole-campaign reports across `host_threads` budgets. See
+//! `DESIGN.md` §16.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -277,7 +273,7 @@ fn worker_loop(shared: &PoolShared, worker_id: usize) {
 
 /// The auto-detected host budget: `std::thread::available_parallelism`,
 /// falling back to 1 on platforms that cannot report it.
-pub fn auto_threads() -> usize {
+fn auto_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)

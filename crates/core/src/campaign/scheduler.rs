@@ -23,11 +23,11 @@
 //!
 //! # Determinism
 //!
-//! Byte-identical results regardless of worker count follow from the
-//! phase split: parallel work is confined to disjoint per-app state, and
-//! every decision that consumes a shared resource is made in the
-//! boundary, whose iteration order is a pure function of round number and
-//! app index. Thread timing can change *when* a step runs within a round
+//! Byte-identical results regardless of the host-thread budget follow
+//! from the phase split: parallel work is confined to disjoint per-app
+//! state, and every decision that consumes a shared resource is made in
+//! the boundary, whose iteration order is a pure function of round
+//! number and app index. Thread timing can change *when* a step runs within a round
 //! and which worker runs it (the steal count), but not any value that
 //! feeds back into scheduling.
 //!
@@ -48,7 +48,7 @@
 //! burn its `l_p`/budget.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -94,23 +94,11 @@ pub struct CampaignApp {
 /// Campaign-level knobs.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Worker threads for the parallel phase (1 = sequential).
-    ///
-    /// Deprecated alias: when [`CampaignConfig::host_threads`] is 0,
-    /// a `workers` value > 1 is taken as the host-thread budget so old
-    /// configs keep their parallelism. With `scoped_threads` it also
-    /// sizes the legacy per-round scoped spawn.
-    pub workers: usize,
     /// Host compute-thread budget shared by the whole campaign: the
     /// persistent [`ComputePool`] serving both round advancement and
     /// phase-A analysis is sized once from this. `0` = auto-detect
-    /// ([`std::thread::available_parallelism`]).
+    /// ([`std::thread::available_parallelism`]). Never affects results.
     pub host_threads: usize,
-    /// Use the legacy per-round `std::thread::scope` spawns instead of
-    /// the persistent pool. Kept as the differential baseline: the farm
-    /// bench measures the pool against it in-process, and the
-    /// equivalence suites pin byte-identical results across both.
-    pub scoped_threads: bool,
     /// Shared farm capacity; defaults to the sum of every app's `d_max`
     /// (uncontended).
     pub capacity: Option<usize>,
@@ -131,26 +119,10 @@ pub struct CampaignConfig {
     pub max_rounds: u64,
 }
 
-impl CampaignConfig {
-    /// The host-thread budget this config resolves to: `host_threads`
-    /// when set; else a legacy `workers > 1` value; else auto-detect.
-    pub fn effective_host_threads(&self) -> usize {
-        if self.host_threads > 0 {
-            self.host_threads
-        } else if self.workers > 1 {
-            self.workers
-        } else {
-            crate::campaign::pool::auto_threads()
-        }
-    }
-}
-
 impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {
-            workers: 1,
             host_threads: 0,
-            scoped_threads: false,
             capacity: None,
             min_hold_rounds: 3,
             kills: Vec::new(),
@@ -216,7 +188,7 @@ pub struct CampaignResult {
     pub lease_conflicts: u64,
     /// Devices still allocated in the farm after the drain (must be 0).
     pub farm_active_at_end: usize,
-    /// Work-steal count (not deterministic across worker counts; excluded
+    /// Work-steal count (not deterministic across host budgets; excluded
     /// from [`CampaignResult::coverage_report`]).
     pub steals: u64,
     /// Aggregated fault/recovery statistics when a fault plan was set.
@@ -408,8 +380,8 @@ struct Slot {
 /// [`Campaign::digest`] at any boundary, then [`Campaign::finish`]. The
 /// sequence is exactly the body of [`run_campaign`], so driving a
 /// campaign stepwise — or rebuilding one from its spec and replaying to
-/// a checkpointed round — produces byte-identical results at any worker
-/// count.
+/// a checkpointed round — produces byte-identical results at any
+/// host-thread budget.
 pub struct Campaign {
     /// Shared with in-flight pool tasks during the parallel phase (the
     /// pool requires owned `'static` jobs), exclusively ours at every
@@ -429,8 +401,6 @@ pub struct Campaign {
     round: u64,
     tick: VirtualDuration,
     capacity: usize,
-    workers: usize,
-    scoped_threads: bool,
     min_hold_rounds: u64,
     max_rounds: u64,
     host_start: std::time::Instant,
@@ -461,15 +431,8 @@ impl Campaign {
         let telemetry = taopt_telemetry::global();
         telemetry.counter("campaigns_started_total").inc();
 
-        let workers = config.workers.max(1);
-        // One persistent host budget for the whole campaign. The legacy
-        // scoped-thread baseline spawns per round instead, so it gets an
-        // inert budget-1 pool (no idle workers).
-        let compute = ComputePool::new(if config.scoped_threads {
-            1
-        } else {
-            config.effective_host_threads()
-        });
+        // One persistent host budget for the whole campaign.
+        let compute = ComputePool::new(config.host_threads);
         let tick = apps.iter().map(|a| a.config.tick).max().expect("non-empty");
         let total_want: usize = apps.iter().map(|a| a.config.instances).sum();
         let capacity = config.capacity.unwrap_or(total_want).max(1);
@@ -495,10 +458,7 @@ impl Campaign {
                     d_max < (1usize << APP_LANE_SHIFT),
                     "app d_max must fit below the per-app lane range"
                 );
-                let mut step = SessionStep::new(a.app, a.config).with_orphan_repair(true);
-                if !config.scoped_threads {
-                    step = step.with_compute(Arc::clone(&compute));
-                }
+                let mut step = SessionStep::new(a.app, a.config).with_compute(Arc::clone(&compute));
                 if let Some(inj) = &injector {
                     step = step.with_layers(StepLayers::chaos(inj, (i as u32) << APP_LANE_SHIFT));
                 }
@@ -539,8 +499,6 @@ impl Campaign {
             round: 0,
             tick,
             capacity,
-            workers,
-            scoped_threads: config.scoped_threads,
             min_hold_rounds: config.min_hold_rounds,
             max_rounds: config.max_rounds,
             host_start,
@@ -610,14 +568,7 @@ impl Campaign {
         self.round += 1;
         self.rounds_counter.inc();
 
-        advance_parallel(
-            &self.slots,
-            runnable.clone(),
-            &self.compute,
-            self.scoped_threads,
-            self.workers,
-            &self.steals,
-        );
+        advance_parallel(&self.slots, runnable.clone(), &self.compute, &self.steals);
 
         let global_now = VirtualTime::ZERO + self.tick * self.round;
 
@@ -723,7 +674,7 @@ impl Campaign {
 
     /// Fingerprints the campaign's logical state at the current round
     /// boundary (see [`CampaignDigest`]). Every field is deterministic
-    /// for a fixed spec regardless of worker count, so digests taken at
+    /// for a fixed spec regardless of host budget, so digests taken at
     /// the same round by an original run and a checkpoint replay must be
     /// equal.
     pub fn digest(&mut self) -> CampaignDigest {
@@ -826,8 +777,8 @@ impl Campaign {
 /// Runs a campaign to completion.
 ///
 /// Deterministic for a fixed set of apps, seeds and [`CampaignConfig`]
-/// (excluding `workers`, which must not change results — see the module
-/// docs and `tests/campaign.rs`).
+/// (excluding `host_threads`, which must not change results — see the
+/// module docs and `tests/campaign.rs`).
 pub fn run_campaign(apps: Vec<CampaignApp>, config: &CampaignConfig) -> CampaignResult {
     let mut campaign = Campaign::new(apps, config);
     while campaign.advance_round() {}
@@ -846,61 +797,25 @@ fn advance_slot(slot: &Mutex<Slot>) {
     s.demand_snapshot = Some(demand);
 }
 
-/// Parallel phase: advance every runnable step by one round. Steps
-/// touch only their own state, so execution order cannot affect
-/// results.
-///
-/// The default path hands the batch to the campaign's persistent
-/// [`ComputePool`]; `scoped_threads` keeps the old per-round
-/// `std::thread::scope` spawn as an in-process differential baseline
-/// (the farm bench races the two on identical inputs).
+/// Parallel phase: advance every runnable step by one round on the
+/// campaign's persistent [`ComputePool`]. Steps touch only their own
+/// state, so execution order cannot affect results.
 fn advance_parallel(
     slots: &Arc<Vec<Mutex<Slot>>>,
     runnable: Vec<usize>,
     compute: &ComputePool,
-    scoped_threads: bool,
-    workers: usize,
     steals: &Arc<AtomicU64>,
 ) {
-    if !scoped_threads {
-        let nw = compute.budget().min(runnable.len()).max(1);
-        let slots = Arc::clone(slots);
-        let steals = Arc::clone(steals);
-        compute.run(runnable.len(), move |k, w| {
-            // Static home assignment is round-robin; a claim outside the
-            // home share is a steal.
-            if k % nw != w % nw {
-                steals.fetch_add(1, Ordering::Relaxed);
-            }
-            advance_slot(&slots[runnable[k]]);
-        });
-        return;
-    }
-    let nw = workers.min(runnable.len());
-    if nw <= 1 {
-        for &i in &runnable {
-            advance_slot(&slots[i]);
+    let nw = compute.budget().min(runnable.len()).max(1);
+    let slots = Arc::clone(slots);
+    let steals = Arc::clone(steals);
+    compute.run(runnable.len(), move |k, w| {
+        // Static home assignment is round-robin; a claim outside the
+        // home share is a steal.
+        if k % nw != w % nw {
+            steals.fetch_add(1, Ordering::Relaxed);
         }
-        return;
-    }
-    let spawn_counter = taopt_telemetry::global().counter("host_threads_spawned_total");
-    let cursor = AtomicUsize::new(0);
-    let runnable = &runnable;
-    std::thread::scope(|scope| {
-        for w in 0..nw {
-            let cursor = &cursor;
-            spawn_counter.inc();
-            scope.spawn(move || loop {
-                let k = cursor.fetch_add(1, Ordering::SeqCst);
-                if k >= runnable.len() {
-                    break;
-                }
-                if k % nw != w {
-                    steals.fetch_add(1, Ordering::Relaxed);
-                }
-                advance_slot(&slots[runnable[k]]);
-            });
-        }
+        advance_slot(&slots[runnable[k]]);
     });
 }
 

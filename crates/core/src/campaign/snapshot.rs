@@ -10,7 +10,7 @@
 //! result byte-identical to the uninterrupted run (DESIGN.md §13).
 //!
 //! Every field is a pure function of `(spec, round)` for the
-//! deterministic scheduler — worker count, thread timing and host load
+//! deterministic scheduler — host budget, thread timing and host load
 //! cannot move any of them.
 
 use taopt_ui_model::json::{JsonError, Value};

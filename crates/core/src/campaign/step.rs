@@ -242,9 +242,6 @@ pub struct SessionStep {
     started: bool,
     /// Resource mode: confirmed-subspace growth not yet granted.
     pending_growth: usize,
-    /// Whether orphaned confirmed subspaces are re-dedicated each round
-    /// (campaign behavior; the legacy serial session leaves them).
-    repair_orphans: bool,
     publisher: Option<EventSender>,
     /// Seam layer bundle (bus transport, enforcement channel, chaos
     /// handle); [`StepLayers::direct`] unless a driver plugs in more.
@@ -311,7 +308,6 @@ impl SessionStep {
             done: false,
             started: false,
             pending_growth: 0,
-            repair_orphans: false,
             publisher: None,
             layers: StepLayers::direct(),
             round: 0,
@@ -321,13 +317,6 @@ impl SessionStep {
             cover_counter: telemetry.counter("cover_events_total"),
             coordinator_errors: telemetry.counter("coordinator_errors_total"),
         }
-    }
-
-    /// Enables per-round re-dedication of orphaned confirmed subspaces
-    /// (used by the campaign scheduler, where devices can be killed).
-    pub fn with_orphan_repair(mut self, repair: bool) -> Self {
-        self.repair_orphans = repair;
-        self
     }
 
     /// Publishes every trace event onto a campaign bus partition.
@@ -344,9 +333,8 @@ impl SessionStep {
     }
 
     /// Threads the campaign-wide [`crate::campaign::ComputePool`] down
-    /// to this step's coordinator/analyzer: batched ingestion schedules
-    /// its analysis phase on the shared host budget instead of spawning
-    /// per-call threads.
+    /// to this step's coordinator/analyzer: round ingestion schedules
+    /// large analysis batches on the shared host budget.
     pub fn with_compute(
         mut self,
         pool: std::sync::Arc<crate::campaign::pool::ComputePool>,
@@ -583,34 +571,11 @@ impl SessionStep {
                 .span("analysis")
                 .at(self.now)
                 .enter();
-            if self.config.batched_ingestion {
-                // Batched ingestion: one analyzer call for the whole
-                // round, equivalent to the per-instance loop below
-                // (golden-trace second arm pins the equality).
-                let batch: Vec<(InstanceId, &Trace)> = self
-                    .active
-                    .iter()
-                    .map(|a| {
-                        // With the bus layer engaged the coordinator sees
-                        // only what survived the transport, in repaired
-                        // order.
-                        let view = a
-                            .bus
-                            .as_ref()
-                            .map(|lane| lane.coord_trace())
-                            .unwrap_or_else(|| a.inst.trace());
-                        (a.inst.id(), view)
-                    })
-                    .collect();
-                match self.coordinator.process_traces(&batch, self.now) {
-                    Ok(confirmed) => newly_confirmed += confirmed.len(),
-                    // A dedication failure is an internal-invariant breach;
-                    // the session degrades to uncoordinated exploration for
-                    // this round instead of panicking.
-                    Err(_) => self.coordinator_errors.inc(),
-                }
-            } else {
-                for a in self.active.iter() {
+            // One analyzer call for the whole round.
+            let batch: Vec<(InstanceId, &Trace)> = self
+                .active
+                .iter()
+                .map(|a| {
                     // With the bus layer engaged the coordinator sees only
                     // what survived the transport, in repaired order.
                     let view = a
@@ -618,14 +583,15 @@ impl SessionStep {
                         .as_ref()
                         .map(|lane| lane.coord_trace())
                         .unwrap_or_else(|| a.inst.trace());
-                    match self.coordinator.process_trace(a.inst.id(), view, self.now) {
-                        Ok(confirmed) => newly_confirmed += confirmed.len(),
-                        // A dedication failure is an internal-invariant
-                        // breach; the session degrades to uncoordinated
-                        // exploration for this round instead of panicking.
-                        Err(_) => self.coordinator_errors.inc(),
-                    }
-                }
+                    (a.inst.id(), view)
+                })
+                .collect();
+            match self.coordinator.process_traces(&batch, self.now) {
+                Ok(confirmed) => newly_confirmed += confirmed.len(),
+                // A dedication failure is an internal-invariant breach;
+                // the session degrades to uncoordinated exploration for
+                // this round instead of panicking.
+                Err(_) => self.coordinator_errors.inc(),
             }
         }
 
@@ -689,7 +655,7 @@ impl SessionStep {
         // Orphan repair: confirmed subspaces whose owner died without an
         // heir are re-dedicated to a live instance. `has_orphans` keeps
         // the common empty case allocation-free.
-        if self.repair_orphans && self.config.mode.uses_taopt() && self.coordinator.has_orphans() {
+        if self.config.mode.uses_taopt() && self.coordinator.has_orphans() {
             for sid in self.coordinator.orphaned_subspaces() {
                 self.orphaned_since.entry(sid).or_insert(self.now);
             }
@@ -755,7 +721,7 @@ impl SessionStep {
     /// drain of the remaining instances.
     pub fn finish(mut self) -> SessionFinish {
         let uses_taopt = self.config.mode.uses_taopt();
-        if self.repair_orphans && uses_taopt {
+        if uses_taopt {
             // Give orphans one last chance while instances are still
             // registered, then measure the invariant.
             for sid in self.coordinator.orphaned_subspaces() {

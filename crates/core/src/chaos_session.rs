@@ -87,7 +87,6 @@ pub fn run_with_chaos(
     let mut pool = FaultyPool::new(DeviceFarm::new(config.instances), injector.clone());
     let mut step = SessionStep::new(app, config.clone())
         .with_layers(StepLayers::chaos(injector, 0))
-        .with_orphan_repair(true)
         .with_compute(crate::campaign::pool::ComputePool::shared());
     let mut replacements = ReplacementQueue::new(RetryPolicy {
         max_attempts: 6,

@@ -112,8 +112,8 @@ impl TestCoordinator {
     }
 
     /// Attaches the campaign-wide compute pool to the analyzer (see
-    /// [`OnlineTraceAnalyzer::set_compute`]): batched ingestion then
-    /// runs its phase A on the shared host budget.
+    /// [`OnlineTraceAnalyzer::set_compute`]): round ingestion then runs
+    /// large phase-A batches on the shared host budget.
     pub fn set_compute(&mut self, pool: std::sync::Arc<crate::campaign::pool::ComputePool>) {
         self.analyzer.set_compute(pool);
     }
@@ -249,39 +249,34 @@ impl TestCoordinator {
     /// still registered) becomes the owner; every other instance gets the
     /// subspace's entrypoints blocked.
     ///
-    /// Returns the subspaces confirmed by this call.
+    /// Returns the subspaces confirmed by this call. A one-item
+    /// [`process_traces`](Self::process_traces).
     ///
     /// # Errors
     ///
     /// Returns [`TaoptError::UnknownSubspace`] if the analyzer confirms a
-    /// subspace id it cannot resolve — an internal-invariant breach that
-    /// used to panic; any subspaces dedicated before the failure keep
-    /// their dedications.
+    /// subspace id it cannot resolve — an internal-invariant breach. Every
+    /// confirmed subspace's dedication is attempted before the first error
+    /// is returned, and the ones that succeeded keep their dedications.
     pub fn process_trace(
         &mut self,
         instance: InstanceId,
         trace: &Trace,
         now: VirtualTime,
     ) -> Result<Vec<SubspaceId>, TaoptError> {
-        let confirmed = self.analyzer.maybe_analyze(instance, trace, now);
-        for sid in &confirmed {
-            self.dedicate(*sid, now)?;
-        }
-        Ok(confirmed)
+        self.process_traces(&[(instance, trace)], now)
     }
 
-    /// Batched [`process_trace`](Self::process_trace): feeds every
-    /// instance's trace for one round in a single analyzer call
-    /// ([`OnlineTraceAnalyzer::ingest_round`]) and dedicates each newly
-    /// confirmed subspace in confirmation order — the same dedication
-    /// sequence the per-instance loop produces (pinned by the
-    /// golden-trace second arm and the `parallel_equivalence` suite).
+    /// Feeds every instance's trace for one round in a single analyzer
+    /// call ([`OnlineTraceAnalyzer::ingest_round`]) and dedicates each
+    /// newly confirmed subspace in confirmation order — the same
+    /// dedication sequence feeding the instances one at a time produces.
     ///
     /// # Errors
     ///
     /// Returns the first [`TaoptError::UnknownSubspace`] after
     /// attempting every dedication; earlier successful dedications keep
-    /// their effect, exactly as in the serial loop.
+    /// their effect.
     pub fn process_traces(
         &mut self,
         batch: &[(InstanceId, &Trace)],

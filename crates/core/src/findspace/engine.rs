@@ -52,18 +52,19 @@
 //! positions, so between moves `overlap_whole` and the purity term are
 //! constants and the per-`p` work collapses to
 //! `(overlap_whole − pair_base[p]) → score`, evaluated over contiguous
-//! `pair_base` in fixed-width lanes the autovectorizer can pack
-//! (integer subtract, int→f64 convert, divide, add — element-wise, no
-//! horizontal operation, **no reassociation**: each lane performs the
-//! reference's operations in the reference's order on the reference's
-//! values, so the bits match lane width 1, 8, or 16 exactly —
-//! [`analyze_with_lanes`](FindSpaceEngine::analyze_with_lanes) lets the
-//! differential suite sweep widths). Eligibility hoists out of the loop
+//! `pair_base` in 8-wide chunks the autovectorizer can pack, with a
+//! scalar tail for ragged run ends (integer subtract, int→f64 convert,
+//! divide, add — element-wise, no horizontal operation, **no
+//! reassociation**: each lane performs the reference's operations in the
+//! reference's order on the reference's values, so the bits match the
+//! scalar expression exactly). Eligibility hoists out of the loop
 //! entirely: `prefix_distinct_at` is nondecreasing, so the eligible
-//! region is a single `p` range found by binary search. The verbatim
-//! scalar loop survives as
-//! [`analyze_reference`](FindSpaceEngine::analyze_reference), the anchor
-//! the `parallel_equivalence` suite pins the lanes against.
+//! region is a single `p` range found by binary search. The references
+//! the sweep is pinned against are
+//! [`find_space_candidates`](super::find_space_candidates) (bitwise, in
+//! the unit tests, the proptests and the `findspace` bench) and
+//! [`find_space_naive`](super::find_space_naive), the paper's
+//! pseudo-code.
 //!
 //! # Cost
 //!
@@ -82,20 +83,16 @@ use super::{sigmoid, FindSpaceConfig, ScreenArena, SimilarityCache, SplitCandida
 /// few dozen per app, so one allocation covers the common case.
 pub(super) const SCREEN_CAPACITY_HINT: usize = 64;
 
-/// Lane width [`FindSpaceEngine::analyze`] uses: wide enough to fill an
-/// AVX2 register four times over at f64, small enough that short runs
-/// don't round up past `p_max`.
-pub const DEFAULT_LANES: usize = 8;
-
-/// Widest lane chunk [`FindSpaceEngine::analyze_with_lanes`] accepts
-/// (the score scratch buffer is this long).
-pub const MAX_LANES: usize = 16;
+/// Lane width of the sweep kernel: wide enough to fill an AVX2 register
+/// four times over at f64, small enough that short runs don't round up
+/// past `p_max`.
+const LANES: usize = 8;
 
 /// Sentinel in `local_of_arena`: screen not interned in this window.
 const NO_LOCAL: u32 = u32::MAX;
 
-/// Scores `W` consecutive positions `q = start..start + W` of the
-/// fused sweep:
+/// Scores [`LANES`] consecutive positions `q = start..start + LANES` of
+/// the fused sweep:
 ///
 /// ```text
 /// (overlap_whole - pair_base[q]) as f64 / (n - q) as f64 + two_purity - 1.0
@@ -111,18 +108,18 @@ const NO_LOCAL: u32 = u32::MAX;
 /// `target-cpu=native`); on baseline targets it unrolls to the same
 /// scalar sequence.
 #[inline]
-fn score_chunk<const W: usize>(
+fn score_chunk(
     pair_base: &[i64],
     start: usize,
     n: usize,
     overlap_whole: i64,
     two_purity: f64,
-) -> [f64; W] {
-    let pb: &[i64; W] = pair_base[start..start + W]
+) -> [f64; LANES] {
+    let pb: &[i64; LANES] = pair_base[start..start + LANES]
         .try_into()
-        .expect("chunk is W long");
-    let mut out = [0.0f64; W];
-    for l in 0..W {
+        .expect("chunk is LANES long");
+    let mut out = [0.0f64; LANES];
+    for l in 0..LANES {
         let overlap = overlap_whole - pb[l];
         let overlap_score = overlap as f64 / (n - (start + l)) as f64;
         out[l] = overlap_score + two_purity - 1.0;
@@ -428,41 +425,20 @@ impl FindSpaceEngine {
         }
     }
 
-    /// Shared preamble of both sweeps: frontier advancement, sample
-    /// size, sorted last-occurrence scratch. Returns `(n, pm, d,
-    /// sample_size)` or `None` when the window can't split.
-    fn prepare_sweep(&mut self, k: usize) -> Option<(usize, usize, usize, usize)> {
-        let n = self.ev_idx.len();
-        let pm = self.p_max()?;
-        if pm == 0 || k == 0 {
-            return None;
-        }
-        self.advance_to(pm);
-        let d = self.reps.len();
-        // sample_size = |Set(S[p_max+1 : N])|: screens whose last
-        // occurrence falls in the reserved tail.
-        let sample_size = self.last_occ.iter().filter(|&&l| l > pm).count().max(1);
-        self.sorted_last.clear();
-        self.sorted_last.extend_from_slice(&self.last_occ);
-        self.sorted_last.sort_unstable();
-        Some((n, pm, d, sample_size))
-    }
-
-    /// Shared tail of both sweeps: k-best selection with near-duplicate
-    /// suppression. The reference stable-sorts by score; push order is
-    /// ascending `p`, so that equals the strict total order (score,
-    /// index). The dedup keeps at most `k` candidates and each kept one
-    /// masks at most 10 neighbours (`|Δindex| ≤ 5`), so only the `11k`
-    /// smallest can influence the output — select them instead of
-    /// sorting the whole list.
     /// The selection order: (score, index) — a *strict* total order
     /// (`total_cmp` plus the index tiebreak means no two distinct
     /// candidates compare equal), which is what makes threshold pruning
-    /// in the lane sweep exact.
+    /// in the sweep exact.
     fn cmp_candidates(a: &SplitCandidate, b: &SplitCandidate) -> std::cmp::Ordering {
         a.score.total_cmp(&b.score).then(a.index.cmp(&b.index))
     }
 
+    /// k-best selection with near-duplicate suppression. The reference
+    /// stable-sorts by score; push order is ascending `p`, so that
+    /// equals the strict total order (score, index). The dedup keeps at
+    /// most `k` candidates and each kept one masks at most 10 neighbours
+    /// (`|Δindex| ≤ 5`), so only the `11k` smallest can influence the
+    /// output — select them instead of sorting the whole list.
     fn select_best(mut qualifying: Vec<SplitCandidate>, k: usize) -> Vec<SplitCandidate> {
         let cmp = Self::cmp_candidates;
         let m = k.saturating_mul(11);
@@ -486,25 +462,29 @@ impl FindSpaceEngine {
     /// Returns up to `k` qualifying splits of the ingested window in
     /// ascending score order — bit-identical to
     /// [`find_space_candidates`](super::find_space_candidates) on the
-    /// same events with the same cache. Runs the vectorized sweep at
-    /// `DEFAULT_LANES`.
+    /// same events with the same cache.
+    ///
+    /// Runs are segmented where both cursors are constant, and each
+    /// run's scores are evaluated over contiguous `pair_base` in
+    /// 8-wide chunks plus a scalar tail. The per-`p` expression
+    /// performs the reference's operations in the reference's order;
+    /// lanes only batch independent `p`s.
     pub fn analyze(&mut self, k: usize) -> Vec<SplitCandidate> {
-        self.analyze_with_lanes(k, DEFAULT_LANES)
-    }
-
-    /// The vectorized sweep at an explicit lane width in
-    /// `1..=MAX_LANES` (clamped): runs are segmented where both
-    /// cursors are constant, and each run's scores are evaluated over
-    /// contiguous `pair_base` in `lanes`-wide chunks. Every width
-    /// produces bit-identical output — the per-`p` expression performs
-    /// the reference's operations in the reference's order, lanes only
-    /// batch independent `p`s — which the `parallel_equivalence` suite
-    /// sweeps to prove.
-    pub fn analyze_with_lanes(&mut self, k: usize, lanes: usize) -> Vec<SplitCandidate> {
-        let Some((n, pm, d, sample_size)) = self.prepare_sweep(k) else {
+        let n = self.ev_idx.len();
+        let Some(pm) = self.p_max() else {
             return Vec::new();
         };
-        let lanes = lanes.clamp(1, MAX_LANES);
+        if pm == 0 || k == 0 {
+            return Vec::new();
+        }
+        self.advance_to(pm);
+        let d = self.reps.len();
+        // sample_size = |Set(S[p_max+1 : N])|: screens whose last
+        // occurrence falls in the reserved tail.
+        let sample_size = self.last_occ.iter().filter(|&&l| l > pm).count().max(1);
+        self.sorted_last.clear();
+        self.sorted_last.extend_from_slice(&self.last_occ);
+        self.sorted_last.sort_unstable();
         // Eligibility is monotone in `p`: `prefix_distinct_at` is
         // nondecreasing, so "first eligible p" is a binary search and
         // the per-p checks vanish from the loop.
@@ -525,7 +505,7 @@ impl FindSpaceEngine {
         let mut qualifying: Vec<SplitCandidate> = Vec::with_capacity(2 * m_sel);
         let mut bound_score = f64::INFINITY;
         let max_score = self.config.max_score;
-        let mut buf = [0.0f64; MAX_LANES];
+        let mut buf = [0.0f64; LANES];
         let mut overlap_whole: i64 = 0; // Σ total_sim[j] over first_occ[j] < p
         let mut fo = 0usize; // cursor over first_occ (ascending)
         let mut lo = 0usize; // cursor over sorted_last
@@ -565,45 +545,23 @@ impl FindSpaceEngine {
             let run_end = next_fo.min(next_lo).min(pm + 1).max(p + 1);
             let mut start = p.max(elig_start);
             while start < run_end {
-                let m = lanes.min(run_end - start);
+                let m = LANES.min(run_end - start);
                 // The lane kernel: element-wise over contiguous
                 // `pair_base`, no cross-lane operation, the reference's
                 // expression verbatim (`overlap_score + two_purity - 1.0`
-                // associates left-to-right exactly as the scalar loop).
-                // Full chunks go through the const-width builds, whose
-                // fixed trip count and array-ref operands are what the
-                // autovectorizer needs to emit packed convert/divide;
-                // ragged tails fall back to the identical scalar
-                // expression.
-                match m {
-                    16 => buf[..16].copy_from_slice(&score_chunk::<16>(
-                        &self.pair_base,
-                        start,
-                        n,
-                        overlap_whole,
-                        two_purity,
-                    )),
-                    8 => buf[..8].copy_from_slice(&score_chunk::<8>(
-                        &self.pair_base,
-                        start,
-                        n,
-                        overlap_whole,
-                        two_purity,
-                    )),
-                    4 => buf[..4].copy_from_slice(&score_chunk::<4>(
-                        &self.pair_base,
-                        start,
-                        n,
-                        overlap_whole,
-                        two_purity,
-                    )),
-                    _ => {
-                        for (l, s) in buf[..m].iter_mut().enumerate() {
-                            let q = start + l;
-                            let overlap = overlap_whole - self.pair_base[q];
-                            let overlap_score = overlap as f64 / (n - q) as f64;
-                            *s = overlap_score + two_purity - 1.0;
-                        }
+                // associates left-to-right). Full chunks go through the
+                // const-width kernel, whose fixed trip count and
+                // array-ref operands are what the autovectorizer needs to
+                // emit packed convert/divide; ragged tails fall back to
+                // the identical scalar expression.
+                if m == LANES {
+                    buf = score_chunk(&self.pair_base, start, n, overlap_whole, two_purity);
+                } else {
+                    for (l, s) in buf[..m].iter_mut().enumerate() {
+                        let q = start + l;
+                        let overlap = overlap_whole - self.pair_base[q];
+                        let overlap_score = overlap as f64 / (n - q) as f64;
+                        *s = overlap_score + two_purity - 1.0;
                     }
                 }
                 for (l, &s) in buf[..m].iter().enumerate() {
@@ -627,54 +585,6 @@ impl FindSpaceEngine {
                 start += m;
             }
             p = run_end;
-        }
-        Self::select_best(qualifying, k)
-    }
-
-    /// The scalar reference sweep, kept verbatim as the anchor of the
-    /// differential suite: [`analyze`](Self::analyze) must match it
-    /// bit-for-bit at every lane width (and both must match
-    /// [`find_space_candidates`](super::find_space_candidates)).
-    pub fn analyze_reference(&mut self, k: usize) -> Vec<SplitCandidate> {
-        let Some((n, pm, d, sample_size)) = self.prepare_sweep(k) else {
-            return Vec::new();
-        };
-        let mut qualifying: Vec<SplitCandidate> = Vec::with_capacity(pm);
-        let mut overlap_whole: i64 = 0; // Σ total_sim[j] over first_occ[j] < p
-        let mut fo = 0usize; // cursor over first_occ (ascending)
-        let mut lo = 0usize; // cursor over sorted_last
-                             // `purity_score` is a function of `suffix_distinct = d - lo`
-                             // alone, and `lo` only ever advances — so the sigmoid (the one
-                             // transcendental in the sweep) is re-evaluated on cursor moves,
-                             // `O(D)` times per analysis instead of `O(P)`. Same inputs, same
-                             // bits. `two_purity` pre-applies the `2.0 *` factor; the final
-                             // `overlap_score + two_purity - 1.0` performs the reference's
-                             // operations in the reference's order.
-        let mut cached_lo = usize::MAX;
-        let mut two_purity = 0.0f64;
-        for p in 1..=pm {
-            while fo < d && self.first_occ[fo] < p {
-                overlap_whole += self.total_sim[fo];
-                fo += 1;
-            }
-            while lo < d && self.sorted_last[lo] < p {
-                lo += 1;
-            }
-            if lo != cached_lo {
-                cached_lo = lo;
-                let suffix_distinct = d - lo;
-                two_purity = 2.0 * sigmoid(suffix_distinct as f64 / sample_size as f64 - 1.0);
-            }
-            if p >= self.config.min_prefix_events
-                && self.prefix_distinct_at[p] >= self.config.min_prefix_distinct
-            {
-                let overlap = overlap_whole - self.pair_base[p];
-                let overlap_score = overlap as f64 / (n - p) as f64;
-                let score = overlap_score + two_purity - 1.0;
-                if score < self.config.max_score {
-                    qualifying.push(SplitCandidate { index: p, score });
-                }
-            }
         }
         Self::select_best(qualifying, k)
     }
@@ -765,26 +675,6 @@ mod tests {
             &find_space_candidates(&events[30..], &c, &SimilarityCache::new(), 5),
             "reset vs rescan",
         );
-    }
-
-    #[test]
-    fn lane_widths_and_reference_agree() {
-        let events = two_cluster_trace(40, 60);
-        let c = cfg(25);
-        let cache = SimilarityCache::new();
-        let mut reference = FindSpaceEngine::new(c.clone());
-        reference.extend_from(&events, &cache);
-        let anchor = reference.analyze_reference(5);
-        assert!(!anchor.is_empty(), "trace should split");
-        for lanes in [1usize, 2, 3, 4, 8, 16, 64] {
-            let mut engine = FindSpaceEngine::new(c.clone());
-            engine.extend_from(&events, &cache);
-            assert_identical(
-                &engine.analyze_with_lanes(5, lanes),
-                &anchor,
-                &format!("lanes {lanes}"),
-            );
-        }
     }
 
     #[test]

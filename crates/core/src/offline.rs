@@ -277,6 +277,31 @@ mod tests {
     }
 
     #[test]
+    fn archives_nest_far_below_the_json_depth_limit() {
+        // Trace archives — every abstraction a widget tree — are the
+        // deepest documents the workspace writes; the parser's nesting
+        // bound must never come near them.
+        fn depth(v: &Value) -> usize {
+            match v {
+                Value::Array(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+                Value::Object(fields) => {
+                    1 + fields.iter().map(|(_, v)| depth(v)).max().unwrap_or(0)
+                }
+                _ => 0,
+            }
+        }
+        let archive = TraceArchive::from_session("depth", &session());
+        let mut buf = Vec::new();
+        archive.write_to(&mut buf).unwrap();
+        let doc = Value::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
+        let levels = depth(&doc);
+        assert!(
+            levels <= taopt_ui_model::json::MAX_DEPTH / 4,
+            "archive nests {levels} levels"
+        );
+    }
+
+    #[test]
     fn archive_saves_to_disk() {
         let result = session();
         let archive = TraceArchive::from_session("disk", &result);

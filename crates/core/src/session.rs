@@ -94,12 +94,6 @@ pub struct SessionConfig {
     pub analyzer: AnalyzerConfig,
     /// Emulator timing and flakiness knobs for every device.
     pub emulator: taopt_device::EmulatorConfig,
-    /// Feed the round's traces to the analyzer as one batch
-    /// ([`crate::coordinator::TestCoordinator::process_traces`]) instead
-    /// of one call per instance. Byte-identical either way (the
-    /// golden-trace fixture runs both arms); `false` forces the legacy
-    /// serial loop.
-    pub batched_ingestion: bool,
     /// Learned analyzer state from a previous version's campaign. When
     /// set (and the mode runs the TaOPT coordinator), the analyzer boots
     /// seeded with it instead of cold; see [`crate::warmstart`].
@@ -129,7 +123,6 @@ impl SessionConfig {
             stall_timeout: VirtualDuration::from_mins(3),
             analyzer,
             emulator: taopt_device::EmulatorConfig::default(),
-            batched_ingestion: true,
             warm_start: None,
             capture_warm_start: false,
         }
@@ -294,7 +287,6 @@ impl ParallelSession {
         // Single-app runs ride the process-local shared compute pool —
         // the same machinery campaigns size per-config.
         let mut step = SessionStep::new(app, config.clone())
-            .with_orphan_repair(true)
             .with_compute(crate::campaign::pool::ComputePool::shared());
         loop {
             // A dedicated pool of capacity d_max can always satisfy the

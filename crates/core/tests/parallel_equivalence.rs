@@ -1,24 +1,20 @@
 //! Differential equivalence suite for the parallel hot paths.
 //!
 //! The analysis layer's parallel machinery — the sharded
-//! [`SimilarityCache`], the lane-vectorized FindSpace sweep, and batched
-//! per-round ingestion — all promise the same thing: **bit-identical**
-//! output to the serial reference at any shard count, lane width, or
-//! worker count. Each suite here pins one of those promises over random
+//! [`SimilarityCache`] and pooled per-round ingestion — promises
+//! **bit-identical** output to the serial reference at any shard count
+//! or host budget. Each law here pins one of those promises over random
 //! traces with duplicate timestamps, in the style of the
-//! `findspace_engine_*` proptests:
+//! `findspace_engine_*` proptests (which pin the engine's sweep against
+//! the full rescan):
 //!
 //! 1. `sharded_cache_*`: engines fed through caches of every shard
 //!    count agree with the 1-shard reference — candidates and merged
 //!    cache post-state both;
-//! 2. `vectorized_sweep_*`: `analyze_with_lanes` at every width agrees
-//!    with `analyze_reference` and the full-rescan reference;
-//! 3. `batched_ingestion_*`: `ingest_round` (at 1 and several analysis
-//!    workers) agrees with one-at-a-time `maybe_analyze` calls — same
-//!    confirmations per round, same final registry, same cache content;
-//! 4. `pooled_ingestion_*`: `ingest_round` through a persistent
-//!    [`ComputePool`] of any budget agrees with both the serial loop
-//!    and the legacy scoped-thread path — the pool is pure mechanism.
+//! 2. `ingest_round_*`: `ingest_round` with no pool and through a
+//!    persistent [`ComputePool`] of budget 1, 2, 4 or 8 agrees with
+//!    one-item-at-a-time ingestion — same confirmations per round, same
+//!    final registry, same cache content. The pool is pure mechanism.
 //!
 //! Plus the concurrency stress test (8 threads hammering one sharded
 //! cache) and the `forget_instance` occupancy test.
@@ -29,7 +25,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use taopt::analyzer::{AnalyzerConfig, OnlineTraceAnalyzer};
-use taopt::findspace::{find_space_candidates, FindSpaceConfig, FindSpaceEngine, SimilarityCache};
+use taopt::findspace::{FindSpaceConfig, FindSpaceEngine, SimilarityCache};
 use taopt::ComputePool;
 use taopt_toller::InstanceId;
 use taopt_ui_model::abstraction::{AbstractHierarchy, AbstractNode};
@@ -91,15 +87,14 @@ fn fs_config() -> FindSpaceConfig {
     }
 }
 
-fn analyzer_config(workers: usize) -> AnalyzerConfig {
+fn analyzer_config() -> AnalyzerConfig {
     let mut c = AnalyzerConfig::resource_mode();
     c.find_space = fs_config();
     c.analysis_interval = VirtualDuration::from_secs(10);
     c.min_new_events = 5;
     c.min_subspace_screens = 2;
-    c.analysis_workers = workers;
     // Every batch in these suites is small; drop the pool routing
-    // threshold so the pooled arm genuinely exercises the pool.
+    // threshold so the pooled arms genuinely exercise the pool.
     c.pool_min_window = 0;
     c
 }
@@ -124,7 +119,7 @@ macro_rules! prop_assert_identical {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Suite 1: sharded cache ≡ unsharded. An engine run through a
+    /// Law 1: sharded cache ≡ unsharded. An engine run through a
     /// cache of any shard count returns the same candidate bits as one
     /// run through the 1-shard reference, and the merged cache contents
     /// (shard layout erased by the ordered snapshot) are identical.
@@ -171,151 +166,68 @@ proptest! {
         }
     }
 
-    /// Suite 2: vectorized kernel ≡ scalar. The lane sweep at every
-    /// width matches the verbatim scalar loop (`analyze_reference`) and
-    /// the full-rescan reference, bit for bit, on every prefix.
+    /// Law 2: round ingestion ≡ one-at-a-time. Feeding every instance's
+    /// trace through `ingest_round` — with no pool, and on a persistent
+    /// [`ComputePool`] of each budget — produces the same per-round
+    /// confirmations, the same final subspace registry, and the same
+    /// similarity-cache content as one `maybe_analyze` call per instance
+    /// in the same order.
     #[test]
-    fn vectorized_sweep_equivalent_to_scalar(
-        events in arb_dup_trace(),
-        chunk in 1usize..=17,
-        l_min_secs in 0u64..80,
+    fn ingest_round_equivalent_to_one_at_a_time(
+        traces in arb_instance_traces(),
+        chunk in 3usize..=20,
     ) {
-        let mut cfg = fs_config();
-        cfg.l_min = VirtualDuration::from_secs(l_min_secs);
-        let cache = SimilarityCache::new();
-        let rescan_cache = SimilarityCache::new();
-        let mut scalar = FindSpaceEngine::new(cfg.clone());
-        let mut laned: Vec<(usize, FindSpaceEngine)> = [1usize, 2, 3, 4, 8, 16]
+        let mut serial = OnlineTraceAnalyzer::new(analyzer_config());
+        let mut arms: Vec<(Option<usize>, OnlineTraceAnalyzer)> = [None, Some(1), Some(2), Some(4), Some(8)]
             .into_iter()
-            .map(|w| (w, FindSpaceEngine::new(cfg.clone())))
+            .map(|budget| {
+                let mut a = OnlineTraceAnalyzer::new(analyzer_config());
+                if let Some(b) = budget {
+                    a.set_compute(ComputePool::new(b));
+                }
+                (budget, a)
+            })
             .collect();
-        let mut end = 0usize;
-        while end < events.len() {
-            end = (end + chunk).min(events.len());
-            scalar.extend_from(&events[..end], &cache);
-            let anchor = scalar.analyze_reference(5);
-            prop_assert_identical!(
-                anchor,
-                find_space_candidates(&events[..end], &cfg, &rescan_cache, 5),
-                format_args!("scalar vs rescan prefix {end}")
-            );
-            for (w, engine) in laned.iter_mut() {
-                engine.extend_from(&events[..end], &cache);
-                prop_assert_identical!(
-                    engine.analyze_with_lanes(5, *w),
-                    anchor,
-                    format_args!("lanes {w} prefix {end}")
+        let rounds = traces
+            .iter()
+            .map(|t| t.len().div_ceil(chunk))
+            .max()
+            .unwrap_or(0);
+        for round in 0..rounds {
+            let now = VirtualTime::from_secs((round as u64 + 1) * 15);
+            let prefixes: Vec<(InstanceId, Trace)> = traces
+                .iter()
+                .enumerate()
+                .map(|(i, t)| {
+                    let end = ((round + 1) * chunk).min(t.len());
+                    (InstanceId(i as u32), t[..end].iter().cloned().collect())
+                })
+                .collect();
+            let mut serial_confirmed = Vec::new();
+            for (id, trace) in &prefixes {
+                serial_confirmed.extend(serial.maybe_analyze(*id, trace, now));
+            }
+            let batch: Vec<(InstanceId, &Trace)> =
+                prefixes.iter().map(|(id, t)| (*id, t)).collect();
+            for (budget, arm) in arms.iter_mut() {
+                prop_assert_eq!(
+                    &serial_confirmed,
+                    &arm.ingest_round(&batch, now),
+                    "round {} (pool budget {:?})",
+                    round,
+                    budget
                 );
             }
         }
-    }
-
-    /// Suite 3: batched ingestion ≡ one-at-a-time. Feeding every
-    /// instance's trace through `ingest_round` — at one worker and at
-    /// several — produces the same per-round confirmations, the same
-    /// final subspace registry, and the same similarity-cache content
-    /// as sequential `maybe_analyze` calls in the same order.
-    #[test]
-    fn batched_ingestion_equivalent_to_serial(
-        traces in arb_instance_traces(),
-        chunk in 3usize..=20,
-    ) {
-        let mut serial = OnlineTraceAnalyzer::new(analyzer_config(1));
-        let mut batched = OnlineTraceAnalyzer::new(analyzer_config(1));
-        let mut threaded = OnlineTraceAnalyzer::new(analyzer_config(4));
-        let rounds = traces
-            .iter()
-            .map(|t| t.len().div_ceil(chunk))
-            .max()
-            .unwrap_or(0);
-        for round in 0..rounds {
-            let now = VirtualTime::from_secs((round as u64 + 1) * 15);
-            let prefixes: Vec<(InstanceId, Trace)> = traces
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let end = ((round + 1) * chunk).min(t.len());
-                    (InstanceId(i as u32), t[..end].iter().cloned().collect())
-                })
-                .collect();
-            let mut serial_confirmed = Vec::new();
-            for (id, trace) in &prefixes {
-                serial_confirmed.extend(serial.maybe_analyze(*id, trace, now));
-            }
-            let batch: Vec<(InstanceId, &Trace)> =
-                prefixes.iter().map(|(id, t)| (*id, t)).collect();
-            let batched_confirmed = batched.ingest_round(&batch, now);
-            let threaded_confirmed = threaded.ingest_round(&batch, now);
-            prop_assert_eq!(&serial_confirmed, &batched_confirmed, "round {}", round);
-            prop_assert_eq!(&serial_confirmed, &threaded_confirmed, "round {} (threaded)", round);
-        }
-        prop_assert_eq!(serial.subspaces(), batched.subspaces());
-        prop_assert_eq!(serial.subspaces(), threaded.subspaces());
-        prop_assert_eq!(
-            serial.similarity_cache().snapshot(),
-            batched.similarity_cache().snapshot()
-        );
-        prop_assert_eq!(
-            serial.similarity_cache().snapshot(),
-            threaded.similarity_cache().snapshot()
-        );
-    }
-
-    /// Suite 4: pooled ingestion ≡ scoped ≡ serial. Attaching a
-    /// persistent [`ComputePool`] of any budget to the analyzer changes
-    /// only *where* phase A runs, never what it computes: per-round
-    /// confirmations, the final subspace registry, and the
-    /// similarity-cache content all match both the one-at-a-time serial
-    /// reference and the legacy per-round scoped-thread path.
-    #[test]
-    fn pooled_ingestion_equivalent_to_scoped(
-        traces in arb_instance_traces(),
-        chunk in 3usize..=20,
-        budget_sel in 0usize..4,
-    ) {
-        let budget = [1usize, 2, 4, 8][budget_sel];
-        let mut serial = OnlineTraceAnalyzer::new(analyzer_config(1));
-        let mut scoped = OnlineTraceAnalyzer::new(analyzer_config(4));
-        let mut pooled = OnlineTraceAnalyzer::new(analyzer_config(1));
-        pooled.set_compute(ComputePool::new(budget));
-        let rounds = traces
-            .iter()
-            .map(|t| t.len().div_ceil(chunk))
-            .max()
-            .unwrap_or(0);
-        for round in 0..rounds {
-            let now = VirtualTime::from_secs((round as u64 + 1) * 15);
-            let prefixes: Vec<(InstanceId, Trace)> = traces
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let end = ((round + 1) * chunk).min(t.len());
-                    (InstanceId(i as u32), t[..end].iter().cloned().collect())
-                })
-                .collect();
-            let mut serial_confirmed = Vec::new();
-            for (id, trace) in &prefixes {
-                serial_confirmed.extend(serial.maybe_analyze(*id, trace, now));
-            }
-            let batch: Vec<(InstanceId, &Trace)> =
-                prefixes.iter().map(|(id, t)| (*id, t)).collect();
-            let scoped_confirmed = scoped.ingest_round(&batch, now);
-            let pooled_confirmed = pooled.ingest_round(&batch, now);
-            prop_assert_eq!(&serial_confirmed, &scoped_confirmed, "round {} (scoped)", round);
+        for (budget, arm) in &arms {
+            prop_assert_eq!(serial.subspaces(), arm.subspaces(), "pool budget {:?}", budget);
             prop_assert_eq!(
-                &serial_confirmed,
-                &pooled_confirmed,
-                "round {} (pool budget {})",
-                round,
+                serial.similarity_cache().snapshot(),
+                arm.similarity_cache().snapshot(),
+                "pool budget {:?}",
                 budget
             );
         }
-        prop_assert_eq!(serial.subspaces(), scoped.subspaces());
-        prop_assert_eq!(serial.subspaces(), pooled.subspaces());
-        prop_assert_eq!(
-            serial.similarity_cache().snapshot(),
-            pooled.similarity_cache().snapshot()
-        );
     }
 }
 
@@ -391,7 +303,7 @@ fn forget_instance_evicts_only_exclusive_screens() {
     // Labels 0..6 are exclusive to instance 0; 6..10 shared; 10..16
     // exclusive to instance 1. Long l_min keeps the windows unsplit so
     // each engine retains its full screen set.
-    let mut cfg = analyzer_config(1);
+    let mut cfg = analyzer_config();
     cfg.find_space.l_min = VirtualDuration::from_mins(30);
     let trace_a: Trace = (0..24).map(|i| ev(i * 2, (i % 10) as u32)).collect();
     let trace_b: Trace = (0..24).map(|i| ev(i * 2, 6 + (i % 10) as u32)).collect();

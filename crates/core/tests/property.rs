@@ -374,13 +374,13 @@ mod campaign_props {
         fn no_starvation_dmax_and_termination_under_lease_churn(
             n_apps in 2usize..5,
             capacity in 1usize..4,
-            workers in 1usize..4,
+            host_threads in 1usize..4,
             seed in 0u64..1_000,
         ) {
             // Even with fewer devices than apps the rotating fair lease +
             // starvation revocation must run every session to completion.
             let config = CampaignConfig {
-                workers,
+                host_threads,
                 capacity: Some(capacity),
                 ..CampaignConfig::default()
             };
@@ -420,7 +420,7 @@ mod campaign_props {
             // k < devices kills mid-campaign: replacements restore the
             // fleet and orphan repair re-homes every confirmed subspace.
             let config = CampaignConfig {
-                workers: 2,
+                host_threads: 2,
                 kills: kills
                     .iter()
                     .map(|&(round, victim)| KillEvent { round, victim })
@@ -482,13 +482,13 @@ mod chaos_campaign_props {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         #[test]
-        fn chaos_campaigns_terminate_and_heal_for_any_worker_count(
+        fn chaos_campaigns_terminate_and_heal_for_any_host_budget(
             n_apps in 2usize..4,
             plan_seed in 0u64..1_000,
             seed in 0u64..1_000,
             rates in arb_rates(),
         ) {
-            // One fault plan, three worker counts: every run must
+            // One fault plan, three host budgets: every run must
             // terminate, respect each app's d_max and the farm capacity,
             // leave no orphaned subspace, and — the determinism pin —
             // produce byte-identical coverage reports and identical fault
@@ -496,9 +496,9 @@ mod chaos_campaign_props {
             let plan = FaultPlan::new(plan_seed, rates);
             let mut reports = Vec::new();
             let mut stats = Vec::new();
-            for workers in [1usize, 2, 4] {
+            for host_threads in [1usize, 2, 4] {
                 let config = CampaignConfig {
-                    workers,
+                    host_threads,
                     faults: Some(plan.clone()),
                     ..CampaignConfig::default()
                 };
@@ -523,29 +523,29 @@ mod chaos_campaign_props {
                 reports.push(result.coverage_report());
                 stats.push(result.fault_stats.clone().expect("fault plan was set"));
             }
-            prop_assert_eq!(&reports[0], &reports[1], "1 vs 2 workers diverged");
-            prop_assert_eq!(&reports[0], &reports[2], "1 vs 4 workers diverged");
-            prop_assert_eq!(&stats[0], &stats[1], "fault stats diverged at 2 workers");
-            prop_assert_eq!(&stats[0], &stats[2], "fault stats diverged at 4 workers");
+            prop_assert_eq!(&reports[0], &reports[1], "1 vs 2 host threads diverged");
+            prop_assert_eq!(&reports[0], &reports[2], "1 vs 4 host threads diverged");
+            prop_assert_eq!(&stats[0], &stats[1], "fault stats diverged at 2 host threads");
+            prop_assert_eq!(&stats[0], &stats[2], "fault stats diverged at 4 host threads");
         }
 
         #[test]
         fn an_inert_fault_plan_is_byte_equivalent_to_no_plan(
             n_apps in 2usize..4,
             seed in 0u64..1_000,
-            workers in 1usize..4,
+            host_threads in 1usize..4,
         ) {
             // Campaign-level inert parity: wiring the chaos layers with a
             // zero-rate plan must not perturb a single byte of the
             // deterministic coverage report.
             let plain = run_campaign(
                 tiny_apps(n_apps, seed),
-                &CampaignConfig { workers, ..CampaignConfig::default() },
+                &CampaignConfig { host_threads, ..CampaignConfig::default() },
             );
             let inert = run_campaign(
                 tiny_apps(n_apps, seed),
                 &CampaignConfig {
-                    workers,
+                    host_threads,
                     faults: Some(FaultPlan::new(seed, FaultRates::none())),
                     ..CampaignConfig::default()
                 },

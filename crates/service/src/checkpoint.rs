@@ -405,6 +405,49 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn checkpoint_with_a_legacy_workers_key_resumes_byte_identical() {
+        // Specs written before the `workers` knob was removed carry a
+        // `"workers": 4` key right after `scale`. Such a checkpoint must
+        // still decode, and resume to exactly the uninterrupted run.
+        let mut ckpt = sample(0);
+        let (apps, config) = ckpt.spec.build().unwrap();
+        let direct = taopt::run_campaign(apps, &config).coverage_report();
+        let (apps, config) = ckpt.spec.build().unwrap();
+        let mut campaign = taopt::Campaign::new(apps, &config);
+        for _ in 0..4 {
+            assert!(campaign.advance_round());
+        }
+        ckpt.round = campaign.round();
+        ckpt.digest = Some(campaign.digest());
+        drop(campaign);
+
+        let Value::Object(mut fields) = ckpt.to_value() else {
+            panic!("checkpoint serializes to an object")
+        };
+        let Some((_, Value::Object(spec))) = fields.iter_mut().find(|(k, _)| k == "spec") else {
+            panic!("checkpoint carries a spec object")
+        };
+        spec.insert(3, ("workers".to_owned(), Value::UInt(4)));
+        let payload = Value::Object(fields).to_json_string();
+        let text = format!(
+            "{MAGIC} v{CHECKPOINT_VERSION} fnv64={:016x} len={}\n{payload}",
+            fnv64(payload.as_bytes()),
+            payload.len()
+        );
+
+        let back = decode(&text, "legacy").unwrap();
+        assert_eq!(back.spec, ckpt.spec);
+        let (apps, config) = back.spec.build().unwrap();
+        let mut resumed = taopt::Campaign::new(apps, &config);
+        while resumed.round() < back.round {
+            assert!(resumed.advance_round(), "replay ended early");
+        }
+        assert_eq!(back.digest.unwrap().diff(&resumed.digest()), None);
+        while resumed.advance_round() {}
+        assert_eq!(resumed.finish().coverage_report(), direct);
+    }
+
+    #[test]
     fn remove_failure_is_counted_not_swallowed() {
         let store = tmp_store("remove-err");
         let counter = taopt_telemetry::global().counter("service_checkpoint_remove_errors_total");

@@ -124,9 +124,6 @@ pub struct CampaignSpec {
     pub apps: Vec<AppSpec>,
     /// Per-app experiment scale (instances, duration, tick, ...).
     pub scale: ExperimentScale,
-    /// Worker threads for the parallel phase (legacy alias of
-    /// `host_threads`; see [`CampaignConfig::workers`]).
-    pub workers: usize,
     /// Campaign-wide host compute-thread budget shared by round
     /// advancement and analysis (`0` = auto-detect). Never affects
     /// results — only host-side speed — so a checkpoint written under
@@ -154,7 +151,6 @@ impl CampaignSpec {
             name: name.into(),
             apps,
             scale,
-            workers: defaults.workers,
             host_threads: defaults.host_threads,
             capacity: defaults.capacity,
             min_hold_rounds: defaults.min_hold_rounds,
@@ -189,9 +185,7 @@ impl CampaignSpec {
             });
         }
         let config = CampaignConfig {
-            workers: self.workers,
             host_threads: self.host_threads,
-            scoped_threads: false,
             capacity: self.capacity,
             min_hold_rounds: self.min_hold_rounds,
             kills: self.kills.clone(),
@@ -239,7 +233,6 @@ impl CampaignSpec {
             ("name".to_owned(), Value::Str(self.name.clone())),
             ("apps".to_owned(), Value::Array(apps)),
             ("scale".to_owned(), scale_to_value(&self.scale)),
-            ("workers".to_owned(), Value::UInt(self.workers as u64)),
             (
                 "host_threads".to_owned(),
                 Value::UInt(self.host_threads as u64),
@@ -336,10 +329,10 @@ impl CampaignSpec {
                 .to_owned(),
             apps,
             scale: scale_from_value(v.require("scale")?)?,
-            workers: u("workers")? as usize,
             // Optional for back-compat: checkpoints written before the
             // host-budget knob parse as 0 (auto-detect) — safe because
-            // the budget never affects results.
+            // the budget never affects results. The same argument lets
+            // older specs' `workers` key be ignored.
             host_threads: match v.get("host_threads") {
                 None | Some(Value::Null) => 0,
                 Some(h) => h
@@ -461,7 +454,6 @@ mod tests {
             ],
             ExperimentScale::quick(),
         );
-        spec.workers = 2;
         spec.host_threads = 3;
         spec.capacity = Some(4);
         spec.kills = vec![KillEvent {
@@ -492,9 +484,7 @@ mod tests {
         assert_eq!(apps.len(), 2);
         assert_eq!(apps[0].name, "alpha");
         assert_eq!(apps[1].name, "AbsWorkout");
-        assert_eq!(config.workers, 2);
         assert_eq!(config.host_threads, 3);
-        assert!(!config.scoped_threads);
         assert_eq!(config.capacity, Some(4));
         assert_eq!(config.kills.len(), 1);
         assert!(config.faults.is_some());
@@ -518,7 +508,7 @@ mod tests {
         );
         let back = CampaignSpec::from_value(&legacy).unwrap();
         assert_eq!(back.host_threads, 0);
-        assert_eq!(back.workers, spec.workers);
+        assert_eq!(back.apps, spec.apps);
     }
 
     #[test]
@@ -544,9 +534,10 @@ mod tests {
     #[test]
     fn checked_in_legacy_fixture_still_parses_and_builds() {
         // The fixture is a spec file written by the pre-evolution format
-        // (no `evolution`, no `host_threads`, no `faults`) — exactly what
-        // an old v1-header checkpoint embeds. It must keep parsing and
-        // materializing forever.
+        // (no `evolution`, no `host_threads`, no `faults`, and the
+        // since-removed `workers: 2`) — exactly what an old v1-header
+        // checkpoint embeds. It must keep parsing and materializing
+        // forever, with the `workers` key ignored.
         let text = include_str!("../testdata/legacy_spec_v1.json");
         let spec = CampaignSpec::from_value(&Value::parse(text).unwrap()).unwrap();
         assert_eq!(spec.name, "legacy-smoke");
@@ -555,7 +546,9 @@ mod tests {
         assert_eq!(spec.faults, None);
         let (apps, config) = spec.build().unwrap();
         assert_eq!(apps.len(), 2);
+        assert_eq!(config.host_threads, 0);
         assert_eq!(config.capacity, Some(4));
+        assert!(!spec.to_value().to_json_string().contains("workers"));
     }
 
     #[test]

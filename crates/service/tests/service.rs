@@ -1,6 +1,6 @@
 //! Service-level integration and property tests: checkpoint-at-any-round
-//! resume is byte-identical (including across worker counts and under
-//! fault plans), damaged checkpoints are rejected cleanly, the
+//! resume is byte-identical (including across host-thread budgets and
+//! under fault plans), damaged checkpoints are rejected cleanly, the
 //! service queue/priority/crash/recover lifecycle reproduces direct
 //! [`run_campaign`] results exactly, and the write-behind checkpoint
 //! writer keeps its promises (kill anywhere, no resurrection, pause
@@ -34,7 +34,7 @@ fn scratch(tag: &str) -> PathBuf {
 /// A tiny but fully-featured campaign spec: `n` two-instance generated
 /// apps, mixed tools/modes, and (on even seeds) a fault plan plus a
 /// scheduled device kill, so resume is also exercised under chaos.
-fn tiny_spec(n_apps: usize, seed: u64, workers: usize) -> CampaignSpec {
+fn tiny_spec(n_apps: usize, seed: u64, host_threads: usize) -> CampaignSpec {
     let scale = ExperimentScale {
         instances: 2,
         duration: VirtualDuration::from_mins(3),
@@ -64,7 +64,7 @@ fn tiny_spec(n_apps: usize, seed: u64, workers: usize) -> CampaignSpec {
         })
         .collect();
     let mut spec = CampaignSpec::new(format!("tiny-{n_apps}-{seed}"), apps, scale);
-    spec.workers = workers;
+    spec.host_threads = host_threads;
     if seed.is_multiple_of(2) {
         spec.faults = Some(FaultPlan::new(seed, FaultRates::uniform(0.02)));
         spec.kills = vec![KillEvent {
@@ -106,20 +106,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Core durability law: stop a campaign at *any* round, round-trip the
-    /// checkpoint through disk, resume — possibly with a different worker
-    /// count — and the finished coverage report is byte-identical to an
-    /// uninterrupted run.
+    /// checkpoint through disk, resume — possibly under a different
+    /// host-thread budget (the budget travels through the durable
+    /// encoding both ways) — and the finished coverage report is
+    /// byte-identical to an uninterrupted run.
     #[test]
     fn checkpoint_any_round_resume_is_byte_identical(
         n_apps in 1usize..4,
         seed in 0u64..500,
-        workers_sel in 0usize..3,
-        resume_sel in 0usize..3,
+        budget_sel in 0usize..4,
+        resume_sel in 0usize..4,
         stop_round in 1u64..12,
     ) {
-        let workers = [1usize, 2, 4][workers_sel];
-        let resume_workers = [1usize, 2, 4][resume_sel];
-        let spec = tiny_spec(n_apps, seed, workers);
+        let budgets = [1usize, 2, 4, 8];
+        let host_threads = budgets[budget_sel];
+        let resume_threads = budgets[resume_sel];
+        let spec = tiny_spec(n_apps, seed, host_threads);
         let reference = direct_report(&spec);
 
         let (apps, config) = spec.build().unwrap();
@@ -139,7 +141,7 @@ proptest! {
         let digest = campaign.digest();
         drop(campaign);
         let store = CheckpointStore::new(scratch(&format!(
-            "prop-{n_apps}-{seed}-{workers}-{resume_workers}-{stop_round}"
+            "prop-{n_apps}-{seed}-{host_threads}-{resume_threads}-{stop_round}"
         )))
         .unwrap();
         let path = store
@@ -158,7 +160,7 @@ proptest! {
 
         // Resume: rebuild, replay, verify the digest, run to completion.
         let mut resumed_spec = ckpt.spec;
-        resumed_spec.workers = resume_workers;
+        resumed_spec.host_threads = resume_threads;
         let (apps, config) = resumed_spec.build().unwrap();
         let mut resumed = Campaign::new(apps, &config);
         while resumed.round() < ckpt.round {
@@ -173,76 +175,22 @@ proptest! {
 
     /// Host-budget law: the campaign compute-pool budget is pure mechanism
     /// and never affects results — the coverage report is byte-identical
-    /// across `host_threads` ∈ {1, 2, 4, 8}, and a campaign checkpointed
-    /// under one budget resumes byte-identically under another (the budget
-    /// travels through the durable checkpoint encoding both ways).
+    /// across `host_threads` ∈ {1, 2, 4, 8} (resuming under another
+    /// budget is the durability law's).
     #[test]
     fn host_threads_never_affect_results(
         n_apps in 1usize..4,
         seed in 0u64..500,
-        budget_sel in 0usize..4,
-        resume_sel in 0usize..4,
-        stop_round in 1u64..10,
     ) {
-        let budgets = [1usize, 2, 4, 8];
-        let mut spec = tiny_spec(n_apps, seed, 2);
-        spec.host_threads = 1;
-        let reference = direct_report(&spec);
+        let reference = direct_report(&tiny_spec(n_apps, seed, 1));
         for b in [2usize, 4, 8] {
-            let mut s = spec.clone();
-            s.host_threads = b;
             prop_assert_eq!(
-                direct_report(&s),
+                direct_report(&tiny_spec(n_apps, seed, b)),
                 reference.clone(),
                 "host_threads={} diverged from host_threads=1",
                 b
             );
         }
-
-        // Checkpoint under one budget, resume under another.
-        let mut run_spec = spec.clone();
-        run_spec.host_threads = budgets[budget_sel];
-        let (apps, config) = run_spec.build().unwrap();
-        let mut campaign = Campaign::new(apps, &config);
-        let mut live = true;
-        while live && campaign.round() < stop_round {
-            live = campaign.advance_round();
-        }
-        if !live {
-            prop_assert_eq!(campaign.finish().coverage_report(), reference);
-            return Ok(());
-        }
-        let digest = campaign.digest();
-        drop(campaign);
-        let store = CheckpointStore::new(scratch(&format!(
-            "prop-host-{n_apps}-{seed}-{budget_sel}-{resume_sel}-{stop_round}"
-        )))
-        .unwrap();
-        let path = store
-            .save(&Checkpoint {
-                version: CHECKPOINT_VERSION,
-                campaign: 1,
-                priority: 0,
-                round: stop_round,
-                sequence_version: 0,
-                spec: run_spec.clone(),
-                digest: Some(digest),
-            })
-            .unwrap();
-        let ckpt = store.load(&path).unwrap();
-        prop_assert_eq!(&ckpt.spec, &run_spec);
-
-        let mut resumed_spec = ckpt.spec;
-        resumed_spec.host_threads = budgets[resume_sel];
-        let (apps, config) = resumed_spec.build().unwrap();
-        let mut resumed = Campaign::new(apps, &config);
-        while resumed.round() < ckpt.round {
-            prop_assert!(resumed.advance_round(), "replay ended early");
-        }
-        prop_assert_eq!(ckpt.digest.unwrap().diff(&resumed.digest()), None);
-        while resumed.advance_round() {}
-        prop_assert_eq!(resumed.finish().coverage_report(), reference);
-        let _ = fs::remove_dir_all(store.dir());
     }
 
     /// Any truncation or byte flip of a checkpoint file must surface as a

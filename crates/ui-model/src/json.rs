@@ -19,6 +19,13 @@ use crate::time::VirtualTime;
 use crate::trace::{Trace, TraceEvent};
 use crate::widget::WidgetClass;
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser is
+/// recursive descent, so without a bound a request body of a few MB of
+/// `[` overflows the stack and aborts the process; the documents this
+/// workspace writes nest a few dozen levels at most (trace archives,
+/// whose widget trees are the deepest part, stay far below this).
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -76,11 +83,13 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] with the byte offset of the first problem.
+    /// Returns [`JsonError`] with the byte offset of the first problem,
+    /// including nesting deeper than [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Value, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -301,6 +310,8 @@ fn write_escaped(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -341,8 +352,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(JsonError::new(
                 format!("unexpected byte `{}`", other as char),
@@ -350,6 +361,24 @@ impl Parser<'_> {
             )),
             None => Err(JsonError::new("unexpected end of input", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to open
+    /// more than [`MAX_DEPTH`] levels.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::new(
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+                self.pos,
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, JsonError> {
@@ -810,6 +839,22 @@ mod tests {
             "offset {} should be past the array",
             err.offset
         );
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_clean_error() {
+        // ~1 MB of either opener would overflow an unbounded recursive
+        // descent; both must come back as an error, not an abort.
+        for (opener, closer) in [("[", "]"), ("{\"a\":", "}")] {
+            let hostile = opener.repeat((1 << 20) / opener.len());
+            let err = Value::parse(&hostile).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+            // The limit itself is fine; one level past it is not.
+            let at_limit = format!("{}0{}", opener.repeat(MAX_DEPTH), closer.repeat(MAX_DEPTH));
+            assert!(Value::parse(&at_limit).is_ok());
+            let past = format!("{opener}{at_limit}{closer}");
+            assert!(Value::parse(&past).is_err());
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Campaign runtime integration tests: determinism under parallelism,
+//! Campaign runtime integration tests: determinism across host budgets,
 //! shared-farm safety, device-loss recovery and serial parity.
 
 use std::sync::Arc;
@@ -49,22 +49,32 @@ fn catalog() -> Vec<CampaignApp> {
         .collect()
 }
 
+/// Coverage report of the contended catalog (7 of 15 wanted devices, so
+/// lease rotation is exercised) at the given host budget.
+/// `pool_min_window`, when set, overrides every app's analyzer default.
+fn contended_report(host_threads: usize, pool_min_window: Option<usize>) -> String {
+    let mut apps = catalog();
+    if let Some(window) = pool_min_window {
+        for a in &mut apps {
+            a.config.analyzer.pool_min_window = window;
+        }
+    }
+    let config = CampaignConfig {
+        host_threads,
+        capacity: Some(7),
+        ..CampaignConfig::default()
+    };
+    run_campaign(apps, &config).coverage_report()
+}
+
 #[test]
 fn campaign_is_deterministic_across_worker_counts() {
     // The headline correctness property: the coverage report — every
     // per-app, per-instance, per-round observable — is byte-identical no
-    // matter how many workers advance the steps. Contended capacity (7 of
-    // 15 wanted devices) exercises the lease rotation too.
+    // matter how many compute-pool workers advance the steps.
     let reports: Vec<String> = [1usize, 2, 4]
         .iter()
-        .map(|&workers| {
-            let config = CampaignConfig {
-                workers,
-                capacity: Some(7),
-                ..CampaignConfig::default()
-            };
-            run_campaign(catalog(), &config).coverage_report()
-        })
+        .map(|&workers| contended_report(workers, None))
         .collect();
     assert_eq!(
         reports[0], reports[1],
@@ -78,42 +88,17 @@ fn campaign_is_deterministic_across_worker_counts() {
 
 #[test]
 fn campaign_is_deterministic_across_host_budgets() {
-    // The compute-pool counterpart of the worker-count law: the host
-    // thread budget decides only how fast rounds advance, never what
-    // they compute. Reports are byte-identical across budgets, with and
-    // without the legacy scoped-thread path, at fixed logical workers.
-    let reference = {
-        let config = CampaignConfig {
-            workers: 2,
-            host_threads: 1,
-            capacity: Some(7),
-            ..CampaignConfig::default()
-        };
-        run_campaign(catalog(), &config).coverage_report()
-    };
-    for host_threads in [2usize, 4, 8] {
-        let config = CampaignConfig {
-            workers: 2,
-            host_threads,
-            capacity: Some(7),
-            ..CampaignConfig::default()
-        };
-        let report = run_campaign(catalog(), &config).coverage_report();
+    // The host budget decides only how fast rounds advance, never what
+    // they compute — also when every analysis batch is forced onto the
+    // pool (`pool_min_window = 0`) and when the budget is auto-detected.
+    let reference = contended_report(1, Some(0));
+    for host_threads in [2usize, 8, 0] {
         assert_eq!(
-            reference, report,
+            reference,
+            contended_report(host_threads, Some(0)),
             "host_threads={host_threads} diverged from host_threads=1"
         );
     }
-    let scoped = {
-        let config = CampaignConfig {
-            workers: 2,
-            scoped_threads: true,
-            capacity: Some(7),
-            ..CampaignConfig::default()
-        };
-        run_campaign(catalog(), &config).coverage_report()
-    };
-    assert_eq!(reference, scoped, "legacy scoped-thread path diverged");
     // Host timing is observability, never part of the report — but it
     // must be *recorded*: every round lands in the global histogram
     // that /metrics surfaces.
@@ -129,7 +114,7 @@ fn shared_farm_never_double_allocates() {
         .counter("campaign_lease_conflicts_total")
         .get();
     let config = CampaignConfig {
-        workers: 4,
+        host_threads: 4,
         capacity: Some(5),
         ..CampaignConfig::default()
     };
@@ -195,7 +180,7 @@ fn contended_campaign_matches_uncontended_coverage_order() {
 #[test]
 fn killed_devices_are_replaced_and_no_subspace_is_orphaned() {
     let config = CampaignConfig {
-        workers: 2,
+        host_threads: 2,
         kills: vec![
             KillEvent {
                 round: 6,

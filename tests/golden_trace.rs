@@ -1,11 +1,15 @@
-//! Golden-trace regression: a fixed-seed serial session's per-round
+//! Golden-trace regression: a fixed-seed session's per-round
 //! `SplitCandidate` sequence and coordinator decision log, checked in as
 //! a JSON fixture.
 //!
 //! This pins the *decisions* of `find_space` and the coordinator, not
-//! just aggregate coverage, so a refactor of the incremental scorer or
-//! the dedication path that changes any split index, any score (to 1e-6),
-//! or any dedication/block event fails loudly here.
+//! just aggregate coverage, so a refactor of the incremental scorer, the
+//! round ingestion path (pooled or inline) or the dedication path that
+//! changes any split index, any score (to 1e-6), or any dedication/block
+//! event fails loudly here. The fixture was recorded when the analyzer
+//! was still fed one instance at a time, and the round-batched path must
+//! keep reproducing it byte for byte — do NOT regenerate it to paper over
+//! a divergence.
 //!
 //! To regenerate after an intentional behaviour change:
 //!
@@ -43,15 +47,13 @@ fn golden_config() -> SessionConfig {
 
 /// Runs the golden session and renders its decision log canonically.
 ///
-/// `batched` selects the ingestion path: `false` drives the analyzer
-/// one instance at a time (the path the fixture was recorded on),
-/// `true` routes every round through `Coordinator::process_traces`. The
-/// fixture is shared — batched ingestion promises byte-identical
-/// decisions, so both arms must render the same log without
-/// regeneration.
-fn render_golden(batched: bool) -> String {
+/// `pool_min_window` selects where round ingestion runs: `usize::MAX`
+/// keeps every batch inline on the stepping thread, `0` sends every
+/// batch through the shared compute pool. Both must render the same
+/// log against the one fixture, without regeneration.
+fn render_golden(pool_min_window: usize) -> String {
     let mut config = golden_config();
-    config.batched_ingestion = batched;
+    config.analyzer.pool_min_window = pool_min_window;
     let app = Arc::new(generate_app(&GeneratorConfig::small("golden", 2)).unwrap());
     let result = ParallelSession::run(app, &config);
 
@@ -132,7 +134,7 @@ fn render_golden(batched: bool) -> String {
 
 #[test]
 fn serial_session_reproduces_golden_trace() {
-    let current = render_golden(false);
+    let current = render_golden(usize::MAX);
     if std::env::var("TAOPT_GOLDEN_REGEN").is_ok() {
         std::fs::create_dir_all(std::path::Path::new(FIXTURE).parent().unwrap()).unwrap();
         std::fs::write(FIXTURE, &current).unwrap();
@@ -149,11 +151,11 @@ fn serial_session_reproduces_golden_trace() {
     );
 }
 
-/// The batched-ingestion arm renders the *same* per-round scores and
-/// dedication log as the serial arm, against the unchanged fixture.
-/// This is the end-to-end seal on the parallel hot paths: if sharding,
-/// vectorization, or batching perturbs one split index, one score
-/// micro-unit, or one dedication, this diverges.
+/// The pooled-ingestion arm renders the *same* per-round scores and
+/// dedication log as the inline arm, against the unchanged fixture.
+/// This is the end-to-end seal on the parallel hot path: if pooled
+/// phase-A analysis perturbs one split index, one score micro-unit, or
+/// one dedication, this diverges.
 #[test]
 fn batched_session_reproduces_golden_trace() {
     if std::env::var("TAOPT_GOLDEN_REGEN").is_ok() {
@@ -164,11 +166,11 @@ fn batched_session_reproduces_golden_trace() {
         Err(_) => return, // first regen run creates it
     };
     assert_eq!(
-        render_golden(true),
+        render_golden(0),
         golden,
-        "batched ingestion diverged from the serial golden trace; the \
-         batched path must be byte-identical — do NOT regenerate the \
-         fixture to paper over this"
+        "pooled ingestion diverged from the golden trace; the pooled \
+         path must be byte-identical — do NOT regenerate the fixture to \
+         paper over this"
     );
 }
 
