@@ -183,14 +183,11 @@ impl AppRuntime {
                 // Back on the root screen keeps the app in foreground.
             }
             Action::Widget(id) => {
-                let spec = self
-                    .app
-                    .screen(self.current)
-                    .expect("current screen exists");
-                let act = spec
-                    .action(id)
-                    .ok_or(AppSimError::ActionNotAvailable(id))?
-                    .clone();
+                // A local handle on the app lets the specs stay borrowed
+                // while `self` is mutated, without cloning them per step.
+                let app = Arc::clone(&self.app);
+                let spec = app.screen(self.current).expect("current screen exists");
+                let act = spec.action(id).ok_or(AppSimError::ActionNotAvailable(id))?;
                 // Handler coverage on first execution.
                 if self.executed_actions.insert(id) {
                     for m in &act.methods {
@@ -295,7 +292,8 @@ impl AppRuntime {
     fn arrive(&mut self, screen: ScreenId) -> Vec<MethodId> {
         let mut newly = Vec::new();
         *self.visit_counts.entry(screen).or_insert(0) += 1;
-        let spec = self.app.screen(screen).expect("screen exists").clone();
+        let app = Arc::clone(&self.app);
+        let spec = app.screen(screen).expect("screen exists");
         if self.visited_screens.insert(screen) {
             for m in &spec.methods {
                 if self.covered_methods.insert(*m) {
@@ -303,22 +301,19 @@ impl AppRuntime {
                 }
             }
             // Flow completion check (only needed when the visited set grew).
-            let flows: Vec<(usize, Vec<MethodId>)> = self
-                .app
-                .flows()
-                .iter()
-                .enumerate()
-                .filter(|(i, f)| {
-                    !self.completed_flows.contains(i)
-                        && f.screens.iter().all(|s| self.visited_screens.contains(s))
-                })
-                .map(|(i, f)| (i, f.methods.clone()))
-                .collect();
-            for (i, methods) in flows {
+            for (i, flow) in app.flows().iter().enumerate() {
+                if self.completed_flows.contains(&i)
+                    || !flow
+                        .screens
+                        .iter()
+                        .all(|s| self.visited_screens.contains(s))
+                {
+                    continue;
+                }
                 self.completed_flows.insert(i);
-                for m in methods {
-                    if self.covered_methods.insert(m) {
-                        newly.push(m);
+                for m in &flow.methods {
+                    if self.covered_methods.insert(*m) {
+                        newly.push(*m);
                     }
                 }
             }

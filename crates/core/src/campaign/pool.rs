@@ -12,60 +12,167 @@
 //! # Scheduling model
 //!
 //! A [`ComputePool::run`] call publishes one *job*: `tasks` indexed
-//! units plus a closure invoked as `f(task_index, worker_id)`. Task
-//! indices are claimed from a shared atomic cursor, so idle workers
-//! steal whatever is left regardless of which consumer published it.
-//! The *calling* thread always participates as worker 0
-//! before blocking, which keeps two invariants:
+//! units plus a closure invoked as `f(task_index, worker_id)`. The task
+//! indices are split into `budget` contiguous *home ranges*, range `w`
+//! belonging to the participant with worker id `w`: the calling thread
+//! is always worker 0 and pool thread `w` keeps id `w` for its lifetime.
+//! Each participant drains its own range front to back; only when that
+//! range is empty does it steal, one task at a time, from the *back* of
+//! another range. A campaign publishes its runnable apps in app-index
+//! order every round, so app `i` runs on the same host thread round
+//! after round — its session state, traces and allocator arena stay on
+//! one core — and a steal (a task run by anyone but its range's owner,
+//! see `home_worker`) happens only on imbalance. Each range is one
+//! packed `(lo, hi)` word updated by compare-and-swap, so the owner's
+//! front pop and a thief's back pop can never hand out one index twice.
+//!
+//! Two invariants hold whatever the interleaving:
 //!
 //! * **budget**: at most `host_threads` threads ever execute tasks
 //!   (the caller plus `host_threads - 1` pool workers);
 //! * **progress under nesting**: a step task may itself call
 //!   [`ComputePool::run`] (the analyzer's phase A). The nested caller
-//!   first drains its own job's cursor, and a thread only blocks when
-//!   every task of its job is claimed — each claimed task is then
-//!   actively executing on some non-blocked thread, so completion (and
-//!   thus wake-up) is always reachable. No thread ever waits while
-//!   holding an unexecuted claimed task.
+//!   first drains its own job — its home range, then every other range
+//!   by stealing — and a thread only blocks when every task of its job
+//!   is claimed (ranges only ever shrink, so one scan that finds them
+//!   all empty proves it). Each claimed task is then actively executing
+//!   on some non-blocked thread, so completion (and thus wake-up) is
+//!   always reachable. No thread ever waits while holding an unexecuted
+//!   claimed task.
 //!
 //! # Determinism
 //!
 //! The pool adds no ordering of its own: tasks are independent by
-//! contract (each touches disjoint state behind its own lock). The
-//! ingestion law in `crates/core/tests/parallel_equivalence.rs` pins
-//! pool-scheduled analysis byte-identical to one-item-at-a-time
-//! ingestion at budgets 1/2/4/8, and the campaign determinism suites
-//! pin whole-campaign reports across `host_threads` budgets. See
-//! `DESIGN.md` §16.
+//! contract (each touches disjoint state behind its own lock), and the
+//! ranges decide only *which thread* runs a task, never what it
+//! computes. The ingestion law in
+//! `crates/core/tests/parallel_equivalence.rs` pins pool-scheduled
+//! analysis byte-identical to one-item-at-a-time ingestion at budgets
+//! 1/2/4/8, and the campaign determinism suites pin whole-campaign
+//! reports across `host_threads` budgets. See `DESIGN.md` §16.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 
+/// The bounds `[lo, hi)` of worker `worker`'s home range when `tasks`
+/// indices are split into `budget` contiguous ranges whose sizes differ
+/// by at most one (the first `tasks % budget` ranges get the extra
+/// index, so worker 0 — the caller — always has work when any exists).
+fn home_bounds(tasks: usize, budget: usize, worker: usize) -> (usize, usize) {
+    let (size, extra) = (tasks / budget, tasks % budget);
+    let lo = worker * size + worker.min(extra);
+    (lo, lo + size + usize::from(worker < extra))
+}
+
+/// The worker whose home range holds `task` in a job of `tasks` indices
+/// on a pool of `budget` (the inverse of the split [`ComputePool::run`]
+/// uses). A task executed by any other worker id was stolen.
+pub(crate) fn home_worker(tasks: usize, budget: usize, task: usize) -> usize {
+    (0..budget)
+        .find(|&w| task < home_bounds(tasks, budget, w).1)
+        .expect("task index below the job's task count")
+}
+
+/// One home range `[lo, hi)` packed into a single word (`lo` in the high
+/// half, `hi` in the low half), so a pop from either end is one CAS.
+///
+/// Orderings are `Relaxed`: a claim publishes no data. The task's inputs
+/// are owned by the job closure, and its results are published through
+/// the job's `done` mutex, which the submitter locks before it returns.
+struct HomeRange(AtomicU64);
+
+impl HomeRange {
+    fn new(lo: usize, hi: usize) -> Self {
+        let lo = u32::try_from(lo).expect("pool jobs hold fewer than 2^32 tasks");
+        let hi = u32::try_from(hi).expect("pool jobs hold fewer than 2^32 tasks");
+        HomeRange(AtomicU64::new(Self::pack(lo, hi)))
+    }
+
+    fn pack(lo: u32, hi: u32) -> u64 {
+        (u64::from(lo) << 32) | u64::from(hi)
+    }
+
+    /// The owner's claim: the lowest unclaimed index.
+    fn pop_front(&self) -> Option<usize> {
+        self.pop(|lo, hi| (lo, Self::pack(lo + 1, hi)))
+    }
+
+    /// A thief's claim: the highest unclaimed index.
+    fn pop_back(&self) -> Option<usize> {
+        self.pop(|lo, hi| (hi - 1, Self::pack(lo, hi - 1)))
+    }
+
+    /// Claims one index chosen by `take(lo, hi) -> (index, new word)` on
+    /// a non-empty range; `None` once the range is empty.
+    fn pop(&self, take: impl Fn(u32, u32) -> (u32, u64)) -> Option<usize> {
+        let mut word = self.0.load(Ordering::Relaxed);
+        loop {
+            let (lo, hi) = ((word >> 32) as u32, word as u32);
+            if lo >= hi {
+                return None;
+            }
+            let (index, next) = take(lo, hi);
+            match self
+                .0
+                .compare_exchange_weak(word, next, Ordering::Relaxed, Ordering::Relaxed)
+            {
+                Ok(_) => return Some(index as usize),
+                Err(current) => word = current,
+            }
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        let word = self.0.load(Ordering::Relaxed);
+        (word >> 32) as u32 >= word as u32
+    }
+}
+
 /// One published batch of tasks: `run` is invoked as `(task, worker)`
-/// for every claimed index, `next` is the claim cursor, and `done`
-/// counts finished tasks (the submitter waits on `done_cv` until
-/// `done == tasks`).
+/// for every claimed index, `ranges` are the per-worker home ranges
+/// (one per budget member), and `done` counts finished tasks (the
+/// submitter waits on `done_cv` until `done == tasks`).
 struct JobState {
     run: Box<dyn Fn(usize, usize) + Send + Sync>,
     tasks: usize,
-    next: AtomicUsize,
+    ranges: Vec<HomeRange>,
     done: Mutex<usize>,
     done_cv: Condvar,
 }
 
 impl JobState {
-    /// Claims and executes tasks until the cursor is exhausted, then
+    fn new(tasks: usize, budget: usize, run: Box<dyn Fn(usize, usize) + Send + Sync>) -> Self {
+        JobState {
+            run,
+            tasks,
+            ranges: (0..budget)
+                .map(|w| {
+                    let (lo, hi) = home_bounds(tasks, budget, w);
+                    HomeRange::new(lo, hi)
+                })
+                .collect(),
+            done: Mutex::new(0),
+            done_cv: Condvar::new(),
+        }
+    }
+
+    /// The next task for `worker_id`: the front of its own range, else
+    /// the back of the first non-empty range after it.
+    fn claim(&self, worker_id: usize) -> Option<usize> {
+        let n = self.ranges.len();
+        self.ranges[worker_id]
+            .pop_front()
+            .or_else(|| (1..n).find_map(|d| self.ranges[(worker_id + d) % n].pop_back()))
+    }
+
+    /// Claims and executes tasks until every range is empty, then
     /// reports how many this thread completed.
     fn participate(&self, worker_id: usize) {
         let mut completed = 0usize;
-        loop {
-            let k = self.next.fetch_add(1, Ordering::Relaxed);
-            if k >= self.tasks {
-                break;
-            }
+        while let Some(k) = self.claim(worker_id) {
             (self.run)(k, worker_id);
             completed += 1;
         }
@@ -81,7 +188,7 @@ impl JobState {
     /// Whether every task index has been claimed (not necessarily
     /// finished) — an exhausted job is dead weight in the queue.
     fn exhausted(&self) -> bool {
-        self.next.load(Ordering::Relaxed) >= self.tasks
+        self.ranges.iter().all(HomeRange::is_empty)
     }
 }
 
@@ -109,8 +216,9 @@ impl PoolShared {
     }
 }
 
-/// A persistent work-stealing thread pool sized by one campaign-wide
-/// `host_threads` budget (see [`crate::campaign::CampaignConfig::host_threads`]).
+/// A persistent work-stealing thread pool with per-worker home ranges,
+/// sized by one campaign-wide `host_threads` budget (see
+/// [`crate::campaign::CampaignConfig::host_threads`]).
 ///
 /// Created once per campaign (or per process, [`ComputePool::shared`])
 /// and threaded down to every consumer as an `Arc`; dropping the last
@@ -191,8 +299,11 @@ impl ComputePool {
     ///
     /// With a budget of 1 — or a single task — this is a plain inline
     /// loop: no queue, no locks, no allocation. Otherwise the job is
-    /// published to the pool, the calling thread claims tasks alongside
-    /// the workers, and then parks until the last straggler finishes.
+    /// published to the pool, the calling thread drains home range 0
+    /// (then steals) alongside the workers, and parks until the last
+    /// straggler finishes. `worker` is the executing participant's id;
+    /// it differs from `home_worker(tasks, budget, task)` exactly when
+    /// the task was stolen.
     pub fn run<F>(&self, tasks: usize, f: F)
     where
         F: Fn(usize, usize) + Send + Sync + 'static,
@@ -206,13 +317,7 @@ impl ComputePool {
             }
             return;
         }
-        let job = Arc::new(JobState {
-            run: Box::new(f),
-            tasks,
-            next: AtomicUsize::new(0),
-            done: Mutex::new(0),
-            done_cv: Condvar::new(),
-        });
+        let job = Arc::new(JobState::new(tasks, self.budget, Box::new(f)));
         {
             let mut q = self.shared.queue.lock();
             q.jobs.push(Arc::clone(&job));
@@ -224,9 +329,9 @@ impl ComputePool {
         for _ in 0..(tasks - 1).min(self.budget - 1) {
             self.shared.work_ready.notify_one();
         }
-        // The caller is worker 0: it drains its own job's cursor before
-        // blocking, so a nested `run` from inside a task cannot deadlock
-        // (see module docs).
+        // The caller is worker 0: it drains its own job before blocking,
+        // so a nested `run` from inside a task cannot deadlock (see
+        // module docs).
         job.participate(0);
         let mut done = job.done.lock();
         while *done < job.tasks {
@@ -285,14 +390,81 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
+    fn home_ranges_split_and_claim_every_index_once() {
+        // Single-threaded law of the claim primitive: the owner pops its
+        // range front to back, a thief pops it back to front, and across
+        // every split — empty, one task, fewer tasks than workers,
+        // uneven — each index is handed out exactly once.
+        for budget in [1usize, 2, 3, 8] {
+            for tasks in [0usize, 1, budget - 1, budget, budget + 1, 7, 97] {
+                let job = JobState::new(tasks, budget, Box::new(|_, _| {}));
+                let mut seen = vec![0u32; tasks];
+                let mut next_lo = 0;
+                for (w, range) in job.ranges.iter().enumerate() {
+                    let (lo, hi) = home_bounds(tasks, budget, w);
+                    assert_eq!(lo, next_lo, "ranges are contiguous");
+                    assert!(hi - lo <= tasks.div_ceil(budget), "split is balanced");
+                    next_lo = hi;
+                    // Owner and thief alternate and meet in the middle.
+                    let (mut front, mut back) = (lo, hi);
+                    for step in 0.. {
+                        let claimed = if step % 2 == 0 {
+                            range.pop_front()
+                        } else {
+                            range.pop_back()
+                        };
+                        let Some(k) = claimed else { break };
+                        if step % 2 == 0 {
+                            assert_eq!(k, front, "owner pops from the front");
+                            front += 1;
+                        } else {
+                            back -= 1;
+                            assert_eq!(k, back, "thief pops from the back");
+                        }
+                        assert_eq!(home_worker(tasks, budget, k), w);
+                        seen[k] += 1;
+                    }
+                    assert!(range.is_empty());
+                    assert_eq!(range.pop_back(), None);
+                }
+                assert_eq!(next_lo, tasks, "ranges cover every index");
+                assert!(job.exhausted());
+                assert!(
+                    seen.iter().all(|&n| n == 1),
+                    "tasks={tasks} budget={budget}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn claim_drains_home_range_then_steals_from_the_back() {
+        let job = JobState::new(10, 3, Box::new(|_, _| {}));
+        // Worker 1 owns 4..7; then it steals range 2 (7..10) and range 0
+        // (0..4) in that order, always taking the last index.
+        let order: Vec<usize> = std::iter::from_fn(|| job.claim(1)).collect();
+        assert_eq!(order, [4, 5, 6, 9, 8, 7, 3, 2, 1, 0]);
+        assert_eq!(job.claim(0), None);
+    }
+
+    #[test]
     fn runs_every_task_exactly_once() {
-        let pool = ComputePool::new(4);
-        let hits: Arc<Vec<AtomicU64>> = Arc::new((0..97).map(|_| AtomicU64::new(0)).collect());
-        let h = Arc::clone(&hits);
-        pool.run(97, move |k, _| {
-            h[k].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        for budget in [1usize, 2, 3, 8] {
+            let pool = ComputePool::new(budget);
+            for tasks in [0usize, 1, budget - 1, budget, budget + 1, 97] {
+                let hits: Arc<Vec<AtomicU64>> =
+                    Arc::new((0..tasks).map(|_| AtomicU64::new(0)).collect());
+                let h = Arc::clone(&hits);
+                pool.run(tasks, move |k, w| {
+                    assert!(w < budget, "worker id {w} outside budget {budget}");
+                    h[k].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                    "tasks={tasks} budget={budget}"
+                );
+            }
+        }
     }
 
     #[test]

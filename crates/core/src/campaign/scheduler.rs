@@ -10,10 +10,12 @@
 //!    only their own state, so the campaign's persistent [`ComputePool`]
 //!    (one `host_threads` budget built at [`Campaign::new`], shared with
 //!    every app's phase-A analysis — no per-round thread spawns)
-//!    executes them concurrently: threads claim step indices from the
-//!    job's atomic cursor, and a claim that lands outside a thread's
-//!    home lane counts as a steal. Each step also snapshots its device
-//!    demand here, so the boundary need not recompute it.
+//!    executes them concurrently: the runnable apps, in app-index order,
+//!    are split into one contiguous home range per host thread, so an
+//!    app keeps running on the same thread round after round, and a
+//!    step run by a thread other than its range's owner counts as a
+//!    steal. Each step also snapshots its device demand here, so the
+//!    boundary need not recompute it.
 //! 2. **Sequential boundary** — all shared-state decisions (farm
 //!    allocation, lease grants and revocations, scheduled device kills,
 //!    replacement retries, session completion) happen on the scheduler
@@ -50,6 +52,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -60,7 +63,7 @@ use taopt_ui_model::{Value, VirtualDuration, VirtualTime};
 
 use crate::campaign::layers::StepLayers;
 use crate::campaign::lease::LeaseLedger;
-use crate::campaign::pool::ComputePool;
+use crate::campaign::pool::{home_worker, ComputePool};
 use crate::campaign::snapshot::{CampaignDigest, SlotDigest};
 use crate::campaign::step::{RoundOutcome, SessionStep};
 use crate::coordinator::CoordinatorEvent;
@@ -188,8 +191,9 @@ pub struct CampaignResult {
     pub lease_conflicts: u64,
     /// Devices still allocated in the farm after the drain (must be 0).
     pub farm_active_at_end: usize,
-    /// Work-steal count (not deterministic across host budgets; excluded
-    /// from [`CampaignResult::coverage_report`]).
+    /// Steps run by a host thread other than the owner of their home
+    /// range (always 0 at `host_threads = 1`; not deterministic across
+    /// host budgets, so excluded from [`CampaignResult::coverage_report`]).
     pub steals: u64,
     /// Aggregated fault/recovery statistics when a fault plan was set.
     /// Order-independent counts only — the fault *log*'s interleaving is
@@ -363,6 +367,10 @@ struct Slot {
     /// kill, which clears the snapshot. Consumed (`take`) every leasing
     /// boundary so a stale value can never leak into a later round.
     demand_snapshot: Option<usize>,
+    /// Host nanoseconds of this round's `advance_slot` (0 while
+    /// telemetry is off), summed into `campaign_parallel_task_us_total`
+    /// at boundary 1.
+    step_ns: u64,
     done: bool,
     last_grant_round: u64,
     wait_rounds: u64,
@@ -407,6 +415,8 @@ pub struct Campaign {
     rounds_counter: taopt_telemetry::Counter,
     round_host_us: taopt_telemetry::Histogram,
     steals_counter: taopt_telemetry::Counter,
+    parallel_wall_us: taopt_telemetry::Counter,
+    parallel_task_us: taopt_telemetry::Counter,
     revocations_counter: taopt_telemetry::Counter,
     kills_counter: taopt_telemetry::Counter,
     replacements_counter: taopt_telemetry::Counter,
@@ -472,6 +482,7 @@ impl Campaign {
                     queue: ReplacementQueue::new(retry),
                     outcome: None,
                     demand_snapshot: None,
+                    step_ns: 0,
                     done: false,
                     last_grant_round: 0,
                     wait_rounds: 0,
@@ -505,6 +516,8 @@ impl Campaign {
             rounds_counter: telemetry.counter("campaign_rounds_total"),
             round_host_us: telemetry.histogram("campaign_round_host_us"),
             steals_counter: telemetry.counter("campaign_steals_total"),
+            parallel_wall_us: telemetry.counter("campaign_parallel_wall_us_total"),
+            parallel_task_us: telemetry.counter("campaign_parallel_task_us_total"),
             revocations_counter: telemetry.counter("campaign_lease_revocations_total"),
             kills_counter: telemetry.counter("campaign_device_kills_total"),
             replacements_counter: telemetry.counter("campaign_replacements_total"),
@@ -568,13 +581,27 @@ impl Campaign {
         self.round += 1;
         self.rounds_counter.inc();
 
-        advance_parallel(&self.slots, runnable.clone(), &self.compute, &self.steals);
+        // Pool efficiency = task time / (wall time × budget), both summed
+        // over parallel phases; timed only while telemetry is on.
+        let phase_start = host_timer.is_some().then(Instant::now);
+        advance_parallel(
+            &self.slots,
+            runnable.clone(),
+            &self.compute,
+            &self.steals,
+            phase_start.is_some(),
+        );
+        if let Some(t0) = phase_start {
+            self.parallel_wall_us.add(t0.elapsed().as_micros() as u64);
+        }
 
         let global_now = VirtualTime::ZERO + self.tick * self.round;
 
         // Boundary 1: stall-released devices back to the farm.
+        let mut task_ns = 0u64;
         for &i in &runnable {
             let s = &mut *self.slots[i].lock();
+            task_ns += s.step_ns;
             let out = s.outcome.take().expect("step advanced this round");
             s.done = out.done;
             for d in out.released {
@@ -582,6 +609,7 @@ impl Campaign {
                 self.pool.release(d, global_now);
             }
         }
+        self.parallel_task_us.add(task_ns / 1_000);
 
         // Boundary 2: scheduled device kills, then rate-planned fault
         // losses (empty without a fault plan). Both go through the same
@@ -787,14 +815,17 @@ pub fn run_campaign(apps: Vec<CampaignApp>, config: &CampaignConfig) -> Campaign
 
 /// Advances one runnable slot's step and captures the boundary prework:
 /// the round outcome plus a demand snapshot the leasing boundary can
-/// consume without re-walking step state (DESIGN.md §16).
-fn advance_slot(slot: &Mutex<Slot>) {
+/// consume without re-walking step state (DESIGN.md §16). `timed`
+/// records the call's host time in the slot (0 otherwise).
+fn advance_slot(slot: &Mutex<Slot>, timed: bool) {
+    let start = timed.then(Instant::now);
     let s = &mut *slot.lock();
     let step = s.step.as_mut().expect("runnable app has a step");
     let out = step.advance_round();
     let demand = step.demand();
     s.outcome = Some(out);
     s.demand_snapshot = Some(demand);
+    s.step_ns = start.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
 }
 
 /// Parallel phase: advance every runnable step by one round on the
@@ -805,17 +836,16 @@ fn advance_parallel(
     runnable: Vec<usize>,
     compute: &ComputePool,
     steals: &Arc<AtomicU64>,
+    timed: bool,
 ) {
-    let nw = compute.budget().min(runnable.len()).max(1);
+    let (tasks, budget) = (runnable.len(), compute.budget());
     let slots = Arc::clone(slots);
     let steals = Arc::clone(steals);
-    compute.run(runnable.len(), move |k, w| {
-        // Static home assignment is round-robin; a claim outside the
-        // home share is a steal.
-        if k % nw != w % nw {
+    compute.run(tasks, move |k, w| {
+        if w != home_worker(tasks, budget, k) {
             steals.fetch_add(1, Ordering::Relaxed);
         }
-        advance_slot(&slots[runnable[k]]);
+        advance_slot(&slots[runnable[k]], timed);
     });
 }
 

@@ -109,6 +109,25 @@ fn campaign_is_deterministic_across_host_budgets() {
 }
 
 #[test]
+fn one_host_thread_never_steals_and_times_its_parallel_phase() {
+    // A steal is a step run by a thread other than its home range's
+    // owner; with one host thread every step is the caller's own.
+    let telemetry = taopt_telemetry::global();
+    let wall_before = telemetry.counter("campaign_parallel_wall_us_total").get();
+    let task_before = telemetry.counter("campaign_parallel_task_us_total").get();
+    let config = CampaignConfig {
+        host_threads: 1,
+        ..CampaignConfig::default()
+    };
+    let result = run_campaign(catalog(), &config);
+    assert_eq!(result.steals, 0);
+    // Pool efficiency (task time ÷ wall time × budget) is readable from
+    // these two series on /metrics.
+    assert!(telemetry.counter("campaign_parallel_wall_us_total").get() > wall_before);
+    assert!(telemetry.counter("campaign_parallel_task_us_total").get() > task_before);
+}
+
+#[test]
 fn shared_farm_never_double_allocates() {
     let before = taopt_telemetry::global()
         .counter("campaign_lease_conflicts_total")
