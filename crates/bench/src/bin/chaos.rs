@@ -3,12 +3,21 @@
 //! `BENCH_chaos.json` with per-rate retention and recovery-latency
 //! percentiles, plus a faulted-campaign determinism arm.
 //!
-//! Every row injects faults at all three seams (device farm, event bus,
-//! enforcement) with a uniform per-opportunity rate, runs the same
-//! duration-constrained TaOPT sessions as the fault-free baseline, and
-//! reports what the self-healing coordinator retained: union coverage,
-//! unique crashes, faults injected/recovered, recovery latencies, device
-//! losses survived and enforcement retries.
+//! Every row runs each app as a one-app duration-constrained TaOPT
+//! campaign whose fault plan injects at all three seams (device farm,
+//! event bus, enforcement) with a uniform per-opportunity rate — the
+//! fault-free baseline row runs with no plan — and reports what the
+//! self-healing coordinator retained: union coverage, unique crashes,
+//! faults injected/recovered, recovery latencies, device losses
+//! survived and enforcement retries.
+//!
+//! Recovery p50/p95 and `abandoned` are deltas of global telemetry
+//! series (`chaos_recovery_latency_us`, `replacements_abandoned_total`)
+//! across each row, so the bin refuses to run with `TAOPT_TELEMETRY=off`.
+//! The `recovery_p50_ms`/`recovery_p95_ms` fields are the registry
+//! histogram's log-bucketed quantiles (the `registry_recovery_p*_us`
+//! fields) in milliseconds, not exact order statistics; the mean and max
+//! are exact, from each campaign's fault log.
 //!
 //! Exit gates (CI smoke): coverage retention at the moderate fault rate
 //! must stay above [`MIN_RETENTION`], no orphaned subspaces may remain
@@ -20,9 +29,9 @@ use std::sync::Arc;
 
 use taopt::report::{pct, TextTable};
 use taopt::session::RunMode;
-use taopt::{run_campaign, run_with_chaos, CampaignApp, CampaignConfig, ChaosReport};
+use taopt::{run_campaign, CampaignApp, CampaignConfig, CampaignResult};
 use taopt_bench::{load_apps, BenchReport, HarnessArgs, NamedApp};
-use taopt_chaos::{FaultInjector, FaultPlan, FaultRates, RecoveryKind};
+use taopt_chaos::{FaultPlan, FaultRates, RecoveryKind};
 use taopt_telemetry::HistogramSnapshot;
 use taopt_tools::ToolKind;
 use taopt_ui_model::Value;
@@ -57,12 +66,10 @@ struct RateSummary {
     mean_recovery_ms: f64,
     max_recovery_ms: u64,
     unresolved_orphans: usize,
-    /// Every recovery latency observed at this rate, pooled across apps,
-    /// so percentiles are computed over the real distribution rather
-    /// than a mean of per-app means.
-    recovery_latencies_ms: Vec<u64>,
     /// Samples the `chaos_recovery_latency_us` registry histogram gained
-    /// while this rate ran (the live-telemetry view of the same data).
+    /// while this rate ran: every recovery latency observed at this rate,
+    /// pooled across apps, so percentiles come from the real distribution
+    /// rather than a mean of per-app means.
     registry_samples: u64,
     /// p50 of the registry histogram delta, in µs.
     registry_p50_us: u64,
@@ -95,17 +102,18 @@ fn registry_delta(
 }
 
 impl RateSummary {
-    fn absorb(&mut self, report: &ChaosReport) {
+    /// Folds in one app's one-app campaign.
+    fn absorb(&mut self, result: &CampaignResult) {
+        let report = &result.apps[0];
+        let stats = result.fault_stats.clone().unwrap_or_default();
         self.coverage += report.session.union_coverage();
         self.crashes += report.session.unique_crashes().len();
-        self.injected += report.fault_stats.total_injected();
-        self.recovered += report.fault_stats.total_recovered();
+        self.injected += stats.total_injected();
+        self.recovered += stats.total_recovered();
         self.devices_lost += report.devices_lost;
         self.replacements += report.replacements;
-        self.abandoned += report.replacements_abandoned;
         self.enforcement_retries += report.enforcement_retries;
-        self.rededications += report
-            .fault_stats
+        self.rededications += stats
             .recovered
             .get(&RecoveryKind::SubspaceRededicated)
             .copied()
@@ -114,22 +122,9 @@ impl RateSummary {
         self.duplicates += report.stream.duplicates;
         // Mean of means weighted later by dividing through the app count
         // would hide outliers; track the global latency extremes instead.
-        self.mean_recovery_ms += report.fault_stats.mean_recovery_ms;
-        self.max_recovery_ms = self.max_recovery_ms.max(report.fault_stats.max_recovery_ms);
+        self.mean_recovery_ms += stats.mean_recovery_ms;
+        self.max_recovery_ms = self.max_recovery_ms.max(stats.max_recovery_ms);
         self.unresolved_orphans += report.unresolved_orphans;
-        self.recovery_latencies_ms
-            .extend(report.fault_log.recoveries().iter().map(|r| r.latency_ms()));
-    }
-
-    /// The p-th percentile (0..=100) of pooled recovery latency, in ms.
-    fn latency_percentile_ms(&self, p: f64) -> u64 {
-        let mut sorted = self.recovery_latencies_ms.clone();
-        if sorted.is_empty() {
-            return 0;
-        }
-        sorted.sort_unstable();
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
     }
 }
 
@@ -146,11 +141,11 @@ fn rate_json(rate: f64, s: &RateSummary, baseline: f64) -> Value {
         ("recovered".to_owned(), Value::UInt(s.recovered as u64)),
         (
             "recovery_p95_ms".to_owned(),
-            Value::UInt(s.latency_percentile_ms(95.0)),
+            Value::UInt(s.registry_p95_us / 1000),
         ),
         (
             "recovery_p50_ms".to_owned(),
-            Value::UInt(s.latency_percentile_ms(50.0)),
+            Value::UInt(s.registry_p50_us / 1000),
         ),
         (
             "recovery_mean_ms".to_owned(),
@@ -265,41 +260,57 @@ fn campaign_arm(apps: &[NamedApp], args: &HarnessArgs) -> (bool, Value) {
 
 fn main() -> ExitCode {
     let args = HarnessArgs::parse();
+    if !taopt_telemetry::global().is_enabled() {
+        eprintln!(
+            "chaos: telemetry is disabled (TAOPT_TELEMETRY=off); recovery percentiles \
+             and abandoned replacements are read from it, refusing to run"
+        );
+        return ExitCode::FAILURE;
+    }
     let apps = load_apps(args.n_apps);
     eprintln!("chaos: {} apps, {:?}", apps.len(), args.scale);
     let config = args
         .scale
         .session_config(ToolKind::Monkey, RunMode::TaoptDuration, args.seed);
 
+    let abandoned_counter = taopt_telemetry::global().counter("replacements_abandoned_total");
     let mut rows: Vec<RateSummary> = Vec::new();
     for rate in &RATES {
         let mut summary = RateSummary::default();
         let registry_before = recovery_registry();
-        for (_, app) in &apps {
-            let injector = if *rate == 0.0 {
-                FaultInjector::inert(args.seed)
-            } else {
-                FaultInjector::new(FaultPlan::new(args.seed, FaultRates::uniform(*rate)))
+        let abandoned_before = abandoned_counter.get();
+        for (name, app) in &apps {
+            // Each app is its own one-app campaign; rate 0 runs with no
+            // fault plan at all.
+            let faults =
+                (*rate > 0.0).then(|| FaultPlan::new(args.seed, FaultRates::uniform(*rate)));
+            let one = CampaignApp {
+                name: name.clone(),
+                app: Arc::clone(app),
+                config: config.clone(),
             };
-            let report = run_with_chaos(Arc::clone(app), &config, &injector);
-            summary.absorb(&report);
+            let campaign = CampaignConfig {
+                faults,
+                ..CampaignConfig::default()
+            };
+            summary.absorb(&run_campaign(vec![one], &campaign));
         }
         summary.mean_recovery_ms /= apps.len().max(1) as f64;
+        summary.abandoned = (abandoned_counter.get() - abandoned_before) as usize;
         if let Some(delta) = registry_delta(registry_before, recovery_registry()) {
             summary.registry_samples = delta.count;
             summary.registry_p50_us = delta.quantile(0.5).unwrap_or(0);
             summary.registry_p95_us = delta.quantile(0.95).unwrap_or(0);
         }
         eprintln!(
-            "  rate {:.2}: coverage {}, {} faults, {} recoveries, p95 recovery {}ms \
-             (registry: {} samples, p95 {}us)",
+            "  rate {:.2}: coverage {}, {} faults, {} recoveries, p95 recovery {}us \
+             ({} samples)",
             rate,
             summary.coverage,
             summary.injected,
             summary.recovered,
-            summary.latency_percentile_ms(95.0),
+            summary.registry_p95_us,
             summary.registry_samples,
-            summary.registry_p95_us
         );
         rows.push(summary);
     }
@@ -340,7 +351,7 @@ fn main() -> ExitCode {
             crash_delta(s.crashes),
             s.injected.to_string(),
             s.recovered.to_string(),
-            format!("{:.1}", s.latency_percentile_ms(95.0) as f64 / 1000.0),
+            format!("{:.1}", s.registry_p95_us as f64 / 1e6),
             format!("{:.1}", s.max_recovery_ms as f64 / 1000.0),
             s.devices_lost.to_string(),
             s.replacements.to_string(),

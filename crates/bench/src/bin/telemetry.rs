@@ -1,5 +1,5 @@
-//! Telemetry smoke bench: runs duration-mode TaOPT sessions under
-//! moderate chaos and prints what the global telemetry domain observed —
+//! Telemetry smoke bench: runs each app as a one-app duration-mode TaOPT
+//! campaign under moderate chaos and prints what the global telemetry domain observed —
 //! the metrics snapshot (counters + latency histograms), the top-k
 //! slowest spans, and a replay check of the flight recorder's last 1k
 //! events.
@@ -11,10 +11,10 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use taopt::run_with_chaos;
 use taopt::session::RunMode;
+use taopt::{run_campaign, CampaignApp, CampaignConfig};
 use taopt_bench::{load_apps, BenchReport, HarnessArgs};
-use taopt_chaos::{FaultInjector, FaultPlan, FaultRates};
+use taopt_chaos::{FaultPlan, FaultRates};
 use taopt_telemetry::HistogramSnapshot;
 use taopt_tools::ToolKind;
 
@@ -38,7 +38,7 @@ const REQUIRED_COUNTERS: [&str; 5] = [
     "bus_events_published_total",
     "faults_injected_total",
     "enforcement_retries_total",
-    "chaos_rounds_total",
+    "campaign_rounds_total",
 ];
 
 /// Histogram series the wiring must produce under moderate chaos.
@@ -70,12 +70,23 @@ fn main() -> ExitCode {
         .session_config(ToolKind::Monkey, RunMode::TaoptDuration, args.seed);
 
     for (name, app) in &apps {
-        let injector = FaultInjector::new(FaultPlan::new(args.seed, moderate_rates()));
-        let report = run_with_chaos(Arc::clone(app), &config, &injector);
+        let one = CampaignApp {
+            name: name.clone(),
+            app: Arc::clone(app),
+            config: config.clone(),
+        };
+        let campaign = CampaignConfig {
+            faults: Some(FaultPlan::new(args.seed, moderate_rates())),
+            ..CampaignConfig::default()
+        };
+        let result = run_campaign(vec![one], &campaign);
         eprintln!(
             "  {name}: coverage {}, {} faults injected",
-            report.session.union_coverage(),
-            report.fault_stats.total_injected()
+            result.total_coverage(),
+            result
+                .fault_stats
+                .expect("fault plan was set")
+                .total_injected()
         );
     }
 

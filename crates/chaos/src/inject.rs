@@ -2,10 +2,11 @@
 //!
 //! The injector is the object the runtime actually consults at each seam.
 //! It answers the plan's deterministic decisions *and* records every
-//! injected fault, so a run's chaos history can be audited afterwards.
-//! It is `Sync`: the log sits behind a mutex because the streaming
-//! analyzer consults the bus seam from its worker thread while the
-//! session loop consults the device seam.
+//! injected fault and recovery, so a run's totals and recovery latencies
+//! can be read afterwards ([`FaultInjector::stats`]).
+//! It is `Sync`: the log sits behind a mutex because a campaign's app
+//! steps consult the bus and enforcement seams from pool threads while
+//! the scheduler consults the device seam at the round boundary.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -170,11 +171,6 @@ impl FaultInjector {
             .record(latency_us);
         self.log_mut()
             .record_recovery(injected_at, recovered_at, instance, kind);
-    }
-
-    /// Snapshot of the log so far.
-    pub fn log_snapshot(&self) -> FaultLog {
-        self.log_mut().clone()
     }
 
     /// Aggregated statistics so far.

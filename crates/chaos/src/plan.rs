@@ -27,7 +27,8 @@ pub const APP_LANE_SHIFT: u32 = 16;
 pub enum Seam {
     /// The device farm / emulator boundary.
     Device,
-    /// The Toller event bus carrying trace events.
+    /// The transport carrying trace events from instances to the
+    /// coordinator.
     EventBus,
     /// Block-rule broadcasts from the coordinator to instances.
     Enforcement,

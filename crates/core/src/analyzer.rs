@@ -179,9 +179,6 @@ pub struct OnlineTraceAnalyzer {
     compute: Option<Arc<ComputePool>>,
     /// Per-app screen interner shared by every instance's engine.
     arena: Arc<ScreenArena>,
-    /// Bumped on every subspace-registry mutation; lets snapshot
-    /// publishers detect changes in `O(1)` instead of comparing vectors.
-    version: u64,
     /// Per-analysis latency of the incremental FindSpace run, in µs.
     analysis_latency: taopt_telemetry::Histogram,
     /// Live pair decisions held by the similarity cache.
@@ -218,7 +215,6 @@ impl OnlineTraceAnalyzer {
             similarity_cache: Arc::new(SimilarityCache::new()),
             compute: None,
             arena: Arc::new(ScreenArena::new()),
-            version: 0,
             analysis_latency: taopt_telemetry::global().histogram("findspace_analysis_us"),
             cache_entries: taopt_telemetry::global().gauge("similarity_cache_entries"),
             duplicates_counter: taopt_telemetry::global()
@@ -264,9 +260,6 @@ impl OnlineTraceAnalyzer {
                 first_reported: VirtualTime::ZERO,
                 owner: None,
             });
-        }
-        if !a.subspaces.is_empty() {
-            a.version += 1;
         }
         a
     }
@@ -323,15 +316,7 @@ impl OnlineTraceAnalyzer {
     pub fn set_owner(&mut self, id: SubspaceId, owner: InstanceId) {
         if let Some(s) = self.subspaces.get_mut(id.0 as usize) {
             s.owner = Some(owner);
-            self.version += 1;
         }
-    }
-
-    /// Monotone counter bumped on every subspace-registry mutation.
-    /// Publishers snapshot [`subspaces`](Self::subspaces) only when this
-    /// changes, avoiding a full-vector comparison (or clone) per poll.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Drops a retired instance's analysis state (cursor + incremental
@@ -754,10 +739,6 @@ impl OnlineTraceAnalyzer {
         screens: BTreeSet<AbstractScreenId>,
         now: VirtualTime,
     ) -> Option<SubspaceId> {
-        // Conservatively treat every report as a registry change: a merge
-        // can add entrypoints/reporters, a miss adds a subspace. Spurious
-        // bumps only cost a publisher one extra snapshot.
-        self.version += 1;
         // Merge with an existing subspace if screen sets overlap enough
         // (containment: nested regions merge into their enclosing
         // subspace) or the entrypoint matches.

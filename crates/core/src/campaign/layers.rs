@@ -1,10 +1,10 @@
-//! The seam layers every session driver composes over [`super::step`].
+//! The seam layers the campaign scheduler composes over [`super::step`].
 //!
 //! The reproduction has exactly three seams where a real testing cloud
 //! can misbehave, and each is an explicit layer trait here (DESIGN.md
 //! §12):
 //!
-//! * **device** — how drivers obtain/lose devices:
+//! * **device** — how the scheduler obtains/loses devices:
 //!   [`taopt_device::DevicePool`], with [`taopt_device::PlainPool`] as the
 //!   passthrough and [`taopt_chaos::FaultyPool`] as the fault-injecting
 //!   wrapper (refusals, scheduled losses). Latency spikes are *decided* at
@@ -14,7 +14,8 @@
 //!   [`BusTransport`] decides a [`taopt_chaos::EventFate`] per published
 //!   event and the step repairs the surviving stream back into order with
 //!   [`crate::streaming`]'s sequence layer, so the coordinator only ever
-//!   sees a coordinator-view trace.
+//!   sees a coordinator-view trace. Plain wiring has no bus layer at all:
+//!   the coordinator reads instance traces directly.
 //! * **enforcement** — how coordinator block rules land on devices:
 //!   [`Enforcement`], with [`DirectEnforcement`] wiring the coordinator
 //!   straight to the device list (no retry machinery at all) and
@@ -22,11 +23,12 @@
 //!   through the failure-prone broadcast channel with idempotent retry.
 //!
 //! A [`StepLayers`] bundle picks one implementation per seam.
-//! [`StepLayers::direct`] is the plain wiring — byte-identical to the
-//! pre-layer runtime — and [`StepLayers::chaos`] is the chaotic wiring;
-//! with an inert injector the chaotic wiring produces field-by-field the
-//! same session result as the direct one (pinned by test), which is what
-//! makes fault-free chaos runs a valid baseline.
+//! [`StepLayers::direct`] is the plain wiring of a campaign without a
+//! fault plan, and [`StepLayers::chaos`] is the chaotic wiring of one
+//! with a plan; under an all-zero plan the chaotic wiring produces
+//! field-by-field the same session result as the direct one (pinned by
+//! `tests/campaign.rs::single_app_campaign_matches_serial_session`),
+//! which is what makes a fault-free campaign a valid chaos baseline.
 
 use taopt_chaos::{EventFate, FaultInjector, FaultyLatency, RecoveryKind};
 use taopt_device::{DeviceLatency, NoLatency};
@@ -46,20 +48,6 @@ pub trait BusTransport: Send {
     /// Called once per sequence gap the repair layer gave up on and
     /// skipped — the moment a drop is *healed* rather than suffered.
     fn gap_repaired(&self, lane: u32, now: VirtualTime);
-}
-
-/// The transparent bus: every event is delivered, nothing is recorded.
-/// Exists so harnesses can exercise the full lane machinery (sequence
-/// stamping + reorder repair) without a fault plan.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct InertBus;
-
-impl BusTransport for InertBus {
-    fn fate(&self, _lane: u32, _seq: u64, _now: VirtualTime) -> EventFate {
-        EventFate::Deliver
-    }
-
-    fn gap_repaired(&self, _lane: u32, _now: VirtualTime) {}
 }
 
 /// The chaotic bus: fates come from a [`FaultInjector`] and every healed
@@ -140,9 +128,9 @@ impl Enforcement for DirectEnforcement {
 
 /// One implementation per seam, bundled for [`super::SessionStep`].
 ///
-/// The allocation half of the device seam is *not* held here — drivers
-/// own their pool because device grants flow driver → step, not step →
-/// driver — but its latency half is ([`DeviceLatency`]: spikes must be
+/// The allocation half of the device seam is *not* held here — the
+/// scheduler owns the pool because device grants flow scheduler → step,
+/// not step → scheduler — but its latency half is ([`DeviceLatency`]: spikes must be
 /// applied inside the round, where the emulators live), along with the
 /// injector handle for stamping recovery records on orphan re-dedication.
 pub struct StepLayers {
@@ -179,7 +167,7 @@ impl Default for StepLayers {
 
 impl StepLayers {
     /// The plain wiring: no bus decoration, direct enforcement, no
-    /// injector. Produces the pre-layer runtime byte-for-byte.
+    /// injector.
     pub fn direct() -> Self {
         StepLayers {
             bus: None,
@@ -191,7 +179,7 @@ impl StepLayers {
     }
 
     /// The chaotic wiring: every seam consults `injector`, with lanes
-    /// offset by `lane_base`. An inert injector yields a run
+    /// offset by `lane_base`. An all-zero plan yields a run
     /// field-by-field identical to [`StepLayers::direct`].
     pub fn chaos(injector: &FaultInjector, lane_base: u32) -> Self {
         StepLayers {
@@ -238,14 +226,6 @@ mod tests {
         assert_eq!(actual.read().rules().len(), 1);
         assert_eq!(e.reconcile(VirtualTime::ZERO), 0);
         assert_eq!(e.reapplied(), 0);
-    }
-
-    #[test]
-    fn inert_bus_delivers_everything() {
-        let bus = InertBus;
-        for seq in 0..64 {
-            assert_eq!(bus.fate(3, seq, VirtualTime::ZERO), EventFate::Deliver);
-        }
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! a work-stealing worker pool while keeping every shared-resource
 //! decision deterministic. The module tree:
 //!
-//! * [`step`] — [`step::SessionStep`], the reusable one-round driver
-//!   factored out of `session.rs` (`ParallelSession::run` is now a thin
-//!   loop over it);
+//! * [`step`] — [`step::SessionStep`], one app session as a resumable
+//!   round-step state machine the scheduler advances;
 //! * [`layers`] — the seam layer traits ([`BusTransport`],
 //!   [`Enforcement`], plus the device seam in [`taopt_device::DevicePool`])
 //!   bundled as [`StepLayers`]: the step runs plain or chaotic depending
@@ -22,10 +21,12 @@
 //! * [`scheduler`] — [`scheduler::run_campaign`], the round loop:
 //!   parallel step phase, then a sequential boundary for leasing,
 //!   scheduled kills, rate-planned fault losses, replacements and session
-//!   completion. With [`scheduler::CampaignConfig::faults`] set, the whole
-//!   campaign runs under deterministic fault injection (a chaos campaign).
+//!   completion. It is the crate's only round driver: a single-app
+//!   session (`ParallelSession::run`) is a one-app campaign. With
+//!   [`scheduler::CampaignConfig::faults`] set, the whole campaign runs
+//!   under deterministic fault injection (a chaos campaign).
 //!   [`scheduler::Campaign`] is the same loop held open one round at a
-//!   time, for drivers that interleave checkpointing with execution;
+//!   time, for callers that interleave checkpointing with execution;
 //! * [`sequence`] — [`sequence::run_campaign_sequence`], longitudinal
 //!   sequences over app releases: one campaign per version, threading
 //!   [`crate::warmstart::WarmStart`] bundles across release boundaries
@@ -45,7 +46,7 @@ pub mod sequence;
 pub mod snapshot;
 pub mod step;
 
-pub use layers::{BusTransport, DirectEnforcement, Enforcement, FaultyBus, InertBus, StepLayers};
+pub use layers::{BusTransport, DirectEnforcement, Enforcement, FaultyBus, StepLayers};
 pub use lease::LeaseLedger;
 pub use pool::ComputePool;
 pub use scheduler::{

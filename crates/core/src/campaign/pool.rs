@@ -2,8 +2,9 @@
 //!
 //! [`ComputePool`] is the one place host threads come from. Its
 //! `host_threads` budget is fixed when it is built: `host_threads - 1`
-//! workers are spawned once per [`super::scheduler::Campaign`] (or once
-//! per process for single-app sessions, via [`ComputePool::shared`]),
+//! workers are spawned once per [`super::scheduler::Campaign`] (a
+//! single-app session is a one-app campaign, so it gets its own pool,
+//! capped at its instance count),
 //! park on a condvar while idle, and serve both consumers — the
 //! campaign's per-app step tasks (round advancement) and the analyzer's
 //! phase-A tasks (`ingest_round` batches above `pool_min_window`). No
@@ -52,7 +53,7 @@
 //! reports across `host_threads` budgets. See `DESIGN.md` §16.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
@@ -220,9 +221,9 @@ impl PoolShared {
 /// sized by one campaign-wide `host_threads` budget (see
 /// [`crate::campaign::CampaignConfig::host_threads`]).
 ///
-/// Created once per campaign (or per process, [`ComputePool::shared`])
-/// and threaded down to every consumer as an `Arc`; dropping the last
-/// handle signals shutdown and joins the workers. A budget of 1 spawns
+/// Created once per campaign and threaded down to every consumer as an
+/// `Arc`; dropping the last handle signals shutdown and joins the
+/// workers. A budget of 1 spawns
 /// no threads at all — [`ComputePool::run`] then executes inline, so
 /// serial configurations pay nothing.
 pub struct ComputePool {
@@ -277,14 +278,6 @@ impl ComputePool {
             threads,
             budget,
         })
-    }
-
-    /// The process-local shared pool (auto-detected budget), used by the
-    /// single-app `run`/`run_with_chaos` paths so they ride the same
-    /// machinery as campaigns. Created on first use, never dropped.
-    pub fn shared() -> Arc<ComputePool> {
-        static SHARED: OnceLock<Arc<ComputePool>> = OnceLock::new();
-        Arc::clone(SHARED.get_or_init(|| ComputePool::new(0)))
     }
 
     /// The host-thread budget (≥ 1): the maximum number of threads that
@@ -378,7 +371,7 @@ fn worker_loop(shared: &PoolShared, worker_id: usize) {
 
 /// The auto-detected host budget: `std::thread::available_parallelism`,
 /// falling back to 1 on platforms that cannot report it.
-fn auto_threads() -> usize {
+pub(crate) fn auto_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)

@@ -47,7 +47,18 @@
 //!
 //! An app holding zero devices has a **frozen clock**: its virtual
 //! session time does not advance while it waits, so queueing does not
-//! burn its `l_p`/budget.
+//! burn its `l_p`/budget. A round in which *no* app holds a device (a
+//! faulty farm refused every allocation) still runs its boundaries: the
+//! global clock advances, so refused allocations and replacements retry
+//! with backoff. The campaign stops only when no app is live or at
+//! `max_rounds`.
+//!
+//! # One driver
+//!
+//! This is the only round driver in the crate. A single-app session
+//! ([`crate::session::ParallelSession::run`]) is a one-app campaign with
+//! no fault plan, and a fault-injected session is a one-app
+//! campaign with [`CampaignConfig::faults`] set.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,7 +80,7 @@ use crate::campaign::step::{RoundOutcome, SessionStep};
 use crate::coordinator::CoordinatorEvent;
 use crate::resilience::{ReplacementQueue, RetryPolicy};
 use crate::session::{SessionConfig, SessionResult};
-use crate::streaming::{CampaignBus, StreamStats};
+use crate::streaming::StreamStats;
 
 /// A deterministic mid-campaign device kill: at the end of global round
 /// `round`, the `victim % leased`-th currently leased device (in
@@ -109,16 +120,14 @@ pub struct CampaignConfig {
     pub min_hold_rounds: u64,
     /// Scheduled device kills.
     pub kills: Vec<KillEvent>,
-    /// Optional per-app-partitioned event bus; when set, every trace
-    /// event is published on the app's partition.
-    pub bus: Option<CampaignBus>,
     /// Optional fault plan: when set, the whole campaign runs under
     /// deterministic fault injection — the shared farm is wrapped in a
     /// [`FaultyPool`] (allocation refusals, rate-planned device losses)
     /// and every app's step gets the chaotic [`StepLayers`] on its own
     /// lane range (bus fates, latency spikes, enforcement failures).
     pub faults: Option<FaultPlan>,
-    /// Hard stop (defensive; never reached by a healthy campaign).
+    /// Hard stop: never reached by a healthy campaign, but it is what
+    /// bounds one whose farm refuses every allocation forever.
     pub max_rounds: u64,
 }
 
@@ -129,7 +138,6 @@ impl Default for CampaignConfig {
             capacity: None,
             min_hold_rounds: 3,
             kills: Vec::new(),
-            bus: None,
             faults: None,
             max_rounds: 1_000_000,
         }
@@ -435,6 +443,9 @@ impl std::fmt::Debug for Campaign {
 
 impl Campaign {
     /// Sets up a campaign and performs the initial leasing boundary.
+    ///
+    /// Panics if `apps` is empty or an app asks for zero instances (such
+    /// an app never holds a device and would idle until `max_rounds`).
     pub fn new(apps: Vec<CampaignApp>, config: &CampaignConfig) -> Self {
         assert!(!apps.is_empty(), "campaign needs at least one app");
         let host_start = std::time::Instant::now();
@@ -464,6 +475,7 @@ impl Campaign {
             .enumerate()
             .map(|(i, a)| {
                 let d_max = a.config.instances;
+                assert!(d_max > 0, "app d_max must be at least 1");
                 assert!(
                     d_max < (1usize << APP_LANE_SHIFT),
                     "app d_max must fit below the per-app lane range"
@@ -471,9 +483,6 @@ impl Campaign {
                 let mut step = SessionStep::new(a.app, a.config).with_compute(Arc::clone(&compute));
                 if let Some(inj) = &injector {
                     step = step.with_layers(StepLayers::chaos(inj, (i as u32) << APP_LANE_SHIFT));
-                }
-                if let Some(bus) = &config.bus {
-                    step = step.with_publisher(bus.sender(i));
                 }
                 Mutex::new(Slot {
                     name: a.name,
@@ -551,9 +560,13 @@ impl Campaign {
     }
 
     /// Advances the campaign one global round. Returns `false` once no
-    /// further round can run (all apps finished, nothing runnable, or
-    /// the `max_rounds` stop) — after which the driver must call
-    /// [`Campaign::finish`].
+    /// further round can run (every app finished, or the `max_rounds`
+    /// stop) — after which the driver must call [`Campaign::finish`].
+    ///
+    /// A round in which no live app holds a device still runs the
+    /// boundaries: no step advances (waiting clocks stay frozen), but the
+    /// global round advances, so refused allocations and queued
+    /// replacements are retried at the leasing boundary.
     pub fn advance_round(&mut self) -> bool {
         let host_timer = self.round_host_us.timer();
         let mut runnable: Vec<usize> = Vec::new();
@@ -571,11 +584,6 @@ impl Campaign {
         }
         self.active_apps_gauge.set(live as i64);
         if live == 0 {
-            return false;
-        }
-        if runnable.is_empty() {
-            // Unreachable for a healthy scheduler: the boundary below
-            // always leaves at least one live app holding a device.
             return false;
         }
         self.round += 1;

@@ -1,22 +1,20 @@
-//! One app session, factored into a resumable round-step driver.
+//! One app session as a resumable round-step state machine.
 //!
-//! [`SessionStep`] is the per-round loop of
-//! [`crate::session::ParallelSession::run`] turned inside out: instead of
-//! owning a [`taopt_device::DeviceFarm`] and looping to completion, it
-//! exposes `demand()` / `grant()` / `advance_round()` / `finish()` so an
-//! external scheduler (the serial [`crate::session::ParallelSession`]
-//! driver or the campaign scheduler in [`crate::campaign::scheduler`]) can
-//! interleave many sessions over one shared farm.
+//! [`SessionStep`] holds one app's session — instances, coordinator,
+//! union coverage, machine meter — and never owns a device farm. It
+//! exposes `demand()` / `grant()` / `advance_round()` / `finish()`, and
+//! the campaign scheduler ([`crate::campaign::scheduler`]), the one round
+//! driver, calls them to interleave many sessions over one shared farm.
+//! A single-app session is a one-app campaign.
 //!
 //! Machine time is accounted by a private [`MachineMeter`] rather than the
 //! farm, so per-app resource budgets keep working when the farm is shared
-//! by the whole campaign. Driven by a farm of capacity `d_max`, the step
-//! reproduces the legacy session loop event-for-event.
+//! by the whole campaign.
 //!
 //! Fault behaviour is not a separate runtime: a [`StepLayers`] bundle
 //! plugs one implementation per seam (bus transport, enforcement channel,
 //! plus the chaos handle for latency spikes and recovery records) into
-//! the same round body, so plain, chaos and campaign runs differ only in
+//! the same round body, so plain and faulted campaigns differ only in
 //! wiring (DESIGN.md §12).
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -25,7 +23,7 @@ use std::sync::Arc;
 use taopt_app_sim::{App, MethodId};
 use taopt_device::DeviceId;
 use taopt_telemetry::Counter;
-use taopt_toller::{EntrypointRule, EventSender, InstanceId, InstrumentedInstance};
+use taopt_toller::{EntrypointRule, InstanceId, InstrumentedInstance};
 use taopt_ui_model::abstraction::abstract_hierarchy;
 use taopt_ui_model::{ActivityId, ScreenId, Trace, VirtualDuration, VirtualTime};
 
@@ -36,8 +34,8 @@ use crate::metrics::curves::CurvePoint;
 use crate::session::{InstanceResult, RunMode, SessionConfig, SessionResult};
 use crate::streaming::{BusLane, StreamStats};
 
-/// Decorrelated per-instance seed stream (shared by every session flavor
-/// so serial, chaos and campaign runs boot identical instances).
+/// Decorrelated per-instance seed stream: instance `iid` of a session
+/// boots the same tool and device seeds whatever campaign it runs in.
 pub fn instance_seed(base_seed: u64, iid: InstanceId) -> u64 {
     base_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(
         (iid.0 as u64)
@@ -157,8 +155,6 @@ struct ActiveInstance {
     /// Activity-partition mode: screens this instance owns.
     owned_screens: Vec<ScreenId>,
     jump_cursor: usize,
-    /// Trace events already forwarded to the campaign bus.
-    forwarded: usize,
     /// Bus-seam lane state (present iff the layer bundle has a bus
     /// transport): the coordinator then analyzes the lane's repaired
     /// coordinator-view trace instead of the instance trace.
@@ -242,7 +238,6 @@ pub struct SessionStep {
     started: bool,
     /// Resource mode: confirmed-subspace growth not yet granted.
     pending_growth: usize,
-    publisher: Option<EventSender>,
     /// Seam layer bundle (bus transport, enforcement channel, chaos
     /// handle); [`StepLayers::direct`] unless a driver plugs in more.
     layers: StepLayers,
@@ -308,7 +303,6 @@ impl SessionStep {
             done: false,
             started: false,
             pending_growth: 0,
-            publisher: None,
             layers: StepLayers::direct(),
             round: 0,
             orphaned_since: BTreeMap::new(),
@@ -317,12 +311,6 @@ impl SessionStep {
             cover_counter: telemetry.counter("cover_events_total"),
             coordinator_errors: telemetry.counter("coordinator_errors_total"),
         }
-    }
-
-    /// Publishes every trace event onto a campaign bus partition.
-    pub fn with_publisher(mut self, publisher: EventSender) -> Self {
-        self.publisher = Some(publisher);
-        self
     }
 
     /// Plugs in a seam layer bundle ([`StepLayers::chaos`] for fault
@@ -341,17 +329,6 @@ impl SessionStep {
     ) -> Self {
         self.coordinator.set_compute(pool);
         self
-    }
-
-    /// The session's local clock (frozen while it holds no devices and is
-    /// not being advanced).
-    pub fn now(&self) -> VirtualTime {
-        self.now
-    }
-
-    /// Whether the termination condition was reached.
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     /// Devices currently held.
@@ -476,7 +453,6 @@ impl SessionStep {
             cover_events: boot_covered,
             owned_screens,
             jump_cursor: 0,
-            forwarded: 0,
             bus: self.layers.bus.is_some().then(BusLane::new),
         });
         iid
@@ -531,14 +507,6 @@ impl SessionStep {
                 if r.new_screen {
                     a.last_new_screen = r.time;
                 }
-            }
-        }
-        if let Some(tx) = &self.publisher {
-            for a in self.active.iter_mut() {
-                for ev in &a.inst.trace().events()[a.forwarded..] {
-                    let _ = tx.send(a.inst.id(), ev.clone());
-                }
-                a.forwarded = a.inst.trace().len();
             }
         }
         // Bus seam: push new trace events through the transport; the
@@ -784,12 +752,6 @@ impl SessionStep {
     /// its result. Returns the freed device.
     fn retire(&mut self, idx: usize, now: VirtualTime) -> DeviceId {
         let mut a = self.active.swap_remove(idx);
-        if let Some(tx) = &self.publisher {
-            for ev in &a.inst.trace().events()[a.forwarded..] {
-                let _ = tx.send(a.inst.id(), ev.clone());
-            }
-            a.forwarded = a.inst.trace().len();
-        }
         if let Some(mut lane) = a.bus.take() {
             // Deliver everything still in flight, then fold the lane's
             // repair counters into the session total.

@@ -25,19 +25,19 @@
 //! * [`session`] — end-to-end **parallel sessions** wiring devices, tools,
 //!   the Toller shim and the coordinator together, including the two
 //!   baselines (uncoordinated parallelism; ParaAim-style activity
-//!   partitioning);
+//!   partitioning); a session runs as a one-app campaign;
 //! * [`metrics`] — Jaccard/AJS coverage-overlap, UI-screen overlap
 //!   (Table 6) and coverage-curve utilities;
 //! * [`experiments`] — runnable reproductions of every table and figure
 //!   in the paper's evaluation;
-//! * [`campaign`] — the **layered runtime**: the round-based
-//!   [`SessionStep`] engine every driver shares, the device / bus /
-//!   enforcement seam layers ([`StepLayers`]), and multi-app campaign
-//!   scheduling over a shared farm (optionally fault-injected via a
-//!   `FaultPlan`);
-//! * [`chaos_session`] + [`resilience`] — chaos-mode single sessions
-//!   ([`run_with_chaos`]) and the self-healing machinery (replacement
-//!   queues, enforcement broadcast with retry).
+//! * [`campaign`] — the **layered runtime** and the crate's one round
+//!   driver: the round-based [`SessionStep`] engine, the device / bus /
+//!   enforcement seam layers ([`StepLayers`]), and campaign scheduling of
+//!   one or many apps over a shared farm ([`run_campaign`]), optionally
+//!   fault-injected via `CampaignConfig::faults`;
+//! * [`streaming`] + [`resilience`] — the self-healing machinery a faulted
+//!   campaign runs on: sequence-order repair of the event stream,
+//!   replacement queues, enforcement broadcast with retry.
 //!
 //! ## Quickstart
 //!
@@ -70,7 +70,6 @@
 
 pub mod analyzer;
 pub mod campaign;
-pub mod chaos_session;
 pub mod conductance;
 pub mod coordinator;
 pub mod error;
@@ -90,15 +89,14 @@ pub use analyzer::{AnalyzerConfig, OnlineTraceAnalyzer, SubspaceId, SubspaceInfo
 pub use campaign::{
     run_campaign, run_campaign_sequence, AppReport, BusTransport, Campaign, CampaignApp,
     CampaignConfig, CampaignDigest, CampaignResult, CampaignSequence, ComputePool,
-    DirectEnforcement, Enforcement, EvolutionAppReport, EvolutionReport, FaultyBus, InertBus,
-    KillEvent, SessionStep, StepLayers, StepProgress, VersionOutcome,
+    DirectEnforcement, Enforcement, EvolutionAppReport, EvolutionReport, FaultyBus, KillEvent,
+    SessionStep, StepLayers, StepProgress, VersionOutcome,
 };
-pub use chaos_session::{run_with_chaos, ChaosReport};
 pub use conductance::{conductance, partition_score};
 pub use coordinator::{CoordinatorEvent, TestCoordinator};
 pub use error::TaoptError;
 pub use findspace::{find_space, FindSpaceConfig, SplitCandidate};
 pub use resilience::{BroadcastEnforcement, EnforcementBroadcaster, ReplacementQueue, RetryPolicy};
 pub use session::{ParallelSession, RunMode, SessionConfig, SessionResult};
-pub use streaming::{StreamStats, StreamingAnalyzer};
+pub use streaming::StreamStats;
 pub use warmstart::{WarmReuse, WarmStart, WarmSubspace};

@@ -350,7 +350,6 @@ pub struct ReplacementRequest {
 pub struct ReplacementQueue {
     policy: RetryPolicy,
     pending: Vec<ReplacementRequest>,
-    given_up: usize,
 }
 
 impl ReplacementQueue {
@@ -359,7 +358,6 @@ impl ReplacementQueue {
         ReplacementQueue {
             policy,
             pending: Vec::new(),
-            given_up: 0,
         }
     }
 
@@ -391,11 +389,11 @@ impl ReplacementQueue {
     }
 
     /// Re-queues a failed request with exponential backoff, or gives up
-    /// once the attempt budget is exhausted.
+    /// once the attempt budget is exhausted (counted in
+    /// `replacements_abandoned_total`).
     pub fn defer(&mut self, mut req: ReplacementRequest, now: VirtualTime) {
         req.attempts += 1;
         if req.attempts >= self.policy.max_attempts {
-            self.given_up += 1;
             taopt_telemetry::global()
                 .counter("replacements_abandoned_total")
                 .inc();
@@ -408,11 +406,6 @@ impl ReplacementQueue {
     /// Replacements still being retried.
     pub fn outstanding(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Replacements abandoned after exhausting the retry budget.
-    pub fn given_up(&self) -> usize {
-        self.given_up
     }
 }
 
@@ -520,7 +513,10 @@ mod tests {
         assert_eq!(due.len(), 1);
         q.defer(due[0], t0 + VirtualDuration::from_secs(100));
         assert_eq!(q.outstanding(), 0);
-        assert_eq!(q.given_up(), 1);
+        assert!(
+            q.due(t0 + VirtualDuration::from_hours(1)).is_empty(),
+            "an abandoned replacement is never retried"
+        );
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! End-to-end parallel testing sessions (§5.1, §6.1).
 //!
-//! A [`ParallelSession`] wires the whole stack together — device farm,
-//! emulators, black-box tools, the Toller shim and the TaOPT coordinator —
-//! and advances all instances in lock-step virtual-time rounds. Four run
-//! modes cover the paper's settings:
+//! A [`ParallelSession`] is one app explored by `d_max` coordinated
+//! instances: the device farm, emulators, black-box tools, the Toller
+//! shim and the TaOPT coordinator advanced in lock-step virtual-time
+//! rounds. It is run as a one-app campaign ([`crate::campaign`]), so the
+//! campaign scheduler is the only round driver. This module holds the
+//! session's configuration and result types. Five run modes cover the
+//! paper's settings and its baselines:
 //!
 //! * [`RunMode::Baseline`] — uncoordinated parallelism: `d_max` instances
 //!   with different seeds, no interference (the §3.1/§6.1 baseline);
@@ -16,19 +19,21 @@
 //! * [`RunMode::ActivityPartition`] — the ParaAim-style baseline of §3.3:
 //!   activities are statically assigned round-robin; widgets leading to
 //!   foreign activities are blocked, and stalled instances jump to an
-//!   owned activity by Intent.
+//!   owned activity by Intent;
+//! * [`RunMode::PatsMasterSlave`] — PATS-style master–slave dispatch
+//!   (related work, §9).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use taopt_app_sim::{App, CrashSignature, MethodId};
-use taopt_device::{DevicePool, PlainPool, PoolDecision};
 use taopt_toller::InstanceId;
 use taopt_tools::ToolKind;
 use taopt_ui_model::{Trace, VirtualDuration, VirtualTime};
 
 use crate::analyzer::{AnalyzerConfig, SubspaceInfo};
-use crate::campaign::SessionStep;
+use crate::campaign::pool::auto_threads;
+use crate::campaign::{run_campaign, CampaignApp, CampaignConfig};
 use crate::coordinator::CoordinatorEvent;
 use crate::metrics::curves::CurvePoint;
 
@@ -270,48 +275,36 @@ pub struct ParallelSession;
 impl ParallelSession {
     /// Runs a session to completion and returns its results.
     ///
-    /// The run is fully deterministic given `config.seed`. Internally this
-    /// is a thin driver over [`SessionStep`] — the per-round loop factored
-    /// out so the campaign scheduler (`crate::campaign`) can interleave
-    /// many sessions over one shared farm — allocating through the device
-    /// seam ([`taopt_device::DevicePool`]) from a private [`PlainPool`] of
-    /// capacity `d_max` that always satisfies demand, which reproduces the
-    /// legacy dedicated-slice behaviour exactly. Orphan repair is on, as
-    /// in every driver: a confirmed subspace whose owners all retired in
-    /// one round is re-dedicated to a survivor instead of being stranded.
+    /// The run is fully deterministic given `config.seed`. A session is a
+    /// one-app campaign ([`run_campaign`]) with an otherwise default
+    /// [`CampaignConfig`]: the farm's capacity is the app's `d_max`, so
+    /// every demand is granted at once, and no fault plan is set, so every
+    /// seam layer is the plain wiring. Orphan repair is on, as in every
+    /// campaign: a confirmed subspace whose owners all retired in one
+    /// round is re-dedicated to a survivor instead of being stranded.
+    ///
+    /// The session's compute pool is the auto-detected host budget capped
+    /// at `config.instances`: one app's rounds never hold more parallel
+    /// tasks than it has instances, and callers run many sessions at once.
+    /// Results do not depend on the budget.
+    ///
+    /// Panics if `config.instances` is 0.
     pub fn run(app: Arc<App>, config: &SessionConfig) -> SessionResult {
-        taopt_telemetry::global()
-            .counter("sessions_started_total")
-            .inc();
-        let mut pool = PlainPool::new(config.instances);
-        // Single-app runs ride the process-local shared compute pool —
-        // the same machinery campaigns size per-config.
-        let mut step = SessionStep::new(app, config.clone())
-            .with_compute(crate::campaign::pool::ComputePool::shared());
-        loop {
-            // A dedicated pool of capacity d_max can always satisfy the
-            // step's demand (demand() never exceeds d_max − active).
-            while step.demand() > 0 {
-                let PoolDecision::Granted(device) = pool.allocate(step.now()) else {
-                    break;
-                };
-                step.grant(device);
-            }
-            let out = step.advance_round();
-            let now = step.now();
-            for d in out.released {
-                pool.release(d, now);
-            }
-            if out.done {
-                break;
-            }
-        }
-        let end = step.now();
-        let fin = step.finish();
-        for d in fin.released {
-            pool.release(d, end);
-        }
-        fin.result
+        let campaign = CampaignConfig {
+            host_threads: config.instances.min(auto_threads()),
+            ..CampaignConfig::default()
+        };
+        let one = CampaignApp {
+            name: app.name().to_owned(),
+            app,
+            config: config.clone(),
+        };
+        let mut result = run_campaign(vec![one], &campaign);
+        result
+            .apps
+            .pop()
+            .expect("a campaign reports every app")
+            .session
     }
 }
 

@@ -1,14 +1,15 @@
-//! The device-pool seam: how session drivers obtain, lose and return
-//! devices.
+//! The device-pool seam: how the session driver obtains, loses and
+//! returns devices.
 //!
-//! Every driver in the reproduction — the plain serial session, the chaos
-//! harness, the multi-app campaign scheduler — acquires capacity through
-//! this trait instead of talking to [`DeviceFarm`] directly. A plain run
-//! uses [`PlainPool`], a transparent passthrough; a chaos run wraps the
-//! same farm in a fault-injecting pool (see `taopt-chaos`) that refuses
-//! allocations, schedules device losses and keeps the fault log, **without
-//! the driver loop changing shape**. That is the first of the three seam
-//! layers (device / bus / enforcement) described in DESIGN.md §12.
+//! The campaign scheduler — which also runs every single-app and
+//! fault-injected session, as one-app campaigns — acquires capacity
+//! through this trait instead of talking to [`DeviceFarm`] directly. A
+//! plain run uses [`PlainPool`], a transparent passthrough; a chaos run
+//! wraps the same farm in a fault-injecting pool (see `taopt-chaos`) that
+//! refuses allocations, schedules device losses and keeps the fault log,
+//! **without the driver loop changing shape**. That is the first of the
+//! three seam layers (device / bus / enforcement) described in DESIGN.md
+//! §12.
 
 use taopt_ui_model::{VirtualDuration, VirtualTime};
 

@@ -7,7 +7,8 @@
 //! into a bounded queue drained by a fixed worker pool; when the queue is
 //! full the acceptor answers `503 Service Unavailable` (with
 //! `Retry-After`) on the spot and closes — saturation costs one small
-//! write, not a thread. A second, application-level valve protects the
+//! write and a non-blocking discard of the request bytes already received
+//! (so the close is not a reset), not a thread. A second, application-level valve protects the
 //! service itself: when the number of non-terminal campaigns reaches
 //! `max_pending_campaigns`, submissions and imports get `429 Too Many
 //! Requests` while cheap status reads keep working. Both rejections are
@@ -26,7 +27,8 @@
 //! | `POST /v1/drain`                   | checkpoint everything, stop accepting    |
 //! | `GET /metrics`                     | Prometheus text exposition               |
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -40,7 +42,7 @@ use taopt_service::{CampaignId, CampaignService, CampaignSpec, CampaignStatus, S
 use taopt_telemetry::Labels;
 use taopt_ui_model::json::Value;
 
-use crate::http::{read_request, write_response, Request, Response};
+use crate::http::{read_request, write_response, Request, Response, MAX_HEAD_BYTES};
 use crate::wire;
 
 /// Server knobs. The defaults favor a small, fully bounded footprint.
@@ -185,8 +187,30 @@ fn acceptor_loop(listener: &TcpListener, tx: SyncSender<TcpStream>, inner: &Arc<
                     &mut stream,
                     &Response::error(503, "request queue is full; retry later"),
                 );
+                close_shed(stream);
             }
             Err(TrySendError::Disconnected(_)) => return,
+        }
+    }
+}
+
+/// Closes a shed connection so the client can read its 503. Closing a
+/// socket with unread request bytes makes the kernel send a reset, which
+/// can discard the response before the client reads it. So the write side
+/// is shut first and whatever request bytes have already arrived (up to
+/// [`MAX_HEAD_BYTES`]) are read and discarded. The reads never block, so
+/// shedding still costs the acceptor no waiting.
+fn close_shed(mut stream: TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
+    let mut sink = [0u8; 4096];
+    let mut budget = MAX_HEAD_BYTES;
+    while budget > 0 {
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => budget = budget.saturating_sub(n),
         }
     }
 }

@@ -175,6 +175,13 @@ impl CampaignSpec {
         if self.apps.is_empty() {
             return Err(ServiceError::Rejected("spec has no apps".to_owned()));
         }
+        if self.scale.instances == 0 {
+            // An app with d_max = 0 never holds a device, so its campaign
+            // would idle until `max_rounds`.
+            return Err(ServiceError::Rejected(
+                "scale.instances must be at least 1".to_owned(),
+            ));
+        }
         let mut apps = Vec::with_capacity(self.apps.len());
         for a in &self.apps {
             let app = a.source.build()?;
@@ -189,7 +196,6 @@ impl CampaignSpec {
             capacity: self.capacity,
             min_hold_rounds: self.min_hold_rounds,
             kills: self.kills.clone(),
-            bus: None,
             faults: self.faults.clone(),
             max_rounds: self.max_rounds,
         };

@@ -363,6 +363,13 @@ fn admission_control_rejects_impossible_and_invalid_specs() {
         service.submit(bad, 0),
         Err(ServiceError::UnknownApp(_))
     ));
+    // Zero instances per app: the app could never hold a device.
+    let mut idle = tiny_spec(1, 1, 1);
+    idle.scale.instances = 0;
+    assert!(matches!(
+        service.submit(idle, 0),
+        Err(ServiceError::Rejected(why)) if why.contains("instances")
+    ));
     assert!(matches!(
         service.status(taopt_service::CampaignId(77)),
         Err(ServiceError::UnknownCampaign(77))

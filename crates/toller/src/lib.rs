@@ -10,9 +10,9 @@
 //! This crate reproduces that interposition point for the simulated stack:
 //!
 //! * [`TransitionMonitor`] — builds the per-instance UI transition
-//!   [`taopt_ui_model::Trace`] from observations, optionally publishing
-//!   each event on a [`crossbeam`] channel ([`EventBus`]) for streaming
-//!   consumers;
+//!   [`taopt_ui_model::Trace`] from observations; the coordinator reads
+//!   that trace once per round (through a sequence-repairing bus layer in
+//!   `taopt` when a fault plan is active);
 //! * [`BlockList`] / [`EntrypointRule`] — the shared, dynamically updated
 //!   set of blocked subspace entrypoints, applied to every hierarchy
 //!   *before* the tool observes it;
@@ -28,11 +28,9 @@
 #![warn(missing_docs)]
 
 pub mod enforce;
-pub mod events;
 pub mod instance;
 pub mod monitor;
 
 pub use enforce::{BlockList, EntrypointRule, SharedBlockList};
-pub use events::{BusEvent, EventBus, EventSender};
 pub use instance::{InstanceId, InstrumentedInstance, StepReport};
 pub use monitor::TransitionMonitor;

@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use taopt_ui_model::{Action, ScreenObservation, Trace, TraceEvent};
 
-use crate::events::EventSender;
 use crate::instance::InstanceId;
 
 /// Builds the UI transition trace of one testing instance.
@@ -16,7 +15,6 @@ use crate::instance::InstanceId;
 pub struct TransitionMonitor {
     instance: InstanceId,
     trace: Trace,
-    publish: Option<EventSender>,
 }
 
 impl TransitionMonitor {
@@ -25,14 +23,7 @@ impl TransitionMonitor {
         TransitionMonitor {
             instance,
             trace: Trace::new(),
-            publish: None,
         }
-    }
-
-    /// Also publish each event on a bus ([`crate::EventBus::sender`]).
-    pub fn with_publisher(mut self, tx: EventSender) -> Self {
-        self.publish = Some(tx);
-        self
     }
 
     /// Records an observation. `prev` is the screen the `action` was fired
@@ -59,18 +50,6 @@ impl TransitionMonitor {
             action,
             action_widget_rid,
         };
-        if let Some(tx) = &self.publish {
-            let _ = tx.send(self.instance, event.clone());
-        }
-        self.trace.push(event);
-    }
-
-    /// Records an already-built event (e.g. republishing another
-    /// monitor's trace onto a bus).
-    pub fn record_event(&mut self, event: TraceEvent) {
-        if let Some(tx) = &self.publish {
-            let _ = tx.send(self.instance, event.clone());
-        }
         self.trace.push(event);
     }
 
@@ -112,20 +91,5 @@ mod tests {
             "rid of the fired widget captured"
         );
         assert_eq!(events[1].action, Some(Action::Widget(aid)));
-    }
-
-    #[test]
-    fn publisher_receives_copies() {
-        let bus = crate::events::EventBus::new();
-        let app = Arc::new(generate_app(&GeneratorConfig::small("mon", 2)).unwrap());
-        let mut rt = AppRuntime::launch(app, 1);
-        let mut m = TransitionMonitor::new(InstanceId(3)).with_publisher(bus.sender());
-        let obs = rt.observe(VirtualTime::ZERO);
-        m.record(None, None, &obs);
-        let drained = bus.drain();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].instance, InstanceId(3));
-        assert_eq!(drained[0].seq, 0);
-        assert_eq!(m.trace().len(), 1);
     }
 }

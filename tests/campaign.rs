@@ -1,11 +1,13 @@
 //! Campaign runtime integration tests: determinism across host budgets,
-//! shared-farm safety, device-loss recovery and serial parity.
+//! shared-farm safety, device-loss recovery and inert-layer parity.
 
 use std::sync::Arc;
 
 use taopt::campaign::{run_campaign, CampaignApp, CampaignConfig, KillEvent};
 use taopt::session::{ParallelSession, RunMode, SessionConfig};
+use taopt::StreamStats;
 use taopt_app_sim::{generate_app, App, GeneratorConfig};
+use taopt_chaos::{FaultPlan, FaultRates};
 use taopt_tools::ToolKind;
 use taopt_ui_model::VirtualDuration;
 
@@ -236,29 +238,90 @@ fn killed_devices_are_replaced_and_no_subspace_is_orphaned() {
 
 #[test]
 fn single_app_campaign_matches_serial_session() {
-    // A one-app campaign on an uncontended farm is the serial session,
-    // rescheduled — for a coordinator-free mode the results must be
-    // identical field by field.
-    let config = quick_config(ToolKind::Monkey, RunMode::Baseline, 77);
-    let serial = ParallelSession::run(small_app("parity", 77), &config);
-    let campaign = run_campaign(
-        vec![CampaignApp {
-            name: "parity".to_owned(),
-            app: small_app("parity", 77),
-            config,
-        }],
-        &CampaignConfig::default(),
-    );
-    let c = &campaign.apps[0].session;
-    assert_eq!(c.union_coverage(), serial.union_coverage());
-    assert_eq!(c.unique_crashes(), serial.unique_crashes());
-    assert_eq!(c.machine_time, serial.machine_time);
-    assert_eq!(c.wall_clock, serial.wall_clock);
-    assert_eq!(c.instances.len(), serial.instances.len());
-    for (a, b) in c.instances.iter().zip(serial.instances.iter()) {
-        assert_eq!(a.instance, b.instance);
-        assert_eq!(a.covered, b.covered);
-        assert_eq!(a.cover_events, b.cover_events);
-        assert_eq!(a.trace.len(), b.trace.len());
+    // `ParallelSession::run` is a one-app campaign with plain wiring; the
+    // same campaign under an all-zero fault plan swaps every seam layer
+    // for its chaotic implementation (faulty pool, bus lanes with stream
+    // repair, broadcast enforcement). Inert layers must be observably
+    // absent: the session result is identical field by field, in every
+    // run mode.
+    for mode in [
+        RunMode::Baseline,
+        RunMode::TaoptDuration,
+        RunMode::TaoptResource,
+        RunMode::ActivityPartition,
+        RunMode::PatsMasterSlave,
+    ] {
+        let mut config = quick_config(ToolKind::Monkey, mode, 77);
+        if mode == RunMode::TaoptResource {
+            config.machine_budget = Some(VirtualDuration::from_mins(12));
+        }
+        let serial = ParallelSession::run(small_app("parity", 77), &config);
+        let campaign = run_campaign(
+            vec![CampaignApp {
+                name: "parity".to_owned(),
+                app: small_app("parity", 77),
+                config,
+            }],
+            &CampaignConfig {
+                faults: Some(FaultPlan::new(9, FaultRates::none())),
+                ..CampaignConfig::default()
+            },
+        );
+        assert_eq!(campaign.fault_stats.expect("plan set").total_injected(), 0);
+        let app = &campaign.apps[0];
+        assert_eq!(app.devices_lost, 0);
+        assert_eq!(app.stream, StreamStats::default());
+        assert_eq!(app.unresolved_orphans, 0);
+        let c = &app.session;
+        let fields = [
+            (
+                "tool",
+                format!("{:?}", serial.tool),
+                format!("{:?}", c.tool),
+            ),
+            (
+                "mode",
+                format!("{:?}", serial.mode),
+                format!("{:?}", c.mode),
+            ),
+            (
+                "instances",
+                format!("{:?}", serial.instances),
+                format!("{:?}", c.instances),
+            ),
+            (
+                "union_curve",
+                format!("{:?}", serial.union_curve),
+                format!("{:?}", c.union_curve),
+            ),
+            (
+                "machine_time",
+                format!("{:?}", serial.machine_time),
+                format!("{:?}", c.machine_time),
+            ),
+            (
+                "wall_clock",
+                format!("{:?}", serial.wall_clock),
+                format!("{:?}", c.wall_clock),
+            ),
+            (
+                "subspaces",
+                format!("{:?}", serial.subspaces),
+                format!("{:?}", c.subspaces),
+            ),
+            (
+                "coordinator_events",
+                format!("{:?}", serial.coordinator_events),
+                format!("{:?}", c.coordinator_events),
+            ),
+            (
+                "concurrency_timeline",
+                format!("{:?}", serial.concurrency_timeline),
+                format!("{:?}", c.concurrency_timeline),
+            ),
+        ];
+        for (name, s, c) in fields {
+            assert_eq!(s, c, "{mode:?}: field `{name}` diverged under inert layers");
+        }
     }
 }

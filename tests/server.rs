@@ -76,6 +76,16 @@ fn shard(tag: &str) -> (ServerHandle, Client) {
 
 const WAIT: Duration = Duration::from_secs(120);
 
+/// A campaign that reserves a default-sized farm and runs for a virtual
+/// year. Submitted at a higher priority, it keeps every later campaign
+/// queued however fast the host runs rounds, which is what a bounded-wait
+/// test needs to observe a live status.
+fn farm_holder() -> CampaignSpec {
+    let mut holder = tiny_spec("hold", 3, 365 * 24 * 60);
+    holder.capacity = Some(ServiceConfig::new(PathBuf::new()).farm_capacity);
+    holder
+}
+
 #[test]
 fn submit_over_wire_is_byte_identical_to_in_process() {
     let spec = tiny_spec("wire", 41, 3);
@@ -259,6 +269,7 @@ fn saturated_worker_pool_sheds_load_with_503() {
 #[test]
 fn wire_wait_is_bounded() {
     let (handle, client) = shard("boundedwait");
+    client.submit(&farm_holder(), 9).unwrap();
     let id = client.submit(&tiny_spec("bw", 17, 60), 5).unwrap();
     let t0 = Instant::now();
     let status = client.wait_once(id, Duration::from_millis(100)).unwrap();
@@ -267,11 +278,14 @@ fn wire_wait_is_bounded() {
         "bounded wait took {:?}",
         t0.elapsed()
     );
-    // The campaign is long; a 100 ms wait must return a live status.
-    assert!(
-        !matches!(status, CampaignStatus::Done | CampaignStatus::Failed(_)),
-        "long campaign finished within the bounded wait: {status:?}"
+    assert_eq!(
+        status,
+        CampaignStatus::Queued,
+        "a campaign queued behind the farm's holder must still be live"
     );
+    // Draining checkpoints the holder at its next round boundary, so the
+    // shutdown below has nothing left to wait for.
+    client.drain().unwrap();
     handle.stop().shutdown();
 }
 
@@ -368,12 +382,15 @@ fn metrics_route_and_metrics_text_are_wellformed_prometheus() {
 fn service_wait_timeout_is_bounded_in_process() {
     let dir = scratch("waittimeout");
     let service = CampaignService::start(ServiceConfig::new(dir)).unwrap();
+    let holder = service.submit(farm_holder(), 9).unwrap();
     let id = service.submit(tiny_spec("wt", 19, 60), 5).unwrap();
     let t0 = Instant::now();
     let status = service.wait_timeout(id, Duration::from_millis(50)).unwrap();
-    assert!(status.is_none(), "long campaign cannot be terminal yet");
+    assert!(status.is_none(), "a queued campaign cannot be terminal yet");
     assert!(t0.elapsed() < Duration::from_secs(5));
-    // And the unbounded wait still completes through the same path.
+    // Exporting the holder detaches it and frees the farm; the unbounded
+    // wait then completes through the same path.
+    service.export_checkpoint(holder).unwrap();
     let status = service.wait(id).unwrap();
     assert_eq!(status, CampaignStatus::Done);
     service.shutdown();

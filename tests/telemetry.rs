@@ -1,14 +1,14 @@
-//! System-level telemetry: a chaos session must populate the global
+//! System-level telemetry: a faulted one-app campaign must populate the global
 //! metrics registry (counters on every instrumented seam, latency
 //! histograms for the span-wrapped phases) and leave a flight-recorder
 //! trail that replays in order.
 
 use std::sync::Arc;
 
-use taopt::run_with_chaos;
 use taopt::session::{RunMode, SessionConfig};
+use taopt::{run_campaign, CampaignApp, CampaignConfig};
 use taopt_app_sim::{generate_app, App, GeneratorConfig};
-use taopt_chaos::{FaultInjector, FaultPlan, FaultRates};
+use taopt_chaos::{FaultPlan, FaultRates};
 use taopt_tools::ToolKind;
 use taopt_ui_model::VirtualDuration;
 
@@ -43,9 +43,18 @@ fn moderate_rates() -> FaultRates {
 fn chaos_session_populates_registry_and_flight_recorder() {
     let telemetry = taopt_telemetry::global();
     let before = telemetry.snapshot();
-    let injector = FaultInjector::new(FaultPlan::new(13, moderate_rates()));
-    let report = run_with_chaos(app(), &config(), &injector);
+    let one = CampaignApp {
+        name: "telemetry-e2e".to_owned(),
+        app: app(),
+        config: config(),
+    };
+    let campaign = CampaignConfig {
+        faults: Some(FaultPlan::new(13, moderate_rates())),
+        ..CampaignConfig::default()
+    };
+    let result = run_campaign(vec![one], &campaign);
     let after = telemetry.snapshot();
+    let fault_stats = result.fault_stats.expect("fault plan was set");
 
     assert!(
         !after.is_empty(),
@@ -56,8 +65,8 @@ fn chaos_session_populates_registry_and_flight_recorder() {
     // monotone, so compare deltas (other tests share the registry).
     let delta = |name: &str| after.counter_total(name) - before.counter_total(name);
     for name in [
-        "chaos_sessions_started_total",
-        "chaos_rounds_total",
+        "campaigns_started_total",
+        "campaign_rounds_total",
         "cover_events_total",
         "bus_events_published_total",
         "farm_allocations_total",
@@ -80,7 +89,7 @@ fn chaos_session_populates_registry_and_flight_recorder() {
     };
     assert_eq!(
         unlabeled(&after) - unlabeled(&before),
-        report.fault_stats.total_injected() as u64,
+        fault_stats.total_injected() as u64,
         "telemetry and the fault log disagree on injections"
     );
 
