@@ -1,6 +1,7 @@
-//! Microbenchmarks of TaOPT's core algorithms: FindSpace (Algorithm 1),
-//! screen abstraction and tree similarity, conductance, offline
-//! partitioning and the Theorem-1 sampler.
+//! Microbenchmarks of TaOPT's core algorithms: FindSpace (Algorithm 1,
+//! through the incremental engine the analyzer runs), screen abstraction
+//! and tree similarity, conductance, offline partitioning and the
+//! Theorem-1 sampler.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -8,7 +9,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use taopt::conductance::conductance;
-use taopt::findspace::{find_space_candidates, FindSpaceConfig, SimilarityCache};
+use taopt::findspace::{FindSpaceConfig, FindSpaceEngine, SimilarityCache};
 use taopt::partition::{partition_graph, PartitionConfig};
 use taopt::theorem::{separation_trial, CliquePairConfig};
 use taopt_app_sim::{generate_app, AppRuntime, GeneratorConfig};
@@ -60,9 +61,16 @@ fn bench_findspace(c: &mut Criterion) {
             l_min: VirtualDuration::from_secs(60),
             ..FindSpaceConfig::default()
         };
+        // One analyzer pass over a freshly rebased window: reset, ingest
+        // the whole trace, then the top-5 candidate sweep.
         group.bench_with_input(BenchmarkId::new("events", steps), &trace, |b, tr| {
             let cache = SimilarityCache::new();
-            b.iter(|| find_space_candidates(tr.events(), &cfg, &cache, 1));
+            let mut engine = FindSpaceEngine::new(cfg.clone());
+            b.iter(|| {
+                engine.reset();
+                engine.extend_from(tr.events(), &cache);
+                engine.analyze(5)
+            });
         });
     }
     group.finish();

@@ -15,10 +15,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod report;
-
-pub use report::BenchReport;
-
 use std::sync::Arc;
 
 use taopt::experiments::ExperimentScale;

@@ -1,8 +1,7 @@
 //! The seam layers the campaign scheduler composes over [`super::step`].
 //!
 //! The reproduction has exactly three seams where a real testing cloud
-//! can misbehave, and each is an explicit layer trait here (DESIGN.md
-//! §12):
+//! can misbehave (DESIGN.md §12):
 //!
 //! * **device** — how the scheduler obtains/loses devices:
 //!   [`taopt_device::DevicePool`], with [`taopt_device::PlainPool`] as the
@@ -10,12 +9,14 @@
 //!   wrapper (refusals, scheduled losses). Latency spikes are *decided* at
 //!   this seam too (they are a device fault) but *applied* by the step,
 //!   which owns the emulators.
-//! * **bus** — how instance trace events reach the coordinator:
-//!   [`BusTransport`] decides a [`taopt_chaos::EventFate`] per published
-//!   event and the step repairs the surviving stream back into order with
-//!   [`crate::streaming`]'s sequence layer, so the coordinator only ever
-//!   sees a coordinator-view trace. Plain wiring has no bus layer at all:
-//!   the coordinator reads instance traces directly.
+//! * **bus** — how instance trace events reach the coordinator: the
+//!   injector's [`FaultInjector::event_fate`] decides a
+//!   [`taopt_chaos::EventFate`] per published event and the step repairs
+//!   the surviving stream back into order with [`crate::streaming`]'s
+//!   sequence layer, so the coordinator only ever sees a coordinator-view
+//!   trace. The bus lane is engaged exactly when an injector is attached;
+//!   plain wiring has no bus layer at all: the coordinator reads instance
+//!   traces directly.
 //! * **enforcement** — how coordinator block rules land on devices:
 //!   [`Enforcement`], with [`DirectEnforcement`] wiring the coordinator
 //!   straight to the device list (no retry machinery at all) and
@@ -30,50 +31,12 @@
 //! `tests/campaign.rs::single_app_campaign_matches_serial_session`),
 //! which is what makes a fault-free campaign a valid chaos baseline.
 
-use taopt_chaos::{EventFate, FaultInjector, FaultyLatency, RecoveryKind};
+use taopt_chaos::{FaultInjector, FaultyLatency, RecoveryKind};
 use taopt_device::{DeviceLatency, NoLatency};
 use taopt_toller::{InstanceId, SharedBlockList};
 use taopt_ui_model::VirtualTime;
 
 use crate::resilience::BroadcastEnforcement;
-
-/// The bus seam: decides what happens to each event an instance publishes
-/// toward the coordinator. `lane` is a driver-scoped stream id (the
-/// instance id, offset per app in a campaign) so decisions stay
-/// deterministic and decorrelated across apps sharing one plan.
-pub trait BusTransport: Send {
-    /// The fate of event `seq` on `lane`.
-    fn fate(&self, lane: u32, seq: u64, now: VirtualTime) -> EventFate;
-
-    /// Called once per sequence gap the repair layer gave up on and
-    /// skipped — the moment a drop is *healed* rather than suffered.
-    fn gap_repaired(&self, lane: u32, now: VirtualTime);
-}
-
-/// The chaotic bus: fates come from a [`FaultInjector`] and every healed
-/// gap is recorded as a [`RecoveryKind::StreamRepaired`] recovery.
-#[derive(Debug, Clone)]
-pub struct FaultyBus {
-    injector: FaultInjector,
-}
-
-impl FaultyBus {
-    /// Wraps the injector's event seam.
-    pub fn new(injector: FaultInjector) -> Self {
-        FaultyBus { injector }
-    }
-}
-
-impl BusTransport for FaultyBus {
-    fn fate(&self, lane: u32, seq: u64, now: VirtualTime) -> EventFate {
-        self.injector.event_fate(lane, seq, now)
-    }
-
-    fn gap_repaired(&self, lane: u32, now: VirtualTime) {
-        self.injector
-            .record_recovery(now, now, Some(lane), RecoveryKind::StreamRepaired);
-    }
-}
 
 /// The enforcement seam: how the coordinator's block rules reach each
 /// instance's device-side list.
@@ -132,17 +95,17 @@ impl Enforcement for DirectEnforcement {
 /// scheduler owns the pool because device grants flow scheduler → step,
 /// not step → scheduler — but its latency half is ([`DeviceLatency`]: spikes must be
 /// applied inside the round, where the emulators live), along with the
-/// injector handle for stamping recovery records on orphan re-dedication.
+/// injector handle that decides bus-seam event fates and stamps recovery
+/// records.
 pub struct StepLayers {
-    /// Bus seam; `None` skips lane bookkeeping entirely (the coordinator
-    /// reads instance traces directly, the pre-layer fast path).
-    pub(crate) bus: Option<Box<dyn BusTransport>>,
     /// Enforcement seam.
     pub(crate) enforcement: Box<dyn Enforcement>,
     /// Latency half of the device seam ([`NoLatency`] for plain wiring,
     /// [`FaultyLatency`] for chaos): the step applies what it decides.
     pub(crate) device: Box<dyn DeviceLatency>,
-    /// Chaos handle for recovery records; `None` for plain wiring.
+    /// Chaos handle: event fates on the bus seam and recovery records.
+    /// `None` for plain wiring, which skips lane bookkeeping entirely
+    /// (the coordinator reads instance traces directly).
     pub(crate) injector: Option<FaultInjector>,
     /// Offset added to instance ids to form lane ids (decorrelates apps
     /// sharing one fault plan in a campaign).
@@ -152,7 +115,6 @@ pub struct StepLayers {
 impl std::fmt::Debug for StepLayers {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StepLayers")
-            .field("bus", &self.bus.is_some())
             .field("chaotic", &self.injector.is_some())
             .field("lane_base", &self.lane_base)
             .finish()
@@ -166,11 +128,9 @@ impl Default for StepLayers {
 }
 
 impl StepLayers {
-    /// The plain wiring: no bus decoration, direct enforcement, no
-    /// injector.
+    /// The plain wiring: no bus lanes, direct enforcement, no injector.
     pub fn direct() -> Self {
         StepLayers {
-            bus: None,
             enforcement: Box::new(DirectEnforcement),
             device: Box::new(NoLatency),
             injector: None,
@@ -183,7 +143,6 @@ impl StepLayers {
     /// field-by-field identical to [`StepLayers::direct`].
     pub fn chaos(injector: &FaultInjector, lane_base: u32) -> Self {
         StepLayers {
-            bus: Some(Box::new(FaultyBus::new(injector.clone()))),
             enforcement: Box::new(
                 BroadcastEnforcement::new(injector.clone()).with_lane_base(lane_base),
             ),
@@ -226,13 +185,5 @@ mod tests {
         assert_eq!(actual.read().rules().len(), 1);
         assert_eq!(e.reconcile(VirtualTime::ZERO), 0);
         assert_eq!(e.reapplied(), 0);
-    }
-
-    #[test]
-    fn faulty_bus_with_inert_injector_delivers_everything() {
-        let bus = FaultyBus::new(FaultInjector::inert(7));
-        for seq in 0..64 {
-            assert_eq!(bus.fate(3, seq, VirtualTime::ZERO), EventFate::Deliver);
-        }
     }
 }

@@ -7,10 +7,11 @@
 //!
 //! * [`step`] — [`step::SessionStep`], one app session as a resumable
 //!   round-step state machine the scheduler advances;
-//! * [`layers`] — the seam layer traits ([`BusTransport`],
-//!   [`Enforcement`], plus the device seam in [`taopt_device::DevicePool`])
-//!   bundled as [`StepLayers`]: the step runs plain or chaotic depending
-//!   only on which implementations are plugged in;
+//! * [`layers`] — the seam layers ([`Enforcement`], the device seam in
+//!   [`taopt_device::DevicePool`], and the bus lanes an attached
+//!   [`taopt_chaos::FaultInjector`] engages) bundled as [`StepLayers`]:
+//!   the step runs plain or chaotic depending only on which
+//!   implementations are plugged in;
 //! * [`lease`] — [`lease::LeaseLedger`], device → app ownership records
 //!   and lease-churn counters;
 //! * [`pool`] — [`pool::ComputePool`], the persistent campaign-wide
@@ -46,7 +47,7 @@ pub mod sequence;
 pub mod snapshot;
 pub mod step;
 
-pub use layers::{BusTransport, DirectEnforcement, Enforcement, FaultyBus, StepLayers};
+pub use layers::{DirectEnforcement, Enforcement, StepLayers};
 pub use lease::LeaseLedger;
 pub use pool::ComputePool;
 pub use scheduler::{
@@ -59,7 +60,3 @@ pub use snapshot::{CampaignDigest, SlotDigest};
 pub use step::{
     instance_seed, MachineMeter, RoundOutcome, SessionFinish, SessionStep, StepProgress,
 };
-
-// The bus seam re-decides `taopt_chaos::EventFate` per event; re-exported
-// so layer implementors need not depend on the chaos crate directly.
-pub use taopt_chaos::EventFate;

@@ -12,10 +12,10 @@
 //! by the whole campaign.
 //!
 //! Fault behaviour is not a separate runtime: a [`StepLayers`] bundle
-//! plugs one implementation per seam (bus transport, enforcement channel,
-//! plus the chaos handle for latency spikes and recovery records) into
-//! the same round body, so plain and faulted campaigns differ only in
-//! wiring (DESIGN.md §12).
+//! plugs one implementation per seam (enforcement channel, device
+//! latency, plus the chaos handle whose presence engages the bus lanes
+//! and stamps recovery records) into the same round body, so plain and
+//! faulted campaigns differ only in wiring (DESIGN.md §12).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -155,8 +155,8 @@ struct ActiveInstance {
     /// Activity-partition mode: screens this instance owns.
     owned_screens: Vec<ScreenId>,
     jump_cursor: usize,
-    /// Bus-seam lane state (present iff the layer bundle has a bus
-    /// transport): the coordinator then analyzes the lane's repaired
+    /// Bus-seam lane state (present iff the layer bundle carries a fault
+    /// injector): the coordinator then analyzes the lane's repaired
     /// coordinator-view trace instead of the instance trace.
     bus: Option<BusLane>,
 }
@@ -238,7 +238,7 @@ pub struct SessionStep {
     started: bool,
     /// Resource mode: confirmed-subspace growth not yet granted.
     pending_growth: usize,
-    /// Seam layer bundle (bus transport, enforcement channel, chaos
+    /// Seam layer bundle (enforcement channel, device latency, chaos
     /// handle); [`StepLayers::direct`] unless a driver plugs in more.
     layers: StepLayers,
     /// Rounds advanced so far; keys per-round fault decisions (latency).
@@ -453,7 +453,7 @@ impl SessionStep {
             cover_events: boot_covered,
             owned_screens,
             jump_cursor: 0,
-            bus: self.layers.bus.is_some().then(BusLane::new),
+            bus: self.layers.injector.is_some().then(BusLane::new),
         });
         iid
     }
@@ -509,13 +509,14 @@ impl SessionStep {
                 }
             }
         }
-        // Bus seam: push new trace events through the transport; the
-        // lane repairs the survivors into the coordinator-view trace.
-        if let Some(bus) = &self.layers.bus {
+        // Bus seam: push new trace events through the injector's faulty
+        // transport; the lane repairs the survivors into the
+        // coordinator-view trace.
+        if let Some(injector) = &self.layers.injector {
             for a in self.active.iter_mut() {
                 if let Some(lane_state) = a.bus.as_mut() {
                     let lane = self.layers.lane_base + a.inst.id().0;
-                    lane_state.pump(bus.as_ref(), lane, a.inst.trace(), self.now);
+                    lane_state.pump(injector, lane, a.inst.trace(), self.now);
                 }
             }
         }

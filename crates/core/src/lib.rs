@@ -87,10 +87,10 @@ pub mod warmstart;
 
 pub use analyzer::{AnalyzerConfig, OnlineTraceAnalyzer, SubspaceId, SubspaceInfo};
 pub use campaign::{
-    run_campaign, run_campaign_sequence, AppReport, BusTransport, Campaign, CampaignApp,
-    CampaignConfig, CampaignDigest, CampaignResult, CampaignSequence, ComputePool,
-    DirectEnforcement, Enforcement, EvolutionAppReport, EvolutionReport, FaultyBus, KillEvent,
-    SessionStep, StepLayers, StepProgress, VersionOutcome,
+    run_campaign, run_campaign_sequence, AppReport, Campaign, CampaignApp, CampaignConfig,
+    CampaignDigest, CampaignResult, CampaignSequence, ComputePool, DirectEnforcement, Enforcement,
+    EvolutionAppReport, EvolutionReport, KillEvent, SessionStep, StepLayers, StepProgress,
+    VersionOutcome,
 };
 pub use conductance::{conductance, partition_score};
 pub use coordinator::{CoordinatorEvent, TestCoordinator};

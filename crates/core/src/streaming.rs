@@ -1,10 +1,10 @@
 //! Stream repair for the bus seam.
 //!
 //! Under a fault plan, trace events reach the coordinator through an
-//! untrusted transport ([`crate::campaign::BusTransport`]) that may drop,
-//! duplicate or delay them. Each active instance owns a `BusLane`: it
-//! stamps every new trace event with a per-instance sequence number, asks
-//! the transport for the event's fate, and feeds the survivors to a
+//! untrusted transport that may drop, duplicate or delay them. Each active
+//! instance owns a `BusLane`: it stamps every new trace event with a
+//! per-instance sequence number, asks the plan's [`FaultInjector`] for the
+//! event's fate, and feeds the survivors to a
 //! sequence-order repair buffer. Delayed events are held until their
 //! predecessors arrive, duplicates are dropped, and a gap that persists
 //! (a genuinely lost event) is skipped so one drop cannot stall analysis
@@ -14,6 +14,7 @@
 
 use std::collections::BTreeMap;
 
+use taopt_chaos::{EventFate, FaultInjector, RecoveryKind};
 use taopt_ui_model::{Trace, TraceEvent, VirtualTime};
 
 /// Skip a sequence gap once this many newer events are buffered behind it.
@@ -129,8 +130,8 @@ impl Reorder {
 
 /// Per-instance state of the bus seam inside a [`crate::campaign`]
 /// session step: sequence stamping on the publish side, a
-/// [`crate::campaign::BusTransport`] fate decision per event, and
-/// [`Reorder`] repair of the survivors into the **coordinator-view
+/// [`FaultInjector::event_fate`] decision per event, and [`Reorder`]
+/// repair of the survivors into the **coordinator-view
 /// trace** — the only trace the coordinator analyzes when the bus layer
 /// is engaged.
 #[derive(Debug)]
@@ -166,11 +167,14 @@ impl BusLane {
         }
     }
 
-    /// Forwards `trace`'s new events through the transport and appends
-    /// the survivors, repaired into order, to the coordinator-view trace.
+    /// Forwards `trace`'s new events through the faulty transport and
+    /// appends the survivors, repaired into order, to the coordinator-view
+    /// trace. Every sequence gap the repair gives up on is recorded as a
+    /// [`RecoveryKind::StreamRepaired`] recovery — the moment a drop is
+    /// healed rather than suffered.
     pub(crate) fn pump(
         &mut self,
-        transport: &dyn crate::campaign::BusTransport,
+        injector: &FaultInjector,
         lane: u32,
         trace: &Trace,
         now: VirtualTime,
@@ -180,14 +184,14 @@ impl BusLane {
         for ev in &trace.events()[self.forwarded..] {
             let seq = self.seq;
             self.seq += 1;
-            match transport.fate(lane, seq, now) {
-                crate::campaign::EventFate::Deliver => batch.push((seq, ev.clone())),
-                crate::campaign::EventFate::Drop => {}
-                crate::campaign::EventFate::Duplicate => {
+            match injector.event_fate(lane, seq, now) {
+                EventFate::Deliver => batch.push((seq, ev.clone())),
+                EventFate::Drop => {}
+                EventFate::Duplicate => {
                     batch.push((seq, ev.clone()));
                     batch.push((seq, ev.clone()));
                 }
-                crate::campaign::EventFate::Delay => self.delayed.push((seq, ev.clone())),
+                EventFate::Delay => self.delayed.push((seq, ev.clone())),
             }
         }
         self.forwarded = trace.len();
@@ -202,7 +206,7 @@ impl BusLane {
         self.published_counter.add(published);
         self.consumed_counter.add(consumed);
         for _ in gaps_before..self.stats.gaps {
-            transport.gap_repaired(lane, now);
+            injector.record_recovery(now, now, Some(lane), RecoveryKind::StreamRepaired);
         }
     }
 

@@ -396,7 +396,7 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// True when every counter is zero and every histogram is empty
-    /// (the "nothing was wired" signal the CI smoke test checks for).
+    /// (the "nothing was wired" signal `tests/telemetry.rs` checks for).
     pub fn is_empty(&self) -> bool {
         self.counters.values().all(|&v| v == 0) && self.histograms.values().all(|h| h.is_empty())
     }
