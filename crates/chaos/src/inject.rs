@@ -11,6 +11,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use taopt_device::{DeviceFarm, DeviceId};
+use taopt_telemetry::Labels;
 use taopt_ui_model::{VirtualDuration, VirtualTime};
 
 use crate::log::{FaultKind, FaultLog, FaultStats, RecoveryKind};
@@ -58,13 +60,6 @@ impl FaultInjector {
         &self.plan
     }
 
-    /// Whether this injector can never inject anything (all rates zero,
-    /// including per-app overrides). Drivers use this to pick the
-    /// passthrough wiring for seam layers.
-    pub fn is_inert(&self) -> bool {
-        self.plan.is_inert()
-    }
-
     fn log_mut(&self) -> std::sync::MutexGuard<'_, FaultLog> {
         self.log.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -86,14 +81,37 @@ impl FaultInjector {
     }
 
     /// Should the next allocation attempt be refused? Each call consumes
-    /// one attempt number from a shared counter. Logs on yes.
+    /// one attempt number from a shared counter, so callers must ask
+    /// exactly once per attempt, in a deterministic order. Logs on yes
+    /// and counts `pool_refusals_total{seam="device"}`.
     pub fn refuse_allocation(&self, now: VirtualTime) -> bool {
         let attempt = self.alloc_attempts.fetch_add(1, Ordering::Relaxed);
         let hit = self.plan.alloc_refusal(attempt);
         if hit {
             self.record_fault(now, None, FaultKind::AllocRefused);
+            taopt_telemetry::global()
+                .counter_labeled("pool_refusals_total", Labels::seam("device"))
+                .inc();
         }
         hit
+    }
+
+    /// The devices of `farm` that die in round `round`, in device-id
+    /// order. Decisions are keyed by device id (unique within a farm), so
+    /// the fault stream does not depend on which app holds a device. Only
+    /// decides: the caller kills the victims. Logs each loss and counts
+    /// `pool_losses_total{seam="device"}`.
+    pub fn device_losses(&self, farm: &DeviceFarm, round: u64, now: VirtualTime) -> Vec<DeviceId> {
+        let victims: Vec<DeviceId> = farm
+            .active_devices()
+            .filter(|d| self.device_loss(d.0, round, now))
+            .collect();
+        if !victims.is_empty() {
+            taopt_telemetry::global()
+                .counter_labeled("pool_losses_total", Labels::seam("device"))
+                .add(victims.len() as u64);
+        }
+        victims
     }
 
     /// Latency spike for `instance`'s `step`-th action. Logs on yes.
@@ -186,7 +204,9 @@ mod tests {
 
     #[test]
     fn injections_are_logged() {
-        let inj = FaultInjector::new(FaultPlan::new(3, FaultRates::uniform(0.5)));
+        let mut rates = FaultRates::uniform(0.5);
+        rates.device_loss = 0.2;
+        let inj = FaultInjector::new(FaultPlan::new(3, rates));
         let now = VirtualTime::from_secs(1);
         let mut hits = 0;
         for seq in 0..100 {
@@ -195,21 +215,71 @@ mod tests {
             }
         }
         assert!(hits > 0, "uniform(0.5) should fault some events");
-        assert_eq!(inj.stats().total_injected(), hits);
+        // Device seam: refusals consume attempts, losses kill devices.
+        let mut farm = DeviceFarm::new(64);
+        let mut refused = 0usize;
+        for _ in 0..64 {
+            if inj.refuse_allocation(now) {
+                refused += 1;
+            } else if farm.allocate(now).is_err() {
+                break;
+            }
+        }
+        assert!(farm.active_count() > 0, "some allocations must succeed");
+        assert!(refused > 0, "rate 0.5 must refuse some allocations");
+        let mut lost = 0usize;
+        for round in 1..20 {
+            for d in inj.device_losses(&farm, round, now) {
+                farm.kill(d, now).expect("victim is active");
+                lost += 1;
+            }
+        }
+        assert!(lost > 0, "rate 0.2 must lose some devices");
+        assert_eq!(farm.lost_count(), lost);
+        let stats = inj.stats();
+        assert_eq!(stats.injected[&FaultKind::AllocRefused], refused);
+        assert_eq!(stats.injected[&FaultKind::DeviceLost], lost);
+        assert_eq!(stats.total_injected(), hits + refused + lost);
     }
 
     #[test]
     fn inert_injector_stays_silent() {
         let inj = FaultInjector::inert(9);
         let now = VirtualTime::ZERO;
+        let mut farm = DeviceFarm::new(2);
+        farm.allocate(now).expect("free slot");
+        farm.allocate(now).expect("free slot");
         for seq in 0..200 {
             assert_eq!(inj.event_fate(1, seq, now), EventFate::Deliver);
             assert!(!inj.device_loss(1, seq, now));
+            assert!(inj.device_losses(&farm, seq, now).is_empty());
             assert!(!inj.refuse_allocation(now));
             assert!(inj.latency_spike(1, seq, now).is_none());
             assert!(!inj.enforcement_failure(1, seq, 0, now));
         }
         assert_eq!(inj.stats().total_injected(), 0);
+    }
+
+    #[test]
+    fn device_losses_are_reproducible_for_a_seed() {
+        let mut rates = FaultRates::none();
+        rates.device_loss = 0.3;
+        let run = |seed| {
+            let inj = FaultInjector::new(FaultPlan::new(seed, rates));
+            let mut farm = DeviceFarm::new(8);
+            let now = VirtualTime::ZERO;
+            while farm.allocate(now).is_ok() {}
+            let mut log = Vec::new();
+            for round in 1..30 {
+                for d in inj.device_losses(&farm, round, now) {
+                    farm.kill(d, now).expect("victim is active");
+                    log.push((round, d));
+                }
+            }
+            log
+        };
+        assert_eq!(run(5), run(5));
+        assert_ne!(run(5), run(6), "different seeds should diverge");
     }
 
     #[test]

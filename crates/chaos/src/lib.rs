@@ -21,17 +21,16 @@
 //! repair the resilience layer performs, yielding recovery-latency
 //! statistics ([`FaultStats`]).
 //!
-//! [`FaultyPool`] implements the device seam from `taopt-device` — the
-//! same [`taopt_device::DeviceFarm`], but with plan-driven refusals and
-//! per-round loss scheduling — so the one `SessionStep` runtime runs
-//! chaotic and clean configurations through identical driver loops.
+//! The campaign scheduler holds an `Option<FaultInjector>` and consults
+//! it in place at each seam: [`FaultInjector::refuse_allocation`] before
+//! every [`taopt_device::DeviceFarm`] allocation and
+//! [`FaultInjector::device_losses`] once per round, so clean and chaotic
+//! campaigns run the same loop and differ only in that branch.
 
 pub mod inject;
 pub mod log;
 pub mod plan;
-pub mod pool;
 
 pub use inject::{EventFate, FaultInjector};
 pub use log::{FaultKind, FaultLog, FaultRecord, FaultStats, RecoveryKind, RecoveryRecord};
 pub use plan::{FaultPlan, FaultRates, Seam, APP_LANE_SHIFT};
-pub use pool::{FaultyLatency, FaultyPool};

@@ -7,11 +7,6 @@
 //!
 //! * [`step`] — [`step::SessionStep`], one app session as a resumable
 //!   round-step state machine the scheduler advances;
-//! * [`layers`] — the seam layers ([`Enforcement`], the device seam in
-//!   [`taopt_device::DevicePool`], and the bus lanes an attached
-//!   [`taopt_chaos::FaultInjector`] engages) bundled as [`StepLayers`]:
-//!   the step runs plain or chaotic depending only on which
-//!   implementations are plugged in;
 //! * [`lease`] — [`lease::LeaseLedger`], device → app ownership records
 //!   and lease-churn counters;
 //! * [`pool`] — [`pool::ComputePool`], the persistent campaign-wide
@@ -25,7 +20,10 @@
 //!   completion. It is the crate's only round driver: a single-app
 //!   session (`ParallelSession::run`) is a one-app campaign. With
 //!   [`scheduler::CampaignConfig::faults`] set, the whole campaign runs
-//!   under deterministic fault injection (a chaos campaign).
+//!   under deterministic fault injection (a chaos campaign): the
+//!   scheduler and every step consult one [`taopt_chaos::FaultInjector`]
+//!   in place at the device, bus and enforcement seams, and skip those
+//!   branches when there is no plan.
 //!   [`scheduler::Campaign`] is the same loop held open one round at a
 //!   time, for callers that interleave checkpointing with execution;
 //! * [`sequence`] — [`sequence::run_campaign_sequence`], longitudinal
@@ -37,9 +35,8 @@
 //!   reproduce.
 //!
 //! See `DESIGN.md` §10 for the scheduler model and the determinism
-//! argument, §12 for the layered runtime, §13 for checkpoint/resume.
+//! argument, §12 for the fault seams, §13 for checkpoint/resume.
 
-pub mod layers;
 pub mod lease;
 pub mod pool;
 pub mod scheduler;
@@ -47,7 +44,6 @@ pub mod sequence;
 pub mod snapshot;
 pub mod step;
 
-pub use layers::{DirectEnforcement, Enforcement, StepLayers};
 pub use lease::LeaseLedger;
 pub use pool::ComputePool;
 pub use scheduler::{

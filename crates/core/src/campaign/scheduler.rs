@@ -68,11 +68,10 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use taopt_app_sim::App;
-use taopt_chaos::{FaultInjector, FaultPlan, FaultStats, FaultyPool, APP_LANE_SHIFT};
-use taopt_device::{fair_targets_from, DeviceFarm, DevicePool, PlainPool, PoolDecision};
+use taopt_chaos::{FaultInjector, FaultPlan, FaultStats, APP_LANE_SHIFT};
+use taopt_device::{fair_targets_from, DeviceFarm, DeviceId};
 use taopt_ui_model::{Value, VirtualDuration, VirtualTime};
 
-use crate::campaign::layers::StepLayers;
 use crate::campaign::lease::LeaseLedger;
 use crate::campaign::pool::{home_worker, ComputePool};
 use crate::campaign::snapshot::{CampaignDigest, SlotDigest};
@@ -121,10 +120,11 @@ pub struct CampaignConfig {
     /// Scheduled device kills.
     pub kills: Vec<KillEvent>,
     /// Optional fault plan: when set, the whole campaign runs under
-    /// deterministic fault injection — the shared farm is wrapped in a
-    /// [`FaultyPool`] (allocation refusals, rate-planned device losses)
-    /// and every app's step gets the chaotic [`StepLayers`] on its own
-    /// lane range (bus fates, latency spikes, enforcement failures).
+    /// deterministic fault injection. The scheduler consults one
+    /// [`FaultInjector`] before each farm allocation (refusals) and once
+    /// per round (device losses), and every app's step consults it
+    /// ([`SessionStep::with_faults`]) on its own lane range (latency
+    /// spikes, bus fates, enforcement failures).
     pub faults: Option<FaultPlan>,
     /// Hard stop: never reached by a healthy campaign, but it is what
     /// bounds one whose farm refuses every allocation forever.
@@ -405,11 +405,12 @@ pub struct Campaign {
     /// finish and drop their clones.
     slots: Arc<Vec<Mutex<Slot>>>,
     ledger: LeaseLedger,
-    pool: Box<dyn DevicePool>,
+    farm: DeviceFarm,
     /// The campaign-wide host compute budget (tentpole of DESIGN.md
     /// §16): sized once from the config, serves both step advancement
     /// and every analyzer's phase A.
     compute: Arc<ComputePool>,
+    /// Consulted in place at every seam when the config has a fault plan.
     injector: Option<FaultInjector>,
     kills_by_round: BTreeMap<u64, Vec<u64>>,
     steals: Arc<AtomicU64>,
@@ -461,10 +462,6 @@ impl Campaign {
             .faults
             .as_ref()
             .map(|p| FaultInjector::new(p.clone()));
-        let pool: Box<dyn DevicePool> = match &injector {
-            Some(inj) => Box::new(FaultyPool::new(DeviceFarm::new(capacity), inj.clone())),
-            None => Box::new(PlainPool::new(capacity)),
-        };
         let ledger = LeaseLedger::new(apps.len());
         let retry = RetryPolicy {
             max_attempts: 6,
@@ -482,7 +479,7 @@ impl Campaign {
                 );
                 let mut step = SessionStep::new(a.app, a.config).with_compute(Arc::clone(&compute));
                 if let Some(inj) = &injector {
-                    step = step.with_layers(StepLayers::chaos(inj, (i as u32) << APP_LANE_SHIFT));
+                    step = step.with_faults(inj, (i as u32) << APP_LANE_SHIFT);
                 }
                 Mutex::new(Slot {
                     name: a.name,
@@ -510,7 +507,7 @@ impl Campaign {
         let mut campaign = Campaign {
             slots: Arc::new(slots),
             ledger,
-            pool,
+            farm: DeviceFarm::new(capacity),
             compute,
             injector,
             kills_by_round,
@@ -537,7 +534,7 @@ impl Campaign {
         lease_boundary(
             &campaign.slots,
             &mut campaign.ledger,
-            campaign.pool.as_mut(),
+            &mut campaign.farm,
             campaign.injector.as_ref(),
             campaign.round,
             VirtualTime::ZERO,
@@ -614,71 +611,34 @@ impl Campaign {
             s.done = out.done;
             for d in out.released {
                 self.ledger.release(d);
-                self.pool.release(d, global_now);
+                let _ = self.farm.deallocate(d, global_now);
             }
         }
         self.parallel_task_us.add(task_ns / 1_000);
 
-        // Boundary 2: scheduled device kills, then rate-planned fault
-        // losses (empty without a fault plan). Both go through the same
-        // lease-kill → step-loss → replacement-queue path.
+        // Boundary 2: scheduled device kills, then the injector's losses
+        // (none without a fault plan), decided after the scheduled kills.
         if let Some(victims) = self.kills_by_round.remove(&self.round) {
             for v in victims {
                 let leased = self.ledger.leased_devices();
                 if leased.is_empty() {
                     break;
                 }
-                let d = leased[(v as usize) % leased.len()];
-                let app = self.ledger.kill(d).expect("device was leased");
-                self.pool.kill(d, global_now);
-                self.kills_counter.inc();
-                let s = &mut *self.slots[app].lock();
-                if let Some(step) = s.step.as_mut() {
-                    step.lose_device(d);
-                }
-                // The loss changes what the step will ask for, so the
-                // parallel-phase demand snapshot is stale.
-                s.demand_snapshot = None;
-                s.devices_lost += 1;
-                s.queue.device_lost(global_now);
+                self.lose_device(leased[(v as usize) % leased.len()], global_now);
             }
         }
-        for d in self.pool.round_losses(self.round, global_now) {
-            let app = self.ledger.kill(d).expect("active device is leased");
-            self.pool.kill(d, global_now);
-            self.kills_counter.inc();
-            let s = &mut *self.slots[app].lock();
-            if let Some(step) = s.step.as_mut() {
-                step.lose_device(d);
-            }
-            s.demand_snapshot = None;
-            s.devices_lost += 1;
-            s.queue.device_lost(global_now);
+        let losses = self.injector.as_ref().map_or_else(Vec::new, |inj| {
+            inj.device_losses(&self.farm, self.round, global_now)
+        });
+        for d in losses {
+            self.lose_device(d, global_now);
         }
 
         // Boundary 3: finish apps that reached their termination
         // condition.
         for &i in &runnable {
-            let s = &mut *self.slots[i].lock();
-            if s.done && s.report.is_none() {
-                let step = s.step.take().expect("live app has a step");
-                let fin = step.finish();
-                for d in fin.released {
-                    self.ledger.release(d);
-                    self.pool.release(d, global_now);
-                }
-                s.report = Some(AppReport {
-                    name: s.name.clone(),
-                    session: fin.result,
-                    replacements: s.replacements,
-                    devices_lost: s.devices_lost,
-                    unresolved_orphans: fin.unresolved_orphans,
-                    stream: fin.stream,
-                    enforcement_retries: fin.enforcement_retries,
-                    wait_rounds: s.wait_rounds,
-                    finished_round: self.round,
-                    warm: fin.warm,
-                });
+            if self.slots[i].lock().done {
+                self.finish_app(i, global_now);
             }
         }
 
@@ -693,7 +653,7 @@ impl Campaign {
         lease_boundary(
             &self.slots,
             &mut self.ledger,
-            self.pool.as_mut(),
+            &mut self.farm,
             self.injector.as_ref(),
             self.round,
             global_now,
@@ -742,9 +702,9 @@ impl Campaign {
             releases: self.ledger.releases(),
             kills: self.ledger.kills(),
             conflicts: self.ledger.conflicts(),
-            pool_active: self.pool.active_count() as u64,
-            pool_lost: self.pool.lost_count() as u64,
-            pool_peak: self.pool.peak_active() as u64,
+            pool_active: self.farm.active_count() as u64,
+            pool_lost: self.farm.lost_count() as u64,
+            pool_peak: self.farm.peak_active() as u64,
             revocations: self.revocations,
             faults_injected: fault_stats
                 .as_ref()
@@ -764,28 +724,10 @@ impl Campaign {
         // Drain any still-live apps (max_rounds stop): finish them as-is.
         let end_now = VirtualTime::ZERO + self.tick * self.round;
         let mut reports: Vec<AppReport> = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let s = &mut *slot.lock();
-            if let Some(step) = s.step.take() {
-                let fin = step.finish();
-                for d in fin.released {
-                    self.ledger.release(d);
-                    self.pool.release(d, end_now);
-                }
-                s.report = Some(AppReport {
-                    name: s.name.clone(),
-                    session: fin.result,
-                    replacements: s.replacements,
-                    devices_lost: s.devices_lost,
-                    unresolved_orphans: fin.unresolved_orphans,
-                    stream: fin.stream,
-                    enforcement_retries: fin.enforcement_retries,
-                    wait_rounds: s.wait_rounds,
-                    finished_round: self.round,
-                    warm: fin.warm,
-                });
-            }
-            reports.push(s.report.take().expect("every app finished"));
+        for i in 0..self.slots.len() {
+            self.finish_app(i, end_now);
+            let report = self.slots[i].lock().report.take();
+            reports.push(report.expect("every app finished"));
         }
 
         let machine_time = reports
@@ -797,16 +739,59 @@ impl Campaign {
             wall_clock: self.tick * self.round,
             machine_time,
             capacity: self.capacity,
-            peak_active: self.pool.peak_active(),
+            peak_active: self.farm.peak_active(),
             grants: self.ledger.grants(),
             revocations: self.revocations,
             lease_conflicts: self.ledger.conflicts(),
-            farm_active_at_end: self.pool.active_count(),
+            farm_active_at_end: self.farm.active_count(),
             steals: self.steals.load(Ordering::Relaxed),
             fault_stats: self.injector.as_ref().map(|i| i.stats()),
             host_ms: self.host_start.elapsed().as_millis() as u64,
             apps: reports,
         }
+    }
+
+    /// Kills leased device `d`: the farm loses it, the owning app's step
+    /// retires the instance on it, and the app queues a replacement.
+    fn lose_device(&mut self, d: DeviceId, now: VirtualTime) {
+        let app = self.ledger.kill(d).expect("device was leased");
+        let _ = self.farm.kill(d, now);
+        self.kills_counter.inc();
+        let s = &mut *self.slots[app].lock();
+        if let Some(step) = s.step.as_mut() {
+            step.lose_device(d);
+        }
+        // The loss changes what the step will ask for, so the
+        // parallel-phase demand snapshot is stale.
+        s.demand_snapshot = None;
+        s.devices_lost += 1;
+        s.queue.device_lost(now);
+    }
+
+    /// Finishes app `i` if it is still live: its step drains, its devices
+    /// go back to the farm, and its report is stored in the slot.
+    fn finish_app(&mut self, i: usize, now: VirtualTime) {
+        let s = &mut *self.slots[i].lock();
+        let Some(step) = s.step.take() else {
+            return;
+        };
+        let fin = step.finish();
+        for d in fin.released {
+            self.ledger.release(d);
+            let _ = self.farm.deallocate(d, now);
+        }
+        s.report = Some(AppReport {
+            name: s.name.clone(),
+            session: fin.result,
+            replacements: s.replacements,
+            devices_lost: s.devices_lost,
+            unresolved_orphans: fin.unresolved_orphans,
+            stream: fin.stream,
+            enforcement_retries: fin.enforcement_retries,
+            wait_rounds: s.wait_rounds,
+            finished_round: self.round,
+            warm: fin.warm,
+        });
     }
 }
 
@@ -863,7 +848,7 @@ fn advance_parallel(
 fn lease_boundary(
     slots: &[Mutex<Slot>],
     ledger: &mut LeaseLedger,
-    pool: &mut dyn DevicePool,
+    farm: &mut DeviceFarm,
     injector: Option<&FaultInjector>,
     round: u64,
     global_now: VirtualTime,
@@ -902,7 +887,7 @@ fn lease_boundary(
     let desired: Vec<usize> = (0..n)
         .map(|i| (ledger.holdings(i) + want[i]).min(slots[i].lock().d_max))
         .collect();
-    let mut targets = fair_targets_from(pool.capacity(), &desired, (round as usize) % n.max(1));
+    let mut targets = fair_targets_from(farm.capacity(), &desired, (round as usize) % n.max(1));
 
     // Starvation repair: a starved app with a positive fair share may
     // revoke from a donor when the farm is exhausted.
@@ -910,7 +895,7 @@ fn lease_boundary(
         .filter(|&i| want[i] > 0 && ledger.holdings(i) == 0 && targets[i] > 0)
         .collect();
     for _ in &starved {
-        if pool.active_count() < pool.capacity() {
+        if farm.active_count() < farm.capacity() {
             break; // free capacity serves the starved app directly
         }
         // Donor: over-target holders first, then any holder past the
@@ -947,7 +932,7 @@ fn lease_boundary(
         };
         drop(s);
         ledger.release(d);
-        pool.release(d, global_now);
+        let _ = farm.deallocate(d, global_now);
         *revocations += 1;
         revocations_counter.inc();
         // The donor sits this boundary out so the freed slot reaches the
@@ -978,16 +963,17 @@ fn lease_boundary(
             }
         }
         let Some((_, _, i)) = pick else { break };
-        let device = match pool.allocate(global_now) {
-            PoolDecision::Granted(d) => d,
-            PoolDecision::Refused => {
-                // The cloud refused this app's attempt; it re-demands next
-                // boundary. Zeroing `want` guarantees the loop progresses
-                // even at pathological refusal rates.
-                want[i] = 0;
-                continue;
-            }
-            PoolDecision::Exhausted => break,
+        // One refusal draw per attempt, here at the sequential boundary
+        // only: the injector numbers attempts in call order.
+        if injector.is_some_and(|inj| inj.refuse_allocation(global_now)) {
+            // The cloud refused this app's attempt; it re-demands next
+            // boundary. Zeroing `want` guarantees the loop progresses
+            // even at pathological refusal rates.
+            want[i] = 0;
+            continue;
+        }
+        let Ok(device) = farm.allocate(global_now) else {
+            break;
         };
         ledger.grant(i, device);
         let s = &mut *slots[i].lock();

@@ -11,16 +11,19 @@
 //! farm, so per-app resource budgets keep working when the farm is shared
 //! by the whole campaign.
 //!
-//! Fault behaviour is not a separate runtime: a [`StepLayers`] bundle
-//! plugs one implementation per seam (enforcement channel, device
-//! latency, plus the chaos handle whose presence engages the bus lanes
-//! and stamps recovery records) into the same round body, so plain and
-//! faulted campaigns differ only in wiring (DESIGN.md §12).
+//! Fault behaviour is not a separate runtime: a step built
+//! [`SessionStep::with_faults`] consults its campaign's
+//! [`FaultInjector`] in place at each seam — latency spikes before the
+//! round, bus lanes after it, the [`EnforcementBroadcaster`] between the
+//! coordinator and the devices — and a step without faults skips those
+//! branches, so plain and faulted campaigns run the same round body
+//! (DESIGN.md §12).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use taopt_app_sim::{App, MethodId};
+use taopt_chaos::{FaultInjector, RecoveryKind};
 use taopt_device::DeviceId;
 use taopt_telemetry::Counter;
 use taopt_toller::{EntrypointRule, InstanceId, InstrumentedInstance};
@@ -28,9 +31,9 @@ use taopt_ui_model::abstraction::abstract_hierarchy;
 use taopt_ui_model::{ActivityId, ScreenId, Trace, VirtualDuration, VirtualTime};
 
 use crate::analyzer::SubspaceId;
-use crate::campaign::layers::StepLayers;
 use crate::coordinator::TestCoordinator;
 use crate::metrics::curves::CurvePoint;
+use crate::resilience::EnforcementBroadcaster;
 use crate::session::{InstanceResult, RunMode, SessionConfig, SessionResult};
 use crate::streaming::{BusLane, StreamStats};
 
@@ -135,10 +138,10 @@ pub struct SessionFinish {
     /// final repair pass, before the drain) — the liveness invariant.
     pub unresolved_orphans: usize,
     /// Bus-repair counters summed over every lane this session ran
-    /// (all-zero when the bus layer was off or the plan stayed inert).
+    /// (all-zero without faults or under an inert plan).
     pub stream: StreamStats,
-    /// Enforcement deliveries that needed at least one retry (zero under
-    /// direct wiring).
+    /// Enforcement deliveries that needed at least one retry (zero
+    /// without faults).
     pub enforcement_retries: usize,
     /// Learned analyzer state captured for the next version's campaign
     /// (present iff the config asked for it and the mode ran TaOPT).
@@ -155,9 +158,9 @@ struct ActiveInstance {
     /// Activity-partition mode: screens this instance owns.
     owned_screens: Vec<ScreenId>,
     jump_cursor: usize,
-    /// Bus-seam lane state (present iff the layer bundle carries a fault
-    /// injector): the coordinator then analyzes the lane's repaired
-    /// coordinator-view trace instead of the instance trace.
+    /// Bus-seam lane state (present iff the step has faults): the
+    /// coordinator then analyzes the lane's repaired coordinator-view
+    /// trace instead of the instance trace.
     bus: Option<BusLane>,
 }
 
@@ -213,6 +216,17 @@ impl ActivityPlan {
     }
 }
 
+/// The fault wiring of one faulted step.
+struct StepFaults {
+    injector: FaultInjector,
+    /// Offset added to instance ids to form lane ids (decorrelates apps
+    /// sharing one fault plan in a campaign).
+    lane_base: u32,
+    /// The coordinator writes intent into per-instance shadow lists; the
+    /// broadcaster delivers it through the failure-prone channel.
+    broadcaster: EnforcementBroadcaster,
+}
+
 /// A single app session advanced one lock-step round at a time by an
 /// external device-granting driver.
 pub struct SessionStep {
@@ -238,9 +252,8 @@ pub struct SessionStep {
     started: bool,
     /// Resource mode: confirmed-subspace growth not yet granted.
     pending_growth: usize,
-    /// Seam layer bundle (enforcement channel, device latency, chaos
-    /// handle); [`StepLayers::direct`] unless a driver plugs in more.
-    layers: StepLayers,
+    /// Fault wiring, present iff the campaign has a fault plan.
+    faults: Option<StepFaults>,
     /// Rounds advanced so far; keys per-round fault decisions (latency).
     round: u64,
     /// When each currently orphaned subspace became orphaned, so a repair
@@ -303,7 +316,7 @@ impl SessionStep {
             done: false,
             started: false,
             pending_growth: 0,
-            layers: StepLayers::direct(),
+            faults: None,
             round: 0,
             orphaned_since: BTreeMap::new(),
             stream_total: StreamStats::default(),
@@ -313,10 +326,16 @@ impl SessionStep {
         }
     }
 
-    /// Plugs in a seam layer bundle ([`StepLayers::chaos`] for fault
-    /// injection; the default is [`StepLayers::direct`]).
-    pub fn with_layers(mut self, layers: StepLayers) -> Self {
-        self.layers = layers;
+    /// Runs this step under fault injection: every seam consults
+    /// `injector`, with lanes offset by `lane_base`. An all-zero plan
+    /// yields a session result field-by-field identical to a step
+    /// without faults.
+    pub fn with_faults(mut self, injector: &FaultInjector, lane_base: u32) -> Self {
+        self.faults = Some(StepFaults {
+            injector: injector.clone(),
+            lane_base,
+            broadcaster: EnforcementBroadcaster::new().with_lane_base(lane_base),
+        });
         self
     }
 
@@ -425,14 +444,19 @@ impl SessionStep {
             owned_screens = plan.screens[slot].clone();
         }
         if self.config.mode.uses_taopt() {
-            // The enforcement layer decides what the coordinator writes
-            // into: the device list itself (direct wiring) or a shadow
-            // reconciled through the broadcast channel. Provisioning then
-            // gives every catch-up rule one immediate delivery attempt, so
-            // under fault-free wiring a new device starts fully configured.
-            let intent = self.layers.enforcement.register(iid, inst.blocklist());
-            self.coordinator.register_instance(iid, intent);
-            self.layers.enforcement.provision(iid, self.now);
+            // Without faults the coordinator writes into the device list
+            // itself. With faults it writes into a shadow the broadcaster
+            // reconciles; provisioning gives every catch-up rule one
+            // immediate delivery attempt, so under an inert plan a new
+            // device starts fully configured.
+            match self.faults.as_mut() {
+                Some(f) => {
+                    let shadow = f.broadcaster.register(iid, inst.blocklist());
+                    self.coordinator.register_instance(iid, shadow);
+                    f.broadcaster.provision(&f.injector, iid, self.now);
+                }
+                None => self.coordinator.register_instance(iid, inst.blocklist()),
+            }
         }
         // Startup (and auto-login) coverage happens at boot, before the
         // first tool step; account it like any other cover event.
@@ -453,7 +477,7 @@ impl SessionStep {
             cover_events: boot_covered,
             owned_screens,
             jump_cursor: 0,
-            bus: self.layers.injector.is_some().then(BusLane::new),
+            bus: self.faults.is_some().then(BusLane::new),
         });
         iid
     }
@@ -466,14 +490,14 @@ impl SessionStep {
         self.concurrency_timeline
             .push((self.now, self.active.len()));
 
-        // Device seam, latency half: spikes are decided behind the
-        // [`taopt_device::DeviceLatency`] layer but applied here, where
-        // the emulator clocks live — the device stalls before it runs
-        // its round. The plain wiring decides `None` for every lane.
-        for a in self.active.iter_mut() {
-            let lane = self.layers.lane_base + a.inst.id().0;
-            if let Some(extra) = self.layers.device.latency_spike(lane, self.round, self.now) {
-                a.inst.emulator_mut().idle(extra);
+        // Device seam, latency half: a spiked device stalls before it
+        // runs its round.
+        if let Some(f) = &self.faults {
+            for a in self.active.iter_mut() {
+                let lane = f.lane_base + a.inst.id().0;
+                if let Some(extra) = f.injector.latency_spike(lane, self.round, self.now) {
+                    a.inst.emulator_mut().idle(extra);
+                }
             }
         }
 
@@ -512,11 +536,11 @@ impl SessionStep {
         // Bus seam: push new trace events through the injector's faulty
         // transport; the lane repairs the survivors into the
         // coordinator-view trace.
-        if let Some(injector) = &self.layers.injector {
+        if let Some(f) = &self.faults {
             for a in self.active.iter_mut() {
                 if let Some(lane_state) = a.bus.as_mut() {
-                    let lane = self.layers.lane_base + a.inst.id().0;
-                    lane_state.pump(injector, lane, a.inst.trace(), self.now);
+                    let lane = f.lane_base + a.inst.id().0;
+                    lane_state.pump(&f.injector, lane, a.inst.trace(), self.now);
                 }
             }
         }
@@ -631,20 +655,18 @@ impl SessionStep {
             for sid in self.coordinator.orphaned_subspaces() {
                 if let Some(heir) = self.coordinator.rededicate(sid, self.now) {
                     let since = self.orphaned_since.remove(&sid).unwrap_or(self.now);
-                    self.layers.record_rededication(
-                        since,
-                        self.now,
-                        self.layers.lane_base + heir.0,
-                    );
+                    self.record_rededication(since, heir);
                 }
             }
         }
 
         // Enforcement seam: propagate intended rules onto devices,
-        // retrying failed broadcasts from previous rounds (a no-op under
-        // direct wiring, where intent and device list are the same).
+        // retrying failed broadcasts from previous rounds. Without faults
+        // intent and device list are the same, so there is nothing to do.
         if self.config.mode.uses_taopt() {
-            self.layers.enforcement.reconcile(self.now);
+            if let Some(f) = self.faults.as_mut() {
+                f.broadcaster.reconcile(&f.injector, self.now);
+            }
         }
 
         // Termination + growth bookkeeping.
@@ -696,11 +718,7 @@ impl SessionStep {
             for sid in self.coordinator.orphaned_subspaces() {
                 let since = self.orphaned_since.remove(&sid).unwrap_or(self.now);
                 if let Some(heir) = self.coordinator.rededicate(sid, self.now) {
-                    self.layers.record_rededication(
-                        since,
-                        self.now,
-                        self.layers.lane_base + heir.0,
-                    );
+                    self.record_rededication(since, heir);
                 }
             }
         }
@@ -744,8 +762,24 @@ impl SessionStep {
             released,
             unresolved_orphans,
             stream: self.stream_total,
-            enforcement_retries: self.layers.enforcement.reapplied(),
+            enforcement_retries: self
+                .faults
+                .as_ref()
+                .map_or(0, |f| f.broadcaster.reapplied()),
             warm,
+        }
+    }
+
+    /// Records an orphaned-subspace re-dedication to `heir` in the fault
+    /// log, if the step has faults.
+    fn record_rededication(&self, since: VirtualTime, heir: InstanceId) {
+        if let Some(f) = &self.faults {
+            f.injector.record_recovery(
+                since,
+                self.now,
+                Some(f.lane_base + heir.0),
+                RecoveryKind::SubspaceRededicated,
+            );
         }
     }
 
@@ -759,7 +793,9 @@ impl SessionStep {
             lane.flush();
             self.stream_total = self.stream_total.merged(lane.stats());
         }
-        self.layers.enforcement.unregister(a.inst.id());
+        if let Some(f) = self.faults.as_mut() {
+            f.broadcaster.unregister(a.inst.id());
+        }
         self.meter.stop(a.device, now);
         taopt_telemetry::global()
             .counter("instances_deallocated_total")

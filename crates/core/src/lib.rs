@@ -30,11 +30,11 @@
 //!   (Table 6) and coverage-curve utilities;
 //! * [`experiments`] — runnable reproductions of every table and figure
 //!   in the paper's evaluation;
-//! * [`campaign`] — the **layered runtime** and the crate's one round
-//!   driver: the round-based [`SessionStep`] engine, the device / bus /
-//!   enforcement seam layers ([`StepLayers`]), and campaign scheduling of
-//!   one or many apps over a shared farm ([`run_campaign`]), optionally
-//!   fault-injected via `CampaignConfig::faults`;
+//! * [`campaign`] — the crate's one round driver: the round-based
+//!   [`SessionStep`] engine and campaign scheduling of one or many apps
+//!   over a shared farm ([`run_campaign`]), optionally fault-injected via
+//!   `CampaignConfig::faults`, whose one injector the scheduler and the
+//!   steps consult in place at the device, bus and enforcement seams;
 //! * [`streaming`] + [`resilience`] — the self-healing machinery a faulted
 //!   campaign runs on: sequence-order repair of the event stream,
 //!   replacement queues, enforcement broadcast with retry.
@@ -88,15 +88,14 @@ pub mod warmstart;
 pub use analyzer::{AnalyzerConfig, OnlineTraceAnalyzer, SubspaceId, SubspaceInfo};
 pub use campaign::{
     run_campaign, run_campaign_sequence, AppReport, Campaign, CampaignApp, CampaignConfig,
-    CampaignDigest, CampaignResult, CampaignSequence, ComputePool, DirectEnforcement, Enforcement,
-    EvolutionAppReport, EvolutionReport, KillEvent, SessionStep, StepLayers, StepProgress,
-    VersionOutcome,
+    CampaignDigest, CampaignResult, CampaignSequence, ComputePool, EvolutionAppReport,
+    EvolutionReport, KillEvent, SessionStep, StepProgress, VersionOutcome,
 };
 pub use conductance::{conductance, partition_score};
 pub use coordinator::{CoordinatorEvent, TestCoordinator};
 pub use error::TaoptError;
 pub use findspace::{find_space, FindSpaceConfig, SplitCandidate};
-pub use resilience::{BroadcastEnforcement, EnforcementBroadcaster, ReplacementQueue, RetryPolicy};
+pub use resilience::{EnforcementBroadcaster, ReplacementQueue, RetryPolicy};
 pub use session::{ParallelSession, RunMode, SessionConfig, SessionResult};
 pub use streaming::StreamStats;
 pub use warmstart::{WarmReuse, WarmStart, WarmSubspace};

@@ -15,10 +15,8 @@
 //!   retry and exponential backoff, so a burst of allocation refusals
 //!   delays recovery instead of wedging the session.
 //!
-//! [`BroadcastEnforcement`] packages the broadcaster + injector pair as
-//! the chaotic implementation of the enforcement seam layer
-//! ([`crate::campaign::Enforcement`]) that [`crate::campaign::StepLayers`]
-//! plugs into the one `SessionStep` runtime.
+//! A faulted [`crate::campaign::SessionStep`] owns one broadcaster and
+//! drives it with the campaign's injector.
 
 use std::collections::BTreeMap;
 
@@ -276,61 +274,6 @@ impl EnforcementBroadcaster {
                     && actual.iter().all(|r| intended.contains(r))
             }
         })
-    }
-}
-
-/// The chaotic implementation of the enforcement seam
-/// ([`crate::campaign::Enforcement`]): an [`EnforcementBroadcaster`]
-/// paired with the [`FaultInjector`] that decides which deliveries fail.
-///
-/// The coordinator writes intent into per-instance shadow lists; each
-/// round's [`reconcile`](crate::campaign::Enforcement::reconcile) pushes
-/// the shadow→device diff through the failure-prone channel with
-/// idempotent retry. Boot-time registration provisions the catch-up diff
-/// through the same channel with one immediate attempt, so with an inert
-/// injector every delivery lands synchronously and the wiring is
-/// observably identical to [`crate::campaign::DirectEnforcement`].
-#[derive(Debug)]
-pub struct BroadcastEnforcement {
-    broadcaster: EnforcementBroadcaster,
-    injector: FaultInjector,
-}
-
-impl BroadcastEnforcement {
-    /// Broadcast wiring drawing failures from `injector`.
-    pub fn new(injector: FaultInjector) -> Self {
-        BroadcastEnforcement {
-            broadcaster: EnforcementBroadcaster::new(),
-            injector,
-        }
-    }
-
-    /// Keys the fault plan with `lane_base + instance`.
-    pub fn with_lane_base(mut self, lane_base: u32) -> Self {
-        self.broadcaster = std::mem::take(&mut self.broadcaster).with_lane_base(lane_base);
-        self
-    }
-}
-
-impl crate::campaign::Enforcement for BroadcastEnforcement {
-    fn register(&mut self, instance: InstanceId, actual: SharedBlockList) -> SharedBlockList {
-        self.broadcaster.register(instance, actual)
-    }
-
-    fn provision(&mut self, instance: InstanceId, now: VirtualTime) {
-        self.broadcaster.provision(&self.injector, instance, now);
-    }
-
-    fn unregister(&mut self, instance: InstanceId) {
-        self.broadcaster.unregister(instance);
-    }
-
-    fn reconcile(&mut self, now: VirtualTime) -> usize {
-        self.broadcaster.reconcile(&self.injector, now)
-    }
-
-    fn reapplied(&self) -> usize {
-        self.broadcaster.reapplied()
     }
 }
 

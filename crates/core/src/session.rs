@@ -278,8 +278,8 @@ impl ParallelSession {
     /// The run is fully deterministic given `config.seed`. A session is a
     /// one-app campaign ([`run_campaign`]) with an otherwise default
     /// [`CampaignConfig`]: the farm's capacity is the app's `d_max`, so
-    /// every demand is granted at once, and no fault plan is set, so every
-    /// seam layer is the plain wiring. Orphan repair is on, as in every
+    /// every demand is granted at once, and no fault plan is set, so no
+    /// seam consults a fault injector. Orphan repair is on, as in every
     /// campaign: a confirmed subspace whose owners all retired in one
     /// round is re-dedicated to a survivor instead of being stranded.
     ///

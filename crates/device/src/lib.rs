@@ -9,10 +9,9 @@
 //!   [`CoverageTracer`] (the MiniTrace stand-in) and a [`Logcat`] buffer
 //!   collecting crash stack traces;
 //! * [`DeviceFarm`] — a bounded pool of devices with allocate/deallocate
-//!   and machine-time accounting (the "testing resources" of RQ4);
-//! * [`DevicePool`] — the device seam: the trait session drivers allocate
-//!   through, so a fault-injecting pool can replace the plain one without
-//!   the driver changing shape;
+//!   and machine-time accounting (the "testing resources" of RQ4); the
+//!   campaign scheduler allocates from it directly, and under a fault
+//!   plan `taopt-chaos` decides refusals and losses the scheduler applies;
 //! * [`CrashCollector`] — logcat-style unique-crash deduplication by stack
 //!   signature.
 //!
@@ -28,7 +27,6 @@ pub mod emulator;
 pub mod error;
 pub mod farm;
 pub mod logcat;
-pub mod pool;
 pub mod triage;
 
 pub use clock::VirtualClock;
@@ -37,5 +35,4 @@ pub use emulator::{DeviceId, Emulator, EmulatorConfig};
 pub use error::DeviceError;
 pub use farm::{fair_targets, fair_targets_from, DeviceClass, DeviceFarm};
 pub use logcat::{CrashCollector, LogEntry, Logcat};
-pub use pool::{DeviceLatency, DevicePool, NoLatency, PlainPool, PoolDecision};
 pub use triage::{CrashGroup, TriageReport};

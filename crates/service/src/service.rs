@@ -280,6 +280,9 @@ impl CampaignService {
         Ok((service, report))
     }
 
+    /// Queues a durable checkpoint under its own id: `Queued` if it
+    /// stands at round 0 of its first version, `Paused` at its round
+    /// otherwise.
     fn enqueue_checkpoint(&self, ckpt: Checkpoint) -> CampaignId {
         let mut st = self.shared.state.lock();
         let id = st.next_id.max(ckpt.campaign + 1);
@@ -308,25 +311,20 @@ impl CampaignService {
         CampaignId(ckpt.campaign)
     }
 
-    /// Submits a campaign. Admission control rejects specs the farm can
-    /// never satisfy; accepted submissions are durable (a round-0
-    /// checkpoint and its directory entry are fsynced before this
-    /// returns).
-    pub fn submit(
-        &self,
-        spec: CampaignSpec,
-        priority: Priority,
-    ) -> Result<CampaignId, ServiceError> {
-        let demand = spec.device_demand();
+    /// Admits a campaign arriving from outside the service: admission
+    /// control against the farm, recipe validation, a fresh local id, a
+    /// durable first checkpoint, then the queue.
+    fn admit(&self, ckpt: Checkpoint) -> Result<CampaignId, ServiceError> {
+        let demand = ckpt.spec.device_demand();
         if demand > self.shared.config.farm_capacity {
             return Err(ServiceError::Rejected(format!(
-                "spec demands {demand} devices, farm has {}",
+                "campaign demands {demand} devices, farm has {}",
                 self.shared.config.farm_capacity
             )));
         }
-        // Validate the recipe up front: unknown apps fail the submitter,
+        // Validate the recipe up front: unknown apps fail the caller,
         // not a runner thread later.
-        let _ = spec.build()?;
+        let _ = ckpt.spec.build()?;
         let id = {
             let mut st = self.shared.state.lock();
             if st.stop || st.crashed || st.draining {
@@ -338,38 +336,36 @@ impl CampaignService {
             st.next_id += 1;
             id
         };
-        self.create_checkpoint(&Checkpoint {
-            version: CHECKPOINT_VERSION,
+        let ckpt = Checkpoint {
             campaign: id,
+            ..ckpt
+        };
+        self.create_checkpoint(&ckpt)?;
+        Ok(self.enqueue_checkpoint(ckpt))
+    }
+
+    /// Submits a campaign. Admission control rejects specs the farm can
+    /// never satisfy; accepted submissions are durable (a round-0
+    /// checkpoint and its directory entry are fsynced before this
+    /// returns).
+    pub fn submit(
+        &self,
+        spec: CampaignSpec,
+        priority: Priority,
+    ) -> Result<CampaignId, ServiceError> {
+        let id = self.admit(Checkpoint {
+            version: CHECKPOINT_VERSION,
+            campaign: 0, // `admit` assigns the id
             priority,
             round: 0,
             sequence_version: 0,
-            spec: spec.clone(),
+            spec,
             digest: None,
         })?;
-        {
-            let mut st = self.shared.state.lock();
-            st.entries.insert(
-                id,
-                Entry {
-                    priority,
-                    demand,
-                    status: CampaignStatus::Queued,
-                    report: None,
-                    resume_round: 0,
-                    resume_sequence_version: 0,
-                    resume_digest: None,
-                    pause: Arc::new(AtomicBool::new(false)),
-                    migrating: false,
-                    spec,
-                },
-            );
-            st.queue.push(id);
-        }
-        let t = taopt_telemetry::global();
-        t.counter("service_campaigns_submitted_total").inc();
-        self.shared.cv.notify_all();
-        Ok(CampaignId(id))
+        taopt_telemetry::global()
+            .counter("service_campaigns_submitted_total")
+            .inc();
+        Ok(id)
     }
 
     /// Current status of a campaign.
@@ -597,59 +593,11 @@ impl CampaignService {
     /// wrong results. Admission control applies exactly as for
     /// [`CampaignService::submit`].
     pub fn import_checkpoint(&self, ckpt: Checkpoint) -> Result<CampaignId, ServiceError> {
-        let demand = ckpt.spec.device_demand();
-        if demand > self.shared.config.farm_capacity {
-            return Err(ServiceError::Rejected(format!(
-                "checkpoint demands {demand} devices, farm has {}",
-                self.shared.config.farm_capacity
-            )));
-        }
-        // Validate the recipe up front: unknown apps fail the importer.
-        let _ = ckpt.spec.build()?;
-        let id = {
-            let mut st = self.shared.state.lock();
-            if st.stop || st.crashed || st.draining {
-                return Err(ServiceError::Rejected(
-                    "service is shutting down".to_owned(),
-                ));
-            }
-            let id = st.next_id;
-            st.next_id += 1;
-            id
-        };
-        let ckpt = Checkpoint {
-            campaign: id,
-            ..ckpt
-        };
-        self.create_checkpoint(&ckpt)?;
-        {
-            let mut st = self.shared.state.lock();
-            st.entries.insert(
-                id,
-                Entry {
-                    priority: ckpt.priority,
-                    demand,
-                    status: if ckpt.round > 0 || ckpt.sequence_version > 0 {
-                        CampaignStatus::Paused { round: ckpt.round }
-                    } else {
-                        CampaignStatus::Queued
-                    },
-                    report: None,
-                    resume_round: ckpt.round,
-                    resume_sequence_version: ckpt.sequence_version,
-                    resume_digest: ckpt.digest,
-                    pause: Arc::new(AtomicBool::new(false)),
-                    migrating: false,
-                    spec: ckpt.spec,
-                },
-            );
-            st.queue.push(id);
-        }
+        let id = self.admit(ckpt)?;
         taopt_telemetry::global()
             .counter("service_imports_total")
             .inc();
-        self.shared.cv.notify_all();
-        Ok(CampaignId(id))
+        Ok(id)
     }
 }
 

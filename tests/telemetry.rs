@@ -8,7 +8,7 @@ use std::sync::Arc;
 use taopt::session::{RunMode, SessionConfig};
 use taopt::{run_campaign, CampaignApp, CampaignConfig};
 use taopt_app_sim::{generate_app, App, GeneratorConfig};
-use taopt_chaos::{FaultPlan, FaultRates};
+use taopt_chaos::{FaultKind, FaultPlan, FaultRates};
 use taopt_tools::ToolKind;
 use taopt_ui_model::VirtualDuration;
 
@@ -92,6 +92,17 @@ fn chaos_session_populates_registry_and_flight_recorder() {
         fault_stats.total_injected() as u64,
         "telemetry and the fault log disagree on injections"
     );
+    // The device-seam series mirror the log's refusals and losses.
+    for (series, kind) in [
+        ("pool_refusals_total", FaultKind::AllocRefused),
+        ("pool_losses_total", FaultKind::DeviceLost),
+    ] {
+        assert_eq!(
+            delta(series),
+            fault_stats.injected.get(&kind).copied().unwrap_or(0) as u64,
+            "telemetry and the fault log disagree on {series}"
+        );
+    }
 
     // Latency histograms exist for the span-wrapped phases and the
     // device step seam.
