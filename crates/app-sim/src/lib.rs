@@ -51,6 +51,6 @@ pub use error::AppSimError;
 pub use evolution::{AppEvolution, TouchedSurface, VersionDiff, VersionOp};
 pub use functionality::{Functionality, FunctionalityId};
 pub use generator::{derive_app, generate_app, GeneratorConfig};
-pub use method::MethodId;
+pub use method::{MethodId, MethodSet};
 pub use runtime::{AppRuntime, StepOutcome};
 pub use spec::{ActionSpec, FeedSpec, FlowRule, LoginSpec, ScreenSpec, TransitionTarget};

@@ -13,7 +13,7 @@ use crate::app::App;
 use crate::crash::CrashSignature;
 use crate::error::AppSimError;
 use crate::functionality::FunctionalityId;
-use crate::method::MethodId;
+use crate::method::{MethodId, MethodSet};
 
 /// The outcome of executing one tool action.
 #[derive(Debug, Clone)]
@@ -41,7 +41,7 @@ pub struct AppRuntime {
     current: ScreenId,
     back_stack: Vec<ScreenId>,
     visit_counts: HashMap<ScreenId, u64>,
-    covered_methods: HashSet<MethodId>,
+    covered_methods: MethodSet,
     executed_actions: HashSet<ActionId>,
     visited_screens: HashSet<ScreenId>,
     completed_flows: HashSet<usize>,
@@ -61,7 +61,7 @@ impl AppRuntime {
             rng: StdRng::seed_from_u64(seed),
             back_stack: Vec::new(),
             visit_counts: HashMap::new(),
-            covered_methods: HashSet::new(),
+            covered_methods: MethodSet::with_capacity(app.method_count()),
             executed_actions: HashSet::new(),
             visited_screens: HashSet::new(),
             completed_flows: HashSet::new(),
@@ -73,10 +73,8 @@ impl AppRuntime {
             feed_pages_seen: HashMap::new(),
             app,
         };
-        let startup: Vec<MethodId> = rt.app.startup_methods().to_vec();
-        for m in startup {
-            rt.covered_methods.insert(m);
-        }
+        rt.covered_methods
+            .extend(rt.app.startup_methods().iter().copied());
         rt.arrive(rt.current);
         rt
     }
@@ -97,7 +95,7 @@ impl AppRuntime {
     }
 
     /// Methods covered so far by this instance.
-    pub fn covered_methods(&self) -> &HashSet<MethodId> {
+    pub fn covered_methods(&self) -> &MethodSet {
         &self.covered_methods
     }
 

@@ -1,12 +1,14 @@
 //! Property-based tests for the app simulator: generator validity across
 //! the configuration space, runtime safety under arbitrary action
-//! sequences, coverage monotonicity.
+//! sequences, coverage monotonicity, and the dense covered-method set
+//! against an ordered-set oracle.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use taopt_app_sim::{generate_app, AppRuntime, GeneratorConfig};
+use taopt_app_sim::{generate_app, AppBuilder, AppRuntime, GeneratorConfig, MethodId, MethodSet};
 use taopt_ui_model::{Action, VirtualTime};
 
 fn arb_config() -> impl Strategy<Value = GeneratorConfig> {
@@ -124,4 +126,52 @@ proptest! {
         };
         prop_assert_eq!(walk(3), walk(3));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `MethodSet` answers every query exactly as a `BTreeSet` fed the same
+    /// inserts, including ids past its initial capacity and a capacity of
+    /// zero (an app without methods).
+    #[test]
+    fn method_set_matches_an_ordered_set(
+        capacity in prop_oneof![Just(0usize), 0usize..300],
+        ids in proptest::collection::vec(0u32..700, 0..200),
+        probes in proptest::collection::vec(0u32..800, 0..32),
+    ) {
+        let mut set = MethodSet::with_capacity(capacity);
+        let mut oracle = BTreeSet::new();
+        for id in ids {
+            prop_assert_eq!(set.insert(MethodId(id)), oracle.insert(MethodId(id)));
+            prop_assert_eq!(set.len(), oracle.len());
+            prop_assert_eq!(set.is_empty(), oracle.is_empty());
+        }
+        for id in probes {
+            prop_assert_eq!(set.contains(MethodId(id)), oracle.contains(&MethodId(id)));
+        }
+        prop_assert!(set.iter().eq(oracle.iter().copied()));
+    }
+}
+
+#[test]
+fn an_app_without_methods_covers_nothing() {
+    let mut b = AppBuilder::new("nomethods");
+    let f = b.add_functionality("F");
+    let act = b.add_activity();
+    let s0 = b.add_screen(act, f, "A");
+    let s1 = b.add_screen(act, f, "B");
+    b.add_click(s0, s1, "w", "go");
+    b.set_start(s0);
+    let app = Arc::new(b.build().unwrap());
+    assert_eq!(app.method_count(), 0);
+    let mut rt = AppRuntime::launch(app, 1);
+    let aid = rt.observe(VirtualTime::ZERO).enabled_actions()[0].0;
+    let out = rt
+        .execute(Action::Widget(aid), VirtualTime::from_secs(1))
+        .unwrap();
+    assert!(out.transitioned);
+    assert!(out.newly_covered.is_empty());
+    assert!(rt.covered_methods().is_empty());
+    assert_eq!(rt.covered_methods().iter().count(), 0);
 }

@@ -70,7 +70,7 @@ use parking_lot::Mutex;
 use taopt_app_sim::App;
 use taopt_chaos::{FaultInjector, FaultPlan, FaultStats, APP_LANE_SHIFT};
 use taopt_device::{fair_targets_from, DeviceFarm, DeviceId};
-use taopt_ui_model::{Value, VirtualDuration, VirtualTime};
+use taopt_ui_model::{json, VirtualDuration, VirtualTime};
 
 use crate::campaign::lease::LeaseLedger;
 use crate::campaign::pool::{home_worker, ComputePool};
@@ -224,139 +224,128 @@ impl CampaignResult {
     /// and nothing timing-dependent (no steal counts, no host time), so
     /// two runs are equivalent iff their reports are byte-identical.
     pub fn coverage_report(&self) -> String {
-        let apps: Vec<Value> = self
-            .apps
-            .iter()
-            .map(|a| {
-                let instances: Vec<Value> = a
-                    .session
-                    .instances
-                    .iter()
-                    .map(|i| {
-                        Value::Object(vec![
-                            ("instance".to_owned(), Value::UInt(i.instance.0 as u64)),
-                            ("device".to_owned(), Value::UInt(i.device.0 as u64)),
-                            (
-                                "allocated_ms".to_owned(),
-                                Value::UInt(i.allocated_at.as_millis()),
-                            ),
-                            (
-                                "deallocated_ms".to_owned(),
-                                Value::UInt(i.deallocated_at.as_millis()),
-                            ),
-                            ("covered".to_owned(), Value::UInt(i.covered.len() as u64)),
-                            (
-                                "cover_events".to_owned(),
-                                Value::UInt(i.cover_events.len() as u64),
-                            ),
-                            ("crashes".to_owned(), Value::UInt(i.crashes.len() as u64)),
-                            ("trace_len".to_owned(), Value::UInt(i.trace.len() as u64)),
-                        ])
-                    })
-                    .collect();
-                let curve: Vec<Value> = a
-                    .session
-                    .union_curve
-                    .iter()
-                    .map(|p| {
-                        Value::Array(vec![
-                            Value::UInt(p.time.as_millis()),
-                            Value::UInt(p.covered as u64),
-                            Value::UInt(p.machine_time.as_millis()),
-                        ])
-                    })
-                    .collect();
-                let dedications = a
-                    .session
-                    .coordinator_events
-                    .iter()
-                    .filter(|e| matches!(e, CoordinatorEvent::SubspaceDedicated { .. }))
-                    .count();
-                Value::Object(vec![
-                    ("name".to_owned(), Value::Str(a.name.clone())),
-                    (
-                        "coverage".to_owned(),
-                        Value::UInt(a.session.union_coverage() as u64),
-                    ),
-                    (
-                        "crashes".to_owned(),
-                        Value::UInt(a.session.unique_crashes().len() as u64),
-                    ),
-                    (
-                        "machine_ms".to_owned(),
-                        Value::UInt(a.session.machine_time.as_millis()),
-                    ),
-                    (
-                        "wall_ms".to_owned(),
-                        Value::UInt(a.session.wall_clock.as_millis()),
-                    ),
-                    (
-                        "subspaces".to_owned(),
-                        Value::UInt(a.session.subspaces.len() as u64),
-                    ),
-                    (
-                        "confirmed".to_owned(),
-                        Value::UInt(
-                            a.session.subspaces.iter().filter(|s| s.confirmed).count() as u64
-                        ),
-                    ),
-                    ("dedications".to_owned(), Value::UInt(dedications as u64)),
-                    (
-                        "unresolved_orphans".to_owned(),
-                        Value::UInt(a.unresolved_orphans as u64),
-                    ),
-                    (
-                        "devices_lost".to_owned(),
-                        Value::UInt(a.devices_lost as u64),
-                    ),
-                    (
-                        "replacements".to_owned(),
-                        Value::UInt(a.replacements as u64),
-                    ),
-                    ("stream_gaps".to_owned(), Value::UInt(a.stream.gaps as u64)),
-                    (
-                        "stream_duplicates".to_owned(),
-                        Value::UInt(a.stream.duplicates as u64),
-                    ),
-                    (
-                        "stream_reordered".to_owned(),
-                        Value::UInt(a.stream.reordered as u64),
-                    ),
-                    (
-                        "enforcement_retries".to_owned(),
-                        Value::UInt(a.enforcement_retries as u64),
-                    ),
-                    ("wait_rounds".to_owned(), Value::UInt(a.wait_rounds)),
-                    ("finished_round".to_owned(), Value::UInt(a.finished_round)),
-                    ("instances".to_owned(), Value::Array(instances)),
-                    ("curve".to_owned(), Value::Array(curve)),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("capacity".to_owned(), Value::UInt(self.capacity as u64)),
-            ("rounds".to_owned(), Value::UInt(self.rounds)),
-            (
-                "wall_ms".to_owned(),
-                Value::UInt(self.wall_clock.as_millis()),
-            ),
-            (
-                "machine_ms".to_owned(),
-                Value::UInt(self.machine_time.as_millis()),
-            ),
-            (
-                "peak_active".to_owned(),
-                Value::UInt(self.peak_active as u64),
-            ),
-            ("grants".to_owned(), Value::UInt(self.grants)),
-            ("revocations".to_owned(), Value::UInt(self.revocations)),
-            (
-                "lease_conflicts".to_owned(),
-                Value::UInt(self.lease_conflicts),
-            ),
-            ("apps".to_owned(), Value::Array(apps)),
-        ])
-        .to_json_string()
+        // The union curves are O(coverage) and dominate the report, so it
+        // is written straight into one string sized from the result.
+        let points: usize = self.apps.iter().map(|a| a.session.union_curve.len()).sum();
+        let instances: usize = self.apps.iter().map(|a| a.session.instances.len()).sum();
+        let mut out =
+            String::with_capacity(256 + 512 * self.apps.len() + 160 * instances + 24 * points);
+        let mut top = JsonObject::open(&mut out);
+        top.uint("capacity", self.capacity as u64)
+            .uint("rounds", self.rounds)
+            .uint("wall_ms", self.wall_clock.as_millis())
+            .uint("machine_ms", self.machine_time.as_millis())
+            .uint("peak_active", self.peak_active as u64)
+            .uint("grants", self.grants)
+            .uint("revocations", self.revocations)
+            .uint("lease_conflicts", self.lease_conflicts);
+        let apps = top.key("apps");
+        apps.push('[');
+        for (n, a) in self.apps.iter().enumerate() {
+            if n > 0 {
+                apps.push(',');
+            }
+            write_app_report(a, apps);
+        }
+        apps.push(']');
+        top.close();
+        out
+    }
+}
+
+/// Appends one app's entry of [`CampaignResult::coverage_report`].
+fn write_app_report(a: &AppReport, out: &mut String) {
+    let s = &a.session;
+    let dedications = s
+        .coordinator_events
+        .iter()
+        .filter(|e| matches!(e, CoordinatorEvent::SubspaceDedicated { .. }))
+        .count();
+    let mut app = JsonObject::open(out);
+    json::write_escaped(&a.name, app.key("name"));
+    app.uint("coverage", s.union_coverage() as u64)
+        .uint("crashes", s.unique_crashes().len() as u64)
+        .uint("machine_ms", s.machine_time.as_millis())
+        .uint("wall_ms", s.wall_clock.as_millis())
+        .uint("subspaces", s.subspaces.len() as u64)
+        .uint(
+            "confirmed",
+            s.subspaces.iter().filter(|x| x.confirmed).count() as u64,
+        )
+        .uint("dedications", dedications as u64)
+        .uint("unresolved_orphans", a.unresolved_orphans as u64)
+        .uint("devices_lost", a.devices_lost as u64)
+        .uint("replacements", a.replacements as u64)
+        .uint("stream_gaps", a.stream.gaps as u64)
+        .uint("stream_duplicates", a.stream.duplicates as u64)
+        .uint("stream_reordered", a.stream.reordered as u64)
+        .uint("enforcement_retries", a.enforcement_retries as u64)
+        .uint("wait_rounds", a.wait_rounds)
+        .uint("finished_round", a.finished_round);
+    let instances = app.key("instances");
+    instances.push('[');
+    for (n, i) in s.instances.iter().enumerate() {
+        if n > 0 {
+            instances.push(',');
+        }
+        JsonObject::open(instances)
+            .uint("instance", i.instance.0 as u64)
+            .uint("device", i.device.0 as u64)
+            .uint("allocated_ms", i.allocated_at.as_millis())
+            .uint("deallocated_ms", i.deallocated_at.as_millis())
+            .uint("covered", i.covered.len() as u64)
+            .uint("cover_events", i.cover_events.len() as u64)
+            .uint("crashes", i.crashes.len() as u64)
+            .uint("trace_len", i.trace.len() as u64)
+            .close();
+    }
+    instances.push(']');
+    let curve = app.key("curve");
+    curve.push('[');
+    for (n, p) in s.union_curve.iter().enumerate() {
+        curve.push_str(if n > 0 { ",[" } else { "[" });
+        json::write_uint(p.time.as_millis(), curve);
+        curve.push(',');
+        json::write_uint(p.covered as u64, curve);
+        curve.push(',');
+        json::write_uint(p.machine_time.as_millis(), curve);
+        curve.push(']');
+    }
+    curve.push(']');
+    app.close();
+}
+
+/// A compact JSON object written field by field, in order, into a string
+/// that may already hold the enclosing document.
+struct JsonObject<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> JsonObject<'a> {
+    fn open(out: &'a mut String) -> Self {
+        out.push('{');
+        JsonObject { out, empty: true }
+    }
+
+    /// Writes the separator and `"key":`, and returns the string the
+    /// field's value goes into.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !std::mem::take(&mut self.empty) {
+            self.out.push(',');
+        }
+        json::write_escaped(key, self.out);
+        self.out.push(':');
+        self.out
+    }
+
+    fn uint(&mut self, key: &str, n: u64) -> &mut Self {
+        json::write_uint(n, self.key(key));
+        self
+    }
+
+    fn close(&mut self) {
+        self.out.push('}');
     }
 }
 

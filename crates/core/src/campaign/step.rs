@@ -22,7 +22,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use taopt_app_sim::{App, MethodId};
+use taopt_app_sim::{App, MethodId, MethodSet};
 use taopt_chaos::{FaultInjector, RecoveryKind};
 use taopt_device::DeviceId;
 use taopt_telemetry::Counter;
@@ -239,7 +239,7 @@ pub struct SessionStep {
     active: Vec<ActiveInstance>,
     finished: Vec<InstanceResult>,
     next_instance: u32,
-    union: BTreeSet<MethodId>,
+    union: MethodSet,
     union_curve: Vec<CurvePoint>,
     /// Methods covered during instance boot (startup + auto-login),
     /// merged into the union at the next round boundary.
@@ -296,6 +296,7 @@ impl SessionStep {
         }
         .with_stall_timeout(config.stall_timeout);
         let budget = config.effective_budget();
+        let union = MethodSet::with_capacity(app.method_count());
         SessionStep {
             app,
             config,
@@ -306,7 +307,7 @@ impl SessionStep {
             active: Vec::new(),
             finished: Vec::new(),
             next_instance: 0,
-            union: BTreeSet::new(),
+            union,
             union_curve: Vec::new(),
             pending_boot: Vec::new(),
             concurrency_timeline: Vec::new(),
@@ -465,7 +466,7 @@ impl SessionStep {
             .coverage()
             .covered()
             .iter()
-            .map(|m| (self.now, *m))
+            .map(|m| (self.now, m))
             .collect();
         self.pending_boot.extend(boot_covered.iter().copied());
         self.meter.start(device, self.now);
@@ -809,17 +810,22 @@ impl SessionStep {
             .collect();
         self.coordinator
             .unregister_instance_with_trace(a.inst.id(), &visited);
-        let em = a.inst.emulator();
+        let instance = a.inst.id();
+        let (mut trace, covered, crashes) = a.inst.into_findings();
+        let (crashes, crash_occurrences) = crashes.into_parts();
+        trace.shrink_to_fit();
+        let mut cover_events = a.cover_events;
+        cover_events.shrink_to_fit();
         self.finished.push(InstanceResult {
-            instance: a.inst.id(),
+            instance,
             allocated_at: a.allocated_at,
             deallocated_at: now,
-            covered: em.coverage().covered().clone(),
-            cover_events: std::mem::take(&mut a.cover_events),
-            crashes: em.crashes().unique_crashes().clone(),
-            crash_occurrences: em.crashes().occurrences().to_vec(),
+            covered,
+            cover_events,
+            crashes,
+            crash_occurrences,
             device: a.device,
-            trace: a.inst.trace().clone(),
+            trace,
         });
         a.device
     }

@@ -26,7 +26,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use taopt_app_sim::{App, CrashSignature, MethodId};
+use taopt_app_sim::{App, CrashSignature, MethodId, MethodSet};
 use taopt_toller::InstanceId;
 use taopt_tools::ToolKind;
 use taopt_ui_model::{Trace, VirtualDuration, VirtualTime};
@@ -150,7 +150,7 @@ pub struct InstanceResult {
     /// Deallocation time.
     pub deallocated_at: VirtualTime,
     /// Methods covered by this instance.
-    pub covered: BTreeSet<MethodId>,
+    pub covered: MethodSet,
     /// Time-stamped cover events (for overlap-over-time analyses).
     pub cover_events: Vec<(VirtualTime, MethodId)>,
     /// Unique crashes triggered on this instance.
@@ -215,13 +215,16 @@ impl SessionResult {
     pub fn union_covered(&self) -> BTreeSet<MethodId> {
         self.instances
             .iter()
-            .flat_map(|i| i.covered.iter().copied())
+            .flat_map(|i| i.covered.iter())
             .collect()
     }
 
     /// Per-instance coverage sets (for AJS).
     pub fn coverage_sets(&self) -> Vec<BTreeSet<MethodId>> {
-        self.instances.iter().map(|i| i.covered.clone()).collect()
+        self.instances
+            .iter()
+            .map(|i| i.covered.iter().collect())
+            .collect()
     }
 
     /// Traces of all instances.

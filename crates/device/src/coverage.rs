@@ -3,41 +3,32 @@
 //! The paper collects method coverage with MiniTrace, a DalvikVM/ART-level
 //! tracer needing no app instrumentation (§6.1). Here the app runtime
 //! reports covered methods directly; the tracer accumulates the per-device
-//! covered set and a time-stamped growth curve, from which all coverage-
-//! over-time analyses (RQ3/RQ4 savings, Fig. 3) are computed.
+//! covered set as a dense [`MethodSet`]. Coverage over time comes from the
+//! session's time-stamped cover events, not from the tracer.
 
-use std::collections::BTreeSet;
+use taopt_app_sim::{MethodId, MethodSet};
 
-use taopt_ui_model::VirtualTime;
-
-use taopt_app_sim::MethodId;
-
-/// Accumulates covered methods and the coverage-growth timeline for one
-/// testing instance.
+/// Accumulates the covered methods of one testing instance.
 #[derive(Debug, Clone, Default)]
 pub struct CoverageTracer {
-    covered: BTreeSet<MethodId>,
-    timeline: Vec<(VirtualTime, usize)>,
+    covered: MethodSet,
 }
 
 impl CoverageTracer {
-    /// Creates an empty tracer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records methods covered at `time`. Appends a timeline point only
-    /// when the covered set grows.
-    pub fn record(&mut self, time: VirtualTime, methods: &[MethodId]) {
-        let before = self.covered.len();
-        self.covered.extend(methods.iter().copied());
-        if self.covered.len() != before {
-            self.timeline.push((time, self.covered.len()));
+    /// Creates an empty tracer sized for an app of `method_count` methods.
+    pub fn new(method_count: usize) -> Self {
+        CoverageTracer {
+            covered: MethodSet::with_capacity(method_count),
         }
     }
 
+    /// Records covered methods.
+    pub fn record(&mut self, methods: &[MethodId]) {
+        self.covered.extend(methods.iter().copied());
+    }
+
     /// The covered method set.
-    pub fn covered(&self) -> &BTreeSet<MethodId> {
+    pub fn covered(&self) -> &MethodSet {
         &self.covered
     }
 
@@ -46,36 +37,9 @@ impl CoverageTracer {
         self.covered.len()
     }
 
-    /// The (time, cumulative count) growth curve.
-    pub fn timeline(&self) -> &[(VirtualTime, usize)] {
-        &self.timeline
-    }
-
-    /// Covered-method count at (or before) a given time.
-    pub fn count_at(&self, time: VirtualTime) -> usize {
-        match self.timeline.binary_search_by(|(t, _)| t.cmp(&time)) {
-            Ok(i) => self.timeline[i].1,
-            Err(0) => 0,
-            Err(i) => self.timeline[i - 1].1,
-        }
-    }
-
-    /// Methods covered up to (and including) a given time.
-    pub fn covered_at(&self, time: VirtualTime) -> BTreeSet<MethodId> {
-        // The tracer does not keep per-method timestamps; callers needing
-        // the exact set at a past instant should snapshot during the run.
-        // This fallback returns the full set when `time` is at or past the
-        // end of the timeline, or an empty set before the first point.
-        if self
-            .timeline
-            .first()
-            .map(|(t, _)| time < *t)
-            .unwrap_or(true)
-        {
-            BTreeSet::new()
-        } else {
-            self.covered.clone()
-        }
+    /// Consumes the tracer, returning its covered set.
+    pub fn into_covered(self) -> MethodSet {
+        self.covered
     }
 }
 
@@ -89,34 +53,14 @@ mod tests {
 
     #[test]
     fn record_accumulates_and_dedupes() {
-        let mut t = CoverageTracer::new();
-        t.record(VirtualTime::from_secs(1), &m(&[1, 2]));
-        t.record(VirtualTime::from_secs(2), &m(&[2, 3]));
-        t.record(VirtualTime::from_secs(3), &m(&[3]));
-        assert_eq!(t.count(), 3);
-        assert_eq!(t.timeline().len(), 2, "no-growth steps add no points");
-    }
-
-    #[test]
-    fn count_at_interpolates_stepwise() {
-        let mut t = CoverageTracer::new();
-        t.record(VirtualTime::from_secs(10), &m(&[1]));
-        t.record(VirtualTime::from_secs(20), &m(&[2, 3]));
-        assert_eq!(t.count_at(VirtualTime::from_secs(5)), 0);
-        assert_eq!(t.count_at(VirtualTime::from_secs(10)), 1);
-        assert_eq!(t.count_at(VirtualTime::from_secs(15)), 1);
-        assert_eq!(t.count_at(VirtualTime::from_secs(25)), 3);
-    }
-
-    #[test]
-    fn monotone_timeline() {
-        let mut t = CoverageTracer::new();
-        for i in 0..50 {
-            t.record(VirtualTime::from_secs(i), &m(&[(i % 17) as u32]));
-        }
-        assert!(t
-            .timeline()
-            .windows(2)
-            .all(|w| w[0].0 <= w[1].0 && w[0].1 < w[1].1));
+        let mut t = CoverageTracer::new(4);
+        t.record(&m(&[1, 2]));
+        t.record(&m(&[2, 3]));
+        t.record(&m(&[3, 70]));
+        assert_eq!(t.count(), 4, "ids past the sized range still count");
+        assert_eq!(
+            t.into_covered().iter().collect::<Vec<_>>(),
+            m(&[1, 2, 3, 70])
+        );
     }
 }

@@ -101,10 +101,9 @@ impl Emulator {
     ) -> Self {
         let mut runtime = AppRuntime::launch(app.clone(), seed);
         let mut clock = VirtualClock::starting_at(start);
-        let mut coverage = CoverageTracer::new();
+        let mut coverage = CoverageTracer::new(app.method_count());
         let mut logcat = Logcat::new();
-        let startup: Vec<_> = app.startup_methods().to_vec();
-        coverage.record(clock.now(), &startup);
+        coverage.record(app.startup_methods());
         logcat.log(
             clock.now(),
             "ActivityManager",
@@ -112,11 +111,11 @@ impl Emulator {
         );
         // Screen methods of the start screen were covered at launch.
         if let Some(s) = app.screen(runtime.current_screen()) {
-            coverage.record(clock.now(), &s.methods);
+            coverage.record(&s.methods);
         }
         if let Some(out) = runtime.auto_login(clock.now()) {
             clock.advance(config.action_latency);
-            coverage.record(clock.now(), &out.newly_covered);
+            coverage.record(&out.newly_covered);
             logcat.log(clock.now(), "AutoLogin", "executed login script");
         }
         Emulator {
@@ -173,7 +172,7 @@ impl Emulator {
             action
         };
         let out = self.runtime.execute(action, self.clock.now())?;
-        self.coverage.record(self.clock.now(), &out.newly_covered);
+        self.coverage.record(&out.newly_covered);
         if let Some(sig) = out.crash {
             self.clock.advance(self.config.crash_restart_latency);
             self.crashes.record(self.clock.now(), sig);
@@ -198,6 +197,12 @@ impl Emulator {
         &self.crashes
     }
 
+    /// Consumes the device, returning what it collected: the coverage
+    /// tracer and the crash collector.
+    pub fn into_findings(self) -> (CoverageTracer, CrashCollector) {
+        (self.coverage, self.crashes)
+    }
+
     /// Logcat buffer.
     pub fn logcat(&self) -> &Logcat {
         &self.logcat
@@ -219,7 +224,7 @@ impl Emulator {
     pub fn jump_to(&mut self, screen: taopt_ui_model::ScreenId) -> ScreenObservation {
         self.clock.advance(self.config.crash_restart_latency);
         let newly = self.runtime.jump_to(screen);
-        self.coverage.record(self.clock.now(), &newly);
+        self.coverage.record(&newly);
         self.logcat.log(
             self.clock.now(),
             "ActivityManager",

@@ -88,6 +88,12 @@ impl CrashCollector {
         &self.occurrences
     }
 
+    /// Consumes the collector, returning the distinct signatures and every
+    /// occurrence in order.
+    pub fn into_parts(self) -> (BTreeSet<CrashSignature>, Vec<(VirtualTime, CrashSignature)>) {
+        (self.seen, self.occurrences)
+    }
+
     /// Merges another collector's unique crashes into this one (for
     /// computing per-run unions across instances).
     pub fn merge(&mut self, other: &CrashCollector) {

@@ -3,8 +3,8 @@
 use std::fmt;
 use std::sync::Arc;
 
-use taopt_app_sim::{App, CrashSignature};
-use taopt_device::{DeviceId, Emulator};
+use taopt_app_sim::{App, CrashSignature, MethodSet};
+use taopt_device::{CrashCollector, DeviceId, Emulator};
 use taopt_tools::TestingTool;
 use taopt_ui_model::{ScreenObservation, VirtualTime};
 
@@ -141,6 +141,13 @@ impl InstrumentedInstance {
     /// The UI transition trace so far.
     pub fn trace(&self) -> &taopt_ui_model::Trace {
         self.monitor.trace()
+    }
+
+    /// Consumes a retired instance, moving out what it leaves behind: its
+    /// UI transition trace, its covered methods and its crash collector.
+    pub fn into_findings(self) -> (taopt_ui_model::Trace, MethodSet, CrashCollector) {
+        let (coverage, crashes) = self.emulator.into_findings();
+        (self.monitor.into_trace(), coverage.into_covered(), crashes)
     }
 
     /// The tool's name.

@@ -62,6 +62,11 @@ impl TransitionMonitor {
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
+
+    /// Consumes the monitor, returning its trace.
+    pub fn into_trace(self) -> Trace {
+        self.trace
+    }
 }
 
 #[cfg(test)]

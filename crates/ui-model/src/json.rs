@@ -9,7 +9,7 @@
 //! into [`Value::UInt`] / [`Value::Int`], never through `f64`, because
 //! abstract-screen ids are 64-bit hashes that must roundtrip bit-for-bit.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use crate::abstraction::{AbstractHierarchy, AbstractNode};
@@ -111,8 +111,10 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::UInt(n) => out.push_str(&n.to_string()),
-            Value::Int(n) => out.push_str(&n.to_string()),
+            Value::UInt(n) => write_uint(*n, out),
+            Value::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
             Value::Float(x) => {
                 if x.is_finite() {
                     let s = x.to_string();
@@ -289,7 +291,17 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `n` in decimal, as [`Value::UInt`] serializes it, without an
+/// intermediate `String`.
+pub fn write_uint(n: u64, out: &mut String) {
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{n}");
+}
+
+/// Appends `s` as a quoted, escaped JSON string — the one escaper behind
+/// [`Value::Str`] and every object key, exposed for writers that stream
+/// a document instead of building a [`Value`] tree.
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -299,7 +311,7 @@ fn write_escaped(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -790,6 +802,7 @@ mod tests {
             "-7",
             "18446744073709551615",
             "\"hi\"",
+            "\"a\\u001fb\\\"\\\\\"",
         ] {
             let v = Value::parse(text).unwrap();
             assert_eq!(v.to_json_string(), text);
@@ -797,6 +810,14 @@ mod tests {
         assert_eq!(Value::parse("1.5").unwrap(), Value::Float(1.5));
         assert_eq!(Value::Float(2.0).to_json_string(), "2.0");
         assert_eq!(Value::parse("1e3").unwrap().as_f64(), Some(1000.0));
+        assert_eq!(
+            Value::Int(i64::MIN).to_json_string(),
+            "-9223372036854775808"
+        );
+        let mut out = String::new();
+        write_uint(u64::MAX, &mut out);
+        write_escaped("\u{1}é", &mut out);
+        assert_eq!(out, "18446744073709551615\"\\u0001é\"");
     }
 
     #[test]

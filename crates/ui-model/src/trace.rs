@@ -55,6 +55,11 @@ impl Trace {
         self.events.push(event);
     }
 
+    /// Drops spare capacity (for a trace that is complete).
+    pub fn shrink_to_fit(&mut self) {
+        self.events.shrink_to_fit();
+    }
+
     /// All events in order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events

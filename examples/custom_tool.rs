@@ -138,7 +138,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let union: std::collections::BTreeSet<_> = instances
         .iter()
-        .flat_map(|i| i.emulator().coverage().covered().iter().copied())
+        .flat_map(|i| i.emulator().coverage().covered().iter())
         .collect();
     let confirmed = coordinator.analyzer().confirmed().count();
     println!(

@@ -4,13 +4,13 @@
 
 use std::sync::Arc;
 
-use taopt::campaign::{run_campaign, CampaignApp, CampaignConfig, KillEvent};
+use taopt::campaign::{run_campaign, CampaignApp, CampaignConfig, CampaignResult, KillEvent};
 use taopt::session::{ParallelSession, RunMode, SessionConfig};
-use taopt::StreamStats;
+use taopt::{CoordinatorEvent, StreamStats};
 use taopt_app_sim::{generate_app, App, GeneratorConfig};
 use taopt_chaos::{FaultPlan, FaultRates};
 use taopt_tools::ToolKind;
-use taopt_ui_model::VirtualDuration;
+use taopt_ui_model::{Value, VirtualDuration};
 
 fn small_app(name: &str, seed: u64) -> Arc<App> {
     Arc::new(generate_app(&GeneratorConfig::small(name, seed)).unwrap())
@@ -213,6 +213,187 @@ fn contended_campaign_matches_uncontended_coverage_order() {
             f.session.union_coverage()
         );
     }
+}
+
+/// The coverage report built as a `Value` tree — the test-only oracle for
+/// the streamed writer behind [`CampaignResult::coverage_report`], which
+/// must produce the same bytes.
+fn value_tree_report(result: &CampaignResult) -> String {
+    let apps: Vec<Value> = result
+        .apps
+        .iter()
+        .map(|a| {
+            let instances: Vec<Value> = a
+                .session
+                .instances
+                .iter()
+                .map(|i| {
+                    Value::Object(vec![
+                        ("instance".to_owned(), Value::UInt(i.instance.0 as u64)),
+                        ("device".to_owned(), Value::UInt(i.device.0 as u64)),
+                        (
+                            "allocated_ms".to_owned(),
+                            Value::UInt(i.allocated_at.as_millis()),
+                        ),
+                        (
+                            "deallocated_ms".to_owned(),
+                            Value::UInt(i.deallocated_at.as_millis()),
+                        ),
+                        ("covered".to_owned(), Value::UInt(i.covered.len() as u64)),
+                        (
+                            "cover_events".to_owned(),
+                            Value::UInt(i.cover_events.len() as u64),
+                        ),
+                        ("crashes".to_owned(), Value::UInt(i.crashes.len() as u64)),
+                        ("trace_len".to_owned(), Value::UInt(i.trace.len() as u64)),
+                    ])
+                })
+                .collect();
+            let curve: Vec<Value> = a
+                .session
+                .union_curve
+                .iter()
+                .map(|p| {
+                    Value::Array(vec![
+                        Value::UInt(p.time.as_millis()),
+                        Value::UInt(p.covered as u64),
+                        Value::UInt(p.machine_time.as_millis()),
+                    ])
+                })
+                .collect();
+            let dedications = a
+                .session
+                .coordinator_events
+                .iter()
+                .filter(|e| matches!(e, CoordinatorEvent::SubspaceDedicated { .. }))
+                .count();
+            Value::Object(vec![
+                ("name".to_owned(), Value::Str(a.name.clone())),
+                (
+                    "coverage".to_owned(),
+                    Value::UInt(a.session.union_coverage() as u64),
+                ),
+                (
+                    "crashes".to_owned(),
+                    Value::UInt(a.session.unique_crashes().len() as u64),
+                ),
+                (
+                    "machine_ms".to_owned(),
+                    Value::UInt(a.session.machine_time.as_millis()),
+                ),
+                (
+                    "wall_ms".to_owned(),
+                    Value::UInt(a.session.wall_clock.as_millis()),
+                ),
+                (
+                    "subspaces".to_owned(),
+                    Value::UInt(a.session.subspaces.len() as u64),
+                ),
+                (
+                    "confirmed".to_owned(),
+                    Value::UInt(a.session.subspaces.iter().filter(|s| s.confirmed).count() as u64),
+                ),
+                ("dedications".to_owned(), Value::UInt(dedications as u64)),
+                (
+                    "unresolved_orphans".to_owned(),
+                    Value::UInt(a.unresolved_orphans as u64),
+                ),
+                (
+                    "devices_lost".to_owned(),
+                    Value::UInt(a.devices_lost as u64),
+                ),
+                (
+                    "replacements".to_owned(),
+                    Value::UInt(a.replacements as u64),
+                ),
+                ("stream_gaps".to_owned(), Value::UInt(a.stream.gaps as u64)),
+                (
+                    "stream_duplicates".to_owned(),
+                    Value::UInt(a.stream.duplicates as u64),
+                ),
+                (
+                    "stream_reordered".to_owned(),
+                    Value::UInt(a.stream.reordered as u64),
+                ),
+                (
+                    "enforcement_retries".to_owned(),
+                    Value::UInt(a.enforcement_retries as u64),
+                ),
+                ("wait_rounds".to_owned(), Value::UInt(a.wait_rounds)),
+                ("finished_round".to_owned(), Value::UInt(a.finished_round)),
+                ("instances".to_owned(), Value::Array(instances)),
+                ("curve".to_owned(), Value::Array(curve)),
+            ])
+        })
+        .collect();
+    Value::Object(vec![
+        ("capacity".to_owned(), Value::UInt(result.capacity as u64)),
+        ("rounds".to_owned(), Value::UInt(result.rounds)),
+        (
+            "wall_ms".to_owned(),
+            Value::UInt(result.wall_clock.as_millis()),
+        ),
+        (
+            "machine_ms".to_owned(),
+            Value::UInt(result.machine_time.as_millis()),
+        ),
+        (
+            "peak_active".to_owned(),
+            Value::UInt(result.peak_active as u64),
+        ),
+        ("grants".to_owned(), Value::UInt(result.grants)),
+        ("revocations".to_owned(), Value::UInt(result.revocations)),
+        (
+            "lease_conflicts".to_owned(),
+            Value::UInt(result.lease_conflicts),
+        ),
+        ("apps".to_owned(), Value::Array(apps)),
+    ])
+    .to_json_string()
+}
+
+#[test]
+fn streamed_report_matches_the_value_tree_oracle() {
+    let config = CampaignConfig {
+        host_threads: 2,
+        capacity: Some(7),
+        ..CampaignConfig::default()
+    };
+    let plain = run_campaign(catalog(), &config);
+    assert_eq!(plain.coverage_report(), value_tree_report(&plain));
+
+    let faulted = run_campaign(
+        catalog(),
+        &CampaignConfig {
+            faults: Some(FaultPlan::new(5, FaultRates::uniform(0.05))),
+            ..config.clone()
+        },
+    );
+    assert!(
+        faulted
+            .fault_stats
+            .as_ref()
+            .expect("plan set")
+            .total_injected()
+            > 0
+    );
+    assert_eq!(faulted.coverage_report(), value_tree_report(&faulted));
+
+    // A name that needs every kind of escape the writer knows.
+    let name = "quote\" back\\slash \u{7} bell, héllo ☃ 子";
+    let odd = run_campaign(
+        vec![CampaignApp {
+            name: name.to_owned(),
+            app: small_app("odd", 3),
+            config: quick_config(ToolKind::Monkey, RunMode::TaoptDuration, 3),
+        }],
+        &CampaignConfig::default(),
+    );
+    let report = odd.coverage_report();
+    assert_eq!(report, value_tree_report(&odd));
+    let parsed = Value::parse(&report).expect("the report is JSON");
+    let apps = parsed.get("apps").and_then(Value::as_array).expect("apps");
+    assert_eq!(apps[0].get("name").and_then(Value::as_str), Some(name));
 }
 
 #[test]
