@@ -72,11 +72,19 @@ pub struct AnalyzerConfig {
     /// Minimum summed window length (events past each instance's
     /// `start_index`, over the whole batch) before phase A is shipped
     /// to an attached [`ComputePool`]. Below it the batch runs inline:
-    /// job submission, worker wake-up and the per-item event clone cost
+    /// job submission, worker wake-up and the per-item window clone cost
     /// more than a few microsecond sweeps return. Purely a *where*
     /// knob — results are byte-identical either way (the
-    /// `ingest_round_*` law pins it at 0, engaging the pool for every
-    /// batch).
+    /// `ingest_round_*` and `validation_law_*` laws pin it at 0,
+    /// engaging the pool for every batch).
+    ///
+    /// Measured at the default 4096 on the benchmark's workloads (seed
+    /// 3, 2 cores): the pool engaged in 0 of 8 460 batches on
+    /// `catalog-deep` (summed window p50 1 300, max 4 000 events), 0 of
+    /// 24 000 on `farm-wide` (max 629), 0 of 25 920 on `release-train`
+    /// (max 717) and 0 of 23 784 on `service-churn` (max 2 899). At 0,
+    /// which pools every multi-instance batch, `catalog-deep` `host_s`
+    /// was 2–8 % slower in 4 of 4 pairs.
     pub pool_min_window: usize,
 }
 
@@ -136,9 +144,53 @@ pub struct SubspaceInfo {
     pub owner: Option<InstanceId>,
 }
 
-/// Per-instance analysis state: the due-gating cursor plus the
-/// persistent incremental [`FindSpaceEngine`] mirroring the instance's
-/// analysis window (`trace[start_index..]`).
+/// The first three occurrence positions of every abstract screen in one
+/// instance's trace, caught up incrementally.
+///
+/// Candidate validation only ever asks saturating questions of a prefix
+/// count — seen at all (`> 0`), *transit* (`≥ 2`), *hub* (`≥ 3`) — and
+/// the count of `id` in `events[..end]`, capped at 3, is the number of
+/// its first three positions below `end`. So one index answers every
+/// candidate in `O(1)`, where a prefix rescan would hash the whole trace
+/// per candidate.
+#[derive(Debug, Default)]
+struct OccurrenceIndex {
+    /// Trace events indexed so far.
+    indexed: usize,
+    /// Ascending positions; `usize::MAX` marks an absent occurrence.
+    first3: HashMap<AbstractScreenId, [usize; 3]>,
+}
+
+impl OccurrenceIndex {
+    /// Indexes the events appended since the last call. A trace shorter
+    /// than what was indexed was replaced under this instance id — the
+    /// engine's reset rule — so the index starts over.
+    fn catch_up(&mut self, events: &[TraceEvent]) {
+        if events.len() < self.indexed {
+            self.first3.clear();
+            self.indexed = 0;
+        }
+        for (pos, e) in events.iter().enumerate().skip(self.indexed) {
+            let slots = self.first3.entry(e.abstract_id).or_insert([usize::MAX; 3]);
+            if let Some(free) = slots.iter_mut().find(|p| **p == usize::MAX) {
+                *free = pos;
+            }
+        }
+        self.indexed = events.len();
+    }
+
+    /// Occurrences of `id` in `events[..end]`, saturating at 3.
+    fn count_before(&self, id: AbstractScreenId, end: usize) -> usize {
+        self.first3
+            .get(&id)
+            .map_or(0, |slots| slots.iter().filter(|&&p| p < end).count())
+    }
+}
+
+/// Per-instance analysis state: the due-gating cursor, the persistent
+/// incremental [`FindSpaceEngine`] mirroring the instance's analysis
+/// window (`trace[start_index..]`), and the occurrence index over the
+/// whole trace that candidate validation reads.
 #[derive(Debug)]
 struct InstanceState {
     last_run: Option<VirtualTime>,
@@ -150,6 +202,9 @@ struct InstanceState {
     /// lazily re-fed) whenever the window rebases: an accepted split
     /// moves `start_index`, or the instance's trace is replaced.
     engine: FindSpaceEngine,
+    /// First occurrences over the whole trace (not just the window):
+    /// transit and hub counts look back past `start_index`.
+    occurrences: OccurrenceIndex,
 }
 
 impl InstanceState {
@@ -159,6 +214,7 @@ impl InstanceState {
             last_len: 0,
             start_index: 0,
             engine: FindSpaceEngine::with_arena(config.clone(), arena),
+            occurrences: OccurrenceIndex::default(),
         }
     }
 }
@@ -197,7 +253,7 @@ pub struct OnlineTraceAnalyzer {
 /// validation runs in phase A, concurrently across instances, while
 /// only [`OnlineTraceAnalyzer::apply_validated`] stays sequential in
 /// batch order (DESIGN.md §16).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct ValidatedSplit {
     /// Absolute trace index of the accepted split.
     split_at: usize,
@@ -319,14 +375,15 @@ impl OnlineTraceAnalyzer {
         }
     }
 
-    /// Drops a retired instance's analysis state (cursor + incremental
-    /// engine) and evicts similarity-cache decisions that involve
-    /// screens **only this instance's window** had seen — pairs no
-    /// surviving engine can ask about again. Screens shared with any
-    /// live window are retained (their decisions stay hot), as are
-    /// screens from windows already rebased away, which the next
-    /// eviction or a cold recompute covers; the
+    /// Drops a retired instance's analysis state (cursor, incremental
+    /// engine, occurrence index) and trims the similarity cache: it
+    /// evicts decisions that involve screens **only this instance's
+    /// window** had seen. Screens shared with any live window are
+    /// retained, as are screens from windows already rebased away; the
     /// `similarity_cache_entries` gauge tracks residual occupancy.
+    /// Eviction only trims the cache: the app's [`ScreenArena`] keeps
+    /// every decision, and engines answer re-asks from it, so an evicted
+    /// pair is never recomputed.
     ///
     /// Call when an instance retires or its device is replaced: a
     /// successor re-using the id must not inherit a stale window.
@@ -348,41 +405,45 @@ impl OnlineTraceAnalyzer {
     }
 
     /// Due-gating half of an analysis: interval and growth checks,
-    /// advancing the cursor when due. Cheap and registry-map-bound
-    /// (`&mut InstanceState`), so every ingestion path decides dueness
-    /// inline before shipping the expensive sweep anywhere.
-    fn analysis_due(
+    /// advancing the cursor and catching the occurrence index up when
+    /// due. Returns the start of the window to analyze, or `None` when
+    /// the instance is not due. Cheap and registry-map-bound (`&mut
+    /// InstanceState`), so every ingestion path decides dueness inline
+    /// before shipping the expensive sweep anywhere — and the sweep
+    /// then needs only the window, never the trace before it.
+    fn due_window(
         config: &AnalyzerConfig,
         state: &mut InstanceState,
-        trace_len: usize,
+        events: &[TraceEvent],
         now: VirtualTime,
-    ) -> bool {
+    ) -> Option<usize> {
         if let Some(last) = state.last_run {
             if now.since(last) < config.analysis_interval {
-                return false;
+                return None;
             }
         }
-        if trace_len < state.last_len + config.min_new_events {
-            return false;
+        if events.len() < state.last_len + config.min_new_events {
+            return None;
         }
         state.last_run = Some(now);
-        state.last_len = trace_len;
-        true
+        state.last_len = events.len();
+        state.occurrences.catch_up(events);
+        Some(state.start_index.min(events.len()))
     }
 
-    /// The per-instance sweep: engine catch-up plus the FindSpace
-    /// analysis. Touches only `state` and the (thread-safe) `cache` —
-    /// no registry access — so [`ingest_round`](Self::ingest_round) may
-    /// run it for many instances concurrently with byte-identical
-    /// results.
+    /// The per-instance sweep of a due window: engine catch-up plus the
+    /// FindSpace analysis. Touches only `state` and the (thread-safe)
+    /// `cache` — no registry access — so
+    /// [`ingest_round`](Self::ingest_round) may run it for many
+    /// instances concurrently with byte-identical results.
     fn analysis_sweep(
         state: &mut InstanceState,
         instance: InstanceId,
-        events: &[TraceEvent],
+        window: &[TraceEvent],
         now: VirtualTime,
         cache: &SimilarityCache,
         latency: &taopt_telemetry::Histogram,
-    ) -> (usize, Vec<SplitCandidate>) {
+    ) -> Vec<SplitCandidate> {
         // Span opens after due-gating, so it times actual FindSpace
         // runs rather than every per-round poll.
         let _span = taopt_telemetry::global()
@@ -390,8 +451,6 @@ impl OnlineTraceAnalyzer {
             .instance(instance.0)
             .at(now)
             .enter();
-        let start = state.start_index.min(events.len());
-        let window = &events[start..];
         // The engine mirrors `window` incrementally: only events appended
         // since the last analysis are fed. A shrunk window means the
         // trace was replaced under this id — start over.
@@ -402,7 +461,7 @@ impl OnlineTraceAnalyzer {
         state.engine.extend_from(window, cache);
         let candidates = state.engine.analyze(5);
         latency.record(timer.elapsed().as_micros() as u64);
-        (start, candidates)
+        candidates
     }
 
     /// One instance's complete phase-A work: due-gating, sweep, and
@@ -416,13 +475,17 @@ impl OnlineTraceAnalyzer {
         cache: &SimilarityCache,
         latency: &taopt_telemetry::Histogram,
     ) -> Option<ValidatedSplit> {
-        if !Self::analysis_due(config, state, trace.len(), now) {
-            return None;
-        }
         let events = trace.events();
-        let (start, candidates) =
-            Self::analysis_sweep(state, instance, events, now, cache, latency);
-        Self::validate_candidates(config.min_subspace_screens, events, start, candidates)
+        let start = Self::due_window(config, state, events, now)?;
+        let window = &events[start..];
+        let candidates = Self::analysis_sweep(state, instance, window, now, cache, latency);
+        Self::validate_candidates(
+            config.min_subspace_screens,
+            &state.occurrences,
+            window,
+            start,
+            candidates,
+        )
     }
 
     /// Analyzes an instance's trace if it is due; returns the ids of
@@ -472,7 +535,7 @@ impl OnlineTraceAnalyzer {
                 .or_insert_with(|| InstanceState::new(&self.config.find_space, arena));
         }
         // Phase A: per-instance analysis + candidate validation, no
-        // registry access. The pooled path pays a per-item event-clone
+        // registry access. The pooled path pays a per-item window clone
         // and a job submission to make work owned, so it only engages
         // when the pool can actually parallelize AND there is enough
         // window volume to amortize that overhead — dueness and window
@@ -543,10 +606,12 @@ impl OnlineTraceAnalyzer {
     ///
     /// The pool requires owned `'static` jobs (no borrowed scopes under
     /// `forbid(unsafe_code)`), so each *due* instance's state moves out
-    /// of the registry map and its trace events are cloned into the job
-    /// (an `Arc` bump per event — the sweep walks the whole window
-    /// anyway). Skipped instances (not due, or duplicates) cost
-    /// nothing. States return to the map before phase B runs.
+    /// of the registry map and its analysis window is cloned into the
+    /// job (an `Arc` bump per event — the sweep walks the whole window
+    /// anyway; validation reads the trace before the window only
+    /// through the occurrence index, caught up here). Skipped instances
+    /// (not due, or duplicates) cost nothing. States return to the map
+    /// before phase B runs.
     fn phase_a_pooled(
         &mut self,
         batch: &[(InstanceId, &Trace)],
@@ -556,7 +621,9 @@ impl OnlineTraceAnalyzer {
         struct IngestItem {
             instance: InstanceId,
             state: InstanceState,
-            events: Vec<TraceEvent>,
+            /// `trace[start..]`.
+            window: Vec<TraceEvent>,
+            start: usize,
             result: Option<ValidatedSplit>,
         }
         // Not-due states are re-inserted only after the whole batch is
@@ -571,16 +638,19 @@ impl OnlineTraceAnalyzer {
                     None
                 }
                 Some(mut state) => {
-                    if Self::analysis_due(&self.config, &mut state, trace.len(), now) {
-                        Some(IngestItem {
+                    let events = trace.events();
+                    match Self::due_window(&self.config, &mut state, events, now) {
+                        Some(start) => Some(IngestItem {
                             instance: *id,
                             state,
-                            events: trace.events().to_vec(),
+                            window: events[start..].to_vec(),
+                            start,
                             result: None,
-                        })
-                    } else {
-                        not_due.push((*id, state));
-                        None
+                        }),
+                        None => {
+                            not_due.push((*id, state));
+                            None
+                        }
                     }
                 }
             };
@@ -597,16 +667,21 @@ impl OnlineTraceAnalyzer {
         pool.run(batch.len(), move |k, _worker| {
             let mut guard = job_slots[k].lock();
             if let Some(item) = guard.as_mut() {
-                let (start, candidates) = Self::analysis_sweep(
+                let candidates = Self::analysis_sweep(
                     &mut item.state,
                     item.instance,
-                    &item.events,
+                    &item.window,
                     now,
                     &cache,
                     &latency,
                 );
-                item.result =
-                    Self::validate_candidates(min_screens, &item.events, start, candidates);
+                item.result = Self::validate_candidates(
+                    min_screens,
+                    &item.state.occurrences,
+                    &item.window,
+                    item.start,
+                    candidates,
+                );
             }
         });
         // `run` returns only after every task finished and dropped its
@@ -627,7 +702,13 @@ impl OnlineTraceAnalyzer {
     /// Turns the sweep's candidates into a validated subspace report:
     /// the first candidate that passes every structural check wins.
     ///
-    /// Pure function of the trace window and config thresholds —
+    /// `window` is `trace[start..]` and candidate indices are relative
+    /// to it; the engine only proposes splits `p ≥ 1`, so the host event
+    /// `window[p − 1]` is inside the window (a `p = 0` candidate is
+    /// skipped). Counts over the prefix `trace[..start + p]` come from
+    /// `occurrences`, which must be caught up to the whole trace.
+    ///
+    /// Pure function of the trace and config thresholds —
     /// **registry-read-free** (the proof obligation of DESIGN.md §16's
     /// boundary slimming): every input is frozen before phase A starts,
     /// so running this concurrently across instances cannot change any
@@ -635,29 +716,22 @@ impl OnlineTraceAnalyzer {
     /// registry mutation and window rebase — must stay sequential.
     fn validate_candidates(
         min_subspace_screens: usize,
-        events: &[TraceEvent],
+        occurrences: &OccurrenceIndex,
+        window: &[TraceEvent],
         start: usize,
         candidates: Vec<SplitCandidate>,
     ) -> Option<ValidatedSplit> {
         for split in candidates {
-            let abs = start + split.index;
-            if abs == 0 {
+            let p = split.index;
+            if p == 0 {
                 continue;
             }
             // The entrypoint is the widget fired on the screen *before*
             // the split that produced the first in-subspace screen.
-            let Some(rid) = events[abs].action_widget_rid.clone() else {
+            let Some(rid) = window[p].action_widget_rid.clone() else {
                 continue;
             };
-            // Screens already visited repeatedly before the split are
-            // *transit* infrastructure (hubs, tab bars); the subspace must
-            // only contain territory that is new at the split.
-            let mut prefix_counts: HashMap<AbstractScreenId, usize> = HashMap::new();
-            for e in &events[..abs] {
-                *prefix_counts.entry(e.abstract_id).or_insert(0) += 1;
-            }
-            let is_transit =
-                |id: &AbstractScreenId| prefix_counts.get(id).copied().unwrap_or(0) >= 2;
+            let seen = |id: AbstractScreenId| occurrences.count_before(id, start + p);
             // Validity of the entry rule: the fired widget must sit on a
             // well-established *hub* screen (as in the paper's motivating
             // example, where "the button leading to SearchTabsActivity
@@ -666,21 +740,23 @@ impl OnlineTraceAnalyzer {
             // failure modes: blocking a cluster's internal navigation for
             // other instances, and splitting one cluster into nested
             // subspaces with different owners that lock each other out.
-            let host_screen = events[abs - 1].abstract_id;
-            let target_screen = events[abs].abstract_id;
-            if prefix_counts.get(&host_screen).copied().unwrap_or(0) < 3
-                || prefix_counts.contains_key(&target_screen)
-            {
+            let host_screen = window[p - 1].abstract_id;
+            let target_screen = window[p].abstract_id;
+            if seen(host_screen) < 3 || seen(target_screen) > 0 {
                 continue;
             }
+            // Screens already visited repeatedly before the split are
+            // *transit* infrastructure (hubs, tab bars); the subspace must
+            // only contain territory that is new at the split.
+            let is_transit = |id: AbstractScreenId| seen(id) >= 2;
             // The subspace is the cohesive region entered at the split:
             // the connected component of the entry target in the suffix's
             // transition structure, with transit screens removed.
             let mut adjacency: HashMap<AbstractScreenId, BTreeSet<AbstractScreenId>> =
                 HashMap::new();
-            for w in events[abs..].windows(2) {
+            for w in window[p..].windows(2) {
                 let (a, b) = (w[0].abstract_id, w[1].abstract_id);
-                if a != b && !is_transit(&a) && !is_transit(&b) {
+                if a != b && !is_transit(a) && !is_transit(b) {
                     adjacency.entry(a).or_default().insert(b);
                     adjacency.entry(b).or_default().insert(a);
                 }
@@ -698,7 +774,7 @@ impl OnlineTraceAnalyzer {
                 continue;
             }
             return Some(ValidatedSplit {
-                split_at: abs,
+                split_at: start + p,
                 entry: EntrypointRule::new(host_screen, &*rid),
                 screens,
             });
@@ -806,7 +882,7 @@ impl OnlineTraceAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taopt_ui_model::AbstractScreenId;
+    use proptest::prelude::*;
 
     fn screens(ids: &[u64]) -> BTreeSet<AbstractScreenId> {
         ids.iter().map(|i| AbstractScreenId(*i)).collect()
@@ -1025,6 +1101,251 @@ mod tests {
         assert_eq!(seeded[0].owner, None);
         assert!(seeded[0].reporters.is_empty());
         assert_eq!(seeded[0].entrypoints, vec![rule(1, "tab_a")]);
+    }
+
+    /// The prefix-rescan validation the occurrence index replaced: a
+    /// `HashMap` of counts over `events[..start + p]`, rebuilt for every
+    /// candidate. The oracle of the `validation_law_*` laws.
+    fn validate_candidates_oracle(
+        min_subspace_screens: usize,
+        events: &[TraceEvent],
+        start: usize,
+        candidates: Vec<SplitCandidate>,
+    ) -> Option<ValidatedSplit> {
+        for split in candidates {
+            let abs = start + split.index;
+            if abs == 0 {
+                continue;
+            }
+            let Some(rid) = events[abs].action_widget_rid.clone() else {
+                continue;
+            };
+            let mut prefix_counts: HashMap<AbstractScreenId, usize> = HashMap::new();
+            for e in &events[..abs] {
+                *prefix_counts.entry(e.abstract_id).or_insert(0) += 1;
+            }
+            let is_transit =
+                |id: &AbstractScreenId| prefix_counts.get(id).copied().unwrap_or(0) >= 2;
+            let host_screen = events[abs - 1].abstract_id;
+            let target_screen = events[abs].abstract_id;
+            if prefix_counts.get(&host_screen).copied().unwrap_or(0) < 3
+                || prefix_counts.contains_key(&target_screen)
+            {
+                continue;
+            }
+            let mut adjacency: HashMap<AbstractScreenId, BTreeSet<AbstractScreenId>> =
+                HashMap::new();
+            for w in events[abs..].windows(2) {
+                let (a, b) = (w[0].abstract_id, w[1].abstract_id);
+                if a != b && !is_transit(&a) && !is_transit(&b) {
+                    adjacency.entry(a).or_default().insert(b);
+                    adjacency.entry(b).or_default().insert(a);
+                }
+            }
+            let mut screens: BTreeSet<AbstractScreenId> = BTreeSet::new();
+            let mut queue = vec![target_screen];
+            while let Some(sc) = queue.pop() {
+                if screens.insert(sc) {
+                    if let Some(next) = adjacency.get(&sc) {
+                        queue.extend(next.iter().copied());
+                    }
+                }
+            }
+            if screens.len() < min_subspace_screens || screens.contains(&host_screen) {
+                continue;
+            }
+            return Some(ValidatedSplit {
+                split_at: abs,
+                entry: EntrypointRule::new(host_screen, &*rid),
+                screens,
+            });
+        }
+        None
+    }
+
+    /// The oracle's ingestion: `maybe_analyze` per batch item, in batch
+    /// order, validating with [`validate_candidates_oracle`].
+    fn oracle_ingest(
+        a: &mut OnlineTraceAnalyzer,
+        batch: &[(InstanceId, &Trace)],
+        now: VirtualTime,
+    ) -> Vec<SubspaceId> {
+        let mut confirmed = Vec::new();
+        for (id, trace) in batch {
+            let config = a.config.clone();
+            let arena = Arc::clone(&a.arena);
+            let state = a
+                .instances
+                .entry(*id)
+                .or_insert_with(|| InstanceState::new(&config.find_space, arena));
+            let events = trace.events();
+            let Some(start) = OnlineTraceAnalyzer::due_window(&config, state, events, now) else {
+                continue;
+            };
+            let candidates = OnlineTraceAnalyzer::analysis_sweep(
+                state,
+                *id,
+                &events[start..],
+                now,
+                &a.similarity_cache,
+                &a.analysis_latency,
+            );
+            let validated =
+                validate_candidates_oracle(config.min_subspace_screens, events, start, candidates);
+            if let Some(v) = validated {
+                confirmed.extend(a.apply_validated(*id, v, now));
+            }
+        }
+        confirmed
+    }
+
+    /// A hub-and-clusters walk: each excursion leaves the hub (once or
+    /// twice), wanders one of five clusters of six screens, and comes
+    /// back — so hubs are revisited many times, clusters (and so split
+    /// targets) recur, and some excursions enter through a widget-less
+    /// event.
+    fn arb_walk() -> impl Strategy<Value = Vec<TraceEvent>> {
+        use crate::findspace::tests::ev;
+        proptest::collection::vec((0u8..5, 1usize..12, 0u8..4), 3..24).prop_map(|visits| {
+            let mut t = 0u64;
+            let mut events = Vec::new();
+            for (k, (cluster, len, flags)) in visits.into_iter().enumerate() {
+                for _ in 0..=flags % 2 {
+                    events.push(ev(t, "hub"));
+                    t += 2;
+                }
+                for i in 0..len {
+                    let mut e = ev(t, &format!("C{cluster}_{}", (i * 7 + k) % 6));
+                    if i == 0 && flags == 3 {
+                        e.action_widget_rid = None;
+                    }
+                    events.push(e);
+                    t += 2;
+                }
+            }
+            events
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Law: the index-backed validation equals the prefix-rescan
+        /// oracle on every window start, for a candidate at every index
+        /// of the window (alone, and all at once in a scrambled order),
+        /// with the index caught up in chunks and then over a trace that
+        /// shrank under the same instance.
+        #[test]
+        fn validation_law_index_matches_prefix_rescan(
+            before in arb_walk(),
+            trace in arb_walk(),
+            start_frac in 0.0f64..1.0,
+            chunk in 1usize..40,
+            min_screens in 1usize..6,
+            stride in 1usize..8,
+        ) {
+            let mut index = OccurrenceIndex::default();
+            // A longer trace first, so catching up to `trace` shrinks.
+            let before: Vec<_> = before.iter().chain(&trace).cloned().collect();
+            let mut end = 0;
+            while end < before.len() {
+                end = (end + chunk).min(before.len());
+                index.catch_up(&before[..end]);
+            }
+            index.catch_up(&trace);
+            let start = (start_frac * trace.len() as f64) as usize;
+            let window = &trace[start..];
+            let cand = |index| SplitCandidate { index, score: 0.0 };
+            // `p = 0` has its host event outside a rebased window; the
+            // engine never proposes it.
+            let first = if start == 0 { 0 } else { 1 };
+            for p in first..window.len() {
+                prop_assert_eq!(
+                    OnlineTraceAnalyzer::validate_candidates(
+                        min_screens, &index, window, start, vec![cand(p)]
+                    ),
+                    validate_candidates_oracle(min_screens, &trace, start, vec![cand(p)]),
+                    "start {} candidate {}", start, p
+                );
+            }
+            let n = window.len().max(1);
+            let scrambled: Vec<_> = (0..n)
+                .map(|k| cand(first.max((k * stride + 3) % n)))
+                .filter(|c| c.index < window.len())
+                .collect();
+            prop_assert_eq!(
+                OnlineTraceAnalyzer::validate_candidates(
+                    min_screens, &index, window, start, scrambled.clone()
+                ),
+                validate_candidates_oracle(min_screens, &trace, start, scrambled)
+            );
+        }
+
+        /// Law: `ingest_round` — inline, and pooled with
+        /// `pool_min_window = 0` — confirms exactly what the oracle's
+        /// one-at-a-time ingestion confirms, round by round, and ends
+        /// with the same registry. Mid-run, instance 0's device is
+        /// replaced: its trace restarts shorter under the same id after
+        /// `forget_instance`, as the coordinator does. (Without it, a
+        /// shrunk trace is never observed: it is due again only once it
+        /// outgrows the last analyzed length by `min_new_events`, so the
+        /// index's and the engine's shrink resets both stay defensive —
+        /// the law above drives the index's directly.)
+        #[test]
+        fn validation_law_through_ingest_round(
+            traces in proptest::collection::vec(arb_walk(), 1..4),
+            replacement in arb_walk(),
+            chunk in 5usize..30,
+            replace_at in 1usize..12,
+        ) {
+            let mut config = AnalyzerConfig::resource_mode();
+            config.find_space.l_min = VirtualDuration::from_secs(20);
+            config.find_space.min_prefix_events = 4;
+            config.find_space.min_prefix_distinct = 2;
+            config.analysis_interval = VirtualDuration::from_secs(10);
+            config.min_new_events = 5;
+            config.min_subspace_screens = 2;
+            config.pool_min_window = 0;
+            let mut oracle = OnlineTraceAnalyzer::new(config.clone());
+            let mut inline = OnlineTraceAnalyzer::new(config.clone());
+            let mut pooled = OnlineTraceAnalyzer::new(config);
+            pooled.set_compute(crate::campaign::pool::ComputePool::new(2));
+            let rounds = traces
+                .iter()
+                .chain([&replacement])
+                .map(|t| t.len().div_ceil(chunk))
+                .max()
+                .unwrap_or(0)
+                + replace_at;
+            for round in 0..rounds {
+                let now = VirtualTime::from_secs((round as u64 + 1) * 15);
+                if round == replace_at {
+                    for a in [&mut oracle, &mut inline, &mut pooled] {
+                        a.forget_instance(InstanceId(0));
+                    }
+                }
+                let prefixes: Vec<(InstanceId, Trace)> = traces
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| {
+                        let (t, r) = if i == 0 && round >= replace_at {
+                            (&replacement, round - replace_at)
+                        } else {
+                            (t, round)
+                        };
+                        let end = ((r + 1) * chunk).min(t.len());
+                        (InstanceId(i as u32), t[..end].iter().cloned().collect())
+                    })
+                    .collect();
+                let batch: Vec<(InstanceId, &Trace)> =
+                    prefixes.iter().map(|(id, t)| (*id, t)).collect();
+                let expected = oracle_ingest(&mut oracle, &batch, now);
+                prop_assert_eq!(&expected, &inline.ingest_round(&batch, now), "inline, round {}", round);
+                prop_assert_eq!(&expected, &pooled.ingest_round(&batch, now), "pooled, round {}", round);
+            }
+            prop_assert_eq!(oracle.subspaces(), inline.subspaces());
+            prop_assert_eq!(oracle.subspaces(), pooled.subspaces());
+        }
     }
 
     #[test]

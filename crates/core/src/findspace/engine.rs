@@ -13,9 +13,12 @@
 //! appearance order, so `first_occ` is strictly increasing):
 //!
 //! * the interning table (shared per app via [`ScreenArena`]) and the
-//!   `D×D` similarity relation — a flat row-major symmetric matrix whose
-//!   buffer survives resets — extended by one row per *new* screen
-//!   (`O(D)` cached tree-similarity decisions);
+//!   local `D×D` similarity matrix — flat, row-major, symmetric, its
+//!   buffer kept across resets — extended by one row per *new* screen.
+//!   The row is read from the app's relation in the arena under one
+//!   lock; only pairs no engine of the app has decided yet go to the
+//!   [`SimilarityCache`], and their answers are recorded in the arena.
+//!   Re-feeding a rebased window therefore costs no cache lookup at all;
 //! * `total_sim[j]` — events anywhere in the trace similar to screen `j`;
 //! * `first_occ[j]` / `last_occ[j]` — first and last occurrence position.
 //!
@@ -69,7 +72,8 @@
 //! # Cost
 //!
 //! Feeding `ΔN` appended events costs `O(ΔN·D)` (interning, similarity
-//! rows, per-screen counters); one analysis costs `O(P + D log D)` for
+//! rows, per-screen counters) plus one cache decision per pair the app
+//! has never decided; one analysis costs `O(P + D log D)` for
 //! the sweep plus `O(1)` amortized frontier advancement. The full-rescan
 //! path pays `O(N·D)` *per analysis* for the same answer.
 
@@ -179,6 +183,9 @@ pub struct FindSpaceEngine {
     prefix_distinct_at: Vec<usize>,
     /// Scratch: `last_occ` sorted, rebuilt per analysis.
     sorted_last: Vec<usize>,
+    /// Scratch: local ids whose pair with a newly interned screen the
+    /// app's relation had not decided yet.
+    undecided: Vec<usize>,
 }
 
 impl FindSpaceEngine {
@@ -212,6 +219,7 @@ impl FindSpaceEngine {
             pair_base: vec![0],
             prefix_distinct_at: vec![0],
             sorted_last: Vec::new(),
+            undecided: Vec::new(),
         }
     }
 
@@ -238,9 +246,10 @@ impl FindSpaceEngine {
     }
 
     /// Forgets all ingested events (keeps the config and allocations:
-    /// the arena interning, the similarity-matrix buffer, and every
-    /// per-screen/per-position vector's capacity survive, so re-feeding
-    /// the next window allocates nothing).
+    /// the arena interning and similarity relation, the similarity-matrix
+    /// buffer, and every per-screen/per-position vector's capacity
+    /// survive, so re-feeding the next window allocates nothing and asks
+    /// the cache nothing it was asked before).
     ///
     /// Must be called whenever the window this engine mirrors is rebased
     /// or replaced — an accepted split moving the analysis start, or the
@@ -274,8 +283,9 @@ impl FindSpaceEngine {
 
     /// Ingests the appended tail of `window`: events past
     /// [`len`](Self::len) are fed, earlier ones are assumed unchanged.
-    /// `cache` supplies (and accumulates) pairwise similarity decisions;
-    /// pass the same per-app cache as the rescan path.
+    /// `cache` supplies (and accumulates) the pairwise similarity
+    /// decisions the arena's relation does not hold yet; pass the same
+    /// per-app cache as the rescan path.
     pub fn extend_from(&mut self, window: &[TraceEvent], cache: &SimilarityCache) {
         for e in &window[self.len().min(window.len())..] {
             self.push(e, cache);
@@ -348,17 +358,31 @@ impl FindSpaceEngine {
         }
         let id = self.reps.len();
         self.local_of_arena[aid] = id as u32;
-        self.arena_ids.push(aid as u32);
         self.ensure_sim_capacity(id + 1);
         let stride = self.sim_stride;
-        // New similarity row/column against every existing representative
-        // — the same ordered cache lookups the rescan path performs.
+        // New similarity row against every existing representative: the
+        // app's relation answers every pair some engine already decided
+        // (a rebased window re-decides nothing); the cache decides the
+        // rest, and the relation records them for every engine of the app.
+        let row = &mut self.sim[id * stride..id * stride + id];
+        self.undecided.clear();
+        self.arena
+            .fill_row(aid as u32, &self.arena_ids, row, &mut self.undecided);
+        if !self.undecided.is_empty() {
+            let threshold = self.config.similarity_threshold;
+            for &j in &self.undecided {
+                row[j] = cache.similar(&self.reps[j], event, threshold);
+            }
+            self.arena.record(
+                aid as u32,
+                self.undecided.iter().map(|&j| (self.arena_ids[j], row[j])),
+            );
+        }
         for j in 0..id {
-            let s = cache.similar(&self.reps[j], event, self.config.similarity_threshold);
-            self.sim[j * stride + id] = s;
-            self.sim[id * stride + j] = s;
+            self.sim[j * stride + id] = self.sim[id * stride + j];
         }
         self.sim[id * stride + id] = true;
+        self.arena_ids.push(aid as u32);
         self.reps.push(event.clone());
         self.first_occ.push(self.ev_idx.len());
         self.last_occ.push(self.ev_idx.len());
@@ -662,11 +686,18 @@ mod tests {
         let cache = SimilarityCache::new();
         let mut used = FindSpaceEngine::new(c.clone());
         used.extend_from(&events, &cache);
-        let _ = used.analyze(5);
+        let first = used.analyze(5);
+        // Every pair of a re-fed window was decided before the reset:
+        // the arena's relation answers them without asking the cache.
+        let asked = (cache.hits(), cache.computations());
+        used.reset();
+        used.extend_from(&events, &cache);
+        assert_identical(&used.analyze(5), &first, "same window re-fed");
         // Simulated re-dedication: the window rebases to index 30.
         used.reset();
         assert_eq!(used.len(), 0);
         used.extend_from(&events[30..], &cache);
+        assert_eq!((cache.hits(), cache.computations()), asked);
         let mut fresh = FindSpaceEngine::new(c.clone());
         fresh.extend_from(&events[30..], &cache);
         assert_identical(&used.analyze(5), &fresh.analyze(5), "after reset");

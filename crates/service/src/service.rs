@@ -323,8 +323,9 @@ impl CampaignService {
             )));
         }
         // Validate the recipe up front: unknown apps fail the caller,
-        // not a runner thread later.
-        let _ = ckpt.spec.build()?;
+        // not a runner thread later. Catalog apps are looked up by name,
+        // not generated: the runner builds them.
+        ckpt.spec.validate()?;
         let id = {
             let mut st = self.shared.state.lock();
             if st.stop || st.crashed || st.draining {

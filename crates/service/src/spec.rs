@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use taopt::experiments::ExperimentScale;
 use taopt::{CampaignApp, CampaignConfig, KillEvent, RunMode};
-use taopt_app_sim::{catalog_entries, generate_app, GeneratorConfig};
+use taopt_app_sim::{catalog_entries, generate_app, App, CatalogEntry, GeneratorConfig};
 use taopt_chaos::FaultPlan;
 use taopt_tools::ToolKind;
 use taopt_ui_model::json::{JsonError, Value};
@@ -44,17 +44,36 @@ impl AppSource {
         }
     }
 
-    fn build(&self) -> Result<Arc<taopt_app_sim::App>, ServiceError> {
+    /// Checks the recipe without generating a catalog app: a catalog
+    /// name is looked up (catalog generation cannot fail), while a small
+    /// app is generated — cheap, and generation is its only check — and
+    /// handed on so [`CampaignSpec::build`] does not generate it twice.
+    fn check(&self) -> Result<CheckedApp, ServiceError> {
         match self {
             AppSource::Catalog(name) => catalog_entries()
                 .into_iter()
                 .find(|e| e.name == name)
-                .map(|e| Arc::new(e.generate()))
+                .map(CheckedApp::Catalog)
                 .ok_or_else(|| ServiceError::UnknownApp(name.clone())),
             AppSource::Small { name, seed } => generate_app(&GeneratorConfig::small(name, *seed))
-                .map(Arc::new)
+                .map(CheckedApp::Small)
                 .map_err(|e| ServiceError::Rejected(format!("app generation failed: {e}"))),
         }
+    }
+}
+
+/// An app recipe that passed [`AppSource::check`].
+enum CheckedApp {
+    Catalog(CatalogEntry),
+    Small(App),
+}
+
+impl CheckedApp {
+    fn into_app(self) -> Arc<App> {
+        Arc::new(match self {
+            CheckedApp::Catalog(entry) => entry.generate(),
+            CheckedApp::Small(app) => app,
+        })
     }
 }
 
@@ -169,9 +188,17 @@ impl CampaignSpec {
             .max(1)
     }
 
-    /// Materializes the spec into runnable campaign inputs. Pure: the
-    /// same spec always builds the same apps and config.
-    pub fn build(&self) -> Result<(Vec<CampaignApp>, CampaignConfig), ServiceError> {
+    /// Runs every check [`build`](Self::build) makes — apps present,
+    /// `scale.instances ≥ 1`, every catalog name known, every small app
+    /// generating — without generating a catalog app. Admission calls
+    /// this; `build` runs the same checks first.
+    pub fn validate(&self) -> Result<(), ServiceError> {
+        self.checked_apps().map(drop)
+    }
+
+    /// The checks behind [`validate`](Self::validate) and
+    /// [`build`](Self::build), yielding each app's checked recipe.
+    fn checked_apps(&self) -> Result<Vec<CheckedApp>, ServiceError> {
         if self.apps.is_empty() {
             return Err(ServiceError::Rejected("spec has no apps".to_owned()));
         }
@@ -182,15 +209,22 @@ impl CampaignSpec {
                 "scale.instances must be at least 1".to_owned(),
             ));
         }
-        let mut apps = Vec::with_capacity(self.apps.len());
-        for a in &self.apps {
-            let app = a.source.build()?;
-            apps.push(CampaignApp {
+        self.apps.iter().map(|a| a.source.check()).collect()
+    }
+
+    /// Materializes the spec into runnable campaign inputs. Pure: the
+    /// same spec always builds the same apps and config.
+    pub fn build(&self) -> Result<(Vec<CampaignApp>, CampaignConfig), ServiceError> {
+        let apps = self
+            .apps
+            .iter()
+            .zip(self.checked_apps()?)
+            .map(|(a, checked)| CampaignApp {
                 name: a.source.name().to_owned(),
-                app,
+                app: checked.into_app(),
                 config: self.scale.session_config(a.tool, a.mode, a.seed),
-            });
-        }
+            })
+            .collect();
         let config = CampaignConfig {
             host_threads: self.host_threads,
             capacity: self.capacity,
@@ -565,6 +599,63 @@ mod tests {
             spec.build(),
             Err(ServiceError::UnknownApp(name)) if name == "NoSuchApp"
         ));
+    }
+
+    #[test]
+    fn validate_and_build_agree() {
+        let small_only = {
+            let mut spec = sample();
+            spec.apps.truncate(1);
+            spec
+        };
+        let unknown = {
+            let mut spec = sample();
+            spec.apps[1].source = AppSource::Catalog("NoSuchApp".to_owned());
+            spec
+        };
+        let unknown_first = {
+            let mut spec = sample();
+            spec.apps[0].source = AppSource::Catalog("Nope".to_owned());
+            spec
+        };
+        let no_apps = {
+            let mut spec = sample();
+            spec.apps.clear();
+            spec
+        };
+        let zero_instances = {
+            let mut spec = sample();
+            spec.scale.instances = 0;
+            spec
+        };
+        let zero_instances_unknown = {
+            let mut spec = unknown.clone();
+            spec.scale.instances = 0;
+            spec
+        };
+        let table = [
+            ("catalog + small", sample(), true),
+            ("small only", small_only, true),
+            ("unknown catalog name", unknown, false),
+            ("unknown first app", unknown_first, false),
+            ("no apps", no_apps, false),
+            ("zero instances", zero_instances, false),
+            ("zero instances, unknown app", zero_instances_unknown, false),
+        ];
+        for (case, spec, ok) in table {
+            let validated = spec.validate();
+            let built = spec.build();
+            assert_eq!(validated.is_ok(), ok, "{case}: validate");
+            assert_eq!(built.is_ok(), ok, "{case}: build");
+            if let (Err(v), Err(b)) = (&validated, &built) {
+                assert_eq!(
+                    std::mem::discriminant(v),
+                    std::mem::discriminant(b),
+                    "{case}: error variant"
+                );
+                assert_eq!(v.to_string(), b.to_string(), "{case}: error");
+            }
+        }
     }
 
     #[test]
