@@ -16,12 +16,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use taopt_toller::{EntrypointRule, InstanceId};
 use taopt_ui_model::{AbstractScreenId, Trace, TraceEvent, VirtualDuration, VirtualTime};
 
-use crate::campaign::pool::ComputePool;
 use crate::findspace::{
     FindSpaceConfig, FindSpaceEngine, ScreenArena, SimilarityCache, SplitCandidate,
 };
@@ -69,23 +66,6 @@ pub struct AnalyzerConfig {
     /// against fragmenting a functionality into micro-subspaces whose
     /// blocking rules would partition the space too finely.
     pub min_subspace_screens: usize,
-    /// Minimum summed window length (events past each instance's
-    /// `start_index`, over the whole batch) before phase A is shipped
-    /// to an attached [`ComputePool`]. Below it the batch runs inline:
-    /// job submission, worker wake-up and the per-item window clone cost
-    /// more than a few microsecond sweeps return. Purely a *where*
-    /// knob — results are byte-identical either way (the
-    /// `ingest_round_*` and `validation_law_*` laws pin it at 0,
-    /// engaging the pool for every batch).
-    ///
-    /// Measured at the default 4096 on the benchmark's workloads (seed
-    /// 3, 2 cores): the pool engaged in 0 of 8 460 batches on
-    /// `catalog-deep` (summed window p50 1 300, max 4 000 events), 0 of
-    /// 24 000 on `farm-wide` (max 629), 0 of 25 920 on `release-train`
-    /// (max 717) and 0 of 23 784 on `service-churn` (max 2 899). At 0,
-    /// which pools every multi-instance batch, `catalog-deep` `host_s`
-    /// was 2–8 % slower in 4 of 4 pairs.
-    pub pool_min_window: usize,
 }
 
 impl AnalyzerConfig {
@@ -102,7 +82,6 @@ impl AnalyzerConfig {
             min_new_events: 10,
             merge_jaccard: 0.5,
             min_subspace_screens: 5,
-            pool_min_window: 4096,
         }
     }
 
@@ -119,7 +98,6 @@ impl AnalyzerConfig {
             min_new_events: 20,
             merge_jaccard: 0.5,
             min_subspace_screens: 5,
-            pool_min_window: 4096,
         }
     }
 }
@@ -225,14 +203,9 @@ pub struct OnlineTraceAnalyzer {
     config: AnalyzerConfig,
     subspaces: Vec<SubspaceInfo>,
     instances: HashMap<InstanceId, InstanceState>,
-    /// `Arc` so pooled phase-A tasks can hold the cache without
-    /// borrowing the analyzer; the cache is internally thread-safe and
-    /// its decisions are order-independent.
-    similarity_cache: Arc<SimilarityCache>,
-    /// Campaign-wide host budget for phase A of
-    /// [`ingest_round`](Self::ingest_round); `None` runs every batch
-    /// inline.
-    compute: Option<Arc<ComputePool>>,
+    /// Pairwise screen-similarity decisions, shared by every instance's
+    /// engine.
+    similarity_cache: SimilarityCache,
     /// Per-app screen interner shared by every instance's engine.
     arena: Arc<ScreenArena>,
     /// Per-analysis latency of the incremental FindSpace run, in µs.
@@ -248,11 +221,9 @@ pub struct OnlineTraceAnalyzer {
 /// A split candidate that survived validation: everything the apply
 /// step needs to rebase the instance's window and register the report.
 ///
-/// Producing one reads only the trace window and config thresholds —
-/// never the subspace registry — which is exactly why candidate
-/// validation runs in phase A, concurrently across instances, while
-/// only [`OnlineTraceAnalyzer::apply_validated`] stays sequential in
-/// batch order (DESIGN.md §16).
+/// Producing one reads only the instance's trace and the config
+/// thresholds, never the subspace registry; only
+/// [`OnlineTraceAnalyzer::apply_validated`] writes the registry.
 #[derive(Debug, PartialEq)]
 struct ValidatedSplit {
     /// Absolute trace index of the accepted split.
@@ -268,8 +239,7 @@ impl OnlineTraceAnalyzer {
             config,
             subspaces: Vec::new(),
             instances: HashMap::new(),
-            similarity_cache: Arc::new(SimilarityCache::new()),
-            compute: None,
+            similarity_cache: SimilarityCache::new(),
             arena: Arc::new(ScreenArena::new()),
             analysis_latency: taopt_telemetry::global().histogram("findspace_analysis_us"),
             cache_entries: taopt_telemetry::global().gauge("similarity_cache_entries"),
@@ -339,14 +309,6 @@ impl OnlineTraceAnalyzer {
         }
     }
 
-    /// Attaches a campaign-wide [`ComputePool`]: phase A of
-    /// [`ingest_round`](Self::ingest_round) is then scheduled on it
-    /// whenever its budget and the batch allow parallelism. Results are
-    /// byte-identical either way.
-    pub fn set_compute(&mut self, pool: Arc<ComputePool>) {
-        self.compute = Some(pool);
-    }
-
     /// The shared pairwise-similarity cache (sharded; see
     /// [`SimilarityCache`]). Exposed for occupancy tests and gauges.
     pub fn similarity_cache(&self) -> &SimilarityCache {
@@ -407,10 +369,8 @@ impl OnlineTraceAnalyzer {
     /// Due-gating half of an analysis: interval and growth checks,
     /// advancing the cursor and catching the occurrence index up when
     /// due. Returns the start of the window to analyze, or `None` when
-    /// the instance is not due. Cheap and registry-map-bound (`&mut
-    /// InstanceState`), so every ingestion path decides dueness inline
-    /// before shipping the expensive sweep anywhere — and the sweep
-    /// then needs only the window, never the trace before it.
+    /// the instance is not due. The sweep then needs only the window,
+    /// never the trace before it.
     fn due_window(
         config: &AnalyzerConfig,
         state: &mut InstanceState,
@@ -432,10 +392,8 @@ impl OnlineTraceAnalyzer {
     }
 
     /// The per-instance sweep of a due window: engine catch-up plus the
-    /// FindSpace analysis. Touches only `state` and the (thread-safe)
-    /// `cache` — no registry access — so
-    /// [`ingest_round`](Self::ingest_round) may run it for many
-    /// instances concurrently with byte-identical results.
+    /// FindSpace analysis. Touches only `state` and `cache`, never the
+    /// registry.
     fn analysis_sweep(
         state: &mut InstanceState,
         instance: InstanceId,
@@ -464,8 +422,8 @@ impl OnlineTraceAnalyzer {
         candidates
     }
 
-    /// One instance's complete phase-A work: due-gating, sweep, and
-    /// candidate validation. Registry-free throughout.
+    /// One instance's registry-free work: due-gating, sweep, and
+    /// candidate validation.
     fn analyze_one(
         config: &AnalyzerConfig,
         state: &mut InstanceState,
@@ -501,23 +459,11 @@ impl OnlineTraceAnalyzer {
     }
 
     /// Round ingestion: one call per round covering every instance's
-    /// appended events, equivalent to calling
-    /// [`maybe_analyze`](Self::maybe_analyze) for each `(instance,
-    /// trace)` pair in slice order — the `parallel_equivalence` suite
-    /// pins the equivalence bit-for-bit.
-    ///
-    /// Phase A runs the registry-free work for the whole batch —
-    /// due-gating, the per-instance sweep, **and candidate validation**
-    /// (`validate_candidates` reads only the trace window and config
-    /// thresholds). Batches whose summed window reaches
-    /// [`AnalyzerConfig::pool_min_window`] run on the attached
-    /// [`ComputePool`] (the campaign-wide budget); smaller ones, and
-    /// every batch when no pool is attached, run inline. Per-instance
-    /// state is disjoint and the sharded cache's decisions are
-    /// order-independent, so any interleaving yields the same bytes.
-    /// Phase B then applies validated splits — registry mutation plus
-    /// window rebase only — **sequentially in batch order**, the same
-    /// mutation sequence the one-at-a-time path produces.
+    /// appended events. Items are analyzed on the calling thread in
+    /// slice order, each one start to finish — due-gating, the sweep,
+    /// candidate validation, and then applying a validated split
+    /// (registry mutation plus window rebase) — before the next item is
+    /// looked at.
     ///
     /// Instances must be distinct within one batch (the session feeds
     /// each instance once per round); a duplicate is skipped — debug
@@ -528,175 +474,33 @@ impl OnlineTraceAnalyzer {
         batch: &[(InstanceId, &Trace)],
         now: VirtualTime,
     ) -> Vec<SubspaceId> {
-        for (id, _) in batch {
-            let arena = self.arena.clone();
-            self.instances
-                .entry(*id)
-                .or_insert_with(|| InstanceState::new(&self.config.find_space, arena));
-        }
-        // Phase A: per-instance analysis + candidate validation, no
-        // registry access. The pooled path pays a per-item window clone
-        // and a job submission to make work owned, so it only engages
-        // when the pool can actually parallelize AND there is enough
-        // window volume to amortize that overhead — dueness and window
-        // sizes are deterministic, so the routing is too.
-        let window_sum: usize = batch
-            .iter()
-            .map(|(id, trace)| {
-                self.instances
-                    .get(id)
-                    .map_or(0, |s| trace.len().saturating_sub(s.start_index))
-            })
-            .sum();
-        let pooled = self.compute.as_ref().is_some_and(|p| p.budget() > 1)
-            && batch.len() > 1
-            && window_sum >= self.config.pool_min_window;
-        let results: Vec<Option<ValidatedSplit>> = if pooled {
-            self.phase_a_pooled(batch, now)
-        } else {
-            self.phase_a_inline(batch, now)
-        };
-        // Phase B: sequential application in batch order.
         let mut confirmed = Vec::new();
-        for ((id, _), result) in batch.iter().zip(results) {
-            if let Some(v) = result {
+        for (i, (id, trace)) in batch.iter().enumerate() {
+            // Batches hold a handful of instances: a prefix scan finds
+            // duplicates without allocating.
+            if batch[..i].iter().any(|(seen, _)| seen == id) {
+                self.duplicates_counter.inc();
+                debug_assert!(false, "duplicate instance in ingest_round batch");
+                continue;
+            }
+            let state = self.instances.entry(*id).or_insert_with(|| {
+                InstanceState::new(&self.config.find_space, Arc::clone(&self.arena))
+            });
+            let validated = Self::analyze_one(
+                &self.config,
+                state,
+                *id,
+                trace,
+                now,
+                &self.similarity_cache,
+                &self.analysis_latency,
+            );
+            if let Some(v) = validated {
                 confirmed.extend(self.apply_validated(*id, v, now));
             }
         }
         self.cache_entries.set(self.similarity_cache.len() as i64);
         confirmed
-    }
-
-    /// Phase A on borrowed state, one instance after another on the
-    /// calling thread.
-    fn phase_a_inline(
-        &mut self,
-        batch: &[(InstanceId, &Trace)],
-        now: VirtualTime,
-    ) -> Vec<Option<ValidatedSplit>> {
-        batch
-            .iter()
-            .enumerate()
-            .map(|(i, (id, trace))| {
-                // Batches hold a handful of instances: a prefix scan
-                // finds duplicates without allocating.
-                if batch[..i].iter().any(|(seen, _)| seen == id) {
-                    self.duplicates_counter.inc();
-                    debug_assert!(false, "duplicate instance in ingest_round batch");
-                    return None;
-                }
-                let state = self
-                    .instances
-                    .get_mut(id)
-                    .expect("ingest_round inserts every batch instance's state");
-                Self::analyze_one(
-                    &self.config,
-                    state,
-                    *id,
-                    trace,
-                    now,
-                    &self.similarity_cache,
-                    &self.analysis_latency,
-                )
-            })
-            .collect()
-    }
-
-    /// Phase A on the campaign's persistent [`ComputePool`].
-    ///
-    /// The pool requires owned `'static` jobs (no borrowed scopes under
-    /// `forbid(unsafe_code)`), so each *due* instance's state moves out
-    /// of the registry map and its analysis window is cloned into the
-    /// job (an `Arc` bump per event — the sweep walks the whole window
-    /// anyway; validation reads the trace before the window only
-    /// through the occurrence index, caught up here). Skipped instances
-    /// (not due, or duplicates) cost nothing. States return to the map
-    /// before phase B runs.
-    fn phase_a_pooled(
-        &mut self,
-        batch: &[(InstanceId, &Trace)],
-        now: VirtualTime,
-    ) -> Vec<Option<ValidatedSplit>> {
-        let pool = Arc::clone(self.compute.as_ref().expect("pooled phase requires a pool"));
-        struct IngestItem {
-            instance: InstanceId,
-            state: InstanceState,
-            /// `trace[start..]`.
-            window: Vec<TraceEvent>,
-            start: usize,
-            result: Option<ValidatedSplit>,
-        }
-        // Not-due states are re-inserted only after the whole batch is
-        // scanned, so a duplicate id reliably finds its state missing.
-        let mut not_due: Vec<(InstanceId, InstanceState)> = Vec::new();
-        let mut slots: Vec<Mutex<Option<IngestItem>>> = Vec::with_capacity(batch.len());
-        for (id, trace) in batch {
-            let item = match self.instances.remove(id) {
-                None => {
-                    self.duplicates_counter.inc();
-                    debug_assert!(false, "duplicate instance in ingest_round batch");
-                    None
-                }
-                Some(mut state) => {
-                    let events = trace.events();
-                    match Self::due_window(&self.config, &mut state, events, now) {
-                        Some(start) => Some(IngestItem {
-                            instance: *id,
-                            state,
-                            window: events[start..].to_vec(),
-                            start,
-                            result: None,
-                        }),
-                        None => {
-                            not_due.push((*id, state));
-                            None
-                        }
-                    }
-                }
-            };
-            slots.push(Mutex::new(item));
-        }
-        for (id, state) in not_due {
-            self.instances.insert(id, state);
-        }
-        let slots = Arc::new(slots);
-        let job_slots = Arc::clone(&slots);
-        let cache = Arc::clone(&self.similarity_cache);
-        let latency = self.analysis_latency.clone();
-        let min_screens = self.config.min_subspace_screens;
-        pool.run(batch.len(), move |k, _worker| {
-            let mut guard = job_slots[k].lock();
-            if let Some(item) = guard.as_mut() {
-                let candidates = Self::analysis_sweep(
-                    &mut item.state,
-                    item.instance,
-                    &item.window,
-                    now,
-                    &cache,
-                    &latency,
-                );
-                item.result = Self::validate_candidates(
-                    min_screens,
-                    &item.state.occurrences,
-                    &item.window,
-                    item.start,
-                    candidates,
-                );
-            }
-        });
-        // `run` returns only after every task finished and dropped its
-        // job clone: reclaim states and results in batch order.
-        let mut results = Vec::with_capacity(batch.len());
-        for slot in slots.iter() {
-            match slot.lock().take() {
-                Some(item) => {
-                    self.instances.insert(item.instance, item.state);
-                    results.push(item.result);
-                }
-                None => results.push(None),
-            }
-        }
-        results
     }
 
     /// Turns the sweep's candidates into a validated subspace report:
@@ -708,12 +512,8 @@ impl OnlineTraceAnalyzer {
     /// skipped). Counts over the prefix `trace[..start + p]` come from
     /// `occurrences`, which must be caught up to the whole trace.
     ///
-    /// Pure function of the trace and config thresholds —
-    /// **registry-read-free** (the proof obligation of DESIGN.md §16's
-    /// boundary slimming): every input is frozen before phase A starts,
-    /// so running this concurrently across instances cannot change any
-    /// result. Only [`apply_validated`](Self::apply_validated) — the
-    /// registry mutation and window rebase — must stay sequential.
+    /// A pure function of the trace and the config thresholds: it
+    /// never reads the registry.
     fn validate_candidates(
         min_subspace_screens: usize,
         occurrences: &OccurrenceIndex,
@@ -782,10 +582,10 @@ impl OnlineTraceAnalyzer {
         None
     }
 
-    /// The sequential half of an analysis: rebases the instance's
-    /// window and registers the validated report. Must run in batch
-    /// order — it mutates the shared subspace registry, and merge
-    /// decisions depend on what earlier reports already registered.
+    /// The registry half of an analysis: rebases the instance's window
+    /// and registers the validated report. Merge decisions depend on
+    /// what earlier reports already registered, so reports apply in
+    /// batch order.
     fn apply_validated(
         &mut self,
         instance: InstanceId,
@@ -795,9 +595,8 @@ impl OnlineTraceAnalyzer {
         // Future analyses for this instance start inside the subspace:
         // the window rebases to `split_at`, so the engine restarts empty
         // and is re-fed from there on the next due analysis.
-        // Infallible: every ingestion path inserts the state for
-        // `instance` before calling here (and the pooled path returns
-        // moved-out states to the map before phase B).
+        // Infallible: ingestion inserts the state for `instance` before
+        // calling here.
         let state = self.instances.get_mut(&instance).expect("state exists");
         state.start_index = v.split_at;
         state.engine.reset();
@@ -1006,9 +805,6 @@ mod tests {
         use crate::findspace::tests::two_cluster_trace;
         let mut cfg = AnalyzerConfig::resource_mode();
         cfg.find_space.l_min = VirtualDuration::from_secs(20);
-        // Engage the pool for any batch size; the default threshold
-        // keeps short windows inline.
-        cfg.pool_min_window = 0;
         let a = OnlineTraceAnalyzer::new(cfg);
         let trace: Trace = two_cluster_trace(30, 50).into_iter().collect();
         let now = trace.end_time().unwrap();
@@ -1044,19 +840,6 @@ mod tests {
         let single = b.ingest_round(&[(InstanceId(0), &trace_b)], now_b);
         assert_eq!(confirmed, single);
         assert_eq!(a.subspaces().len(), b.subspaces().len());
-    }
-
-    #[test]
-    fn pooled_ingestion_matches_inline() {
-        let (mut inline, trace, now) = due_setup();
-        let (mut pooled, trace_p, _) = due_setup();
-        pooled.set_compute(crate::campaign::pool::ComputePool::new(4));
-        let batch_a = [(InstanceId(0), &trace), (InstanceId(1), &trace)];
-        let batch_b = [(InstanceId(0), &trace_p), (InstanceId(1), &trace_p)];
-        let a = inline.ingest_round(&batch_a, now);
-        let b = pooled.ingest_round(&batch_b, now);
-        assert_eq!(a, b);
-        assert_eq!(inline.subspaces(), pooled.subspaces());
     }
 
     #[test]
@@ -1281,8 +1064,7 @@ mod tests {
             );
         }
 
-        /// Law: `ingest_round` — inline, and pooled with
-        /// `pool_min_window = 0` — confirms exactly what the oracle's
+        /// Law: `ingest_round` confirms exactly what the oracle's
         /// one-at-a-time ingestion confirms, round by round, and ends
         /// with the same registry. Mid-run, instance 0's device is
         /// replaced: its trace restarts shorter under the same id after
@@ -1305,11 +1087,8 @@ mod tests {
             config.analysis_interval = VirtualDuration::from_secs(10);
             config.min_new_events = 5;
             config.min_subspace_screens = 2;
-            config.pool_min_window = 0;
             let mut oracle = OnlineTraceAnalyzer::new(config.clone());
-            let mut inline = OnlineTraceAnalyzer::new(config.clone());
-            let mut pooled = OnlineTraceAnalyzer::new(config);
-            pooled.set_compute(crate::campaign::pool::ComputePool::new(2));
+            let mut ingested = OnlineTraceAnalyzer::new(config);
             let rounds = traces
                 .iter()
                 .chain([&replacement])
@@ -1320,7 +1099,7 @@ mod tests {
             for round in 0..rounds {
                 let now = VirtualTime::from_secs((round as u64 + 1) * 15);
                 if round == replace_at {
-                    for a in [&mut oracle, &mut inline, &mut pooled] {
+                    for a in [&mut oracle, &mut ingested] {
                         a.forget_instance(InstanceId(0));
                     }
                 }
@@ -1340,11 +1119,9 @@ mod tests {
                 let batch: Vec<(InstanceId, &Trace)> =
                     prefixes.iter().map(|(id, t)| (*id, t)).collect();
                 let expected = oracle_ingest(&mut oracle, &batch, now);
-                prop_assert_eq!(&expected, &inline.ingest_round(&batch, now), "inline, round {}", round);
-                prop_assert_eq!(&expected, &pooled.ingest_round(&batch, now), "pooled, round {}", round);
+                prop_assert_eq!(&expected, &ingested.ingest_round(&batch, now), "round {}", round);
             }
-            prop_assert_eq!(oracle.subspaces(), inline.subspaces());
-            prop_assert_eq!(oracle.subspaces(), pooled.subspaces());
+            prop_assert_eq!(oracle.subspaces(), ingested.subspaces());
         }
     }
 

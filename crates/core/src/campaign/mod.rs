@@ -10,10 +10,9 @@
 //! * [`lease`] — [`lease::LeaseLedger`], device → app ownership records
 //!   and lease-churn counters;
 //! * [`pool`] — [`pool::ComputePool`], the persistent campaign-wide
-//!   host-thread budget: one condvar-parked pool, each thread draining
-//!   its own contiguous home range of tasks and stealing only when it
-//!   runs dry, serving both the per-app step tasks and the analyzer's
-//!   phase-A tasks;
+//!   host-thread budget, capped at the app count: one condvar-parked
+//!   pool, each thread draining its own contiguous home range of tasks
+//!   and stealing only when it runs dry, serving the per-app step tasks;
 //! * [`scheduler`] — [`scheduler::run_campaign`], the round loop:
 //!   parallel step phase, then a sequential boundary for leasing,
 //!   scheduled kills, rate-planned fault losses, replacements and session

@@ -1,14 +1,13 @@
-//! Persistent host compute pool shared by every parallel hot path.
+//! Persistent host compute pool for a campaign's round advancement.
 //!
-//! [`ComputePool`] is the one place host threads come from. Its
-//! `host_threads` budget is fixed when it is built: `host_threads - 1`
-//! workers are spawned once per [`super::scheduler::Campaign`] (a
-//! single-app session is a one-app campaign, so it gets its own pool,
-//! capped at its instance count),
-//! park on a condvar while idle, and serve both consumers — the
-//! campaign's per-app step tasks (round advancement) and the analyzer's
-//! phase-A tasks (`ingest_round` batches above `pool_min_window`). No
-//! round and no analysis ever spawns a thread.
+//! [`ComputePool`] is the one place host threads come from. Its budget
+//! is fixed when it is built: [`super::scheduler::Campaign::new`] sizes
+//! it from `host_threads`, capped at the campaign's app count (a round
+//! runs at most one step task per app), and spawns `budget - 1` workers
+//! once. They park on a condvar while idle and serve one consumer, the
+//! campaign's per-app step tasks. A single-app session is a one-app
+//! campaign, so its budget is 1 and it spawns no worker. No round ever
+//! spawns a thread.
 //!
 //! # Scheduling model
 //!
@@ -27,31 +26,24 @@
 //! packed `(lo, hi)` word updated by compare-and-swap, so the owner's
 //! front pop and a thief's back pop can never hand out one index twice.
 //!
-//! Two invariants hold whatever the interleaving:
-//!
-//! * **budget**: at most `host_threads` threads ever execute tasks
-//!   (the caller plus `host_threads - 1` pool workers);
-//! * **progress under nesting**: a step task may itself call
-//!   [`ComputePool::run`] (the analyzer's phase A). The nested caller
-//!   first drains its own job — its home range, then every other range
-//!   by stealing — and a thread only blocks when every task of its job
-//!   is claimed (ranges only ever shrink, so one scan that finds them
-//!   all empty proves it). Each claimed task is then actively executing
-//!   on some non-blocked thread, so completion (and thus wake-up) is
-//!   always reachable. No thread ever waits while holding an unexecuted
-//!   claimed task.
+//! At most `budget` threads ever execute tasks (the caller plus
+//! `budget - 1` pool workers), and at most one job is live at a time:
+//! the pool has one submitter, and a task must not submit to its own
+//! pool. [`ComputePool::run`] panics on a second live job rather than
+//! wait for a slot that the waiting task itself may be holding. A task
+//! that panics does not strand its job: the panic is caught, the job
+//! still completes, and `run` re-raises it on the submitter.
 //!
 //! # Determinism
 //!
 //! The pool adds no ordering of its own: tasks are independent by
 //! contract (each touches disjoint state behind its own lock), and the
 //! ranges decide only *which thread* runs a task, never what it
-//! computes. The ingestion law in
-//! `crates/core/tests/parallel_equivalence.rs` pins pool-scheduled
-//! analysis byte-identical to one-item-at-a-time ingestion at budgets
-//! 1/2/4/8, and the campaign determinism suites pin whole-campaign
-//! reports across `host_threads` budgets. See `DESIGN.md` §16.
+//! computes. The campaign determinism suites pin whole-campaign reports
+//! across `host_threads` budgets. See `DESIGN.md` §16.
 
+use std::any::Any;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -134,14 +126,22 @@ impl HomeRange {
 
 /// One published batch of tasks: `run` is invoked as `(task, worker)`
 /// for every claimed index, `ranges` are the per-worker home ranges
-/// (one per budget member), and `done` counts finished tasks (the
-/// submitter waits on `done_cv` until `done == tasks`).
+/// (one per budget member), and `done` records finished tasks (the
+/// submitter waits on `done_cv` until all `tasks` have finished).
 struct JobState {
     run: Box<dyn Fn(usize, usize) + Send + Sync>,
     tasks: usize,
     ranges: Vec<HomeRange>,
-    done: Mutex<usize>,
+    done: Mutex<Done>,
     done_cv: Condvar,
+}
+
+/// What a job's participants report back: how many tasks finished, and
+/// the payload of the first task that panicked.
+#[derive(Default)]
+struct Done {
+    tasks: usize,
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 impl JobState {
@@ -155,7 +155,7 @@ impl JobState {
                     HomeRange::new(lo, hi)
                 })
                 .collect(),
-            done: Mutex::new(0),
+            done: Mutex::new(Done::default()),
             done_cv: Condvar::new(),
         }
     }
@@ -170,51 +170,50 @@ impl JobState {
     }
 
     /// Claims and executes tasks until every range is empty, then
-    /// reports how many this thread completed.
+    /// reports how many this thread completed. A panicking task still
+    /// counts as finished, so the submitter always wakes; it re-raises
+    /// the first payload.
     fn participate(&self, worker_id: usize) {
         let mut completed = 0usize;
+        let mut panic = None;
         while let Some(k) = self.claim(worker_id) {
-            (self.run)(k, worker_id);
+            let task = AssertUnwindSafe(|| (self.run)(k, worker_id));
+            if let Err(payload) = std::panic::catch_unwind(task) {
+                panic.get_or_insert(payload);
+            }
             completed += 1;
         }
         if completed > 0 {
             let mut done = self.done.lock();
-            *done += completed;
-            if *done == self.tasks {
+            done.tasks += completed;
+            if done.panic.is_none() {
+                done.panic = panic;
+            }
+            if done.tasks == self.tasks {
                 self.done_cv.notify_all();
             }
         }
     }
 
     /// Whether every task index has been claimed (not necessarily
-    /// finished) — an exhausted job is dead weight in the queue.
+    /// finished): an exhausted job has nothing left for a worker.
     fn exhausted(&self) -> bool {
         self.ranges.iter().all(HomeRange::is_empty)
     }
 }
 
-/// Queue of live jobs plus the shutdown latch, under one small mutex
-/// (locked only to publish, scan, or park — task execution never holds
+/// The live-job slot plus the shutdown latch, under one small mutex
+/// (locked only to publish, look, or park — task execution never holds
 /// it).
-struct PoolQueue {
-    jobs: Vec<Arc<JobState>>,
+struct PoolSlot {
+    job: Option<Arc<JobState>>,
     shutdown: bool,
 }
 
 /// State shared between the pool handle and its worker threads.
 struct PoolShared {
-    queue: Mutex<PoolQueue>,
+    slot: Mutex<PoolSlot>,
     work_ready: Condvar,
-}
-
-impl PoolShared {
-    /// Returns some job with unclaimed tasks, pruning exhausted ones;
-    /// `None` means the queue is empty (caller may park).
-    fn next_job(&self) -> Option<Arc<JobState>> {
-        let mut q = self.queue.lock();
-        q.jobs.retain(|j| !j.exhausted());
-        q.jobs.first().cloned()
-    }
 }
 
 /// A persistent work-stealing thread pool with per-worker home ranges,
@@ -241,23 +240,18 @@ impl std::fmt::Debug for ComputePool {
 }
 
 impl ComputePool {
-    /// Creates a pool with the given host-thread budget, spawning
+    /// Creates a pool with the given host-thread budget (≥ 1), spawning
     /// `budget - 1` long-lived workers (the submitting thread is the
-    /// budget's first member). `0` means auto-detect:
-    /// [`std::thread::available_parallelism`].
+    /// budget's first member).
     ///
     /// Every spawn increments the `host_threads_spawned_total` counter,
     /// so `/metrics` shows that rounds stop spawning threads after the
     /// pool is built.
-    pub fn new(host_threads: usize) -> Arc<ComputePool> {
-        let budget = if host_threads == 0 {
-            auto_threads()
-        } else {
-            host_threads
-        };
+    pub fn new(budget: usize) -> Arc<ComputePool> {
+        assert!(budget >= 1, "a pool needs a budget of at least one thread");
         let shared = Arc::new(PoolShared {
-            queue: Mutex::new(PoolQueue {
-                jobs: Vec::new(),
+            slot: Mutex::new(PoolSlot {
+                job: None,
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
@@ -291,12 +285,16 @@ impl ComputePool {
     /// (any may run concurrently with any other, on any thread).
     ///
     /// With a budget of 1 — or a single task — this is a plain inline
-    /// loop: no queue, no locks, no allocation. Otherwise the job is
+    /// loop: no job slot, no locks, no allocation. Otherwise the job is
     /// published to the pool, the calling thread drains home range 0
     /// (then steals) alongside the workers, and parks until the last
     /// straggler finishes. `worker` is the executing participant's id;
     /// it differs from `home_worker(tasks, budget, task)` exactly when
-    /// the task was stolen.
+    /// the task was stolen. If a task panicked, `run` panics with its
+    /// payload once every task has finished.
+    ///
+    /// Panics if another job is live: a pool has one submitter, and a
+    /// task must not call `run` on its own pool.
     pub fn run<F>(&self, tasks: usize, f: F)
     where
         F: Fn(usize, usize) + Send + Sync + 'static,
@@ -312,36 +310,42 @@ impl ComputePool {
         }
         let job = Arc::new(JobState::new(tasks, self.budget, Box::new(f)));
         {
-            let mut q = self.shared.queue.lock();
-            q.jobs.push(Arc::clone(&job));
+            let mut q = self.shared.slot.lock();
+            assert!(
+                q.job.is_none(),
+                "ComputePool::run while another job is live: a pool has one \
+                 submitter, and a task must not submit to its own pool"
+            );
+            q.job = Some(Arc::clone(&job));
         }
         // Wake only as many workers as could usefully help: the caller
         // claims tasks itself, so a `tasks`-unit job needs at most
         // `tasks - 1` helpers. A broadcast here would stampede the whole
-        // budget through the scheduler for every small nested job.
+        // budget through the scheduler for every small job.
         for _ in 0..(tasks - 1).min(self.budget - 1) {
             self.shared.work_ready.notify_one();
         }
-        // The caller is worker 0: it drains its own job before blocking,
-        // so a nested `run` from inside a task cannot deadlock (see
-        // module docs).
+        // The caller is worker 0.
         job.participate(0);
         let mut done = job.done.lock();
-        while *done < job.tasks {
+        while done.tasks < job.tasks {
             job.done_cv.wait(&mut done);
         }
+        let panic = done.panic.take();
         drop(done);
-        // Drop our queue entry eagerly so the job's captures (slot Arcs,
-        // traces) are not pinned until the next worker scan.
-        let mut q = self.shared.queue.lock();
-        q.jobs.retain(|j| !Arc::ptr_eq(j, &job));
+        // Empty the slot eagerly so the job's captures (slot Arcs) are
+        // not pinned until the next job.
+        self.shared.slot.lock().job = None;
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
     }
 }
 
 impl Drop for ComputePool {
     fn drop(&mut self) {
         {
-            let mut q = self.shared.queue.lock();
+            let mut q = self.shared.slot.lock();
             q.shutdown = true;
         }
         self.shared.work_ready.notify_all();
@@ -351,30 +355,24 @@ impl Drop for ComputePool {
     }
 }
 
-/// The long-lived worker body: grab a job with unclaimed tasks, help
-/// finish it, park when the queue is empty.
+/// The long-lived worker body: take the live job while it has unclaimed
+/// tasks, help finish it, park otherwise.
 fn worker_loop(shared: &PoolShared, worker_id: usize) {
     loop {
-        if let Some(job) = shared.next_job() {
-            job.participate(worker_id);
-            continue;
-        }
-        let mut q = shared.queue.lock();
-        if q.shutdown {
-            return;
-        }
-        if q.jobs.iter().all(|j| j.exhausted()) {
-            shared.work_ready.wait(&mut q);
-        }
+        let job = {
+            let mut q = shared.slot.lock();
+            loop {
+                if q.shutdown {
+                    return;
+                }
+                match &q.job {
+                    Some(job) if !job.exhausted() => break Arc::clone(job),
+                    _ => shared.work_ready.wait(&mut q),
+                }
+            }
+        };
+        job.participate(worker_id);
     }
-}
-
-/// The auto-detected host budget: `std::thread::available_parallelism`,
-/// falling back to 1 on platforms that cannot report it.
-pub(crate) fn auto_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -476,22 +474,29 @@ mod tests {
     }
 
     #[test]
-    fn nested_submission_completes() {
-        // A task that itself publishes a job — the analyzer's phase A
-        // running inside a step task. Must not deadlock at any budget.
-        for budget in [2, 3, 8] {
-            let pool = ComputePool::new(budget);
-            let total = Arc::new(AtomicU64::new(0));
-            let outer_pool = Arc::clone(&pool);
-            let outer_total = Arc::clone(&total);
-            pool.run(6, move |_, _| {
-                let inner_total = Arc::clone(&outer_total);
-                outer_pool.run(5, move |_, _| {
-                    inner_total.fetch_add(1, Ordering::Relaxed);
-                });
-            });
-            assert_eq!(total.load(Ordering::Relaxed), 30, "budget {budget}");
-        }
+    #[should_panic(expected = "a task must not submit to its own pool")]
+    fn submission_from_a_task_panics_instead_of_deadlocking() {
+        let pool = ComputePool::new(3);
+        let inner = Arc::clone(&pool);
+        pool.run(6, move |_, _| inner.run(5, |_, _| {}));
+    }
+
+    #[test]
+    fn a_panicking_task_reaches_the_submitter_and_frees_the_pool() {
+        let pool = ComputePool::new(3);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run(9, |k, _| assert_ne!(k, 7, "task 7 fails"));
+        }));
+        let payload = caught.expect_err("the task's panic is re-raised");
+        let message = payload.downcast_ref::<String>().expect("formatted message");
+        assert!(message.contains("task 7 fails"), "{message}");
+        // The slot was emptied, so the pool takes the next job.
+        let ran = Arc::new(AtomicU64::new(0));
+        let r = Arc::clone(&ran);
+        pool.run(4, move |_, _| {
+            r.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 4);
     }
 
     #[test]

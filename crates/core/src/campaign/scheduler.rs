@@ -7,21 +7,20 @@
 //!
 //! 1. **Parallel phase** — every *runnable* app (live, holding at least
 //!    one device) advances its [`SessionStep`] by one round. Steps touch
-//!    only their own state, so the campaign's persistent [`ComputePool`]
-//!    (one `host_threads` budget built at [`Campaign::new`], shared with
-//!    every app's phase-A analysis — no per-round thread spawns)
-//!    executes them concurrently: the runnable apps, in app-index order,
-//!    are split into one contiguous home range per host thread, so an
-//!    app keeps running on the same thread round after round, and a
-//!    step run by a thread other than its range's owner counts as a
-//!    steal. Each step also snapshots its device demand here, so the
-//!    boundary need not recompute it.
+//!    only their own state — each app's trace analysis runs inside its
+//!    step — so the campaign's persistent [`ComputePool`] (one budget
+//!    built at [`Campaign::new`] from `host_threads`, capped at the app
+//!    count — no per-round thread spawns) executes them concurrently:
+//!    the runnable apps, in app-index order, are split into one
+//!    contiguous home range per host thread, so an app keeps running on
+//!    the same thread round after round, and a step run by a thread
+//!    other than its range's owner counts as a steal. Each step also
+//!    snapshots its device demand here, so the boundary need not
+//!    recompute it.
 //! 2. **Sequential boundary** — all shared-state decisions (farm
 //!    allocation, lease grants and revocations, scheduled device kills,
 //!    replacement retries, session completion) happen on the scheduler
-//!    thread in ascending app-index order. Candidate *validation* is
-//!    not such a decision — it reads only frozen per-instance traces —
-//!    and runs in the parallel phase (DESIGN.md §16).
+//!    thread in ascending app-index order.
 //!
 //! # Determinism
 //!
@@ -108,8 +107,9 @@ pub struct CampaignApp {
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Host compute-thread budget shared by the whole campaign: the
-    /// persistent [`ComputePool`] serving both round advancement and
-    /// phase-A analysis is sized once from this. `0` = auto-detect
+    /// persistent [`ComputePool`] that advances the apps' rounds is sized
+    /// once from this, capped at the app count (a round runs at most one
+    /// task per app). `0` = auto-detect
     /// ([`std::thread::available_parallelism`]). Never affects results.
     pub host_threads: usize,
     /// Shared farm capacity; defaults to the sum of every app's `d_max`
@@ -395,9 +395,8 @@ pub struct Campaign {
     slots: Arc<Vec<Mutex<Slot>>>,
     ledger: LeaseLedger,
     farm: DeviceFarm,
-    /// The campaign-wide host compute budget (tentpole of DESIGN.md
-    /// §16): sized once from the config, serves both step advancement
-    /// and every analyzer's phase A.
+    /// The campaign-wide host compute budget (DESIGN.md §16): sized
+    /// once from the config, advances the apps' steps.
     compute: Arc<ComputePool>,
     /// Consulted in place at every seam when the config has a fault plan.
     injector: Option<FaultInjector>,
@@ -442,8 +441,15 @@ impl Campaign {
         let telemetry = taopt_telemetry::global();
         telemetry.counter("campaigns_started_total").inc();
 
-        // One persistent host budget for the whole campaign.
-        let compute = ComputePool::new(config.host_threads);
+        // One persistent host budget for the whole campaign: 0 means every
+        // core the platform reports (1 if it cannot tell). A round runs at
+        // most one task per app, so threads past `apps.len()` would never
+        // run one.
+        let host_threads = match config.host_threads {
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            n => n,
+        };
+        let compute = ComputePool::new(host_threads.min(apps.len()));
         let tick = apps.iter().map(|a| a.config.tick).max().expect("non-empty");
         let total_want: usize = apps.iter().map(|a| a.config.instances).sum();
         let capacity = config.capacity.unwrap_or(total_want).max(1);
@@ -466,7 +472,7 @@ impl Campaign {
                     d_max < (1usize << APP_LANE_SHIFT),
                     "app d_max must fit below the per-app lane range"
                 );
-                let mut step = SessionStep::new(a.app, a.config).with_compute(Arc::clone(&compute));
+                let mut step = SessionStep::new(a.app, a.config);
                 if let Some(inj) = &injector {
                     step = step.with_faults(inj, (i as u32) << APP_LANE_SHIFT);
                 }
@@ -990,5 +996,38 @@ fn lease_boundary(
         for req in std::mem::take(&mut due[i]) {
             s.queue.defer(req, global_now);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::RunMode;
+    use taopt_app_sim::{generate_app, GeneratorConfig};
+    use taopt_tools::ToolKind;
+
+    fn app(seed: u64) -> CampaignApp {
+        CampaignApp {
+            name: format!("app{seed}"),
+            app: Arc::new(generate_app(&GeneratorConfig::small("pool", seed)).unwrap()),
+            config: SessionConfig::new(ToolKind::Monkey, RunMode::Baseline),
+        }
+    }
+
+    #[test]
+    fn pool_budget_is_capped_at_the_app_count() {
+        let eight = CampaignConfig {
+            host_threads: 8,
+            ..CampaignConfig::default()
+        };
+        assert_eq!(Campaign::new(vec![app(1)], &eight).compute.budget(), 1);
+        assert_eq!(
+            Campaign::new(vec![app(1), app(2), app(3)], &eight)
+                .compute
+                .budget(),
+            3
+        );
+        let auto = Campaign::new(vec![app(1)], &CampaignConfig::default());
+        assert_eq!(auto.compute.budget(), 1);
     }
 }

@@ -340,17 +340,6 @@ impl SessionStep {
         self
     }
 
-    /// Threads the campaign-wide [`crate::campaign::ComputePool`] down
-    /// to this step's coordinator/analyzer: round ingestion schedules
-    /// large analysis batches on the shared host budget.
-    pub fn with_compute(
-        mut self,
-        pool: std::sync::Arc<crate::campaign::pool::ComputePool>,
-    ) -> Self {
-        self.coordinator.set_compute(pool);
-        self
-    }
-
     /// Devices currently held.
     pub fn active_count(&self) -> usize {
         self.active.len()

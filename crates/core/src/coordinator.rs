@@ -111,13 +111,6 @@ impl TestCoordinator {
         &self.analyzer
     }
 
-    /// Attaches the campaign-wide compute pool to the analyzer (see
-    /// [`OnlineTraceAnalyzer::set_compute`]): round ingestion then runs
-    /// large phase-A batches on the shared host budget.
-    pub fn set_compute(&mut self, pool: std::sync::Arc<crate::campaign::pool::ComputePool>) {
-        self.analyzer.set_compute(pool);
-    }
-
     /// Decision log.
     pub fn events(&self) -> &[CoordinatorEvent] {
         &self.events

@@ -32,7 +32,6 @@ use taopt_tools::ToolKind;
 use taopt_ui_model::{Trace, VirtualDuration, VirtualTime};
 
 use crate::analyzer::{AnalyzerConfig, SubspaceInfo};
-use crate::campaign::pool::auto_threads;
 use crate::campaign::{run_campaign, CampaignApp, CampaignConfig};
 use crate::coordinator::CoordinatorEvent;
 use crate::metrics::curves::CurvePoint;
@@ -279,30 +278,21 @@ impl ParallelSession {
     /// Runs a session to completion and returns its results.
     ///
     /// The run is fully deterministic given `config.seed`. A session is a
-    /// one-app campaign ([`run_campaign`]) with an otherwise default
+    /// one-app campaign ([`run_campaign`]) with a default
     /// [`CampaignConfig`]: the farm's capacity is the app's `d_max`, so
     /// every demand is granted at once, and no fault plan is set, so no
     /// seam consults a fault injector. Orphan repair is on, as in every
     /// campaign: a confirmed subspace whose owners all retired in one
     /// round is re-dedicated to a survivor instead of being stranded.
     ///
-    /// The session's compute pool is the auto-detected host budget capped
-    /// at `config.instances`: one app's rounds never hold more parallel
-    /// tasks than it has instances, and callers run many sessions at once.
-    /// Results do not depend on the budget.
-    ///
     /// Panics if `config.instances` is 0.
     pub fn run(app: Arc<App>, config: &SessionConfig) -> SessionResult {
-        let campaign = CampaignConfig {
-            host_threads: config.instances.min(auto_threads()),
-            ..CampaignConfig::default()
-        };
         let one = CampaignApp {
             name: app.name().to_owned(),
             app,
             config: config.clone(),
         };
-        let mut result = run_campaign(vec![one], &campaign);
+        let mut result = run_campaign(vec![one], &CampaignConfig::default());
         result
             .apps
             .pop()

@@ -1,20 +1,13 @@
-//! Differential equivalence suite for the parallel hot paths.
+//! Differential equivalence suite for the analysis layer's shared
+//! similarity cache.
 //!
-//! The analysis layer's parallel machinery — the sharded
-//! [`SimilarityCache`] and pooled per-round ingestion — promises
-//! **bit-identical** output to the serial reference at any shard count
-//! or host budget. Each law here pins one of those promises over random
-//! traces with duplicate timestamps, in the style of the
-//! `findspace_engine_*` proptests (which pin the engine's sweep against
-//! the full rescan):
-//!
-//! 1. `sharded_cache_*`: engines fed through caches of every shard
-//!    count agree with the 1-shard reference — candidates and merged
-//!    cache post-state both;
-//! 2. `ingest_round_*`: `ingest_round` with no pool and through a
-//!    persistent [`ComputePool`] of budget 1, 2, 4 or 8 agrees with
-//!    one-item-at-a-time ingestion — same confirmations per round, same
-//!    final registry, same cache content. The pool is pure mechanism.
+//! The sharded [`SimilarityCache`] promises **bit-identical** output to
+//! the 1-shard reference at any shard count. The `sharded_cache_*` law
+//! pins that over random traces with duplicate timestamps, in the style
+//! of the `findspace_engine_*` proptests (which pin the engine's sweep
+//! against the full rescan): engines fed through caches of every shard
+//! count agree with the reference — candidates and merged cache
+//! post-state both.
 //!
 //! Plus the concurrency stress test (8 threads hammering one sharded
 //! cache) and the `forget_instance` occupancy test.
@@ -26,7 +19,6 @@ use proptest::prelude::*;
 
 use taopt::analyzer::{AnalyzerConfig, OnlineTraceAnalyzer};
 use taopt::findspace::{FindSpaceConfig, FindSpaceEngine, SimilarityCache};
-use taopt::ComputePool;
 use taopt_toller::InstanceId;
 use taopt_ui_model::abstraction::{AbstractHierarchy, AbstractNode};
 use taopt_ui_model::{
@@ -72,12 +64,6 @@ fn arb_dup_trace() -> impl Strategy<Value = Vec<TraceEvent>> {
     })
 }
 
-/// Up to three instance traces over one shared screen alphabet, so the
-/// similarity cache is genuinely shared across instances.
-fn arb_instance_traces() -> impl Strategy<Value = Vec<Vec<TraceEvent>>> {
-    proptest::collection::vec(arb_dup_trace(), 1..4)
-}
-
 fn fs_config() -> FindSpaceConfig {
     FindSpaceConfig {
         l_min: VirtualDuration::from_secs(30),
@@ -93,9 +79,6 @@ fn analyzer_config() -> AnalyzerConfig {
     c.analysis_interval = VirtualDuration::from_secs(10);
     c.min_new_events = 5;
     c.min_subspace_screens = 2;
-    // Every batch in these suites is small; drop the pool routing
-    // threshold so the pooled arms genuinely exercise the pool.
-    c.pool_min_window = 0;
     c
 }
 
@@ -119,7 +102,7 @@ macro_rules! prop_assert_identical {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Law 1: sharded cache ≡ unsharded. An engine run through a
+    /// Law: sharded cache ≡ unsharded. An engine run through a
     /// cache of any shard count returns the same candidate bits as one
     /// run through the 1-shard reference, and the merged cache contents
     /// (shard layout erased by the ordered snapshot) are identical.
@@ -163,70 +146,6 @@ proptest! {
                 shards
             );
             prop_assert_eq!(cache.len(), reference_cache.len());
-        }
-    }
-
-    /// Law 2: round ingestion ≡ one-at-a-time. Feeding every instance's
-    /// trace through `ingest_round` — with no pool, and on a persistent
-    /// [`ComputePool`] of each budget — produces the same per-round
-    /// confirmations, the same final subspace registry, and the same
-    /// similarity-cache content as one `maybe_analyze` call per instance
-    /// in the same order.
-    #[test]
-    fn ingest_round_equivalent_to_one_at_a_time(
-        traces in arb_instance_traces(),
-        chunk in 3usize..=20,
-    ) {
-        let mut serial = OnlineTraceAnalyzer::new(analyzer_config());
-        let mut arms: Vec<(Option<usize>, OnlineTraceAnalyzer)> = [None, Some(1), Some(2), Some(4), Some(8)]
-            .into_iter()
-            .map(|budget| {
-                let mut a = OnlineTraceAnalyzer::new(analyzer_config());
-                if let Some(b) = budget {
-                    a.set_compute(ComputePool::new(b));
-                }
-                (budget, a)
-            })
-            .collect();
-        let rounds = traces
-            .iter()
-            .map(|t| t.len().div_ceil(chunk))
-            .max()
-            .unwrap_or(0);
-        for round in 0..rounds {
-            let now = VirtualTime::from_secs((round as u64 + 1) * 15);
-            let prefixes: Vec<(InstanceId, Trace)> = traces
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let end = ((round + 1) * chunk).min(t.len());
-                    (InstanceId(i as u32), t[..end].iter().cloned().collect())
-                })
-                .collect();
-            let mut serial_confirmed = Vec::new();
-            for (id, trace) in &prefixes {
-                serial_confirmed.extend(serial.maybe_analyze(*id, trace, now));
-            }
-            let batch: Vec<(InstanceId, &Trace)> =
-                prefixes.iter().map(|(id, t)| (*id, t)).collect();
-            for (budget, arm) in arms.iter_mut() {
-                prop_assert_eq!(
-                    &serial_confirmed,
-                    &arm.ingest_round(&batch, now),
-                    "round {} (pool budget {:?})",
-                    round,
-                    budget
-                );
-            }
-        }
-        for (budget, arm) in &arms {
-            prop_assert_eq!(serial.subspaces(), arm.subspaces(), "pool budget {:?}", budget);
-            prop_assert_eq!(
-                serial.similarity_cache().snapshot(),
-                arm.similarity_cache().snapshot(),
-                "pool budget {:?}",
-                budget
-            );
         }
     }
 }

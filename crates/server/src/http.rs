@@ -70,18 +70,29 @@ impl Request {
     }
 }
 
+/// Reads one head line, never more than what is left of the
+/// [`MAX_HEAD_BYTES`] budget, and charges it to `head`.
+fn read_head_line(reader: &mut impl BufRead, head: &mut usize) -> Result<String, HttpError> {
+    let mut line = String::new();
+    let left = MAX_HEAD_BYTES - *head;
+    reader.take(left as u64).read_line(&mut line)?;
+    *head += line.len();
+    if line.len() == left && !line.ends_with('\n') {
+        return Err(HttpError("request head too large".to_owned()));
+    }
+    Ok(line)
+}
+
 /// Reads and parses one request from `stream`. Enforces [`MAX_HEAD_BYTES`]
-/// and [`MAX_BODY_BYTES`]; anything over budget or malformed is a clean
-/// [`HttpError`].
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+/// and [`MAX_BODY_BYTES`] before buffering: no read asks for more than is
+/// left of the head budget or than `Content-Length` announced, so a peer
+/// costs at most those bytes plus one `BufReader` buffer. Anything over
+/// budget, short or malformed is a clean [`HttpError`].
+pub fn read_request(stream: impl Read) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
 
     let mut head = 0usize;
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    head += line.len();
+    let line = read_head_line(&mut reader, &mut head)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -100,12 +111,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
 
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
-        head += header.len();
-        if head > MAX_HEAD_BYTES {
-            return Err(HttpError("request head too large".to_owned()));
-        }
+        let header = read_head_line(&mut reader, &mut head)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -125,8 +131,14 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
         )));
     }
 
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    let mut body = Vec::new();
+    reader.take(content_length as u64).read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(HttpError(format!(
+            "body ended after {} of {content_length} bytes",
+            body.len()
+        )));
+    }
     let body = String::from_utf8(body).map_err(|_| HttpError("body is not utf-8".to_owned()))?;
 
     let (path, query_str) = match target.split_once('?') {
@@ -223,4 +235,79 @@ pub fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::R
     stream.write_all(head.as_bytes())?;
     stream.write_all(response.body.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Counts the bytes `read_request` pulls from its source.
+    struct Counting<R> {
+        inner: R,
+        read: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    /// `std::io::BufReader`'s default capacity.
+    const BUF_READER_CAPACITY: usize = 8 * 1024;
+
+    #[test]
+    fn endless_head_is_cut_off_at_the_head_budget() {
+        // One request line that never ends, then one header that never
+        // ends: neither may buffer past the head budget.
+        let request_line = std::io::repeat(b'a');
+        let header = (&b"GET / HTTP/1.1\r\nX: "[..]).chain(std::io::repeat(b'a'));
+        for source in [Box::new(request_line) as Box<dyn Read>, Box::new(header)] {
+            let mut source = Counting {
+                inner: source,
+                read: 0,
+            };
+            let err = read_request(&mut source).expect_err("an endless head is refused");
+            assert_eq!(err.0, "request head too large");
+            assert!(
+                source.read <= MAX_HEAD_BYTES + BUF_READER_CAPACITY,
+                "read {} bytes",
+                source.read
+            );
+        }
+    }
+
+    #[test]
+    fn body_shorter_than_content_length_is_refused() {
+        let bytes = b"POST /v1/campaigns HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}";
+        let err = read_request(&bytes[..]).expect_err("a short body is refused");
+        assert_eq!(err.0, "body ended after 2 of 10 bytes");
+    }
+
+    #[test]
+    fn well_formed_request_parses_from_bytes() {
+        let bytes = b"post /v1/campaigns?wait=1&x HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}";
+        let request = read_request(&bytes[..]).unwrap();
+        assert_eq!(request.method, "POST");
+        assert_eq!(request.segments(), ["v1", "campaigns"]);
+        assert_eq!(request.query_param("wait"), Some("1"));
+        assert_eq!(request.query_param("x"), Some(""));
+        assert_eq!(request.body, "{}");
+    }
+
+    #[test]
+    fn head_of_exactly_the_budget_is_accepted() {
+        let start = "GET / HTTP/1.1\r\nX: ";
+        let pad = MAX_HEAD_BYTES - start.len() - "\r\n\r\n".len();
+        let head = format!("{start}{}\r\n\r\n", "a".repeat(pad));
+        assert_eq!(head.len(), MAX_HEAD_BYTES);
+        assert!(read_request(head.as_bytes()).is_ok());
+        let over = format!("{start}{}\r\n\r\n", "a".repeat(pad + 1));
+        assert_eq!(
+            read_request(over.as_bytes()).unwrap_err().0,
+            "request head too large"
+        );
+    }
 }

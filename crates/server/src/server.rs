@@ -42,7 +42,9 @@ use taopt_service::{CampaignId, CampaignService, CampaignSpec, CampaignStatus, S
 use taopt_telemetry::Labels;
 use taopt_ui_model::json::Value;
 
-use crate::http::{read_request, write_response, Request, Response, MAX_HEAD_BYTES};
+use crate::http::{
+    read_request, write_response, HttpError, Request, Response, IO_TIMEOUT, MAX_HEAD_BYTES,
+};
 use crate::wire;
 
 /// Server knobs. The defaults favor a small, fully bounded footprint.
@@ -231,7 +233,13 @@ fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, inner: &Inner) {
 fn handle_connection(mut stream: TcpStream, inner: &Inner) {
     let telemetry = taopt_telemetry::global();
     let start = Instant::now();
-    let (route, response) = match read_request(&mut stream) {
+    // A stalled peer frees its worker.
+    let request = stream
+        .set_read_timeout(Some(IO_TIMEOUT))
+        .and_then(|()| stream.set_write_timeout(Some(IO_TIMEOUT)))
+        .map_err(HttpError::from)
+        .and_then(|()| read_request(&mut stream));
+    let (route, response) = match request {
         Ok(request) => dispatch(&request, inner),
         Err(e) => ("bad-request", Response::error(400, &e.to_string())),
     };

@@ -54,20 +54,13 @@ fn catalog() -> Vec<CampaignApp> {
 
 /// Coverage report of the contended catalog (7 of 15 wanted devices, so
 /// lease rotation is exercised) at the given host budget.
-/// `pool_min_window`, when set, overrides every app's analyzer default.
-fn contended_report(host_threads: usize, pool_min_window: Option<usize>) -> String {
-    let mut apps = catalog();
-    if let Some(window) = pool_min_window {
-        for a in &mut apps {
-            a.config.analyzer.pool_min_window = window;
-        }
-    }
+fn contended_report(host_threads: usize) -> String {
     let config = CampaignConfig {
         host_threads,
         capacity: Some(7),
         ..CampaignConfig::default()
     };
-    run_campaign(apps, &config).coverage_report()
+    run_campaign(catalog(), &config).coverage_report()
 }
 
 #[test]
@@ -77,7 +70,7 @@ fn campaign_is_deterministic_across_worker_counts() {
     // matter how many compute-pool workers advance the steps.
     let reports: Vec<String> = [1usize, 2, 4]
         .iter()
-        .map(|&workers| contended_report(workers, None))
+        .map(|&workers| contended_report(workers))
         .collect();
     assert_eq!(
         reports[0], reports[1],
@@ -92,13 +85,12 @@ fn campaign_is_deterministic_across_worker_counts() {
 #[test]
 fn campaign_is_deterministic_across_host_budgets() {
     // The host budget decides only how fast rounds advance, never what
-    // they compute — also when every analysis batch is forced onto the
-    // pool (`pool_min_window = 0`) and when the budget is auto-detected.
-    let reference = contended_report(1, Some(0));
+    // they compute — also when the budget is auto-detected.
+    let reference = contended_report(1);
     for host_threads in [2usize, 8, 0] {
         assert_eq!(
             reference,
-            contended_report(host_threads, Some(0)),
+            contended_report(host_threads),
             "host_threads={host_threads} diverged from host_threads=1"
         );
     }

@@ -4,7 +4,7 @@
 //!
 //! This pins the *decisions* of `find_space` and the coordinator, not
 //! just aggregate coverage, so a refactor of the incremental scorer, the
-//! round ingestion path (pooled or inline) or the dedication path that
+//! round ingestion path or the dedication path that
 //! changes any split index, any score (to 1e-6), or any dedication/block
 //! event fails loudly here. The fixture was recorded when the analyzer
 //! was still fed one instance at a time, and the round-batched path must
@@ -46,14 +46,8 @@ fn golden_config() -> SessionConfig {
 }
 
 /// Runs the golden session and renders its decision log canonically.
-///
-/// `pool_min_window` selects where round ingestion runs: `usize::MAX`
-/// keeps every batch inline on the stepping thread, `0` sends every
-/// batch through the shared compute pool. Both must render the same
-/// log against the one fixture, without regeneration.
-fn render_golden(pool_min_window: usize) -> String {
-    let mut config = golden_config();
-    config.analyzer.pool_min_window = pool_min_window;
+fn render_golden() -> String {
+    let config = golden_config();
     let app = Arc::new(generate_app(&GeneratorConfig::small("golden", 2)).unwrap());
     let result = ParallelSession::run(app, &config);
 
@@ -134,7 +128,7 @@ fn render_golden(pool_min_window: usize) -> String {
 
 #[test]
 fn serial_session_reproduces_golden_trace() {
-    let current = render_golden(usize::MAX);
+    let current = render_golden();
     if std::env::var("TAOPT_GOLDEN_REGEN").is_ok() {
         std::fs::create_dir_all(std::path::Path::new(FIXTURE).parent().unwrap()).unwrap();
         std::fs::write(FIXTURE, &current).unwrap();
@@ -148,29 +142,6 @@ fn serial_session_reproduces_golden_trace() {
         "find_space/coordinator decisions diverged from the checked-in \
          golden trace; if the change is intentional, regenerate with \
          TAOPT_GOLDEN_REGEN=1"
-    );
-}
-
-/// The pooled-ingestion arm renders the *same* per-round scores and
-/// dedication log as the inline arm, against the unchanged fixture.
-/// This is the end-to-end seal on the parallel hot path: if pooled
-/// phase-A analysis perturbs one split index, one score micro-unit, or
-/// one dedication, this diverges.
-#[test]
-fn batched_session_reproduces_golden_trace() {
-    if std::env::var("TAOPT_GOLDEN_REGEN").is_ok() {
-        return; // the serial arm owns regeneration
-    }
-    let golden = match std::fs::read_to_string(FIXTURE) {
-        Ok(g) => g,
-        Err(_) => return, // first regen run creates it
-    };
-    assert_eq!(
-        render_golden(0),
-        golden,
-        "pooled ingestion diverged from the golden trace; the pooled \
-         path must be byte-identical — do NOT regenerate the fixture to \
-         paper over this"
     );
 }
 
