@@ -37,17 +37,20 @@ impl CrashSignature {
 /// A latent fault attached to an action.
 ///
 /// The crash fires with probability [`CrashPoint::probability`] each time
-/// the action executes, but only once the current exploration *episode* has
-/// visited at least [`CrashPoint::min_local_depth`] distinct screens of the
-/// action's functionality — modelling crashes that require stateful, deep
-/// flows (the kind that redundant shallow exploration keeps missing and
-/// dedicated subspace exploration finds, Table 5).
+/// the action executes, but only once the executing
+/// [`AppRuntime`](crate::AppRuntime) has visited at least
+/// [`CrashPoint::min_local_depth`] distinct screens of the action's
+/// functionality — modelling crashes that require stateful, deep flows
+/// (the kind that redundant shallow exploration keeps missing and
+/// dedicated subspace exploration finds, Table 5). That depth accumulates
+/// over the runtime's whole life: a crash restart keeps it, and only a
+/// freshly launched runtime (a replacement instance) starts from zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrashPoint {
     /// Per-execution firing probability once armed.
     pub probability: f64,
-    /// Distinct in-functionality screens required in the current episode
-    /// before the fault is armed.
+    /// Distinct in-functionality screens the runtime must have visited,
+    /// over its whole life, before the fault is armed.
     pub min_local_depth: usize,
     /// Dedup signature emitted when the fault fires.
     pub signature: CrashSignature,
@@ -63,7 +66,8 @@ impl CrashPoint {
         }
     }
 
-    /// Whether the fault is armed at the given episode depth.
+    /// Whether the fault is armed at the given depth: distinct screens of
+    /// the action's functionality the runtime has visited so far.
     pub fn armed(&self, local_depth: usize) -> bool {
         local_depth >= self.min_local_depth
     }

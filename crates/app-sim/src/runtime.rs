@@ -286,7 +286,9 @@ impl AppRuntime {
     }
 
     /// Handles arrival on a screen: visit counters, first-visit methods,
-    /// flow progress and episode tracking. Returns newly covered methods.
+    /// flow progress and crash-arming depth (distinct screens visited per
+    /// functionality over the runtime's whole life). Returns newly
+    /// covered methods.
     fn arrive(&mut self, screen: ScreenId) -> Vec<MethodId> {
         let mut newly = Vec::new();
         *self.visit_counts.entry(screen).or_insert(0) += 1;
@@ -324,7 +326,8 @@ impl AppRuntime {
         newly
     }
 
-    /// Restarts the app after a crash.
+    /// Restarts the app after a crash. Coverage and crash-arming depth
+    /// are kept: only a freshly launched runtime starts from zero.
     fn restart(&mut self) {
         self.restarts += 1;
         self.back_stack.clear();
@@ -442,6 +445,35 @@ mod tests {
         assert_eq!(out.crash, Some(CrashSignature(42)));
         assert_eq!(rt.restarts(), 1);
         assert_eq!(rt.current_screen(), rt.app().start_screen());
+    }
+
+    #[test]
+    fn crash_restart_keeps_arming_depth() {
+        let app = chain_app(true);
+        let first_action =
+            |rt: &mut AppRuntime| rt.observe(VirtualTime::ZERO).enabled_actions()[0].0;
+        let mut rt = AppRuntime::launch(app.clone(), 7);
+        for t in 1..=2 {
+            let a = first_action(&mut rt);
+            rt.execute(Action::Widget(a), VirtualTime::from_secs(t))
+                .unwrap();
+        }
+        let s2 = rt.current_screen();
+        let boom = first_action(&mut rt);
+        let out = rt.execute(Action::Widget(boom), VirtualTime::from_secs(3));
+        assert_eq!(out.unwrap().crash, Some(CrashSignature(42)));
+        // Straight back to S2 after the restart: S0 and S1 still count,
+        // so the fault is armed again at once.
+        rt.jump_to(s2);
+        let out = rt.execute(Action::Widget(boom), VirtualTime::from_secs(4));
+        assert_eq!(out.unwrap().crash, Some(CrashSignature(42)));
+        assert_eq!(rt.restarts(), 2);
+        // A fresh runtime jumping to S2 has seen only S0 and S2.
+        let mut fresh = AppRuntime::launch(app, 7);
+        fresh.jump_to(s2);
+        let out = fresh.execute(Action::Widget(boom), VirtualTime::from_secs(1));
+        assert_eq!(out.unwrap().crash, None);
+        assert_eq!(fresh.restarts(), 0);
     }
 
     #[test]

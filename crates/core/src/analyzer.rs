@@ -11,17 +11,20 @@
 //!   "confidently accepted at once";
 //! * duration-constrained mode, `l_min^short = 1 min`: accepted "only when
 //!   reported by at least two testing instances".
+//!
+//! Every instance's incremental engine shares the analyzer's one
+//! [`SimilarityCache`], the app's similarity store: a pair of screens is
+//! evaluated once per app, whichever instance meets it first, and the
+//! store keeps every decision for the analyzer's lifetime (a retired
+//! instance's decisions still answer its successor).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
 
 use taopt_toller::{EntrypointRule, InstanceId};
 use taopt_ui_model::{AbstractScreenId, Trace, TraceEvent, VirtualDuration, VirtualTime};
 
-use crate::findspace::{
-    FindSpaceConfig, FindSpaceEngine, ScreenArena, SimilarityCache, SplitCandidate,
-};
+use crate::findspace::{FindSpaceConfig, FindSpaceEngine, SimilarityCache, SplitCandidate};
 use crate::warmstart::{WarmStart, WarmSubspace};
 
 /// Containment coefficient `|A∩B| / min(|A|, |B|)` (1.0 when either set
@@ -186,12 +189,12 @@ struct InstanceState {
 }
 
 impl InstanceState {
-    fn new(config: &FindSpaceConfig, arena: Arc<ScreenArena>) -> Self {
+    fn new(config: &FindSpaceConfig) -> Self {
         InstanceState {
             last_run: None,
             last_len: 0,
             start_index: 0,
-            engine: FindSpaceEngine::with_arena(config.clone(), arena),
+            engine: FindSpaceEngine::new(config.clone()),
             occurrences: OccurrenceIndex::default(),
         }
     }
@@ -203,15 +206,10 @@ pub struct OnlineTraceAnalyzer {
     config: AnalyzerConfig,
     subspaces: Vec<SubspaceInfo>,
     instances: HashMap<InstanceId, InstanceState>,
-    /// Pairwise screen-similarity decisions, shared by every instance's
-    /// engine.
+    /// The app's similarity store, shared by every instance's engine.
     similarity_cache: SimilarityCache,
-    /// Per-app screen interner shared by every instance's engine.
-    arena: Arc<ScreenArena>,
     /// Per-analysis latency of the incremental FindSpace run, in µs.
     analysis_latency: taopt_telemetry::Histogram,
-    /// Live pair decisions held by the similarity cache.
-    cache_entries: taopt_telemetry::Gauge,
     /// Batch-contract violations: duplicate instances skipped by
     /// [`ingest_round`](Self::ingest_round) (release builds skip and
     /// count; debug builds assert).
@@ -240,9 +238,7 @@ impl OnlineTraceAnalyzer {
             subspaces: Vec::new(),
             instances: HashMap::new(),
             similarity_cache: SimilarityCache::new(),
-            arena: Arc::new(ScreenArena::new()),
             analysis_latency: taopt_telemetry::global().histogram("findspace_analysis_us"),
-            cache_entries: taopt_telemetry::global().gauge("similarity_cache_entries"),
             duplicates_counter: taopt_telemetry::global()
                 .counter("analyzer_duplicate_instance_total"),
         }
@@ -251,8 +247,8 @@ impl OnlineTraceAnalyzer {
     /// Creates an analyzer seeded from a previous campaign's
     /// [`WarmStart`] bundle.
     ///
-    /// The pure accelerators (similarity decisions, arena reps) are
-    /// seeded unconditionally — they can only skip computes. Each bundled
+    /// The bundle's similarity decisions, a pure accelerator, seed the
+    /// store unconditionally — they can only skip computes. Each bundled
     /// subspace enters the registry already-confirmed with **no owner and
     /// no reporters**: the coordinator's `register_instance` then blocks
     /// its entrypoints on every booting instance, and the per-round
@@ -262,19 +258,7 @@ impl OnlineTraceAnalyzer {
     /// ([`WarmStart::invalidate`]).
     pub fn with_warm_start(config: AnalyzerConfig, warm: &WarmStart) -> Self {
         let mut a = Self::new(config);
-        let seeded = a.similarity_cache.seed(warm.similarity.iter());
-        a.cache_entries.set(a.similarity_cache.len() as i64);
-        // Gauge-consistency contract with `forget_instance`: on a fresh
-        // cache every bundled entry inserts exactly once, so the gauge
-        // equals the seed count — seeded entries are never double-counted.
-        debug_assert_eq!(
-            a.similarity_cache.len(),
-            seeded,
-            "warm-start seeded a non-fresh similarity cache"
-        );
-        for rep in &warm.arena_reps {
-            a.arena.resolve(rep);
-        }
+        a.similarity_cache.seed(warm.similarity.iter());
         for ws in &warm.subspaces {
             let id = SubspaceId(a.subspaces.len() as u32);
             a.subspaces.push(SubspaceInfo {
@@ -291,9 +275,9 @@ impl OnlineTraceAnalyzer {
     }
 
     /// Captures the learned state of this analyzer as a [`WarmStart`]
-    /// bundle for the next version's campaign. Call before instances are
-    /// forgotten (retirement evicts cache entries). `coverage_baseline`
-    /// is the capturing session's final union coverage.
+    /// bundle for the next version's campaign: the confirmed subspaces
+    /// and every decision in the similarity store. `coverage_baseline` is
+    /// the capturing session's final union coverage.
     pub fn warm_start(&self, coverage_baseline: usize) -> WarmStart {
         WarmStart {
             subspaces: self
@@ -304,13 +288,11 @@ impl OnlineTraceAnalyzer {
                 })
                 .collect(),
             similarity: self.similarity_cache.snapshot().into_iter().collect(),
-            arena_reps: self.arena.reps_snapshot(),
             coverage_baseline,
         }
     }
 
-    /// The shared pairwise-similarity cache (sharded; see
-    /// [`SimilarityCache`]). Exposed for occupancy tests and gauges.
+    /// The app's similarity store, shared by every instance's engine.
     pub fn similarity_cache(&self) -> &SimilarityCache {
         &self.similarity_cache
     }
@@ -338,32 +320,13 @@ impl OnlineTraceAnalyzer {
     }
 
     /// Drops a retired instance's analysis state (cursor, incremental
-    /// engine, occurrence index) and trims the similarity cache: it
-    /// evicts decisions that involve screens **only this instance's
-    /// window** had seen. Screens shared with any live window are
-    /// retained, as are screens from windows already rebased away; the
-    /// `similarity_cache_entries` gauge tracks residual occupancy.
-    /// Eviction only trims the cache: the app's [`ScreenArena`] keeps
-    /// every decision, and engines answer re-asks from it, so an evicted
-    /// pair is never recomputed.
+    /// engine, occurrence index). The similarity store keeps the
+    /// instance's decisions: they answer every later engine of the app.
     ///
     /// Call when an instance retires or its device is replaced: a
     /// successor re-using the id must not inherit a stale window.
     pub fn forget_instance(&mut self, instance: InstanceId) {
-        let Some(state) = self.instances.remove(&instance) else {
-            return;
-        };
-        let mut dying: BTreeSet<u64> = state.engine.abstract_screen_ids().collect();
-        for other in self.instances.values() {
-            if dying.is_empty() {
-                break;
-            }
-            for id in other.engine.abstract_screen_ids() {
-                dying.remove(&id);
-            }
-        }
-        self.similarity_cache.evict_screens(&dying);
-        self.cache_entries.set(self.similarity_cache.len() as i64);
+        self.instances.remove(&instance);
     }
 
     /// Due-gating half of an analysis: interval and growth checks,
@@ -483,9 +446,10 @@ impl OnlineTraceAnalyzer {
                 debug_assert!(false, "duplicate instance in ingest_round batch");
                 continue;
             }
-            let state = self.instances.entry(*id).or_insert_with(|| {
-                InstanceState::new(&self.config.find_space, Arc::clone(&self.arena))
-            });
+            let state = self
+                .instances
+                .entry(*id)
+                .or_insert_with(|| InstanceState::new(&self.config.find_space));
             let validated = Self::analyze_one(
                 &self.config,
                 state,
@@ -499,7 +463,6 @@ impl OnlineTraceAnalyzer {
                 confirmed.extend(self.apply_validated(*id, v, now));
             }
         }
-        self.cache_entries.set(self.similarity_cache.len() as i64);
         confirmed
     }
 
@@ -843,21 +806,69 @@ mod tests {
     }
 
     #[test]
-    fn warm_seeding_does_not_double_count_cache_entries() {
+    fn warm_seeding_records_each_decision_once() {
         let warm = WarmStart {
             similarity: vec![((1, 2), true), ((1, 3), false)],
             ..WarmStart::default()
         };
         let mut a = OnlineTraceAnalyzer::with_warm_start(AnalyzerConfig::resource_mode(), &warm);
-        assert_eq!(a.similarity_cache().len(), 2);
-        // Re-seeding the same entries inserts nothing: the gauge set in
-        // `with_warm_start` counted each decision exactly once.
+        assert_eq!(a.similarity_cache().snapshot().len(), 2);
+        // Re-seeding the same entries records nothing.
         assert_eq!(a.similarity_cache().seed(warm.similarity.iter()), 0);
-        assert_eq!(a.similarity_cache().len(), 2);
-        // `forget_instance` on an unknown instance must not disturb the
-        // seeded entries (both paths move the same gauge).
+        // `forget_instance` on an unknown instance leaves the store alone.
         a.forget_instance(InstanceId(99));
-        assert_eq!(a.similarity_cache().len(), 2);
+        assert_eq!(
+            a.similarity_cache()
+                .snapshot()
+                .into_iter()
+                .collect::<Vec<_>>(),
+            warm.similarity
+        );
+    }
+
+    #[test]
+    fn warm_similarity_makes_a_re_feed_compute_nothing() {
+        use crate::findspace::tests::two_cluster_trace;
+        let mut config = AnalyzerConfig::duration_mode();
+        config.find_space.l_min = VirtualDuration::from_secs(20);
+        config.analysis_interval = VirtualDuration::from_secs(10);
+        config.min_new_events = 5;
+        config.min_subspace_screens = 2;
+        let traces: Vec<Trace> = [(20, 40), (30, 30), (45, 25)]
+            .iter()
+            .map(|&(x, y)| two_cluster_trace(x, y).into_iter().collect())
+            .collect();
+        // Three instances walking overlapping clusters, fed in rounds.
+        let feed = |a: &mut OnlineTraceAnalyzer| {
+            let mut confirmed = Vec::new();
+            for round in 1..=20usize {
+                let prefixes: Vec<(InstanceId, Trace)> = traces
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| {
+                        let end = (round * 8).min(t.len());
+                        (
+                            InstanceId(i as u32),
+                            t.events()[..end].iter().cloned().collect(),
+                        )
+                    })
+                    .collect();
+                let batch: Vec<(InstanceId, &Trace)> =
+                    prefixes.iter().map(|(id, t)| (*id, t)).collect();
+                let now = VirtualTime::from_secs(round as u64 * 15);
+                confirmed.extend(a.ingest_round(&batch, now));
+            }
+            confirmed
+        };
+        let mut cold = OnlineTraceAnalyzer::new(config.clone());
+        let cold_confirmed = feed(&mut cold);
+        assert!(!cold_confirmed.is_empty());
+        assert!(cold.similarity_cache().computations() > 0);
+        let bundle = cold.warm_start(0).accelerators_only();
+        let mut warm = OnlineTraceAnalyzer::with_warm_start(config, &bundle);
+        assert_eq!(feed(&mut warm), cold_confirmed);
+        assert_eq!(warm.similarity_cache().computations(), 0);
+        assert_eq!(warm.subspaces(), cold.subspaces());
     }
 
     #[test]
@@ -956,11 +967,10 @@ mod tests {
         let mut confirmed = Vec::new();
         for (id, trace) in batch {
             let config = a.config.clone();
-            let arena = Arc::clone(&a.arena);
             let state = a
                 .instances
                 .entry(*id)
-                .or_insert_with(|| InstanceState::new(&config.find_space, arena));
+                .or_insert_with(|| InstanceState::new(&config.find_space));
             let events = trace.events();
             let Some(start) = OnlineTraceAnalyzer::due_window(&config, state, events, now) else {
                 continue;

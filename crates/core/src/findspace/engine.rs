@@ -12,13 +12,13 @@
 //! Per distinct abstract screen `j` (dense ids assigned in first-
 //! appearance order, so `first_occ` is strictly increasing):
 //!
-//! * the interning table (shared per app via [`ScreenArena`]) and the
-//!   local `D×D` similarity matrix — flat, row-major, symmetric, its
+//! * the local `D×D` similarity matrix — flat, row-major, symmetric, its
 //!   buffer kept across resets — extended by one row per *new* screen.
-//!   The row is read from the app's relation in the arena under one
-//!   lock; only pairs no engine of the app has decided yet go to the
-//!   [`SimilarityCache`], and their answers are recorded in the arena.
-//!   Re-feeding a rebased window therefore costs no cache lookup at all;
+//!   Screens are interned and rows read through the app's
+//!   [`SimilarityCache`] under one lock per new screen: every pair some
+//!   engine of the app already decided is answered from the store, and
+//!   only the rest are evaluated and recorded there. Re-feeding a rebased
+//!   window therefore evaluates nothing;
 //! * `total_sim[j]` — events anywhere in the trace similar to screen `j`;
 //! * `first_occ[j]` / `last_occ[j]` — first and last occurrence position.
 //!
@@ -72,16 +72,14 @@
 //! # Cost
 //!
 //! Feeding `ΔN` appended events costs `O(ΔN·D)` (interning, similarity
-//! rows, per-screen counters) plus one cache decision per pair the app
-//! has never decided; one analysis costs `O(P + D log D)` for
+//! rows, per-screen counters) plus one tree-similarity evaluation per
+//! pair the app has never decided; one analysis costs `O(P + D log D)` for
 //! the sweep plus `O(1)` amortized frontier advancement. The full-rescan
 //! path pays `O(N·D)` *per analysis* for the same answer.
 
-use std::sync::Arc;
-
 use taopt_ui_model::TraceEvent;
 
-use super::{sigmoid, FindSpaceConfig, ScreenArena, SimilarityCache, SplitCandidate};
+use super::{sigmoid, FindSpaceConfig, SimilarityCache, SplitCandidate};
 
 /// Initial interning capacity: distinct abstract screens rarely exceed a
 /// few dozen per app, so one allocation covers the common case.
@@ -92,7 +90,7 @@ pub(super) const SCREEN_CAPACITY_HINT: usize = 64;
 /// past `p_max`.
 const LANES: usize = 8;
 
-/// Sentinel in `local_of_arena`: screen not interned in this window.
+/// Sentinel in `local_of_store`: screen not interned in this window.
 const NO_LOCAL: u32 = u32::MAX;
 
 /// Scores [`LANES`] consecutive positions `q = start..start + LANES` of
@@ -140,16 +138,20 @@ fn score_chunk(
 /// window is replaced or rebased (an accepted split moves the analysis
 /// start, a re-dedicated or replaced device restarts its trace), call
 /// [`reset`](Self::reset) and re-feed.
+///
+/// Screens are interned in the [`SimilarityCache`] passed to
+/// [`extend_from`](Self::extend_from) and [`push`](Self::push), so
+/// between two resets every call must pass the same cache.
 #[derive(Debug)]
 pub struct FindSpaceEngine {
     config: FindSpaceConfig,
-    /// Shared per-app interner: abstract id → stable arena id.
-    arena: Arc<ScreenArena>,
-    /// Arena id → dense local index (`NO_LOCAL` when absent). Reused
-    /// across resets: only entries named in `arena_ids` are ever set.
-    local_of_arena: Vec<u32>,
-    /// Arena id of every dense local screen, in first-appearance order.
-    arena_ids: Vec<u32>,
+    /// The cache's dense screen id → dense local index (`NO_LOCAL` when
+    /// absent). Reused across resets: only entries named in `store_ids`
+    /// are ever set.
+    local_of_store: Vec<u32>,
+    /// The cache's dense id of every local screen, in first-appearance
+    /// order.
+    store_ids: Vec<u32>,
     /// One representative event per dense screen id.
     reps: Vec<TraceEvent>,
     /// `D×D` pairwise similarity (diagonal true): flat row-major with
@@ -184,25 +186,17 @@ pub struct FindSpaceEngine {
     /// Scratch: `last_occ` sorted, rebuilt per analysis.
     sorted_last: Vec<usize>,
     /// Scratch: local ids whose pair with a newly interned screen the
-    /// app's relation had not decided yet.
+    /// app's store had not decided yet.
     undecided: Vec<usize>,
 }
 
 impl FindSpaceEngine {
-    /// Creates an empty engine with a private screen arena.
+    /// Creates an empty engine.
     pub fn new(config: FindSpaceConfig) -> Self {
-        Self::with_arena(config, Arc::new(ScreenArena::new()))
-    }
-
-    /// Creates an empty engine sharing `arena` — all engines analyzing
-    /// one app should share one arena so screens intern once per app,
-    /// not once per instance per reset.
-    pub fn with_arena(config: FindSpaceConfig, arena: Arc<ScreenArena>) -> Self {
         FindSpaceEngine {
             config,
-            arena,
-            local_of_arena: Vec::new(),
-            arena_ids: Vec::new(),
+            local_of_store: Vec::new(),
+            store_ids: Vec::new(),
             reps: Vec::new(),
             sim: Vec::new(),
             sim_stride: 0,
@@ -238,27 +232,19 @@ impl FindSpaceEngine {
         self.reps.len()
     }
 
-    /// Abstract-screen ids of every distinct screen in the current
-    /// window (first-appearance order) — the unit of scoped cache
-    /// eviction when an instance is forgotten.
-    pub fn abstract_screen_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.reps.iter().map(|e| e.abstract_id.0)
-    }
-
     /// Forgets all ingested events (keeps the config and allocations:
-    /// the arena interning and similarity relation, the similarity-matrix
-    /// buffer, and every per-screen/per-position vector's capacity
-    /// survive, so re-feeding the next window allocates nothing and asks
-    /// the cache nothing it was asked before).
+    /// the similarity-matrix buffer and every per-screen/per-position
+    /// vector's capacity survive, so re-feeding the next window allocates
+    /// nothing, and the cache's store answers every pair decided before).
     ///
     /// Must be called whenever the window this engine mirrors is rebased
     /// or replaced — an accepted split moving the analysis start, or the
     /// instance being re-dedicated onto a replacement device.
     pub fn reset(&mut self) {
-        for &aid in &self.arena_ids {
-            self.local_of_arena[aid as usize] = NO_LOCAL;
+        for &sid in &self.store_ids {
+            self.local_of_store[sid as usize] = NO_LOCAL;
         }
-        self.arena_ids.clear();
+        self.store_ids.clear();
         let d = self.reps.len();
         for j in 0..d {
             let base = j * self.sim_stride;
@@ -283,16 +269,17 @@ impl FindSpaceEngine {
 
     /// Ingests the appended tail of `window`: events past
     /// [`len`](Self::len) are fed, earlier ones are assumed unchanged.
-    /// `cache` supplies (and accumulates) the pairwise similarity
-    /// decisions the arena's relation does not hold yet; pass the same
-    /// per-app cache as the rescan path.
+    /// `cache` is the app's similarity store: it interns the window's
+    /// screens, answers every pair decided before and records the rest.
+    /// Between two [`reset`](Self::reset)s, pass the same cache.
     pub fn extend_from(&mut self, window: &[TraceEvent], cache: &SimilarityCache) {
         for e in &window[self.len().min(window.len())..] {
             self.push(e, cache);
         }
     }
 
-    /// Ingests one appended event.
+    /// Ingests one appended event. Between two [`reset`](Self::reset)s,
+    /// pass the same cache.
     pub fn push(&mut self, event: &TraceEvent, cache: &SimilarityCache) {
         let pos = self.ev_idx.len();
         let id = self.intern(event, cache);
@@ -349,40 +336,40 @@ impl FindSpaceEngine {
     /// relation and per-screen state for a new screen. Returns the dense
     /// id.
     fn intern(&mut self, event: &TraceEvent, cache: &SimilarityCache) -> usize {
-        let aid = self.arena.resolve(event) as usize;
-        if self.local_of_arena.len() <= aid {
-            self.local_of_arena.resize(aid + 1, NO_LOCAL);
+        let sid = cache.intern(event.abstract_id.0);
+        let slot = sid as usize;
+        if self.local_of_store.len() <= slot {
+            self.local_of_store.resize(slot + 1, NO_LOCAL);
         }
-        if self.local_of_arena[aid] != NO_LOCAL {
-            return self.local_of_arena[aid] as usize;
+        if self.local_of_store[slot] != NO_LOCAL {
+            return self.local_of_store[slot] as usize;
         }
         let id = self.reps.len();
-        self.local_of_arena[aid] = id as u32;
+        self.local_of_store[slot] = id as u32;
         self.ensure_sim_capacity(id + 1);
         let stride = self.sim_stride;
         // New similarity row against every existing representative: the
-        // app's relation answers every pair some engine already decided
-        // (a rebased window re-decides nothing); the cache decides the
-        // rest, and the relation records them for every engine of the app.
+        // store answers every pair some engine of the app already decided
+        // (a rebased window re-decides nothing); the rest are evaluated
+        // and recorded for every engine of the app.
         let row = &mut self.sim[id * stride..id * stride + id];
         self.undecided.clear();
-        self.arena
-            .fill_row(aid as u32, &self.arena_ids, row, &mut self.undecided);
+        cache.fill_row(sid, &self.store_ids, row, &mut self.undecided);
         if !self.undecided.is_empty() {
             let threshold = self.config.similarity_threshold;
             for &j in &self.undecided {
-                row[j] = cache.similar(&self.reps[j], event, threshold);
+                row[j] = cache.decide(&self.reps[j], event, threshold);
             }
-            self.arena.record(
-                aid as u32,
-                self.undecided.iter().map(|&j| (self.arena_ids[j], row[j])),
+            cache.record(
+                sid,
+                self.undecided.iter().map(|&j| (self.store_ids[j], row[j])),
             );
         }
         for j in 0..id {
             self.sim[j * stride + id] = self.sim[id * stride + j];
         }
         self.sim[id * stride + id] = true;
-        self.arena_ids.push(aid as u32);
+        self.store_ids.push(sid);
         self.reps.push(event.clone());
         self.first_occ.push(self.ev_idx.len());
         self.last_occ.push(self.ev_idx.len());
@@ -688,8 +675,8 @@ mod tests {
         used.extend_from(&events, &cache);
         let first = used.analyze(5);
         // Every pair of a re-fed window was decided before the reset:
-        // the arena's relation answers them without asking the cache.
-        let asked = (cache.hits(), cache.computations());
+        // the store answers them without evaluating any.
+        let computed = cache.computations();
         used.reset();
         used.extend_from(&events, &cache);
         assert_identical(&used.analyze(5), &first, "same window re-fed");
@@ -697,7 +684,7 @@ mod tests {
         used.reset();
         assert_eq!(used.len(), 0);
         used.extend_from(&events[30..], &cache);
-        assert_eq!((cache.hits(), cache.computations()), asked);
+        assert_eq!(cache.computations(), computed);
         let mut fresh = FindSpaceEngine::new(c.clone());
         fresh.extend_from(&events[30..], &cache);
         assert_identical(&used.analyze(5), &fresh.analyze(5), "after reset");
@@ -709,22 +696,64 @@ mod tests {
     }
 
     #[test]
-    fn shared_arena_engines_agree_with_private_arena() {
+    fn engines_sharing_one_cache_agree_with_a_fresh_cache() {
         let events = two_cluster_trace(30, 40);
         let c = cfg(20);
         let cache = SimilarityCache::new();
-        let arena = Arc::new(ScreenArena::new());
-        let mut shared_a = FindSpaceEngine::with_arena(c.clone(), arena.clone());
-        let mut shared_b = FindSpaceEngine::with_arena(c.clone(), arena.clone());
-        let mut private = FindSpaceEngine::new(c.clone());
-        // Feed b a shifted window first so the arena's id assignment
+        let mut shared_a = FindSpaceEngine::new(c.clone());
+        let mut shared_b = FindSpaceEngine::new(c.clone());
+        // Feed b a shifted window first so the store's id assignment
         // order differs from either engine's local first-appearance
-        // order — arena ids must never leak into results.
+        // order — store ids must never leak into results.
         shared_b.extend_from(&events[25..], &cache);
         shared_a.extend_from(&events, &cache);
-        private.extend_from(&events, &cache);
-        assert_identical(&shared_a.analyze(5), &private.analyze(5), "shared arena");
-        assert_eq!(arena.len(), private.distinct_screens());
+        let fresh_cache = SimilarityCache::new();
+        let mut fresh = FindSpaceEngine::new(c.clone());
+        fresh.extend_from(&events, &fresh_cache);
+        assert_identical(&shared_a.analyze(5), &fresh.analyze(5), "shared cache");
+        assert_eq!(cache.snapshot(), fresh_cache.snapshot());
+        assert_eq!(cache.computations(), fresh_cache.computations());
+    }
+
+    #[test]
+    fn concurrent_engines_sharing_one_cache_agree() {
+        use std::sync::Barrier;
+        let c = cfg(20);
+        let events = two_cluster_trace(40, 60);
+        let cache = SimilarityCache::new();
+        let starts = [0usize, 7, 25, 41];
+        let barrier = Barrier::new(starts.len());
+        let results: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = starts
+                .iter()
+                .map(|&start| {
+                    let (c, cache, barrier) = (&c, &cache, &barrier);
+                    let window = &events[start..];
+                    s.spawn(move || {
+                        let mut engine = FindSpaceEngine::new(c.clone());
+                        barrier.wait();
+                        // Two windows per thread: the rebased re-feed
+                        // reads the decisions the other threads recorded.
+                        engine.extend_from(window, cache);
+                        let first = engine.analyze(5);
+                        engine.reset();
+                        engine.extend_from(window, cache);
+                        (first, engine.analyze(5))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (&start, (first, refed)) in starts.iter().zip(&results) {
+            let reference = find_space_candidates(&events[start..], &c, &SimilarityCache::new(), 5);
+            assert_identical(first, &reference, &format!("window {start}"));
+            assert_identical(refed, &reference, &format!("re-fed window {start}"));
+        }
+        // Whatever the interleaving, the store holds a serial fill's
+        // decisions.
+        let serial = SimilarityCache::new();
+        find_space_candidates(&events, &c, &serial, 5);
+        assert_eq!(cache.snapshot(), serial.snapshot());
     }
 
     #[test]

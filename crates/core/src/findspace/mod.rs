@@ -24,8 +24,12 @@
 //! analysis state alive across calls so re-analyzing an append-only
 //! trace costs `O(ΔN·D + P)`; tests assert all three agree (the engine
 //! bit-identically).
+//!
+//! `CountIn`'s similarity decisions come from one per-app
+//! [`SimilarityCache`], the store every path shares: the engine interns
+//! its screens there and records every pair it decides, so between two
+//! resets an engine must be fed the same cache.
 
-mod arena;
 mod engine;
 
 use std::collections::HashMap;
@@ -33,11 +37,11 @@ use std::collections::HashMap;
 use taopt_ui_model::similarity::{tree_similarity, DEFAULT_SIMILARITY_THRESHOLD};
 use taopt_ui_model::{TraceEvent, VirtualDuration};
 
-pub use arena::ScreenArena;
 pub use engine::FindSpaceEngine;
-// The cache lives in `ui-model` next to `tree_similarity` (it is a pure
-// function of hierarchies); re-exported here where every consumer — the
-// engine, the rescan reference, the analyzer — already imports it.
+// The per-app similarity store lives in `ui-model` next to
+// `tree_similarity` (its decisions are pure functions of hierarchies);
+// re-exported here where every consumer — the engine, the rescan
+// reference, the analyzer — already imports it.
 pub use taopt_ui_model::similarity::SimilarityCache;
 
 use engine::SCREEN_CAPACITY_HINT;

@@ -1,20 +1,20 @@
 //! Warm-start bundles: learned analyzer state that survives a release
 //! boundary.
 //!
-//! A finished campaign has learned three reusable artifacts: the confirmed
-//! subspace registry (entry widgets + screen sets), the pairwise
-//! [`SimilarityCache`](crate::findspace::SimilarityCache) decisions, and
-//! the per-app [`ScreenArena`](crate::findspace::ScreenArena) population —
-//! plus a coverage baseline for longitudinal deltas. A [`WarmStart`]
-//! captures all of them so the next version's campaign can start from
-//! them instead of cold.
+//! A finished campaign has learned two reusable artifacts: the confirmed
+//! subspace registry (entry widgets + screen sets) and the pairwise
+//! decisions of the app's
+//! [`SimilarityCache`](crate::findspace::SimilarityCache) store — plus a
+//! coverage baseline for longitudinal deltas. A [`WarmStart`] captures
+//! them so the next version's campaign can start from them instead of
+//! cold.
 //!
 //! The bundle splits into two halves with very different obligations:
 //!
-//! * **Pure accelerators** — similarity decisions and arena
-//!   representatives. Decisions are pure functions of abstract-id pairs
-//!   and arena ids never leak into results, so pre-seeding them can only
-//!   skip computes, never change an outcome. They are *always* safe to
+//! * **Pure accelerators** — similarity decisions. Each is a pure
+//!   function of its abstract-id pair, so pre-seeding them can only skip
+//!   computes, never change an outcome; the store refuses self-pairs,
+//!   which it answers `true` without a slot. They are *always* safe to
 //!   carry (the empty-diff proptest pins this as byte-identity).
 //! * **Behavioral carry-over** — confirmed subspaces. Seeding them
 //!   re-dedicates known territory immediately (the per-round orphan-repair
@@ -27,7 +27,7 @@ use std::collections::BTreeSet;
 
 use taopt_app_sim::TouchedSurface;
 use taopt_toller::EntrypointRule;
-use taopt_ui_model::{AbstractScreenId, TraceEvent};
+use taopt_ui_model::AbstractScreenId;
 
 /// One confirmed subspace carried across a release boundary.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,40 +61,21 @@ impl WarmReuse {
 
 /// Learned analyzer state extracted from a finished campaign, ready to
 /// seed the next version's analyzer.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WarmStart {
     /// Confirmed subspaces (behavioral carry-over).
     pub subspaces: Vec<WarmSubspace>,
-    /// Similarity-cache decisions, sorted by key (pure accelerator).
+    /// Similarity-store decisions, sorted by key (pure accelerator).
     pub similarity: Vec<((u64, u64), bool)>,
-    /// Arena representatives, sorted by abstract id (pure accelerator).
-    pub arena_reps: Vec<TraceEvent>,
     /// Final union method coverage of the capturing campaign, for
     /// longitudinal coverage deltas.
     pub coverage_baseline: usize,
 }
 
-impl PartialEq for WarmStart {
-    fn eq(&self, other: &Self) -> bool {
-        // Arena reps compare by abstract identity: the rep's payload is
-        // only ever used to re-intern that identity.
-        let ids = |w: &WarmStart| {
-            w.arena_reps
-                .iter()
-                .map(|e| e.abstract_id)
-                .collect::<Vec<_>>()
-        };
-        self.subspaces == other.subspaces
-            && self.similarity == other.similarity
-            && ids(self) == ids(other)
-            && self.coverage_baseline == other.coverage_baseline
-    }
-}
-
 impl WarmStart {
     /// Whether the bundle carries nothing.
     pub fn is_empty(&self) -> bool {
-        self.subspaces.is_empty() && self.similarity.is_empty() && self.arena_reps.is_empty()
+        self.subspaces.is_empty() && self.similarity.is_empty()
     }
 
     /// Drops the behavioral half, keeping only the pure accelerators.
@@ -106,7 +87,6 @@ impl WarmStart {
         WarmStart {
             subspaces: Vec::new(),
             similarity: self.similarity.clone(),
-            arena_reps: self.arena_reps.clone(),
             coverage_baseline: self.coverage_baseline,
         }
     }
@@ -118,8 +98,8 @@ impl WarmStart {
     /// any screen hosting one of its entrypoints, or renames one of its
     /// entrypoint widgets — in all three cases the learned structure no
     /// longer matches what the new version renders, so the subspace falls
-    /// back to cold discovery. Similarity decisions and arena reps
-    /// involving touched screens are dropped too (their abstract ids no
+    /// back to cold discovery. Similarity decisions involving touched
+    /// screens are dropped too (their abstract ids no
     /// longer occur, so keeping them would only hold dead weight).
     ///
     /// [`VersionDiff`]: taopt_app_sim::VersionDiff
@@ -148,17 +128,10 @@ impl WarmStart {
             .filter(|((a, b), _)| !touched_raw.contains(a) && !touched_raw.contains(b))
             .copied()
             .collect();
-        let arena_reps = self
-            .arena_reps
-            .iter()
-            .filter(|e| !touched_raw.contains(&e.abstract_id.0))
-            .cloned()
-            .collect();
         (
             WarmStart {
                 subspaces,
                 similarity,
-                arena_reps,
                 coverage_baseline: self.coverage_baseline,
             },
             reuse,
@@ -184,7 +157,6 @@ mod tests {
                 subspace(&[20, 21], 1, "tab_b"),
             ],
             similarity: vec![((10, 11), true), ((10, 20), false), ((20, 21), true)],
-            arena_reps: Vec::new(),
             coverage_baseline: 500,
         }
     }

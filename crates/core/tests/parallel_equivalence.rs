@@ -1,21 +1,12 @@
-//! Differential equivalence suite for the analysis layer's shared
-//! similarity cache.
+//! Equivalence suite for the analysis layer's per-app similarity store.
 //!
-//! The sharded [`SimilarityCache`] promises **bit-identical** output to
-//! the 1-shard reference at any shard count. The `sharded_cache_*` law
-//! pins that over random traces with duplicate timestamps, in the style
-//! of the `findspace_engine_*` proptests (which pin the engine's sweep
-//! against the full rescan): engines fed through caches of every shard
-//! count agree with the reference — candidates and merged cache
-//! post-state both.
-//!
-//! Plus the concurrency stress test (8 threads hammering one sharded
-//! cache) and the `forget_instance` occupancy test.
+//! [`SimilarityCache`] is shared by every engine of an app. Two laws pin
+//! that sharing: 8 threads hammering one store leave exactly a serial
+//! fill's decisions behind, and `forget_instance` drops no decision — a
+//! successor fed the forgotten instance's trace evaluates nothing and
+//! proposes the candidates a fresh store would.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
-
-use proptest::prelude::*;
 
 use taopt::analyzer::{AnalyzerConfig, OnlineTraceAnalyzer};
 use taopt::findspace::{FindSpaceConfig, FindSpaceEngine, SimilarityCache};
@@ -48,22 +39,6 @@ fn ev(t: u64, label: u32) -> TraceEvent {
     }
 }
 
-/// An arbitrary trace whose timestamps may repeat (several events in
-/// the same virtual instant) and whose gaps vary, exercising `l_min`
-/// window edges — the same shape as `property.rs`'s `arb_dup_trace`.
-fn arb_dup_trace() -> impl Strategy<Value = Vec<TraceEvent>> {
-    proptest::collection::vec((0u32..8, 0u64..3), 2..120).prop_map(|steps| {
-        let mut t = 0u64;
-        steps
-            .into_iter()
-            .map(|(label, gap)| {
-                t += gap; // gap 0 → duplicate timestamp
-                ev(t, label)
-            })
-            .collect()
-    })
-}
-
 fn fs_config() -> FindSpaceConfig {
     FindSpaceConfig {
         l_min: VirtualDuration::from_secs(30),
@@ -82,82 +57,14 @@ fn analyzer_config() -> AnalyzerConfig {
     c
 }
 
-/// Bitwise candidate-list equality.
-macro_rules! prop_assert_identical {
-    ($a:expr, $b:expr, $ctx:expr) => {{
-        let (a, b) = (&$a, &$b);
-        prop_assert_eq!(a.len(), b.len(), "candidate count diverged at {}", $ctx);
-        for (x, y) in a.iter().zip(b.iter()) {
-            prop_assert_eq!(x.index, y.index, "index diverged at {}", $ctx);
-            prop_assert_eq!(
-                x.score.to_bits(),
-                y.score.to_bits(),
-                "score bits diverged at {}",
-                $ctx
-            );
-        }
-    }};
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Law: sharded cache ≡ unsharded. An engine run through a
-    /// cache of any shard count returns the same candidate bits as one
-    /// run through the 1-shard reference, and the merged cache contents
-    /// (shard layout erased by the ordered snapshot) are identical.
-    #[test]
-    fn sharded_cache_equivalent_to_unsharded(
-        events in arb_dup_trace(),
-        chunk in 1usize..=17,
-        l_min_secs in 0u64..80,
-    ) {
-        let mut cfg = fs_config();
-        cfg.l_min = VirtualDuration::from_secs(l_min_secs);
-        let reference_cache = SimilarityCache::with_shards(1);
-        let mut reference = FindSpaceEngine::new(cfg.clone());
-        let mut reference_out = Vec::new();
-        let mut end = 0usize;
-        while end < events.len() {
-            end = (end + chunk).min(events.len());
-            reference.extend_from(&events[..end], &reference_cache);
-            reference_out.push(reference.analyze(5));
-        }
-        for shards in [2usize, 4, 8, 16] {
-            let cache = SimilarityCache::with_shards(shards);
-            prop_assert_eq!(cache.shard_count(), shards);
-            let mut engine = FindSpaceEngine::new(cfg.clone());
-            let mut end = 0usize;
-            let mut step = 0usize;
-            while end < events.len() {
-                end = (end + chunk).min(events.len());
-                engine.extend_from(&events[..end], &cache);
-                prop_assert_identical!(
-                    engine.analyze(5),
-                    reference_out[step],
-                    format_args!("shards {shards} prefix {end}")
-                );
-                step += 1;
-            }
-            prop_assert_eq!(
-                cache.snapshot(),
-                reference_cache.snapshot(),
-                "cache content diverged at {} shards",
-                shards
-            );
-            prop_assert_eq!(cache.len(), reference_cache.len());
-        }
-    }
-}
-
-/// Concurrency stress: 8 threads hammer one sharded cache with
-/// interleaved reads and inserts over the same pair population. No
+/// Concurrency stress: 8 threads hammer one store with interleaved
+/// reads and records over the same pair population. No
 /// entry may be lost, the post-state must equal a serial fill, and the
 /// duplicate-computation overhead is bounded by the racy-insert
 /// allowance (each thread computes a given pair at most once: after its
 /// own insert it always hits).
 #[test]
-fn stress_sharded_cache_under_8_threads() {
+fn stress_store_under_8_threads() {
     const THREADS: usize = 8;
     const SCREENS: u64 = 24;
     let events: Vec<TraceEvent> = (0..SCREENS).map(|i| ev(i, i as u32)).collect();
@@ -174,7 +81,7 @@ fn stress_sharded_cache_under_8_threads() {
             s.spawn(move || {
                 // Each thread walks the pair set from a different phase
                 // and stride (coprime with the pair count), twice — the
-                // second pass is all reads — maximizing shard-lock
+                // second pass is all reads — maximizing lock
                 // interleavings without a randomness dependency.
                 let n = pairs.len();
                 let stride = [1usize, 3, 7, 11, 13, 17, 19, 23][t];
@@ -190,12 +97,12 @@ fn stress_sharded_cache_under_8_threads() {
         }
     });
 
-    let serial = SimilarityCache::with_shards(1);
+    let serial = SimilarityCache::new();
     for &(i, j) in &pairs {
         serial.similar(&events[i], &events[j], 0.9);
     }
 
-    assert_eq!(cache.len(), pairs.len(), "lost entries");
+    assert_eq!(cache.snapshot().len(), pairs.len(), "lost entries");
     assert_eq!(
         cache.snapshot(),
         serial.snapshot(),
@@ -213,51 +120,44 @@ fn stress_sharded_cache_under_8_threads() {
     );
 }
 
-/// Occupancy: forgetting an instance evicts cache decisions for screens
-/// only it had seen, keeps decisions involving screens a surviving
-/// instance still holds, and leaves the cache equal to what the
-/// survivors alone would have produced.
+/// `forget_instance` drops an instance's analysis state and nothing
+/// else: the store keeps every decision, so a successor fed the
+/// forgotten instance's trace evaluates no pair and proposes exactly the
+/// candidates a fresh engine over a fresh store proposes.
 #[test]
-fn forget_instance_evicts_only_exclusive_screens() {
+fn forget_instance_keeps_every_decision() {
     // Labels 0..6 are exclusive to instance 0; 6..10 shared; 10..16
-    // exclusive to instance 1. Long l_min keeps the windows unsplit so
-    // each engine retains its full screen set.
-    let mut cfg = analyzer_config();
-    cfg.find_space.l_min = VirtualDuration::from_mins(30);
+    // exclusive to instance 1.
     let trace_a: Trace = (0..24).map(|i| ev(i * 2, (i % 10) as u32)).collect();
     let trace_b: Trace = (0..24).map(|i| ev(i * 2, 6 + (i % 10) as u32)).collect();
-    let mut analyzer = OnlineTraceAnalyzer::new(cfg);
+    let mut analyzer = OnlineTraceAnalyzer::new(analyzer_config());
     analyzer.maybe_analyze(InstanceId(0), &trace_a, VirtualTime::from_secs(100));
     analyzer.maybe_analyze(InstanceId(1), &trace_b, VirtualTime::from_secs(100));
-    let exclusive_a: BTreeSet<u64> = (0..6).map(|l| ev(0, l).abstract_id.0).collect();
-    let survivors: BTreeSet<u64> = (6..16).map(|l| ev(0, l).abstract_id.0).collect();
-    let before = analyzer.similarity_cache().len();
-    assert!(before > 0);
-    assert!(analyzer
-        .similarity_cache()
-        .snapshot()
-        .keys()
-        .any(|k| exclusive_a.contains(&k.0) || exclusive_a.contains(&k.1)));
+    let before = analyzer.similarity_cache().snapshot();
+    let computed = analyzer.similarity_cache().computations();
+    // Every pair within either window: 16 screens, minus the 6 × 6
+    // pairs no window holds together.
+    assert_eq!(before.len(), 16 * 15 / 2 - 6 * 6);
 
     analyzer.forget_instance(InstanceId(0));
+    assert_eq!(analyzer.similarity_cache().snapshot(), before);
 
-    let snap = analyzer.similarity_cache().snapshot();
-    assert!(snap.len() < before, "eviction must shrink the cache");
-    for key in snap.keys() {
-        assert!(
-            !exclusive_a.contains(&key.0) && !exclusive_a.contains(&key.1),
-            "pair {key:?} touches a screen only the forgotten instance saw"
-        );
-        assert!(
-            survivors.contains(&key.0) && survivors.contains(&key.1),
-            "pair {key:?} should involve surviving screens only"
-        );
+    analyzer.maybe_analyze(InstanceId(2), &trace_a, VirtualTime::from_secs(200));
+    let store = analyzer.similarity_cache();
+    assert_eq!(
+        store.computations(),
+        computed,
+        "a successor re-decided a pair"
+    );
+    let mut successor = FindSpaceEngine::new(fs_config());
+    successor.extend_from(trace_a.events(), store);
+    let mut fresh = FindSpaceEngine::new(fs_config());
+    fresh.extend_from(trace_a.events(), &SimilarityCache::new());
+    let (got, want) = (successor.analyze(5), fresh.analyze(5));
+    assert_eq!(got.len(), want.len());
+    for (x, y) in got.iter().zip(&want) {
+        assert_eq!(x.index, y.index);
+        assert_eq!(x.score.to_bits(), y.score.to_bits());
     }
-    // Shared and survivor-only pairs are retained: instance 1's window
-    // holds 10 screens, every pair among them decided during interning.
-    assert_eq!(snap.len(), 10 * 9 / 2, "survivor pairs must be retained");
-
-    // Forgetting the last instance clears the rest.
-    analyzer.forget_instance(InstanceId(1));
-    assert!(analyzer.similarity_cache().is_empty());
+    assert_eq!(store.computations(), computed);
 }

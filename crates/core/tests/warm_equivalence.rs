@@ -4,11 +4,10 @@
 //! When version N+1 is a re-release of the same binary
 //! ([`VersionDiff::empty`]), the sequence layer carries only the
 //! accelerator half of the captured [`WarmStart`]
-//! ([`WarmStart::accelerators_only`]) — cached similarity decisions and
-//! arena representatives, no behavioral carry-over. This suite pins the
-//! law that makes that safe: a warm-started campaign on the re-released
-//! app is **byte-identical** (per the canonical coverage report) to a
-//! cold start on the same seed.
+//! ([`WarmStart::accelerators_only`]) — cached similarity decisions, no
+//! behavioral carry-over. This suite pins the law that makes that safe:
+//! a warm-started campaign on the re-released app is **byte-identical**
+//! (per the canonical coverage report) to a cold start on the same seed.
 
 use std::sync::Arc;
 

@@ -6,10 +6,15 @@
 //! standard multiset Dice coefficient over `(depth, class, resource-id)`
 //! node signatures: cheap, symmetric, bounded in `[0, 1]`, and `1` exactly
 //! for structurally identical screens.
+//!
+//! [`SimilarityCache`] is one app's store of those decisions: an interner
+//! from abstract-screen id to dense id and a tri-state relation over dense
+//! ids, two bits per unordered pair, behind one lock. Each pair is
+//! evaluated at most once per app (per asking thread, when threads race).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::abstraction::AbstractHierarchy;
 use crate::trace::TraceEvent;
@@ -18,51 +23,99 @@ use crate::trace::TraceEvent;
 /// screen" in trace analysis.
 pub const DEFAULT_SIMILARITY_THRESHOLD: f64 = 0.9;
 
-/// Shard count of [`SimilarityCache`]: enough that eight concurrent
-/// engine analyses rarely meet on one lock, small enough that `len`
-/// (which sums shard sizes) stays cheap.
-const DEFAULT_SHARDS: usize = 16;
+/// Distinct abstract screens the interner is pre-sized for: a typical
+/// app's population fits one allocation.
+const SCREEN_CAPACITY_HINT: usize = 64;
 
-/// One lock-striped shard of the cache map.
-type Shard = RwLock<HashMap<(u64, u64), bool>>;
+/// Pairs per relation word: two bits each (decided, similar).
+const PAIRS_PER_WORD: usize = 32;
 
-/// A persistent, thread-safe cache of pairwise screen-similarity
-/// decisions, keyed by abstract-screen-id pairs.
-///
-/// One cache serves a whole parallel run: the analyzer re-runs
-/// `FindSpace` every few seconds per instance and the distinct-screen
-/// population is shared, so cached decisions eliminate the dominant
-/// `O(D²)` tree-similarity cost of repeated analyses.
-///
-/// The map is split into `N` shards, each behind its own `RwLock`,
-/// selected by a hash of the (ordered) screen-pair key. Lookups take a
-/// shard *read* lock, so concurrent engine analyses over a warm cache
-/// never contend; only a miss (one per distinct pair per run) takes the
-/// write lock. Because a decision is a pure function of the pair — both
-/// hierarchies are immutable once interned — a racy duplicate compute
-/// inserts the identical value, so results are independent of thread
-/// interleaving (the *racy-insert allowance*: each thread computes a
-/// given pair at most once, pinned by the concurrency stress test).
-#[derive(Debug)]
-pub struct SimilarityCache {
-    shards: Box<[Shard]>,
-    /// `shards.len() - 1`; shard count is always a power of two.
-    mask: u64,
-    /// Tree-similarity evaluations performed (cache misses, including
-    /// racy duplicates).
-    computations: AtomicU64,
-    /// Lookups answered from the cache.
-    hits: AtomicU64,
+/// A tri-state (undecided / similar / dissimilar) relation over dense
+/// screen ids: two bits per unordered pair `{hi, lo}` (`hi > lo`) at
+/// triangular slot `hi·(hi−1)/2 + lo` — bit 0 *decided*, bit 1
+/// *similar*. Row `hi` occupies slots `[hi·(hi−1)/2, hi·(hi−1)/2 + hi)`,
+/// so a new dense id only appends.
+#[derive(Debug, Default)]
+struct PairRelation {
+    words: Vec<u64>,
 }
 
-/// Mixes a pair key into a shard index (SplitMix64 finalizer): the raw
-/// abstract ids are near-sequential hashes already, but xor-folding both
-/// endpoints through an avalanche keeps sibling pairs off one shard.
-fn shard_of(key: (u64, u64), mask: u64) -> usize {
-    let mut x = key.0 ^ key.1.rotate_left(32);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    ((x ^ (x >> 31)) & mask) as usize
+impl PairRelation {
+    /// Word index and bit shift of the unordered pair `{a, b}`, `a ≠ b`.
+    fn slot(a: u32, b: u32) -> (usize, u32) {
+        debug_assert_ne!(a, b, "a screen's pair with itself is not stored");
+        let (hi, lo) = if a > b { (a, b) } else { (b, a) };
+        let (hi, lo) = (hi as usize, lo as usize);
+        let k = hi * (hi - 1) / 2 + lo;
+        (k / PAIRS_PER_WORD, 2 * (k % PAIRS_PER_WORD) as u32)
+    }
+
+    fn get(&self, a: u32, b: u32) -> Option<bool> {
+        let (w, shift) = Self::slot(a, b);
+        let bits = self.words.get(w).map_or(0, |&word| word >> shift);
+        (bits & 1 == 1).then_some(bits & 2 == 2)
+    }
+
+    fn set(&mut self, a: u32, b: u32, similar: bool) {
+        let (w, shift) = Self::slot(a, b);
+        if self.words.len() <= w {
+            self.words.resize(w + 1, 0);
+        }
+        self.words[w] |= (1 | (similar as u64) << 1) << shift;
+    }
+}
+
+/// What the store's one lock guards: the interner and the relation.
+#[derive(Debug)]
+struct Store {
+    /// Abstract-screen id → dense id, append-only.
+    index: HashMap<u64, u32>,
+    /// Dense id → abstract-screen id.
+    abstract_ids: Vec<u64>,
+    relation: PairRelation,
+}
+
+impl Store {
+    fn intern(&mut self, abstract_id: u64) -> u32 {
+        let next = self.abstract_ids.len() as u32;
+        let id = *self.index.entry(abstract_id).or_insert(next);
+        if id == next {
+            self.abstract_ids.push(abstract_id);
+        }
+        id
+    }
+}
+
+/// One app's similarity store: every pairwise screen-similarity decision
+/// the app's analysis has made, keyed by abstract-screen-id pair.
+///
+/// The analyzer re-runs `FindSpace` every few seconds per instance over a
+/// shared distinct-screen population, so remembering decisions removes
+/// the dominant `O(D²)` tree-similarity cost of repeated analyses. The
+/// store interns each abstract screen once to a dense `u32` id
+/// (first-come order) and keeps the decisions as a two-bit-per-pair
+/// relation over dense ids, all behind one lock. Dense ids are
+/// assignment-order dependent, so they never leak into results: the
+/// public keys ([`seed`](Self::seed), [`snapshot`](Self::snapshot)) are
+/// abstract ids, and a decision is a pure function of its pair.
+///
+/// Incremental engines use the row interface ([`intern`](Self::intern),
+/// [`fill_row`](Self::fill_row), [`decide`](Self::decide),
+/// [`record`](Self::record)): one lock per new screen reads every decided
+/// pair of its row. Everyone else asks [`similar`](Self::similar).
+///
+/// Decisions are keyed by pair only, so every asker of one store must
+/// use one similarity threshold (an analyzer's engines share one
+/// config). Sharing across threads is safe: a decision is computed
+/// outside the lock and a racing duplicate records the identical value,
+/// so the post-state is independent of interleaving.
+#[derive(Debug)]
+pub struct SimilarityCache {
+    store: Mutex<Store>,
+    /// Tree-similarity evaluations performed, including racy duplicates.
+    computations: AtomicU64,
+    /// Decisions answered from the store.
+    hits: AtomicU64,
 }
 
 impl Default for SimilarityCache {
@@ -72,149 +125,139 @@ impl Default for SimilarityCache {
 }
 
 impl SimilarityCache {
-    /// Creates an empty cache with the default shard count.
+    /// Creates an empty store.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// Creates an empty cache with `shards` shards (rounded up to a
-    /// power of two, minimum 1). `with_shards(1)` is the unsharded
-    /// reference the differential tests pin against.
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
         SimilarityCache {
-            shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
-            mask: (n - 1) as u64,
+            store: Mutex::new(Store {
+                index: HashMap::with_capacity(SCREEN_CAPACITY_HINT),
+                abstract_ids: Vec::with_capacity(SCREEN_CAPACITY_HINT),
+                relation: PairRelation::default(),
+            }),
             computations: AtomicU64::new(0),
             hits: AtomicU64::new(0),
         }
     }
 
-    /// Creates an empty cache pre-sized for `screens` distinct abstract
-    /// screens (one decision per unordered pair, spread over shards).
-    pub fn with_screen_capacity(screens: usize) -> Self {
-        let cache = Self::new();
-        let pairs = screens * screens.saturating_sub(1) / 2;
-        let per_shard = pairs / cache.shards.len() + 1;
-        for shard in cache.shards.iter() {
-            shard
-                .write()
-                .expect("similarity shard poisoned")
-                .reserve(per_shard);
-        }
-        cache
+    fn lock(&self) -> MutexGuard<'_, Store> {
+        self.store.lock().expect("similarity store poisoned")
     }
 
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of cached pair decisions.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("similarity shard poisoned").len())
-            .sum()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.read().expect("similarity shard poisoned").is_empty())
-    }
-
-    /// Tree-similarity evaluations performed so far (cache misses;
-    /// includes racy duplicates, so under concurrency this is between
-    /// the distinct-pair count and `pairs × threads`).
+    /// Tree-similarity evaluations performed so far (includes racy
+    /// duplicates, so under concurrency this is between the distinct-pair
+    /// count and `pairs × threads`).
     pub fn computations(&self) -> u64 {
         self.computations.load(Ordering::Relaxed)
     }
 
-    /// Lookups answered without recomputing.
+    /// Decisions answered without recomputing: [`similar`](Self::similar)
+    /// hits plus decided entries read by [`fill_row`](Self::fill_row).
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
+    /// Interns an abstract-screen id (first caller wins the next dense
+    /// slot) and returns its dense id.
+    pub fn intern(&self, abstract_id: u64) -> u32 {
+        self.lock().intern(abstract_id)
+    }
+
     /// Whether two events' screens count as "the same screen" at
-    /// `threshold`, computing and caching the decision on first ask.
-    ///
-    /// Takes `&self`: concurrent engines may interleave lookups freely —
-    /// the decision for a pair is the same no matter which thread
-    /// computes it, so sharing is safe and deterministic.
+    /// `threshold`, computing and recording the decision on first ask.
+    /// A screen is always similar to itself.
     pub fn similar(&self, a: &TraceEvent, b: &TraceEvent, threshold: f64) -> bool {
         if a.abstract_id == b.abstract_id {
             return true;
         }
-        let key = if a.abstract_id.0 <= b.abstract_id.0 {
-            (a.abstract_id.0, b.abstract_id.0)
-        } else {
-            (b.abstract_id.0, a.abstract_id.0)
+        let (ia, ib, known) = {
+            let mut store = self.lock();
+            let (ia, ib) = (store.intern(a.abstract_id.0), store.intern(b.abstract_id.0));
+            (ia, ib, store.relation.get(ia, ib))
         };
-        let shard = &self.shards[shard_of(key, self.mask)];
-        if let Some(&d) = shard.read().expect("similarity shard poisoned").get(&key) {
+        if let Some(decision) = known {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return d;
+            return decision;
         }
-        // Miss: compute outside any lock (tree similarity is the
-        // expensive part), then publish. A racing thread may have
-        // inserted meanwhile — same pair, same decision.
-        let decision = tree_similarity(&a.abstraction, &b.abstraction) >= threshold;
-        self.computations.fetch_add(1, Ordering::Relaxed);
-        shard
-            .write()
-            .expect("similarity shard poisoned")
-            .insert(key, decision);
+        let decision = self.decide(a, b, threshold);
+        self.record(ia, [(ib, decision)]);
         decision
     }
 
-    /// Removes every cached pair touching any screen in `screens`
-    /// (abstract ids); returns how many entries were evicted. Scoped
-    /// eviction for `forget_instance`: decisions involving screens no
-    /// surviving instance has seen are dead weight.
-    pub fn evict_screens(&self, screens: &BTreeSet<u64>) -> usize {
-        if screens.is_empty() {
-            return 0;
-        }
-        let mut evicted = 0;
-        for shard in self.shards.iter() {
-            let mut map = shard.write().expect("similarity shard poisoned");
-            let before = map.len();
-            map.retain(|k, _| !screens.contains(&k.0) && !screens.contains(&k.1));
-            evicted += before - map.len();
-        }
-        evicted
+    /// Evaluates the pair's tree similarity at `threshold` — counted by
+    /// [`computations`](Self::computations) — without reading or
+    /// recording the store.
+    pub fn decide(&self, a: &TraceEvent, b: &TraceEvent, threshold: f64) -> bool {
+        self.computations.fetch_add(1, Ordering::Relaxed);
+        tree_similarity(&a.abstraction, &b.abstraction) >= threshold
     }
 
-    /// Seeds the cache with precomputed pair decisions (e.g. a warm-start
-    /// bundle from a previous campaign), skipping pairs already present;
-    /// returns how many entries were actually inserted.
+    /// Reads row `id` against the dense ids `others` under one lock:
+    /// writes each decided pair's decision into `row[j]` and pushes `j`
+    /// onto `undecided` for every pair `{id, others[j]}` never decided
+    /// (leaving `row[j]` untouched). `others` must not contain `id`.
     ///
-    /// Seeding is a pure accelerator: a decision is a pure function of the
-    /// pair, so a pre-seeded entry only skips the compute that would have
-    /// produced the identical value.
+    /// # Panics
+    ///
+    /// Panics if `row` is shorter than `others`.
+    pub fn fill_row(&self, id: u32, others: &[u32], row: &mut [bool], undecided: &mut Vec<usize>) {
+        let before = undecided.len();
+        let store = self.lock();
+        for (j, (&other, slot)) in others.iter().zip(&mut row[..others.len()]).enumerate() {
+            match store.relation.get(id, other) {
+                Some(similar) => *slot = similar,
+                None => undecided.push(j),
+            }
+        }
+        let decided = others.len() - (undecided.len() - before);
+        self.hits.fetch_add(decided as u64, Ordering::Relaxed);
+    }
+
+    /// Records decisions for the pairs `{id, other}`, `other ≠ id`, under
+    /// one lock. A decision is a pure function of its pair, so recording
+    /// one twice (two askers racing on the same pair) is idempotent.
+    pub fn record(&self, id: u32, decisions: impl IntoIterator<Item = (u32, bool)>) {
+        let mut store = self.lock();
+        for (other, similar) in decisions {
+            store.relation.set(id, other, similar);
+        }
+    }
+
+    /// Seeds the store with precomputed decisions keyed by abstract-id
+    /// pair (a warm-start bundle from a previous campaign), skipping
+    /// pairs already decided and self-pairs; returns how many were
+    /// recorded.
+    ///
+    /// Seeding is a pure accelerator: a decision is a pure function of
+    /// the pair, so a seeded entry only skips the compute that would have
+    /// produced the identical value. A self-pair has no slot of its own
+    /// (a screen is similar to itself), so `((x, x), _)` is ignored.
     pub fn seed<'a>(&self, entries: impl IntoIterator<Item = &'a ((u64, u64), bool)>) -> usize {
+        let mut store = self.lock();
         let mut inserted = 0;
-        for ((a, b), decision) in entries {
-            let key = if a <= b { (*a, *b) } else { (*b, *a) };
-            let shard = &self.shards[shard_of(key, self.mask)];
-            let mut map = shard.write().expect("similarity shard poisoned");
-            if map.insert(key, *decision).is_none() {
+        for &((a, b), decision) in entries {
+            if a == b {
+                continue;
+            }
+            let (ia, ib) = (store.intern(a), store.intern(b));
+            if store.relation.get(ia, ib).is_none() {
+                store.relation.set(ia, ib, decision);
                 inserted += 1;
             }
         }
         inserted
     }
 
-    /// Deterministic snapshot of every cached decision, merged across
-    /// shards in ascending key order — the post-state comparator of the
-    /// differential and stress tests (shard layout never leaks into it).
+    /// Every decided pair, keyed by ordered abstract-id pair in ascending
+    /// order — independent of interning order, so it is the post-state
+    /// comparator of the differential and stress tests and the
+    /// warm-start capture.
     pub fn snapshot(&self) -> BTreeMap<(u64, u64), bool> {
+        let store = self.lock();
         let mut out = BTreeMap::new();
-        for shard in self.shards.iter() {
-            for (k, v) in shard.read().expect("similarity shard poisoned").iter() {
-                out.insert(*k, *v);
+        for (hi, &x) in store.abstract_ids.iter().enumerate() {
+            for (lo, &y) in store.abstract_ids[..hi].iter().enumerate() {
+                if let Some(similar) = store.relation.get(hi as u32, lo as u32) {
+                    out.insert((x.min(y), x.max(y)), similar);
+                }
             }
         }
         out
@@ -332,6 +375,139 @@ mod tests {
             abstract_hierarchy(&UiHierarchy::new(root))
         };
         assert!(tree_similarity(&a, &b) > 0.9);
+    }
+
+    fn event(rows: usize, rid: &str) -> TraceEvent {
+        use crate::screen::{ActivityId, ScreenId};
+        let abstraction = std::sync::Arc::new(screen(rows, rid));
+        TraceEvent {
+            time: crate::time::VirtualTime::ZERO,
+            screen: ScreenId(0),
+            activity: ActivityId(0),
+            abstract_id: abstraction.id(),
+            abstraction,
+            action: None,
+            action_widget_rid: None,
+        }
+    }
+
+    #[test]
+    fn intern_is_stable_and_dedups() {
+        let cache = SimilarityCache::new();
+        let a = cache.intern(17);
+        let b = cache.intern(4);
+        assert_ne!(a, b);
+        assert_eq!(cache.intern(17), a, "same screen, same id");
+        assert_eq!(cache.lock().abstract_ids, vec![17, 4]);
+    }
+
+    #[test]
+    fn concurrent_intern_agrees() {
+        let cache = SimilarityCache::new();
+        let keys: Vec<u64> = (0..32).map(|i| 1000 + i % 8).collect();
+        let ids: Vec<Vec<u32>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| keys.iter().map(|&k| cache.intern(k)).collect()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(cache.lock().abstract_ids.len(), 8);
+        // Whatever slots the race assigned, every thread sees the same
+        // mapping afterwards.
+        for other in &ids[1..] {
+            assert_eq!(&ids[0], other);
+        }
+    }
+
+    #[test]
+    fn relation_grows_past_word_boundaries_and_stays_symmetric() {
+        let cache = SimilarityCache::new();
+        let n = 150u32;
+        for i in 0..n {
+            assert_eq!(cache.intern(u64::from(i) * 3 + 1), i);
+        }
+        // Row by row, as engines intern: pairs with a·b ≡ 1 (mod 7) stay
+        // undecided, the rest are similar iff a + b ≡ 0 (mod 3).
+        let want = |a: u32, b: u32| {
+            if a == b {
+                Some(true)
+            } else if (a * b) % 7 == 1 {
+                None
+            } else {
+                Some((a + b).is_multiple_of(3))
+            }
+        };
+        for a in 0..n {
+            cache.record(
+                a,
+                (0..a)
+                    .filter(|&b| want(a, b).is_some())
+                    .map(|b| (b, want(a, b).unwrap())),
+            );
+        }
+        {
+            let store = cache.lock();
+            for a in 0..n {
+                for b in (0..n).filter(|&b| b != a) {
+                    assert_eq!(store.relation.get(a, b), want(a, b), "pair ({a}, {b})");
+                }
+            }
+        }
+        // One row read, across the 64- and 128-id boundaries, from
+        // either side of the diagonal; decided entries count as hits.
+        let others = [0u32, 63, 64, 65, 100, 127, 128, 129, 149];
+        let mut row = [false; 9];
+        let mut undecided = Vec::new();
+        cache.fill_row(140, &others, &mut row, &mut undecided);
+        for (j, &o) in others.iter().enumerate() {
+            match want(140, o) {
+                Some(similar) => {
+                    assert_eq!(row[j], similar, "row entry {o}");
+                    assert!(!undecided.contains(&j));
+                }
+                None => assert!(undecided.contains(&j), "undecided {o}"),
+            }
+        }
+        assert_eq!(cache.hits(), (others.len() - undecided.len()) as u64);
+        assert_eq!(cache.computations(), 0);
+    }
+
+    #[test]
+    fn similar_computes_each_pair_once_and_snapshots_by_abstract_id() {
+        let cache = SimilarityCache::new();
+        let (a, b, c) = (event(4, "shop"), event(4, "acct"), event(5, "shop"));
+        assert!(!cache.similar(&a, &b, 0.9));
+        assert!(!cache.similar(&b, &a, 0.9));
+        assert!(cache.similar(&a, &a, 0.9), "a screen is similar to itself");
+        assert_eq!((cache.hits(), cache.computations()), (1, 1));
+        let want = tree_similarity(&a.abstraction, &c.abstraction) >= 0.5;
+        assert_eq!(cache.similar(&c, &a, 0.5), want);
+        let key = |x: &TraceEvent, y: &TraceEvent| {
+            let (x, y) = (x.abstract_id.0, y.abstract_id.0);
+            (x.min(y), x.max(y))
+        };
+        let snap = cache.snapshot();
+        assert_eq!(snap.len(), 2);
+        assert!(!snap[&key(&a, &b)]);
+        assert_eq!(snap[&key(&a, &c)], want);
+    }
+
+    #[test]
+    fn seed_skips_self_pairs_and_decided_pairs() {
+        let (a, b) = (event(4, "shop"), event(4, "acct"));
+        let (x, y) = (a.abstract_id.0, b.abstract_id.0);
+        let cache = SimilarityCache::new();
+        // `((x, x), false)` would alias another pair's slot; it is
+        // refused, and the screen stays similar to itself.
+        let bundle = [((x, x), false), ((x, y), true), ((y, x), false)];
+        assert_eq!(cache.seed(bundle.iter()), 1);
+        assert!(cache.similar(&a, &a, 0.9));
+        assert!(cache.similar(&a, &b, 0.9), "the seeded decision answers");
+        assert_eq!(cache.computations(), 0);
+        assert_eq!(
+            cache.snapshot().into_iter().collect::<Vec<_>>(),
+            vec![((x.min(y), x.max(y)), true)]
+        );
     }
 
     #[test]
