@@ -1,5 +1,4 @@
-//! Shared harness for the table/figure regeneration binaries and the
-//! Criterion benches.
+//! Shared harness for the table/figure regeneration binaries.
 //!
 //! Every binary in `src/bin/` regenerates one artifact of the paper's
 //! evaluation (see `DESIGN.md` for the index). All binaries accept an

@@ -64,10 +64,10 @@ impl FaultInjector {
         self.log.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Logs an injected fault and mirrors it into the global telemetry
-    /// domain, so the fault log and the flight recorder line up.
+    /// Logs an injected fault and counts it in the global telemetry
+    /// domain.
     fn record_fault(&self, now: VirtualTime, instance: Option<u32>, kind: FaultKind) {
-        taopt_telemetry::global().fault(kind.label(), instance, now);
+        taopt_telemetry::global().fault(kind.label());
         self.log_mut().record_fault(now, instance, kind);
     }
 
@@ -175,7 +175,7 @@ impl FaultInjector {
         kind: RecoveryKind,
     ) {
         let telemetry = taopt_telemetry::global();
-        telemetry.recovery(kind.label(), instance, recovered_at);
+        telemetry.recovery(kind.label());
         let latency_us = recovered_at
             .as_millis()
             .saturating_sub(injected_at.as_millis())

@@ -359,19 +359,13 @@ impl OnlineTraceAnalyzer {
     /// registry.
     fn analysis_sweep(
         state: &mut InstanceState,
-        instance: InstanceId,
         window: &[TraceEvent],
-        now: VirtualTime,
         cache: &SimilarityCache,
         latency: &taopt_telemetry::Histogram,
     ) -> Vec<SplitCandidate> {
         // Span opens after due-gating, so it times actual FindSpace
         // runs rather than every per-round poll.
-        let _span = taopt_telemetry::global()
-            .span("findspace")
-            .instance(instance.0)
-            .at(now)
-            .enter();
+        let _span = taopt_telemetry::global().span("findspace");
         // The engine mirrors `window` incrementally: only events appended
         // since the last analysis are fed. A shrunk window means the
         // trace was replaced under this id — start over.
@@ -390,7 +384,6 @@ impl OnlineTraceAnalyzer {
     fn analyze_one(
         config: &AnalyzerConfig,
         state: &mut InstanceState,
-        instance: InstanceId,
         trace: &Trace,
         now: VirtualTime,
         cache: &SimilarityCache,
@@ -399,7 +392,7 @@ impl OnlineTraceAnalyzer {
         let events = trace.events();
         let start = Self::due_window(config, state, events, now)?;
         let window = &events[start..];
-        let candidates = Self::analysis_sweep(state, instance, window, now, cache, latency);
+        let candidates = Self::analysis_sweep(state, window, cache, latency);
         Self::validate_candidates(
             config.min_subspace_screens,
             &state.occurrences,
@@ -453,7 +446,6 @@ impl OnlineTraceAnalyzer {
             let validated = Self::analyze_one(
                 &self.config,
                 state,
-                *id,
                 trace,
                 now,
                 &self.similarity_cache,
@@ -977,9 +969,7 @@ mod tests {
             };
             let candidates = OnlineTraceAnalyzer::analysis_sweep(
                 state,
-                *id,
                 &events[start..],
-                now,
                 &a.similarity_cache,
                 &a.analysis_latency,
             );

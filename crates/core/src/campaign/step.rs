@@ -550,10 +550,7 @@ impl SessionStep {
         // TaOPT analysis + dedication.
         let mut newly_confirmed = 0usize;
         if self.config.mode.uses_taopt() {
-            let _span = taopt_telemetry::global()
-                .span("analysis")
-                .at(self.now)
-                .enter();
+            let _span = taopt_telemetry::global().span("analysis");
             // One analyzer call for the whole round.
             let batch: Vec<(InstanceId, &Trace)> = self
                 .active

@@ -320,7 +320,7 @@ impl TestCoordinator {
     /// this as a diagnosable internal error rather than a panic.
     fn dedicate(&mut self, sid: SubspaceId, now: VirtualTime) -> Result<(), TaoptError> {
         let telemetry = taopt_telemetry::global();
-        let _span = telemetry.span("dedicate").subspace(sid.0).at(now).enter();
+        let _span = telemetry.span("dedicate");
         let (owner, entrypoints) = {
             let info = self
                 .analyzer

@@ -32,7 +32,7 @@ use crate::partition::{partition_traces, PartitionConfig};
 use crate::session::{ParallelSession, RunMode, SessionConfig, SessionResult};
 
 /// Scale knobs shared by a whole evaluation: the paper's full setting or a
-/// proportionally shrunk one for tests and Criterion benches.
+/// proportionally shrunk one for tests and quick runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentScale {
     /// `d_max` concurrent instances.

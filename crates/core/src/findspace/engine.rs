@@ -1,11 +1,11 @@
 //! The incremental `FindSpace` engine: `O(ΔN·D + P)` per analysis.
 //!
-//! [`find_space_candidates`](super::find_space_candidates) re-derives its
-//! whole state — interning table, similarity relation, occurrence counts,
-//! overlap sums — from scratch on every call, an `O(N·D)` cost per
-//! analysis of an *append-only* trace. [`FindSpaceEngine`] maintains that
-//! state persistently under appends, so a trace analyzed every few
-//! seconds pays for each event once instead of once per analysis.
+//! Scoring a split needs an interning table, a similarity relation,
+//! occurrence counts and overlap sums; re-deriving them on every call
+//! costs `O(N·D)` per analysis of an *append-only* trace.
+//! [`FindSpaceEngine`] maintains that state persistently under appends,
+//! so a trace analyzed every few seconds pays for each event once instead
+//! of once per analysis.
 //!
 //! # Maintained state
 //!
@@ -32,7 +32,7 @@
 //!
 //! # Per-analysis recomposition
 //!
-//! The reference's per-split quantities fall out of the invariants above
+//! Algorithm 1's per-split quantities fall out of the invariants above
 //! in one fused sweep over `p ∈ 1..=p_max`:
 //!
 //! ```text
@@ -42,11 +42,11 @@
 //!
 //! The first term is a running sum over `first_occ` order; the second a
 //! merge against the sorted `last_occ` values. All overlap arithmetic is
-//! exact integer math — identical to the reference's incremental scan —
-//! and the floating-point score expression is copied verbatim, so the
-//! returned [`SplitCandidate`]s are **bit-identical** to
-//! `find_space_candidates` on the same prefix (pinned by proptests and
-//! the golden-trace fixture).
+//! exact integer math — the same counts the paper's pseudo-code sums —
+//! and the floating-point score expression is the pseudo-code's verbatim,
+//! so the returned [`SplitCandidate`]s are **bit-identical** to
+//! [`find_space_naive`](super::find_space_naive) on the same prefix
+//! (pinned by unit tests, proptests and the golden-trace fixture).
 //!
 //! # Vectorized sweep
 //!
@@ -58,32 +58,26 @@
 //! `pair_base` in 8-wide chunks the autovectorizer can pack, with a
 //! scalar tail for ragged run ends (integer subtract, int→f64 convert,
 //! divide, add — element-wise, no horizontal operation, **no
-//! reassociation**: each lane performs the reference's operations in the
-//! reference's order on the reference's values, so the bits match the
-//! scalar expression exactly). Eligibility hoists out of the loop
+//! reassociation**: each lane performs the scalar expression's operations in its
+//! order on its values, so the bits match the scalar expression
+//! exactly). Eligibility hoists out of the loop
 //! entirely: `prefix_distinct_at` is nondecreasing, so the eligible
-//! region is a single `p` range found by binary search. The references
-//! the sweep is pinned against are
-//! [`find_space_candidates`](super::find_space_candidates) (bitwise, in
-//! the unit tests, the proptests and the `findspace` bench) and
-//! [`find_space_naive`](super::find_space_naive), the paper's
-//! pseudo-code.
+//! region is a single `p` range found by binary search.
 //!
 //! # Cost
 //!
 //! Feeding `ΔN` appended events costs `O(ΔN·D)` (interning, similarity
 //! rows, per-screen counters) plus one tree-similarity evaluation per
 //! pair the app has never decided; one analysis costs `O(P + D log D)` for
-//! the sweep plus `O(1)` amortized frontier advancement. The full-rescan
-//! path pays `O(N·D)` *per analysis* for the same answer.
+//! the sweep plus `O(1)` amortized frontier advancement.
 
 use taopt_ui_model::TraceEvent;
 
 use super::{sigmoid, FindSpaceConfig, SimilarityCache, SplitCandidate};
 
-/// Initial interning capacity: distinct abstract screens rarely exceed a
-/// few dozen per app, so one allocation covers the common case.
-pub(super) const SCREEN_CAPACITY_HINT: usize = 64;
+/// Distinct abstract screens rarely exceed a few dozen per app, so the
+/// similarity matrix starts sized for that.
+const SCREEN_CAPACITY_HINT: usize = 64;
 
 /// Lane width of the sweep kernel: wide enough to fill an AVX2 register
 /// four times over at f64, small enough that short runs don't round up
@@ -100,9 +94,9 @@ const NO_LOCAL: u32 = u32::MAX;
 /// (overlap_whole - pair_base[q]) as f64 / (n - q) as f64 + two_purity - 1.0
 /// ```
 ///
-/// This is the reference expression verbatim, element-wise — the
+/// This is the scalar score expression verbatim, element-wise — the
 /// conversions are exact (both operands < 2^53), the divide and the
-/// two adds are IEEE ops in the reference's left-to-right association,
+/// two adds are IEEE ops in the oracle's left-to-right association,
 /// and no cross-lane operation exists — so every lane's bits equal the
 /// scalar loop's. The const trip count and array-ref operand are what
 /// let the autovectorizer turn this into packed convert/divide when
@@ -174,7 +168,7 @@ pub struct FindSpaceEngine {
     prefix_present: Vec<bool>,
     /// Occurrences of screen `j` in `[0..extent)`.
     prefix_count: Vec<usize>,
-    /// `|{s ∈ Set(S[0:extent]) : sim(s, j)}|` — the reference's `weight`.
+    /// `|{s ∈ Set(S[0:extent]) : sim(s, j)}|`.
     weight: Vec<usize>,
     /// Distinct screens in the frontier prefix.
     prefix_distinct: usize,
@@ -391,7 +385,7 @@ impl FindSpaceEngine {
 
     /// Largest split index leaving at least `l_min` after it —
     /// recomputed per analysis because every append moves the trace end.
-    /// The reverse scan mirrors the reference exactly (correct even for
+    /// The reverse scan mirrors the oracle's exactly (correct even for
     /// non-monotone timestamps) and in practice only walks the reserved
     /// tail.
     fn p_max(&self) -> Option<usize> {
@@ -444,7 +438,7 @@ impl FindSpaceEngine {
         a.score.total_cmp(&b.score).then(a.index.cmp(&b.index))
     }
 
-    /// k-best selection with near-duplicate suppression. The reference
+    /// k-best selection with near-duplicate suppression. The oracle
     /// stable-sorts by score; push order is ascending `p`, so that
     /// equals the strict total order (score, index). The dedup keeps at
     /// most `k` candidates and each kept one masks at most 10 neighbours
@@ -472,13 +466,12 @@ impl FindSpaceEngine {
 
     /// Returns up to `k` qualifying splits of the ingested window in
     /// ascending score order — bit-identical to
-    /// [`find_space_candidates`](super::find_space_candidates) on the
-    /// same events with the same cache.
+    /// [`find_space_naive`](super::find_space_naive) on the same events.
     ///
     /// Runs are segmented where both cursors are constant, and each
     /// run's scores are evaluated over contiguous `pair_base` in
     /// 8-wide chunks plus a scalar tail. The per-`p` expression
-    /// performs the reference's operations in the reference's order;
+    /// performs the oracle's operations in the oracle's order;
     /// lanes only batch independent `p`s.
     pub fn analyze(&mut self, k: usize) -> Vec<SplitCandidate> {
         let n = self.ev_idx.len();
@@ -510,7 +503,7 @@ impl FindSpaceEngine {
         // so far (set at each compaction); any later candidate ≥ bound
         // already has `m` candidates strictly below it, so dropping it
         // cannot change the selected set — the sweep stays bit-identical
-        // to the reference while the common case (a poor score deep in
+        // to the oracle while the common case (a poor score deep in
         // the window) costs one comparison instead of a push.
         let m_sel = k.saturating_mul(11).max(1);
         let mut qualifying: Vec<SplitCandidate> = Vec::with_capacity(2 * m_sel);
@@ -533,7 +526,7 @@ impl FindSpaceEngine {
             }
             // The sigmoid (the one transcendental in the sweep) is
             // re-evaluated only when `lo` moved — same inputs, same bits
-            // as the reference's per-`lo` memoization.
+            // as evaluating it at every `p`.
             if lo != cached_lo {
                 cached_lo = lo;
                 let suffix_distinct = d - lo;
@@ -558,7 +551,7 @@ impl FindSpaceEngine {
             while start < run_end {
                 let m = LANES.min(run_end - start);
                 // The lane kernel: element-wise over contiguous
-                // `pair_base`, no cross-lane operation, the reference's
+                // `pair_base`, no cross-lane operation, the oracle's
                 // expression verbatim (`overlap_score + two_purity - 1.0`
                 // associates left-to-right). Full chunks go through the
                 // const-width kernel, whose fixed trip count and
@@ -604,7 +597,7 @@ impl FindSpaceEngine {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{ev, two_cluster_trace};
-    use super::super::{find_space_candidates, FindSpaceConfig, SimilarityCache};
+    use super::super::{find_space_naive, FindSpaceConfig, SimilarityCache};
     use super::*;
     use taopt_ui_model::VirtualDuration;
 
@@ -631,35 +624,33 @@ mod tests {
     }
 
     #[test]
-    fn incremental_feed_matches_rescan_at_every_prefix() {
+    fn incremental_feed_matches_naive_at_every_prefix() {
         let events = two_cluster_trace(40, 60);
         let c = cfg(30);
         let mut engine = FindSpaceEngine::new(c.clone());
-        let engine_cache = SimilarityCache::new();
-        let rescan_cache = SimilarityCache::new();
+        let cache = SimilarityCache::new();
         for end in 1..=events.len() {
-            engine.extend_from(&events[..end], &engine_cache);
+            engine.extend_from(&events[..end], &cache);
             let inc = engine.analyze(5);
-            let full = find_space_candidates(&events[..end], &c, &rescan_cache, 5);
-            assert_identical(&inc, &full, &format!("prefix {end}"));
+            let naive = find_space_naive(&events[..end], &c, 5);
+            assert_identical(&inc, &naive, &format!("prefix {end}"));
         }
     }
 
     #[test]
-    fn chunked_feed_matches_rescan() {
+    fn chunked_feed_matches_naive() {
         let events = two_cluster_trace(35, 45);
         let c = cfg(20);
         for chunk in [1usize, 3, 7, 17, 50] {
             let mut engine = FindSpaceEngine::new(c.clone());
-            let engine_cache = SimilarityCache::new();
-            let rescan_cache = SimilarityCache::new();
+            let cache = SimilarityCache::new();
             let mut end = 0;
             while end < events.len() {
                 end = (end + chunk).min(events.len());
-                engine.extend_from(&events[..end], &engine_cache);
+                engine.extend_from(&events[..end], &cache);
                 assert_identical(
                     &engine.analyze(5),
-                    &find_space_candidates(&events[..end], &c, &rescan_cache, 5),
+                    &find_space_naive(&events[..end], &c, 5),
                     &format!("chunk {chunk} prefix {end}"),
                 );
             }
@@ -690,8 +681,8 @@ mod tests {
         assert_identical(&used.analyze(5), &fresh.analyze(5), "after reset");
         assert_identical(
             &used.analyze(5),
-            &find_space_candidates(&events[30..], &c, &SimilarityCache::new(), 5),
-            "reset vs rescan",
+            &find_space_naive(&events[30..], &c, 5),
+            "reset vs naive",
         );
     }
 
@@ -745,14 +736,14 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for (&start, (first, refed)) in starts.iter().zip(&results) {
-            let reference = find_space_candidates(&events[start..], &c, &SimilarityCache::new(), 5);
-            assert_identical(first, &reference, &format!("window {start}"));
-            assert_identical(refed, &reference, &format!("re-fed window {start}"));
+            let naive = find_space_naive(&events[start..], &c, 5);
+            assert_identical(first, &naive, &format!("window {start}"));
+            assert_identical(refed, &naive, &format!("re-fed window {start}"));
         }
         // Whatever the interleaving, the store holds a serial fill's
         // decisions.
         let serial = SimilarityCache::new();
-        find_space_candidates(&events, &c, &serial, 5);
+        FindSpaceEngine::new(c.clone()).extend_from(&events, &serial);
         assert_eq!(cache.snapshot(), serial.snapshot());
     }
 
@@ -769,7 +760,7 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_timestamps_match_rescan() {
+    fn duplicate_timestamps_match_naive() {
         // Bursts of identical timestamps exercise the p_max tail scan.
         let mut events = Vec::new();
         let mut t = 0u64;
@@ -781,13 +772,12 @@ mod tests {
         }
         let c = cfg(15);
         let mut engine = FindSpaceEngine::new(c.clone());
-        let engine_cache = SimilarityCache::new();
-        let rescan_cache = SimilarityCache::new();
+        let cache = SimilarityCache::new();
         for end in (5..=events.len()).step_by(5) {
-            engine.extend_from(&events[..end], &engine_cache);
+            engine.extend_from(&events[..end], &cache);
             assert_identical(
                 &engine.analyze(5),
-                &find_space_candidates(&events[..end], &c, &rescan_cache, 5),
+                &find_space_naive(&events[..end], &c, 5),
                 &format!("dup-ts prefix {end}"),
             );
         }

@@ -17,18 +17,17 @@
 //! the minimum score below the initial bound (1) is returned; `CountIn`
 //! counts appearances by abstract-hierarchy tree similarity.
 //!
-//! Three implementations are provided: [`find_space`] maintains the
-//! overlap sum incrementally in `O(N·D)` per call (with `D` distinct
-//! abstract screens), [`find_space_naive`] transcribes the paper's
-//! pseudo-code directly in `O(N²)`, and [`FindSpaceEngine`] keeps the
-//! analysis state alive across calls so re-analyzing an append-only
-//! trace costs `O(ΔN·D + P)`; tests assert all three agree (the engine
-//! bit-identically).
+//! [`FindSpaceEngine`] is the one scorer: it keeps the analysis state
+//! alive across calls, so re-analyzing an append-only trace costs
+//! `O(ΔN·D + P)` (with `D` distinct abstract screens), and the one-shot
+//! [`find_space`] is a fresh engine fed the whole trace.
+//! [`find_space_naive`] transcribes the paper's pseudo-code directly and
+//! is the test oracle; tests assert the engine matches it bit for bit.
 //!
-//! `CountIn`'s similarity decisions come from one per-app
-//! [`SimilarityCache`], the store every path shares: the engine interns
-//! its screens there and records every pair it decides, so between two
-//! resets an engine must be fed the same cache.
+//! The engine's `CountIn` decisions come from one per-app
+//! [`SimilarityCache`]: it interns its screens there and records every
+//! pair it decides, so between two resets an engine must be fed the same
+//! cache.
 
 mod engine;
 
@@ -40,11 +39,9 @@ use taopt_ui_model::{TraceEvent, VirtualDuration};
 pub use engine::FindSpaceEngine;
 // The per-app similarity store lives in `ui-model` next to
 // `tree_similarity` (its decisions are pure functions of hierarchies);
-// re-exported here where every consumer — the engine, the rescan
-// reference, the analyzer — already imports it.
+// re-exported here where its consumers — the engine, the analyzer —
+// already import it.
 pub use taopt_ui_model::similarity::SimilarityCache;
-
-use engine::SCREEN_CAPACITY_HINT;
 
 /// Tunables for `FindSpace`.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,35 +90,6 @@ pub fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// Builds the pairwise similarity relation over the distinct abstract
-/// screens of a trace. Returns (id → dense index, D×D boolean matrix).
-fn similarity_relation(
-    events: &[TraceEvent],
-    threshold: f64,
-    cache: &SimilarityCache,
-) -> (HashMap<u64, usize>, Vec<Vec<bool>>) {
-    let mut index: HashMap<u64, usize> =
-        HashMap::with_capacity(events.len().min(SCREEN_CAPACITY_HINT));
-    let mut reps: Vec<&TraceEvent> = Vec::new();
-    for e in events {
-        index.entry(e.abstract_id.0).or_insert_with(|| {
-            reps.push(e);
-            reps.len() - 1
-        });
-    }
-    let d = reps.len();
-    let mut sim = vec![vec![false; d]; d];
-    for i in 0..d {
-        sim[i][i] = true;
-        for j in i + 1..d {
-            let s = cache.similar(reps[i], reps[j], threshold);
-            sim[i][j] = s;
-            sim[j][i] = s;
-        }
-    }
-    (index, sim)
-}
-
 /// Largest split index leaving at least `l_min` after it, if any.
 fn p_max(events: &[TraceEvent], l_min: VirtualDuration) -> Option<usize> {
     let n = events.len();
@@ -137,118 +105,37 @@ fn p_max(events: &[TraceEvent], l_min: VirtualDuration) -> Option<usize> {
 /// `config.max_score`, or `None` when the trace is too short or no split
 /// qualifies.
 ///
+/// One fresh [`FindSpaceEngine`] over a fresh [`SimilarityCache`], fed
+/// the whole trace and asked for its best split: the offline partitioner
+/// and one-shot callers score splits exactly as campaigns do.
+///
 /// # Examples
 ///
 /// See the crate-level quickstart; unit tests below exercise hand-built
 /// traces with an obvious two-cluster structure.
 pub fn find_space(events: &[TraceEvent], config: &FindSpaceConfig) -> Option<SplitCandidate> {
-    find_space_candidates(events, config, &SimilarityCache::new(), 1)
-        .into_iter()
-        .next()
+    let mut engine = FindSpaceEngine::new(config.clone());
+    engine.extend_from(events, &SimilarityCache::new());
+    engine.analyze(1).into_iter().next()
 }
 
-/// Like [`find_space`], but returns up to `k` qualifying splits in
-/// ascending score order with an external, reusable similarity cache.
-/// Downstream validity filtering (entry-rule anchoring) can then fall
-/// back to the next-best split when the global minimum does not yield an
-/// enforceable entrypoint. This full-rescan path is the reference
-/// implementation the incremental [`FindSpaceEngine`] is pinned against.
-pub fn find_space_candidates(
+/// Direct transcription of Algorithm 1 (quadratic): every split recounts
+/// `CountIn` of every prefix screen over the whole suffix. The oracle
+/// [`FindSpaceEngine`] is pinned against; returns up to `k` qualifying
+/// splits under the engine's selection rule — ascending score (stable,
+/// so ties stay in index order), skipping any index within 5 of a split
+/// already kept (adjacent split points describe the same boundary).
+pub fn find_space_naive(
     events: &[TraceEvent],
     config: &FindSpaceConfig,
-    cache: &SimilarityCache,
     k: usize,
 ) -> Vec<SplitCandidate> {
     let n = events.len();
     let Some(pm) = p_max(events, config.l_min) else {
         return Vec::new();
     };
-    if pm == 0 || k == 0 {
-        return Vec::new();
-    }
-    let (index, sim) = similarity_relation(events, config.similarity_threshold, cache);
-    let d = sim.len();
-    let ev_idx: Vec<usize> = events.iter().map(|e| index[&e.abstract_id.0]).collect();
-
-    // sample_size = |Set(S[p_max+1 : N])|.
-    let mut tail_distinct = vec![false; d];
-    for &e in &ev_idx[pm + 1..] {
-        tail_distinct[e] = true;
-    }
-    let sample_size = tail_distinct.iter().filter(|b| **b).count().max(1);
-
-    // State at p = 1: prefix = {S[0]}, suffix = S[1:N].
-    let mut suffix_count = vec![0usize; d];
-    for &e in &ev_idx[1..] {
-        suffix_count[e] += 1;
-    }
-    let mut suffix_distinct = suffix_count.iter().filter(|c| **c > 0).count();
-    let mut prefix_present = vec![false; d];
-    // weight[x] = |{s in prefix distinct : sim(s, x)}|.
-    let mut weight = vec![0usize; d];
-    let first = ev_idx[0];
-    prefix_present[first] = true;
-    for (x, w) in weight.iter_mut().enumerate() {
-        if sim[first][x] {
-            *w += 1;
-        }
-    }
-    let mut overlap: i64 = (0..d).map(|x| (weight[x] * suffix_count[x]) as i64).sum();
-
-    let mut prefix_distinct = 1usize;
-    let mut qualifying: Vec<SplitCandidate> = Vec::new();
-    #[allow(clippy::needless_range_loop)]
-    for p in 1..=pm {
-        let overlap_score = overlap as f64 / (n - p) as f64;
-        let purity_score = sigmoid(suffix_distinct as f64 / sample_size as f64 - 1.0);
-        let score = overlap_score + 2.0 * purity_score - 1.0;
-        if p >= config.min_prefix_events
-            && prefix_distinct >= config.min_prefix_distinct
-            && score < config.max_score
-        {
-            qualifying.push(SplitCandidate { index: p, score });
-        }
-        // Advance to p+1: event at index p moves from suffix to prefix.
-        if p < pm {
-            let e = ev_idx[p];
-            overlap -= weight[e] as i64;
-            suffix_count[e] -= 1;
-            if suffix_count[e] == 0 {
-                suffix_distinct -= 1;
-            }
-            if !prefix_present[e] {
-                prefix_present[e] = true;
-                prefix_distinct += 1;
-                for x in 0..d {
-                    if sim[e][x] {
-                        weight[x] += 1;
-                        overlap += suffix_count[x] as i64;
-                    }
-                }
-            }
-        }
-    }
-    qualifying.sort_by(|a, b| a.score.total_cmp(&b.score));
-    // Keep the k best, but avoid near-duplicate indexes (adjacent split
-    // points describe the same boundary).
-    let mut out: Vec<SplitCandidate> = Vec::new();
-    for c in qualifying {
-        if out.len() >= k {
-            break;
-        }
-        if out.iter().all(|o| o.index.abs_diff(c.index) > 5) {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// Direct transcription of Algorithm 1 (quadratic); reference for tests.
-pub fn find_space_naive(events: &[TraceEvent], config: &FindSpaceConfig) -> Option<SplitCandidate> {
-    let n = events.len();
-    let pm = p_max(events, config.l_min)?;
     if pm == 0 {
-        return None;
+        return Vec::new();
     }
     fn distinct(slice: &[TraceEvent]) -> Vec<&TraceEvent> {
         let mut seen = std::collections::HashSet::new();
@@ -257,9 +144,17 @@ pub fn find_space_naive(events: &[TraceEvent], config: &FindSpaceConfig) -> Opti
             .filter(|e| seen.insert(e.abstract_id))
             .collect()
     }
+    // Tree-similarity decisions, memoized per unordered pair of abstract
+    // screens so the per-split recount stays cheap.
+    let mut decided: HashMap<(u64, u64), bool> = HashMap::new();
+    let mut similar = |a: &TraceEvent, b: &TraceEvent| {
+        let (x, y) = (a.abstract_id.0, b.abstract_id.0);
+        *decided.entry((x.min(y), x.max(y))).or_insert_with(|| {
+            tree_similarity(&a.abstraction, &b.abstraction) >= config.similarity_threshold
+        })
+    };
     let sample_size = distinct(&events[pm + 1..]).len().max(1);
-    let mut best: Option<SplitCandidate> = None;
-    let mut score_min = config.max_score;
+    let mut qualifying: Vec<SplitCandidate> = Vec::new();
     for p in 1..=pm {
         let prefix = distinct(&events[..p]);
         if p < config.min_prefix_events || prefix.len() < config.min_prefix_distinct {
@@ -268,22 +163,26 @@ pub fn find_space_naive(events: &[TraceEvent], config: &FindSpaceConfig) -> Opti
         let suffix = &events[p..];
         let mut overlap_size = 0usize;
         for s in &prefix {
-            overlap_size += suffix
-                .iter()
-                .filter(|x| {
-                    tree_similarity(&s.abstraction, &x.abstraction) >= config.similarity_threshold
-                })
-                .count();
+            overlap_size += suffix.iter().filter(|x| similar(s, x)).count();
         }
         let overlap_score = overlap_size as f64 / (n - p) as f64;
         let purity_score = sigmoid(distinct(suffix).len() as f64 / sample_size as f64 - 1.0);
         let score = overlap_score + 2.0 * purity_score - 1.0;
-        if score < score_min {
-            score_min = score;
-            best = Some(SplitCandidate { index: p, score });
+        if score < config.max_score {
+            qualifying.push(SplitCandidate { index: p, score });
         }
     }
-    best
+    qualifying.sort_by(|a, b| a.score.total_cmp(&b.score));
+    let mut out: Vec<SplitCandidate> = Vec::new();
+    for c in qualifying {
+        if out.len() == k {
+            break;
+        }
+        if out.iter().all(|o| o.index.abs_diff(c.index) > 5) {
+            out.push(c);
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -393,7 +292,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn incremental_matches_naive() {
+    fn find_space_matches_naive() {
         for (a, b) in [(10, 30), (25, 25), (40, 15), (5, 60)] {
             let events = two_cluster_trace(a, b);
             let cfg = FindSpaceConfig {
@@ -401,14 +300,13 @@ pub(crate) mod tests {
                 ..FindSpaceConfig::default()
             };
             let fast = find_space(&events, &cfg);
-            let slow = find_space_naive(&events, &cfg);
-            match (fast, slow) {
-                (Some(f), Some(s)) => {
-                    assert_eq!(f.index, s.index, "indices diverge for ({a},{b})");
-                    assert!((f.score - s.score).abs() < 1e-9);
-                }
-                (f, s) => assert_eq!(f, s),
-            }
+            let slow = find_space_naive(&events, &cfg, 1).first().copied();
+            assert_eq!(fast.map(|s| s.index), slow.map(|s| s.index), "({a},{b})");
+            assert_eq!(
+                fast.map(|s| s.score.to_bits()),
+                slow.map(|s| s.score.to_bits()),
+                "({a},{b})"
+            );
         }
     }
 

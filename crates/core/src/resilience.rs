@@ -154,7 +154,7 @@ impl EnforcementBroadcaster {
     /// operations were applied.
     pub fn reconcile(&mut self, injector: &FaultInjector, now: VirtualTime) -> usize {
         let telemetry = taopt_telemetry::global();
-        let _span = telemetry.span("broadcast").at(now).enter();
+        let _span = telemetry.span("broadcast");
         let EnforcementBroadcaster {
             endpoints,
             next_broadcast,

@@ -1,5 +1,5 @@
 //! Property-based tests for TaOPT's core algorithms: FindSpace laws
-//! (validity, fast/naive agreement, invariances), metric laws, Theorem-1
+//! (validity, engine/naive agreement, invariances), metric laws, Theorem-1
 //! sampling, and partitioner invariants.
 
 use std::collections::BTreeSet;
@@ -8,8 +8,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use taopt::findspace::{
-    find_space, find_space_candidates, find_space_naive, FindSpaceConfig, FindSpaceEngine,
-    SimilarityCache,
+    find_space, find_space_naive, FindSpaceConfig, FindSpaceEngine, SimilarityCache, SplitCandidate,
 };
 use taopt::metrics::curves::{coverage_at, time_to_reach, CurvePoint};
 use taopt::metrics::jaccard::{average_jaccard, jaccard};
@@ -64,6 +63,16 @@ fn fs_config() -> FindSpaceConfig {
     }
 }
 
+/// Bitwise equality of two candidate lists: same indices, same score bits.
+fn assert_bitwise(a: &[SplitCandidate], b: &[SplitCandidate]) -> TestCaseResult {
+    prop_assert_eq!(a.len(), b.len());
+    for (x, y) in a.iter().zip(b) {
+        prop_assert_eq!(x.index, y.index);
+        prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
+    }
+    Ok(())
+}
+
 /// An arbitrary trace whose timestamps may repeat (several events in the
 /// same virtual instant — e.g. a jump plus its first observation) and
 /// whose gaps vary, exercising `l_min` window edges.
@@ -86,15 +95,8 @@ proptest! {
     #[test]
     fn findspace_fast_equals_naive(events in arb_trace()) {
         let cfg = fs_config();
-        let fast = find_space(&events, &cfg);
-        let slow = find_space_naive(&events, &cfg);
-        match (fast, slow) {
-            (Some(f), Some(s)) => {
-                prop_assert_eq!(f.index, s.index);
-                prop_assert!((f.score - s.score).abs() < 1e-9);
-            }
-            (f, s) => prop_assert_eq!(f, s),
-        }
+        let fast: Vec<_> = find_space(&events, &cfg).into_iter().collect();
+        assert_bitwise(&fast, &find_space_naive(&events, &cfg, 1))?;
     }
 
     #[test]
@@ -116,50 +118,36 @@ proptest! {
         events in arb_dup_trace(),
         l_min_secs in 0u64..80,
     ) {
-        // The incremental and naive scorers must agree on degenerate
+        // The engine and the naive scorer must agree on degenerate
         // clocks too: repeated timestamps, zero-length windows, and
         // l_min anywhere from 0 (every suffix admissible) past the whole
         // trace span (no suffix admissible).
         let mut cfg = fs_config();
         cfg.l_min = VirtualDuration::from_secs(l_min_secs);
-        let fast = find_space(&events, &cfg);
-        let slow = find_space_naive(&events, &cfg);
-        match (fast, slow) {
-            (Some(f), Some(s)) => {
-                prop_assert_eq!(f.index, s.index);
-                prop_assert!((f.score - s.score).abs() < 1e-9);
-            }
-            (f, s) => prop_assert_eq!(f, s),
-        }
+        let fast: Vec<_> = find_space(&events, &cfg).into_iter().collect();
+        assert_bitwise(&fast, &find_space_naive(&events, &cfg, 1))?;
     }
 
     #[test]
-    fn findspace_engine_incremental_equals_rescan_at_every_step(
+    fn findspace_engine_incremental_equals_naive_at_every_step(
         events in arb_dup_trace(),
         chunk in 1usize..=17,
         l_min_secs in 0u64..80,
     ) {
         // Feeding the trace to the persistent engine in arbitrary chunk
-        // sizes must reproduce the full-rescan reference *bit-identically*
-        // on every prefix — same indices, same score bits — including
-        // under duplicate timestamps and degenerate l_min windows.
+        // sizes must reproduce the naive oracle *bit-identically* on
+        // every prefix — same indices, same score bits — including under
+        // duplicate timestamps and degenerate l_min windows.
         let mut cfg = fs_config();
         cfg.l_min = VirtualDuration::from_secs(l_min_secs);
         let mut engine = FindSpaceEngine::new(cfg.clone());
-        let engine_cache = SimilarityCache::new();
-        let rescan_cache = SimilarityCache::new();
+        let cache = SimilarityCache::new();
         let mut end = 0usize;
         while end < events.len() {
             end = (end + chunk).min(events.len());
-            engine.extend_from(&events[..end], &engine_cache);
+            engine.extend_from(&events[..end], &cache);
             prop_assert_eq!(engine.len(), end);
-            let inc = engine.analyze(5);
-            let full = find_space_candidates(&events[..end], &cfg, &rescan_cache, 5);
-            prop_assert_eq!(inc.len(), full.len());
-            for (a, b) in inc.iter().zip(&full) {
-                prop_assert_eq!(a.index, b.index);
-                prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
-            }
+            assert_bitwise(&engine.analyze(5), &find_space_naive(&events[..end], &cfg, 5))?;
         }
     }
 
@@ -171,7 +159,7 @@ proptest! {
         // Simulated re-dedication: after an accepted split (or a device
         // replacement) the analysis window rebases, the engine resets and
         // is re-fed the new window. That must be indistinguishable from a
-        // brand-new engine — and from the rescan reference.
+        // brand-new engine — and from the naive oracle.
         let cfg = fs_config();
         let rebase = rebase_num * events.len().saturating_sub(1) / 100;
         let cache = SimilarityCache::new();
@@ -184,21 +172,8 @@ proptest! {
         let mut fresh = FindSpaceEngine::new(cfg.clone());
         fresh.extend_from(&events[rebase..], &SimilarityCache::new());
         let a = reused.analyze(5);
-        let b = fresh.analyze(5);
-        let c = find_space_candidates(
-            &events[rebase..],
-            &cfg,
-            &SimilarityCache::new(),
-            5,
-        );
-        prop_assert_eq!(a.len(), b.len());
-        prop_assert_eq!(a.len(), c.len());
-        for ((x, y), z) in a.iter().zip(&b).zip(&c) {
-            prop_assert_eq!(x.index, y.index);
-            prop_assert_eq!(x.index, z.index);
-            prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
-            prop_assert_eq!(x.score.to_bits(), z.score.to_bits());
-        }
+        assert_bitwise(&a, &fresh.analyze(5))?;
+        assert_bitwise(&a, &find_space_naive(&events[rebase..], &cfg, 5))?;
     }
 
     #[test]

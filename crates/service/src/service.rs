@@ -72,7 +72,6 @@ use taopt_app_sim::AppEvolution;
 use taopt_chaos::{FaultKind, RecoveryKind};
 use taopt_telemetry::{Gauge, Labels};
 use taopt_ui_model::json::Value;
-use taopt_ui_model::VirtualTime;
 
 use crate::checkpoint::{micros, Checkpoint, CheckpointStore, CHECKPOINT_VERSION};
 use crate::error::ServiceError;
@@ -455,7 +454,7 @@ impl CampaignService {
     /// [`CampaignService::recover`]; nothing is written after this
     /// returns.
     pub fn crash(mut self) {
-        taopt_telemetry::global().fault(FaultKind::ServiceKilled.label(), None, VirtualTime::ZERO);
+        taopt_telemetry::global().fault(FaultKind::ServiceKilled.label());
         self.halt(true);
     }
 
@@ -783,18 +782,14 @@ fn replay_to(
 }
 
 /// Records resume telemetry after a successful replay.
-fn note_resume(id: u64, spec: &CampaignSpec, resume_round: u64, restore_start: Instant) {
+fn note_resume(id: u64, restore_start: Instant) {
     let telemetry = taopt_telemetry::global();
     let latency_us = micros(restore_start.elapsed());
     telemetry
         .registry()
         .histogram("service_resume_latency_us", Labels::instance(id as u32))
         .record(latency_us);
-    telemetry.recovery(
-        RecoveryKind::ServiceResumed.label(),
-        Some(id as u32),
-        VirtualTime::from_millis(spec.scale.tick.as_millis().saturating_mul(resume_round)),
-    );
+    telemetry.recovery(RecoveryKind::ServiceResumed.label());
     telemetry.counter("service_resumes_total").inc();
 }
 
@@ -958,7 +953,7 @@ fn run_one(shared: &Arc<Shared>, id: u64) {
             if let Err(e) = replay_to(&mut campaign, resume_round, resume_digest.as_ref()) {
                 return record_failure(shared, id, e.to_string());
             }
-            note_resume(id, &spec, resume_round, restore_start);
+            note_resume(id, restore_start);
         }
         match runner.drive_rounds(0, &mut campaign) {
             Drive::Exit => return,
@@ -992,7 +987,7 @@ fn run_one(shared: &Arc<Shared>, id: u64) {
                 if let Err(e) = replay_to(&mut campaign, resume_round, resume_digest.as_ref()) {
                     return record_failure(shared, id, e.to_string());
                 }
-                note_resume(id, &spec, resume_round, restore_start);
+                note_resume(id, restore_start);
             }
             match runner.drive_rounds(version, &mut campaign) {
                 Drive::Exit => return,

@@ -6,14 +6,15 @@
 //!
 //! * a [`MetricsRegistry`] of atomic counters, gauges and log-bucketed
 //!   latency [histograms](histogram::LogHistogram) (p50/p95/p99),
-//!   labeled by instance/subspace/seam, with Prometheus-style text
-//!   exposition;
-//! * a span tracer ([`span!`], [`SpanGuard`]) timing named regions of
-//!   the loop (subspace dedication, enforcement broadcast, emulator
-//!   steps) on both the wall clock and the session clock;
-//! * a bounded [`FlightRecorder`] ring buffer that dumps the last N
-//!   telemetry events as JSON for post-mortem replay of a failed or
-//!   chaotic session.
+//!   labeled by instance/seam/kind, with Prometheus-style text
+//!   exposition — the one telemetry record;
+//! * spans ([`Telemetry::span`], [`SpanGuard`]) timing named regions of
+//!   the loop (analysis, FindSpace, subspace dedication, enforcement
+//!   broadcast) into the registry's `span_ns` histograms.
+//!
+//! Per-fault detail (kind, instance, virtual time, recovery latency)
+//! lives in each campaign's chaos fault log; the registry counts faults
+//! and recoveries per kind.
 //!
 //! All instrumented crates share one process-global [`Telemetry`]
 //! (see [`global`]), so wiring does not thread handles through every
@@ -26,22 +27,17 @@
 #![warn(missing_docs)]
 
 pub mod histogram;
-pub mod recorder;
 pub mod registry;
 mod span;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use taopt_ui_model::VirtualTime;
-
 pub use crate::histogram::{HistogramSnapshot, LogHistogram};
-pub use crate::recorder::{EventKind, FlightRecorder, TelemetryEvent, DEFAULT_FLIGHT_CAPACITY};
 pub use crate::registry::{Counter, Gauge, Histogram, Labels, MetricsRegistry, MetricsSnapshot};
-pub use crate::span::{SpanBuilder, SpanGuard};
+pub use crate::span::SpanGuard;
 
-/// One telemetry domain: a registry plus a flight recorder sharing an
-/// enabled flag.
+/// One telemetry domain: a metrics registry and its enabled flag.
 ///
 /// Most code uses the process-global instance via [`global`]; tests
 /// construct private instances to assert in isolation.
@@ -49,7 +45,6 @@ pub use crate::span::{SpanBuilder, SpanGuard};
 pub struct Telemetry {
     enabled: Arc<AtomicBool>,
     registry: MetricsRegistry,
-    recorder: FlightRecorder,
 }
 
 impl Default for Telemetry {
@@ -59,17 +54,11 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// An enabled instance with the default flight-recorder capacity.
+    /// An enabled instance.
     pub fn new() -> Self {
-        Telemetry::with_capacity(DEFAULT_FLIGHT_CAPACITY)
-    }
-
-    /// An enabled instance retaining the last `capacity` flight events.
-    pub fn with_capacity(capacity: usize) -> Self {
         let enabled = Arc::new(AtomicBool::new(true));
         Telemetry {
             registry: MetricsRegistry::new(Arc::clone(&enabled)),
-            recorder: FlightRecorder::new(Arc::clone(&enabled), capacity),
             enabled,
         }
     }
@@ -95,11 +84,6 @@ impl Telemetry {
     /// The metrics registry.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
-    }
-
-    /// The flight recorder.
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
     }
 
     /// Counter handle without labels.
@@ -133,45 +117,32 @@ impl Telemetry {
         self.registry.histogram("span_ns", Labels::kind(name))
     }
 
-    /// Starts building a span; finish with [`SpanBuilder::enter`].
-    pub fn span(&self, name: &'static str) -> SpanBuilder<'_> {
-        SpanBuilder::new(self, name)
+    /// Opens a span named `name`; the returned guard records its
+    /// duration into [`span_histogram`](Self::span_histogram) on drop.
+    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
+        SpanGuard::enter(self, name)
     }
 
-    /// Records a fault injection: bumps `faults_injected_total` (total
-    /// and per-kind) and appends a flight event, so the chaos fault log
-    /// and the flight recorder line up.
-    pub fn fault(&self, kind: &'static str, instance: Option<u32>, at: VirtualTime) {
+    /// Records a fault injection: bumps `faults_injected_total`, total
+    /// and per kind.
+    pub fn fault(&self, kind: &'static str) {
         if !self.is_enabled() {
             return;
         }
         self.counter("faults_injected_total").inc();
         self.counter_labeled("faults_injected_total", Labels::kind(kind))
             .inc();
-        let mut labels = Labels::kind(kind);
-        labels.instance = instance;
-        self.recorder
-            .push(EventKind::Fault, kind, labels, Some(at), 0);
     }
 
-    /// Records a recovery from an injected fault (mirror of
-    /// [`Telemetry::fault`]).
-    pub fn recovery(&self, kind: &'static str, instance: Option<u32>, at: VirtualTime) {
+    /// Records a recovery from an injected fault: bumps
+    /// `faults_recovered_total`, total and per kind.
+    pub fn recovery(&self, kind: &'static str) {
         if !self.is_enabled() {
             return;
         }
         self.counter("faults_recovered_total").inc();
         self.counter_labeled("faults_recovered_total", Labels::kind(kind))
             .inc();
-        let mut labels = Labels::kind(kind);
-        labels.instance = instance;
-        self.recorder
-            .push(EventKind::Recovery, kind, labels, Some(at), 0);
-    }
-
-    /// Appends a free-form point event to the flight recorder.
-    pub fn mark(&self, name: &'static str, labels: Labels, at: Option<VirtualTime>) {
-        self.recorder.push(EventKind::Mark, name, labels, at, 0);
     }
 
     /// Snapshot of every metric series.
@@ -204,42 +175,15 @@ pub fn global() -> &'static Telemetry {
     })
 }
 
-/// Opens a span on the [`global`] telemetry domain.
-///
-/// ```
-/// use taopt_telemetry::span;
-/// use taopt_ui_model::VirtualTime;
-///
-/// let now = VirtualTime::from_secs(42);
-/// {
-///     let _span = span!("dedicate", instance = 3, subspace = 7, at = now);
-///     // ... timed work ...
-/// }
-/// let hist = taopt_telemetry::global().span_histogram("dedicate");
-/// assert!(hist.snapshot().count >= 1);
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($name:literal $(, $key:ident = $value:expr)* $(,)?) => {{
-        let builder = $crate::global().span($name);
-        $(let builder = builder.$key($value);)*
-        builder.enter()
-    }};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn span_guard_records_histogram_and_flight_events() {
+    fn span_guard_records_its_histogram() {
         let t = Telemetry::new();
         {
-            let _g = t
-                .span("unit_work")
-                .instance(2)
-                .at(VirtualTime::from_secs(1))
-                .enter();
+            let _g = t.span("unit_work");
             std::hint::black_box(0u64);
         }
         let snap = t.snapshot();
@@ -248,39 +192,30 @@ mod tests {
             .get("span_ns{kind=\"unit_work\"}")
             .expect("span histogram exists");
         assert_eq!(h.count, 1);
-        let events = t.recorder().last(10);
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, EventKind::SpanEnter);
-        assert_eq!(events[1].kind, EventKind::SpanExit);
-        assert_eq!(events[1].labels.instance, Some(2));
     }
 
     #[test]
-    fn fault_and_recovery_line_up_in_counters_and_flight() {
+    fn fault_and_recovery_count_total_and_per_kind() {
         let t = Telemetry::new();
-        t.fault("device-loss", Some(1), VirtualTime::from_secs(5));
-        t.recovery("device-loss", Some(1), VirtualTime::from_secs(9));
+        t.fault("device-loss");
+        t.recovery("device-loss");
         let snap = t.snapshot();
         assert_eq!(snap.counter_total("faults_injected_total"), 2); // total + per-kind
         assert_eq!(
             snap.counters["faults_injected_total{kind=\"device-loss\"}"],
             1
         );
-        let events = t.recorder().last(10);
-        assert_eq!(events[0].kind, EventKind::Fault);
-        assert_eq!(events[1].kind, EventKind::Recovery);
-        assert!(events[0].seq < events[1].seq);
+        assert_eq!(snap.counters["faults_recovered_total"], 1);
     }
 
     #[test]
     fn disabled_domain_is_silent() {
         let t = Telemetry::disabled();
-        t.fault("x", None, VirtualTime::ZERO);
+        t.fault("x");
         {
-            let _g = t.span("quiet").enter();
+            let _g = t.span("quiet");
         }
         assert!(t.snapshot().is_empty());
-        assert!(t.recorder().is_empty());
     }
 
     #[test]

@@ -16,14 +16,12 @@ use parking_lot::Mutex;
 use crate::histogram::{bucket_bounds, HistogramSnapshot, LogHistogram, BUCKET_COUNT};
 
 /// Label set attached to a metric series. All fields are optional; the
-/// cardinality stays bounded because instances and subspaces are small
-/// per-session integers and seams/kinds are static strings.
+/// cardinality stays bounded because instances are small per-session
+/// integers and seams/kinds are static strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Labels {
     /// Testing-instance id the sample belongs to.
     pub instance: Option<u32>,
-    /// Subspace id the sample belongs to.
-    pub subspace: Option<u32>,
     /// Architectural seam ("bus", "farm", "enforce", ...).
     pub seam: Option<&'static str>,
     /// Discriminator within a seam (fault kind, rule kind, ...).
@@ -60,12 +58,6 @@ impl Labels {
         }
     }
 
-    /// Returns a copy with the subspace set.
-    pub fn with_subspace(mut self, subspace: u32) -> Self {
-        self.subspace = Some(subspace);
-        self
-    }
-
     /// Returns a copy with the instance set.
     pub fn with_instance(mut self, instance: u32) -> Self {
         self.instance = Some(instance);
@@ -86,9 +78,6 @@ impl Labels {
         let mut parts = Vec::new();
         if let Some(i) = self.instance {
             parts.push(format!("instance=\"{i}\""));
-        }
-        if let Some(s) = self.subspace {
-            parts.push(format!("subspace=\"{s}\""));
         }
         if let Some(s) = self.seam {
             parts.push(format!("seam=\"{s}\""));

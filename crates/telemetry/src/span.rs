@@ -1,101 +1,30 @@
 //! Span tracer: RAII guards timing a named region of the exploration
 //! loop.
 //!
-//! A span records a [`EventKind::SpanEnter`] event when entered and, on
-//! drop, a [`EventKind::SpanExit`] event plus a sample in the
-//! per-span-name latency histogram. When telemetry is disabled the
-//! guard is inert and never reads the wall clock.
+//! A guard records one sample in the span name's latency histogram
+//! (`span_ns{kind="<name>"}`) when dropped. When telemetry is disabled
+//! the guard is inert and never reads the wall clock.
 
 use std::time::Instant;
 
-use taopt_ui_model::VirtualTime;
-
-use crate::recorder::EventKind;
-use crate::registry::Labels;
 use crate::Telemetry;
 
-/// Builder for a span; create via [`Telemetry::span`] or the
-/// [`span!`](crate::span!) macro.
-#[derive(Debug)]
-pub struct SpanBuilder<'a> {
-    telemetry: &'a Telemetry,
-    name: &'static str,
-    labels: Labels,
-    at: Option<VirtualTime>,
-}
-
-impl<'a> SpanBuilder<'a> {
-    pub(crate) fn new(telemetry: &'a Telemetry, name: &'static str) -> Self {
-        SpanBuilder {
-            telemetry,
-            name,
-            labels: Labels::none(),
-            at: None,
-        }
-    }
-
-    /// Attaches the testing-instance id.
-    pub fn instance(mut self, instance: u32) -> Self {
-        self.labels.instance = Some(instance);
-        self
-    }
-
-    /// Attaches the subspace id.
-    pub fn subspace(mut self, subspace: u32) -> Self {
-        self.labels.subspace = Some(subspace);
-        self
-    }
-
-    /// Attaches the seam name.
-    pub fn seam(mut self, seam: &'static str) -> Self {
-        self.labels.seam = Some(seam);
-        self
-    }
-
-    /// Stamps the span with the session clock.
-    pub fn at(mut self, at: VirtualTime) -> Self {
-        self.at = Some(at);
-        self
-    }
-
-    /// Starts the span; the returned guard closes it on drop.
-    pub fn enter(self) -> SpanGuard<'a> {
-        let start = if self.telemetry.is_enabled() {
-            self.telemetry.recorder().push(
-                EventKind::SpanEnter,
-                self.name,
-                self.labels,
-                self.at,
-                0,
-            );
-            Some(Instant::now())
-        } else {
-            None
-        };
-        SpanGuard {
-            telemetry: self.telemetry,
-            name: self.name,
-            labels: self.labels,
-            at: self.at,
-            start,
-        }
-    }
-}
-
-/// Live span; records duration and exit event when dropped.
+/// Live span opened by [`Telemetry::span`]; records its duration when
+/// dropped.
 #[derive(Debug)]
 pub struct SpanGuard<'a> {
     telemetry: &'a Telemetry,
     name: &'static str,
-    labels: Labels,
-    at: Option<VirtualTime>,
     start: Option<Instant>,
 }
 
-impl SpanGuard<'_> {
-    /// The span's name.
-    pub fn name(&self) -> &'static str {
-        self.name
+impl<'a> SpanGuard<'a> {
+    pub(crate) fn enter(telemetry: &'a Telemetry, name: &'static str) -> Self {
+        SpanGuard {
+            telemetry,
+            name,
+            start: telemetry.is_enabled().then(Instant::now),
+        }
     }
 }
 
@@ -104,8 +33,5 @@ impl Drop for SpanGuard<'_> {
         let Some(start) = self.start else { return };
         let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         self.telemetry.span_histogram(self.name).record(ns);
-        self.telemetry
-            .recorder()
-            .push(EventKind::SpanExit, self.name, self.labels, self.at, ns);
     }
 }

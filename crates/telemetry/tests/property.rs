@@ -1,15 +1,9 @@
 //! Property tests for the telemetry crate: histogram percentile error
-//! bounds and flight-recorder wraparound laws.
-
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+//! bounds and exact totals.
 
 use proptest::prelude::*;
 
 use taopt_telemetry::histogram::{bucket_bounds, bucket_index, LogHistogram};
-use taopt_telemetry::recorder::{EventKind, FlightRecorder};
-use taopt_telemetry::Labels;
-use taopt_ui_model::VirtualTime;
 
 /// Exact nearest-rank quantile over the raw sample, the ground truth the
 /// histogram approximates.
@@ -68,28 +62,5 @@ proptest! {
         prop_assert_eq!(snap.count, samples.len() as u64);
         prop_assert_eq!(snap.sum, samples.iter().sum::<u64>());
         prop_assert_eq!(snap.max, samples.iter().copied().max().unwrap_or(0));
-    }
-
-    /// After any number of pushes, a ring of capacity `cap` retains
-    /// exactly the last `min(pushes, cap)` events, in strictly
-    /// increasing sequence order, ending at the newest push.
-    #[test]
-    fn flight_recorder_wraparound(cap in 1usize..32, pushes in 0usize..130) {
-        let recorder = FlightRecorder::new(Arc::new(AtomicBool::new(true)), cap);
-        for i in 0..pushes {
-            recorder.push(
-                EventKind::Mark,
-                "tick",
-                Labels::none(),
-                Some(VirtualTime::from_millis(i as u64)),
-                0,
-            );
-        }
-        let events = recorder.last(usize::MAX);
-        prop_assert_eq!(events.len(), pushes.min(cap));
-        prop_assert!(events.windows(2).all(|w| w[1].seq == w[0].seq + 1));
-        if let Some(last) = events.last() {
-            prop_assert_eq!(last.seq, pushes as u64 - 1);
-        }
     }
 }

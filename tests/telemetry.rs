@@ -1,7 +1,7 @@
 //! System-level telemetry: a faulted one-app campaign must populate the global
 //! metrics registry (counters on every instrumented seam, latency
-//! histograms for the span-wrapped phases) and leave a flight-recorder
-//! trail that replays in order.
+//! histograms for the span-wrapped phases), and its fault counters must
+//! mirror the campaign's own fault log.
 
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ fn moderate_rates() -> FaultRates {
 }
 
 #[test]
-fn chaos_session_populates_registry_and_flight_recorder() {
+fn chaos_session_populates_the_registry() {
     let telemetry = taopt_telemetry::global();
     let before = telemetry.snapshot();
     let one = CampaignApp {
@@ -79,18 +79,22 @@ fn chaos_session_populates_registry_and_flight_recorder() {
     ] {
         assert!(delta(name) > 0, "counter {name} never incremented");
     }
-    // The unlabeled series exactly mirrors the fault log (the per-kind
+    // The unlabeled series exactly mirror the fault log (the per-kind
     // labeled series would double the `counter_total` sum).
-    let unlabeled = |snap: &taopt_telemetry::MetricsSnapshot| {
-        snap.counters
-            .get("faults_injected_total")
-            .copied()
-            .unwrap_or(0)
+    let unlabeled = |name: &str| {
+        let at =
+            |snap: &taopt_telemetry::MetricsSnapshot| snap.counters.get(name).copied().unwrap_or(0);
+        at(&after) - at(&before)
     };
     assert_eq!(
-        unlabeled(&after) - unlabeled(&before),
+        unlabeled("faults_injected_total"),
         fault_stats.total_injected() as u64,
         "telemetry and the fault log disagree on injections"
+    );
+    assert_eq!(
+        unlabeled("faults_recovered_total"),
+        fault_stats.total_recovered() as u64,
+        "telemetry and the fault log disagree on recoveries"
     );
     // The device-seam series mirror the log's refusals and losses.
     for (series, kind) in [
@@ -121,28 +125,6 @@ fn chaos_session_populates_registry_and_flight_recorder() {
             h.max >= h.p50(),
             "histogram {series} quantiles inconsistent"
         );
-    }
-
-    // The flight recorder replays the most recent 1k events in strict
-    // sequence order, and the JSON dump round-trips losslessly.
-    let last = telemetry.recorder().last(1000);
-    assert!(!last.is_empty(), "flight recorder is empty");
-    assert!(
-        last.windows(2).all(|w| w[0].seq < w[1].seq),
-        "flight replay out of order"
-    );
-    let json = telemetry.recorder().dump_json(1000).to_json_string();
-    let parsed = taopt_ui_model::Value::parse(&json).expect("flight dump is valid JSON");
-    let events = parsed.as_array().expect("flight dump is a JSON array");
-    assert_eq!(events.len(), last.len());
-    let mut prev = None;
-    for e in events {
-        let seq = e
-            .get("seq")
-            .and_then(taopt_ui_model::Value::as_u64)
-            .expect("every event carries a seq");
-        assert!(prev.is_none_or(|p| p < seq), "JSON replay out of order");
-        prev = Some(seq);
     }
 }
 
