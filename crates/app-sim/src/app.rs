@@ -1,7 +1,10 @@
 //! The validated, immutable app specification.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use taopt_ui_model::abstraction::{abstract_hierarchy, AbstractHierarchy};
 use taopt_ui_model::{
     ActionId, ActivityId, Bounds, ScreenId, StochasticDigraph, UiHierarchy, Widget, WidgetClass,
 };
@@ -10,6 +13,40 @@ use crate::error::AppSimError;
 use crate::functionality::{Functionality, FunctionalityId};
 use crate::method::MethodId;
 use crate::spec::{FlowRule, LoginSpec, ScreenSpec};
+
+/// One (screen, feed page) as every observation of it shares it: the
+/// widget tree without volatile text, and that tree's abstraction.
+#[derive(Debug, Clone)]
+pub(crate) struct PageTemplate {
+    pub(crate) root: Arc<Widget>,
+    pub(crate) abstraction: Arc<AbstractHierarchy>,
+}
+
+/// An app's page templates, keyed by (screen, feed page) and built on the
+/// first observation of each page. A clone starts empty, so a cloned or
+/// evolved app never shows another version's trees.
+#[derive(Default)]
+pub(crate) struct TemplateStore(Mutex<HashMap<(ScreenId, usize), PageTemplate>>);
+
+impl TemplateStore {
+    fn pages(&self) -> MutexGuard<'_, HashMap<(ScreenId, usize), PageTemplate>> {
+        // No panic can leave the map half-written: templates are built
+        // outside the lock and inserted whole.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for TemplateStore {
+    fn clone(&self) -> Self {
+        TemplateStore::default()
+    }
+}
+
+impl fmt::Debug for TemplateStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("TemplateStore")
+    }
+}
 
 /// A complete App Under Test.
 ///
@@ -28,6 +65,7 @@ pub struct App {
     /// Framework methods covered by merely starting the app.
     pub(crate) startup_methods: Vec<MethodId>,
     pub(crate) action_index: HashMap<ActionId, ScreenId>,
+    pub(crate) templates: TemplateStore,
 }
 
 impl App {
@@ -101,6 +139,7 @@ impl App {
             method_count,
             startup_methods,
             action_index,
+            templates: TemplateStore::default(),
         })
     }
 
@@ -234,6 +273,38 @@ impl App {
     ///
     /// Panics if `id` is not a screen of this app.
     pub fn render_screen_page(&self, id: ScreenId, visit_count: u64, page: usize) -> UiHierarchy {
+        UiHierarchy::new(self.page_tree(id, Some(visit_count), page))
+    }
+
+    /// The shared template of a page, built on its first request. An
+    /// observation wraps its tree without copying it; its abstraction
+    /// equals that of every [`App::render_screen_page`] of the page,
+    /// since abstraction drops text.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a screen of this app.
+    pub(crate) fn page_template(&self, id: ScreenId, page: usize) -> PageTemplate {
+        if let Some(t) = self.templates.pages().get(&(id, page)) {
+            return t.clone();
+        }
+        let root = Arc::new(self.page_tree(id, None, page));
+        let abstraction = Arc::new(abstract_hierarchy(&UiHierarchy::from_shared(Arc::clone(
+            &root,
+        ))));
+        // Two first observations may race to build a page; the first
+        // insert wins and both get that one.
+        self.templates
+            .pages()
+            .entry((id, page))
+            .or_insert(PageTemplate { root, abstraction })
+            .clone()
+    }
+
+    /// The one renderer: a page's widget tree with the volatile text of
+    /// visit `visit` (badge counters, timestamps, product names…), or
+    /// with none for `None`.
+    fn page_tree(&self, id: ScreenId, visit: Option<u64>, page: usize) -> Widget {
         let spec = self
             .screens
             .get(&id)
@@ -241,42 +312,38 @@ impl App {
         let mut root = Widget::container(WidgetClass::LinearLayout);
         root.resource_id = Some(format!("{}_root", spec.name));
         // Title bar with volatile text.
-        root = root.with_child(
-            Widget::text_view(&format!("{}_title", spec.name), &spec.name)
-                .with_text(&format!("{} · view {}", spec.name, visit_count))
-                .with_bounds(Bounds::new(0, 0, 1080, 120)),
-        );
+        let mut title = Widget::leaf(WidgetClass::TextView, &format!("{}_title", spec.name))
+            .with_bounds(Bounds::new(0, 0, 1080, 120));
+        title.text = visit.map(|v| format!("{} · view {v}", spec.name));
+        root = root.with_child(title);
         // Decorative widgets (images, labels) with volatile text.
         for d in 0..spec.decorations {
-            root = root.with_child(
+            let mut deco =
                 Widget::leaf(WidgetClass::ImageView, &format!("{}_deco{}", spec.name, d))
-                    .with_text(&format!(
-                        "promo {}",
-                        visit_count.wrapping_mul(31).wrapping_add(d as u64)
-                    ))
                     .with_bounds(Bounds::new(
                         0,
                         120 + 80 * d as i32,
                         1080,
                         200 + 80 * d as i32,
-                    )),
-            );
+                    ));
+            deco.text =
+                visit.map(|v| format!("promo {}", v.wrapping_mul(31).wrapping_add(d as u64)));
+            root = root.with_child(deco);
         }
         // Feed rows revealed by pagination.
         for pg in 0..page.min(spec.feed.as_ref().map(|f| f.pages).unwrap_or(0)) {
-            root = root.with_child(
-                Widget::leaf(
-                    WidgetClass::TextView,
-                    &format!("{}_feedrow{}", spec.name, pg),
-                )
-                .with_text(&format!("feed item {pg} / view {visit_count}"))
-                .with_bounds(Bounds::new(
-                    0,
-                    2000 + 60 * pg as i32,
-                    1080,
-                    2060 + 60 * pg as i32,
-                )),
-            );
+            let mut row = Widget::leaf(
+                WidgetClass::TextView,
+                &format!("{}_feedrow{}", spec.name, pg),
+            )
+            .with_bounds(Bounds::new(
+                0,
+                2000 + 60 * pg as i32,
+                1080,
+                2060 + 60 * pg as i32,
+            ));
+            row.text = visit.map(|v| format!("feed item {pg} / view {v}"));
+            root = root.with_child(row);
         }
         // Interactive widgets.
         for (i, a) in spec.actions.iter().enumerate() {
@@ -296,7 +363,7 @@ impl App {
                     .with_affordance(a.id, a.kind),
             );
         }
-        UiHierarchy::new(root)
+        root
     }
 }
 
@@ -304,8 +371,11 @@ impl App {
 mod tests {
     use super::*;
     use crate::builder::AppBuilder;
+    use crate::evolution::{VersionDiff, VersionOp};
+    use crate::generator::{derive_app, generate_app, GeneratorConfig};
+    use crate::runtime::AppRuntime;
     use crate::spec::ActionSpec;
-    use taopt_ui_model::abstraction::abstract_hierarchy;
+    use taopt_ui_model::{ScreenObservation, VirtualTime};
 
     fn two_screen_app() -> App {
         let mut b = AppBuilder::new("demo");
@@ -361,6 +431,111 @@ mod tests {
         let a = abstract_hierarchy(&app.render_screen(ids[0], 0));
         let b = abstract_hierarchy(&app.render_screen(ids[1], 0));
         assert_ne!(a.id(), b.id());
+    }
+
+    fn strip_text(w: &mut Widget) {
+        w.visit_mut(&mut |n| n.text = None);
+    }
+
+    #[test]
+    fn template_equals_every_render_of_its_page() {
+        let mut cfg = GeneratorConfig::small("tpl", 5);
+        cfg.feed_fraction = 0.5;
+        let app = generate_app(&cfg).unwrap();
+        let mut feed_pages_checked = 0;
+        for s in app.screens() {
+            let pages = s.feed.as_ref().map(|f| f.pages).unwrap_or(0);
+            for page in 0..=pages {
+                let t = app.page_template(s.id, page);
+                let th = UiHierarchy::from_shared(Arc::clone(&t.root));
+                for visit in [0, 1, 7] {
+                    let r = app.render_screen_page(s.id, visit, page);
+                    assert_eq!(t.abstraction.id(), abstract_hierarchy(&r).id());
+                    assert_eq!(th.enabled_actions(), r.enabled_actions());
+                    for (aid, _) in r.all_actions() {
+                        let rid = |h: &UiHierarchy| h.widget_for(aid).unwrap().resource_id.clone();
+                        assert_eq!(rid(&th), rid(&r));
+                    }
+                    // Apart from text, the template is the render.
+                    let (mut a, mut b) = (th.root().clone(), r.root().clone());
+                    strip_text(&mut a);
+                    strip_text(&mut b);
+                    assert_eq!(a, b);
+                }
+                feed_pages_checked += usize::from(page > 0);
+            }
+        }
+        assert!(feed_pages_checked > 0, "the app has feed pages");
+    }
+
+    #[test]
+    fn templates_are_built_on_first_observe_and_not_cloned() {
+        let app = Arc::new(generate_app(&GeneratorConfig::small("tpl", 6)).unwrap());
+        let mut rt = AppRuntime::launch(Arc::clone(&app), 1);
+        assert_eq!(
+            app.templates.pages().len(),
+            0,
+            "generation and launch build none"
+        );
+        let first = rt.observe(VirtualTime::ZERO);
+        assert_eq!(app.templates.pages().len(), 1);
+        let again = AppRuntime::launch(Arc::clone(&app), 2).observe(VirtualTime::ZERO);
+        assert!(std::ptr::eq(first.hierarchy.root(), again.hierarchy.root()));
+        assert!(Arc::ptr_eq(&first.abstraction, &again.abstraction));
+        assert_eq!(
+            app.as_ref().clone().templates.pages().len(),
+            0,
+            "a clone starts empty"
+        );
+    }
+
+    #[test]
+    fn template_of_an_evolved_app_shows_the_renamed_widget() {
+        let cfg = GeneratorConfig::small("tpl", 7);
+        let base = Arc::new(derive_app(&cfg, &[]).unwrap());
+        let before = AppRuntime::launch(Arc::clone(&base), 1).observe(VirtualTime::ZERO);
+        let (aid, _) = before.enabled_actions()[0];
+        let diff = VersionDiff {
+            from_version: 0,
+            to_version: 1,
+            ops: vec![VersionOp::RenameWidget {
+                action: aid,
+                new_rid: "renamed_widget".into(),
+            }],
+        };
+        let next = Arc::new(derive_app(&cfg, &[diff]).unwrap());
+        assert_eq!(next.templates.pages().len(), 0);
+        let after = AppRuntime::launch(Arc::clone(&next), 1).observe(VirtualTime::ZERO);
+        let rid = |o: &ScreenObservation| o.hierarchy.widget_for(aid).unwrap().resource_id.clone();
+        assert_eq!(rid(&after).as_deref(), Some("renamed_widget"));
+        assert_ne!(rid(&before), rid(&after));
+        let base_again = AppRuntime::launch(base, 2).observe(VirtualTime::ZERO);
+        assert_eq!(rid(&base_again), rid(&before), "the base keeps its tree");
+    }
+
+    #[test]
+    fn template_is_shared_by_concurrent_first_observations() {
+        let app = Arc::new(generate_app(&GeneratorConfig::small("tpl", 8)).unwrap());
+        let start = std::sync::Barrier::new(8);
+        let obs: Vec<ScreenObservation> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|seed| {
+                    let (app, start) = (Arc::clone(&app), &start);
+                    scope.spawn(move || {
+                        let mut rt = AppRuntime::launch(app, seed);
+                        start.wait();
+                        rt.observe(VirtualTime::ZERO)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for o in &obs[1..] {
+            assert!(std::ptr::eq(o.hierarchy.root(), obs[0].hierarchy.root()));
+            assert!(Arc::ptr_eq(&o.abstraction, &obs[0].abstraction));
+            assert_eq!(o.abstract_id(), obs[0].abstract_id());
+        }
+        assert_eq!(app.templates.pages().len(), 1);
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //!
 //! The [`runtime::AppRuntime`] executes tool actions against an [`App`]
 //! spec: it samples successor screens from the stochastic transition model,
-//! reports covered methods and crash events, and renders widget hierarchies
-//! with volatile text (so that screen *abstraction* is doing real work).
+//! reports covered methods and crash events, and hands out each page's
+//! widget hierarchy as a template shared by every observation of it;
+//! [`App::render_screen_page`] renders a page with per-visit volatile text,
+//! which screen *abstraction* must see through.
 //!
 //! [`mod@catalog`] instantiates the paper's 18 subject apps (Table 3) with
 //! per-app shape parameters seeded from the app name.

@@ -6,10 +6,9 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use taopt_ui_model::abstraction::{abstract_hierarchy, AbstractHierarchy};
-use taopt_ui_model::{Action, ActionId, ScreenId, ScreenObservation, VirtualTime};
+use taopt_ui_model::{Action, ActionId, ScreenId, ScreenObservation, UiHierarchy, VirtualTime};
 
-use crate::app::App;
+use crate::app::{App, PageTemplate};
 use crate::crash::CrashSignature;
 use crate::error::AppSimError;
 use crate::functionality::FunctionalityId;
@@ -40,7 +39,6 @@ pub struct AppRuntime {
     rng: StdRng,
     current: ScreenId,
     back_stack: Vec<ScreenId>,
-    visit_counts: HashMap<ScreenId, u64>,
     covered_methods: MethodSet,
     executed_actions: HashSet<ActionId>,
     visited_screens: HashSet<ScreenId>,
@@ -48,7 +46,9 @@ pub struct AppRuntime {
     functionality_visits: HashMap<FunctionalityId, HashSet<ScreenId>>,
     logged_in: bool,
     restarts: u32,
-    abstraction_cache: HashMap<(ScreenId, usize), Arc<AbstractHierarchy>>,
+    /// The app's templates of the pages this instance has shown, so a
+    /// repeat observation takes no lock.
+    page_templates: HashMap<(ScreenId, usize), PageTemplate>,
     feed_pages: HashMap<ScreenId, usize>,
     feed_pages_seen: HashMap<ScreenId, usize>,
 }
@@ -60,7 +60,6 @@ impl AppRuntime {
             current: app.start_screen(),
             rng: StdRng::seed_from_u64(seed),
             back_stack: Vec::new(),
-            visit_counts: HashMap::new(),
             covered_methods: MethodSet::with_capacity(app.method_count()),
             executed_actions: HashSet::new(),
             visited_screens: HashSet::new(),
@@ -68,7 +67,7 @@ impl AppRuntime {
             functionality_visits: HashMap::new(),
             logged_in: false,
             restarts: 0,
-            abstraction_cache: HashMap::new(),
+            page_templates: HashMap::new(),
             feed_pages: HashMap::new(),
             feed_pages_seen: HashMap::new(),
             app,
@@ -120,25 +119,30 @@ impl AppRuntime {
         Some(out)
     }
 
-    /// Renders the current screen as an observation (no state change
-    /// besides the implicit render).
+    /// Observes the current screen (no state change).
     ///
-    /// Abstractions are cached per screen: volatile text differs between
-    /// renders but never affects the abstraction, so the cache is exact.
+    /// The observation shares the app's template of the current page:
+    /// its widget tree carries no volatile text and is not copied, and its
+    /// abstraction is the one every render of the page has, since
+    /// abstraction drops text. [`App::render_screen_page`] renders a page
+    /// with a visit's text when one is wanted.
     pub fn observe(&mut self, time: VirtualTime) -> ScreenObservation {
         let spec = self
             .app
             .screen(self.current)
             .expect("current screen exists");
-        let visits = self.visit_counts.get(&self.current).copied().unwrap_or(0);
-        let page = self.feed_pages.get(&self.current).copied().unwrap_or(0);
-        let hierarchy = self.app.render_screen_page(spec.id, visits, page);
-        let abstraction = self
-            .abstraction_cache
+        let page = self.feed_page(spec.id);
+        let template = self
+            .page_templates
             .entry((spec.id, page))
-            .or_insert_with(|| Arc::new(abstract_hierarchy(&hierarchy)))
-            .clone();
-        ScreenObservation::with_abstraction(spec.id, spec.activity, hierarchy, abstraction, time)
+            .or_insert_with(|| self.app.page_template(spec.id, page));
+        ScreenObservation::with_abstraction(
+            spec.id,
+            spec.activity,
+            UiHierarchy::from_shared(Arc::clone(&template.root)),
+            Arc::clone(&template.abstraction),
+            time,
+        )
     }
 
     /// Current feed page of a screen (0 when not a feed or never scrolled).
@@ -285,13 +289,12 @@ impl AppRuntime {
         })
     }
 
-    /// Handles arrival on a screen: visit counters, first-visit methods,
+    /// Handles arrival on a screen: first-visit methods,
     /// flow progress and crash-arming depth (distinct screens visited per
     /// functionality over the runtime's whole life). Returns newly
     /// covered methods.
     fn arrive(&mut self, screen: ScreenId) -> Vec<MethodId> {
         let mut newly = Vec::new();
-        *self.visit_counts.entry(screen).or_insert(0) += 1;
         let app = Arc::clone(&self.app);
         let spec = app.screen(screen).expect("screen exists");
         if self.visited_screens.insert(screen) {

@@ -148,8 +148,9 @@ pub fn shared_block_list() -> SharedBlockList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taopt_app_sim::{generate_app, AppRuntime, GeneratorConfig};
     use taopt_ui_model::abstraction::abstract_hierarchy;
-    use taopt_ui_model::{ActionId, ActionKind, Widget, WidgetClass};
+    use taopt_ui_model::{Action, ActionId, ActionKind, VirtualTime, Widget, WidgetClass};
 
     fn hierarchy() -> UiHierarchy {
         UiHierarchy::new(
@@ -217,6 +218,38 @@ mod tests {
         bl.block(EntrypointRule::new(before, "tab_shop"));
         bl.apply(before, &mut h);
         assert_eq!(abstract_hierarchy(&h).id(), before);
+    }
+
+    #[test]
+    fn blocking_on_one_instance_leaves_the_shared_template_alone() {
+        let app = Arc::new(generate_app(&GeneratorConfig::small("iso", 4)).unwrap());
+        let launch = |seed| AppRuntime::launch(Arc::clone(&app), seed);
+        let (mut a, mut b) = (launch(1), launch(2));
+        let mut obs_a = a.observe(VirtualTime::ZERO);
+        let obs_b = b.observe(VirtualTime::ZERO);
+        let same_tree = |x: &UiHierarchy, y: &UiHierarchy| std::ptr::eq(x.root(), y.root());
+        assert!(
+            same_tree(&obs_a.hierarchy, &obs_b.hierarchy),
+            "one template"
+        );
+        let (aid, _) = obs_a.enabled_actions()[0];
+        let rid = obs_a.hierarchy.widget_for(aid).unwrap().resource_id.clone();
+        let mut bl = BlockList::new();
+        bl.block(EntrypointRule::new(obs_a.abstract_id(), rid.unwrap()));
+        assert_eq!(bl.apply(obs_a.abstract_id(), &mut obs_a.hierarchy), 1);
+        let widget = Action::Widget(aid);
+        assert!(
+            !obs_a.hierarchy.offers(widget),
+            "A's observation is blocked"
+        );
+        assert!(obs_b.hierarchy.offers(widget), "B's is not");
+        let template = launch(3).observe(VirtualTime::ZERO).hierarchy;
+        assert!(same_tree(&template, &obs_b.hierarchy));
+        assert!(template.offers(widget), "the template is untouched");
+        assert!(same_tree(
+            &a.observe(VirtualTime::ZERO).hierarchy,
+            &template
+        ));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! UI hierarchies — the screen content visible to a testing tool.
 
+use std::sync::Arc;
+
 use crate::action::{Action, ActionId, ActionKind};
 use crate::widget::Widget;
 
@@ -8,14 +10,27 @@ use crate::widget::Widget;
 /// The hierarchy is the *only* interface between the app under test and a
 /// testing tool: tools enumerate enabled affordances from it, and the Toller
 /// enforcement shim disables widgets on it before the tool looks.
+///
+/// The tree sits behind an `Arc` and is copied on write: cloning a
+/// hierarchy, or wrapping an app's shared page template with
+/// [`UiHierarchy::from_shared`], copies no widget. [`UiHierarchy::root_mut`]
+/// and a disable that actually disables something copy the tree once if
+/// it is shared, so a change never shows through another holder.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UiHierarchy {
-    root: Widget,
+    root: Arc<Widget>,
 }
 
 impl UiHierarchy {
     /// Wraps a widget tree.
     pub fn new(root: Widget) -> Self {
+        UiHierarchy {
+            root: Arc::new(root),
+        }
+    }
+
+    /// Wraps a shared widget tree without copying it.
+    pub fn from_shared(root: Arc<Widget>) -> Self {
         UiHierarchy { root }
     }
 
@@ -24,9 +39,10 @@ impl UiHierarchy {
         &self.root
     }
 
-    /// Mutable access to the root widget.
+    /// Mutable access to the root widget; copies the tree first if it is
+    /// shared.
     pub fn root_mut(&mut self) -> &mut Widget {
-        &mut self.root
+        Arc::make_mut(&mut self.root)
     }
 
     /// Total number of widgets.
@@ -75,16 +91,7 @@ impl UiHierarchy {
     /// Returns the number of widgets disabled. This is the primitive the
     /// Toller shim uses to block UI-subspace entrypoints (paper §5.3).
     pub fn disable_actions(&mut self, blocked: &[ActionId]) -> usize {
-        let mut n = 0;
-        self.root.visit_mut(&mut |w| {
-            if let Some((id, _)) = w.affordance {
-                if blocked.contains(&id) && w.enabled {
-                    w.enabled = false;
-                    n += 1;
-                }
-            }
-        });
-        n
+        self.disable_where(|w| matches!(w.affordance, Some((id, _)) if blocked.contains(&id)))
     }
 
     /// Disables every widget whose resource id equals `rid`.
@@ -94,9 +101,21 @@ impl UiHierarchy {
     /// stable resource ids (not by simulator-internal action ids), exactly
     /// as the real Toller matches UI elements in the hierarchy.
     pub fn disable_by_resource_id(&mut self, rid: &str) -> usize {
+        self.disable_where(|w| w.resource_id.as_deref() == Some(rid))
+    }
+
+    /// Disables every enabled widget that `hit` selects. The tree is
+    /// scanned read-only first, so a disable that matches nothing never
+    /// copies a shared tree.
+    fn disable_where(&mut self, hit: impl Fn(&Widget) -> bool) -> usize {
+        let mut any = false;
+        self.root.visit(&mut |w| any |= w.enabled && hit(w));
+        if !any {
+            return 0;
+        }
         let mut n = 0;
-        self.root.visit_mut(&mut |w| {
-            if w.enabled && w.resource_id.as_deref() == Some(rid) {
+        self.root_mut().visit_mut(&mut |w| {
+            if w.enabled && hit(w) {
                 w.enabled = false;
                 n += 1;
             }
@@ -174,6 +193,27 @@ mod tests {
         assert!(!h.offers(Action::Widget(ActionId(1))));
         assert_eq!(h.disable_by_resource_id("buy"), 0, "idempotent");
         assert_eq!(h.disable_by_resource_id("nope"), 0);
+    }
+
+    #[test]
+    fn disabling_copies_a_shared_tree_only_on_a_hit() {
+        let shared = screen();
+        let mut copy = shared.clone();
+        assert_eq!(copy.disable_by_resource_id("nope"), 0);
+        assert!(
+            std::ptr::eq(copy.root(), shared.root()),
+            "a miss copies nothing"
+        );
+        assert_eq!(copy.disable_by_resource_id("buy"), 1);
+        assert!(
+            !std::ptr::eq(copy.root(), shared.root()),
+            "a hit copies the tree"
+        );
+        assert!(
+            shared.offers(Action::Widget(ActionId(1))),
+            "original intact"
+        );
+        assert!(!copy.offers(Action::Widget(ActionId(1))));
     }
 
     #[test]

@@ -42,7 +42,9 @@ pub struct ScreenObservation {
     pub screen: ScreenId,
     /// The activity hosting this screen.
     pub activity: ActivityId,
-    /// The (possibly enforcement-filtered) widget tree.
+    /// The (possibly enforcement-filtered) widget tree. A simulated app
+    /// hands out its page template here, shared by every observation of
+    /// that page; enforcement copies it only when a rule disables a widget.
     pub hierarchy: UiHierarchy,
     /// Structural abstraction of the hierarchy (text removed).
     pub abstraction: Arc<AbstractHierarchy>,
@@ -70,8 +72,9 @@ impl ScreenObservation {
 
     /// Builds an observation with a pre-computed abstraction.
     ///
-    /// Since abstraction ignores volatile text and enablement, callers that
-    /// re-render the same screen may reuse its abstraction; this is a pure
+    /// Since abstraction ignores volatile text and enablement, a caller
+    /// that shows the same page again may reuse its abstraction (a
+    /// simulated app keeps it beside the page's template); this is a pure
     /// performance shortcut and must only be used with the abstraction of
     /// the *same* screen structure.
     pub fn with_abstraction(
