@@ -70,6 +70,15 @@ impl MethodSet {
         self.len == 0
     }
 
+    /// Number of methods in both `self` and `other`.
+    pub fn intersection_len(&self, other: &MethodSet) -> usize {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum()
+    }
+
     /// The methods in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = MethodId> + '_ {
         self.words.iter().enumerate().flat_map(|(i, &w)| {
@@ -162,6 +171,17 @@ mod tests {
             vec![MethodId(3), MethodId(130)]
         );
         assert_eq!(format!("{s:?}"), "{MethodId(3), MethodId(130)}");
+    }
+
+    #[test]
+    fn intersection_counts_shared_words_only() {
+        let mut short = MethodSet::with_capacity(64);
+        short.extend([MethodId(1), MethodId(63)]);
+        let mut long = MethodSet::with_capacity(256);
+        long.extend([MethodId(1), MethodId(64), MethodId(200)]);
+        assert_eq!(short.intersection_len(&long), 1);
+        assert_eq!(long.intersection_len(&short), 1);
+        assert_eq!(long.intersection_len(&long), 3);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 
 use std::sync::Arc;
 
-use taopt::experiments::summarize;
 use taopt::session::{ParallelSession, RunMode};
 use taopt_bench::{load_apps, HarnessArgs};
 use taopt_tools::ToolKind;
@@ -21,13 +20,12 @@ fn main() {
     let run = |label: &str, f: &dyn Fn(&mut taopt::session::SessionConfig)| {
         let mut cov = 0usize;
         let mut subspaces = 0usize;
-        for (name, app) in &apps {
+        for (_, app) in &apps {
             let mut cfg = scale.session_config(ToolKind::Monkey, RunMode::TaoptDuration, args.seed);
             f(&mut cfg);
             let r = ParallelSession::run(Arc::clone(app), &cfg);
-            let s = summarize(name, &r, &scale);
-            cov += s.union_coverage;
-            subspaces += s.confirmed_subspaces;
+            cov += r.union_coverage();
+            subspaces += r.subspaces.iter().filter(|s| s.confirmed).count();
         }
         println!("  {label:<42} coverage {cov:>8}  confirmed subspaces {subspaces:>3}");
     };
@@ -66,19 +64,16 @@ fn main() {
     for fraction in [0.0f64, 0.25, 0.5] {
         let mut cov_base = 0usize;
         let mut cov_taopt = 0usize;
-        for (i, (name, _)) in apps.iter().enumerate() {
-            let entry = &taopt_app_sim::catalog_entries()[i];
+        for entry in taopt_app_sim::catalog_entries().iter().take(apps.len()) {
             let mut gcfg = entry.config();
             gcfg.feed_fraction = fraction;
-            let app = std::sync::Arc::new(taopt_app_sim::generate_app(&gcfg).unwrap());
+            let app = Arc::new(taopt_app_sim::generate_app(&gcfg).unwrap());
             for (mode, slot) in [
                 (RunMode::Baseline, &mut cov_base),
                 (RunMode::TaoptDuration, &mut cov_taopt),
             ] {
                 let cfg = scale.session_config(ToolKind::Monkey, mode, args.seed);
-                let r = ParallelSession::run(std::sync::Arc::clone(&app), &cfg);
-                let s = summarize(name, &r, &scale);
-                *slot += s.union_coverage;
+                *slot += ParallelSession::run(Arc::clone(&app), &cfg).union_coverage();
             }
         }
         println!(

@@ -1,8 +1,6 @@
 //! Regenerates every table and figure from a single evaluation matrix
 //! (the cheapest way to reproduce the whole evaluation section).
 
-use std::sync::Arc;
-
 use taopt::experiments::{
     behavior_rows, evaluation_matrix, fig3_rows, savings_rows, table1_histogram, table2_rows,
     table4_rows, table6_rows,
@@ -187,8 +185,4 @@ fn main() {
         pct(part as f64 / base.max(1) as f64 - 1.0),
         rows2.len()
     );
-
-    // Sanity: keep one strong reference to the apps so the borrow checker
-    // sees them live for the whole report (they back Arc clones in rows).
-    let _keep: Vec<Arc<_>> = apps.iter().map(|(_, a)| Arc::clone(a)).collect();
 }

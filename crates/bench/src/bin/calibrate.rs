@@ -32,8 +32,13 @@ fn main() {
                 RunMode::TaoptResource,
             ] {
                 let s = run_and_summarize(name, Arc::clone(app), tool, mode, &scale, seed);
+                // AJS is an overlap metric of uncoordinated runs only.
+                let ajs_end = s
+                    .baseline
+                    .and_then(|b| b.ajs_curve.last().map(|(_, v)| format!("  ajs-end {v:.2}")))
+                    .unwrap_or_default();
                 println!(
-                    "  {:<9} {:<17} cov {:>6} ({:>4.1}%)  crashes {:>2}  machine {:>8}  wall {:>7}  subspaces {:>2}  ui-occ {:>7.1}  ajs-end {:.2}",
+                    "  {:<9} {:<17} cov {:>6} ({:>4.1}%)  crashes {:>2}  machine {:>8}  wall {:>7}  subspaces {:>2}  ui-occ {:>7.1}{ajs_end}",
                     tool.name(),
                     mode.label(),
                     s.union_coverage,
@@ -43,7 +48,6 @@ fn main() {
                     s.wall_clock.to_string(),
                     s.confirmed_subspaces,
                     s.avg_ui_occurrences,
-                    s.ajs_curve.last().map(|(_, v)| *v).unwrap_or(0.0),
                 );
             }
         }

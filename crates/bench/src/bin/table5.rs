@@ -3,7 +3,7 @@
 
 #![allow(clippy::needless_range_loop)]
 
-use taopt::experiments::{evaluation_matrix, table5_rows};
+use taopt::experiments::{evaluation_matrix, table4_rows};
 use taopt::report::{times, TextTable};
 use taopt_bench::{load_apps, HarnessArgs};
 
@@ -12,7 +12,7 @@ fn main() {
     let apps = load_apps(args.n_apps);
     eprintln!("table5: {} apps, {:?}", apps.len(), args.scale);
     let matrix = evaluation_matrix(&apps, &args.scale, args.seed);
-    let rows = table5_rows(&matrix);
+    let rows = table4_rows(&matrix);
 
     println!("Table 5: distinct crashes (union across instances)");
     let mut table = TextTable::new([

@@ -560,8 +560,9 @@ impl OnlineTraceAnalyzer {
             .collect()
     }
 
-    /// Registers a subspace report directly (used by tests and by offline
-    /// replay); returns the id if the report *newly confirmed* a subspace.
+    /// Registers a subspace report: every validated split ends here, and
+    /// tests and [`crate::TestCoordinator::register_report`] inject reports
+    /// directly. Returns the id if the report *newly confirmed* a subspace.
     pub fn register_report(
         &mut self,
         instance: InstanceId,

@@ -14,16 +14,16 @@
 //! | Fig. 5 (RQ3, duration saved) | [`savings_rows`] |
 //! | Fig. 6 (RQ4, machine time saved) | [`savings_rows`] |
 //! | Table 4 (RQ5, coverage) | [`table4_rows`] |
-//! | Table 5 (RQ5, crashes) | [`table5_rows`] |
+//! | Table 5 (RQ5, crashes) | [`table4_rows`] |
 //! | RQ5 behaviour preservation | [`behavior_rows`] |
 //! | Table 6 (RQ6, UI overlap) | [`table6_rows`] |
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use taopt_app_sim::{App, MethodId};
+use taopt_app_sim::{App, MethodSet};
 use taopt_tools::ToolKind;
-use taopt_ui_model::{VirtualDuration, VirtualTime};
+use taopt_ui_model::{Trace, VirtualDuration, VirtualTime};
 
 use crate::metrics::curves::{machine_time_to_reach, saved_fraction, time_to_reach, CurvePoint};
 use crate::metrics::jaccard::{average_jaccard, jaccard};
@@ -107,7 +107,7 @@ pub struct RunSummary {
     /// Final cumulative union method coverage.
     pub union_coverage: usize,
     /// The union covered set (for behaviour-preservation Jaccard).
-    pub union_covered: BTreeSet<MethodId>,
+    pub union_covered: MethodSet,
     /// Distinct crashes across instances.
     pub unique_crashes: usize,
     /// Machine time consumed.
@@ -118,12 +118,53 @@ pub struct RunSummary {
     pub union_curve: Vec<CurvePoint>,
     /// Table 6 metric.
     pub avg_ui_occurrences: f64,
+    /// RQ1's overlap metrics; `Some` only for [`RunMode::Baseline`] rows,
+    /// the uncoordinated runs the preliminary study measures.
+    pub baseline: Option<BaselineOverlap>,
+    /// Confirmed subspaces (TaOPT modes).
+    pub confirmed_subspaces: usize,
+}
+
+/// The preliminary study's (RQ1) overlap metrics of one baseline run.
+#[derive(Debug, Clone)]
+pub struct BaselineOverlap {
     /// Fig. 3 metric: AJS of per-instance covered sets over time.
     pub ajs_curve: Vec<(u64, f64)>,
     /// Table 1 metric: offline-partition subspace → explorer histogram.
     pub overlap_histogram: BTreeMap<usize, usize>,
-    /// Confirmed subspaces (TaOPT modes).
-    pub confirmed_subspaces: usize,
+}
+
+impl BaselineOverlap {
+    fn measure(result: &SessionResult, traces: &[&Trace], scale: &ExperimentScale) -> Self {
+        // Offline subspace partition + explorer histogram (Table 1).
+        let subspaces = partition_traces(traces, &PartitionConfig::default());
+        BaselineOverlap {
+            ajs_curve: ajs_curve(result, scale),
+            overlap_histogram: subspace_overlap_histogram(&subspaces, traces, 2),
+        }
+    }
+}
+
+/// AJS over a time grid, in one pass over each instance's cover events:
+/// an instance's set at grid time `t` is the prefix of its events up to
+/// the first one after `t`.
+fn ajs_curve(result: &SessionResult, scale: &ExperimentScale) -> Vec<(u64, f64)> {
+    let total = scale.duration.as_secs().max(1);
+    let mut sets = vec![MethodSet::default(); result.instances.len()];
+    let mut next = vec![0usize; result.instances.len()];
+    (1..=scale.grid_points)
+        .map(|i| {
+            let t = total * i as u64 / scale.grid_points as u64;
+            let at = VirtualTime::from_secs(t);
+            for ((inst, set), next) in result.instances.iter().zip(&mut sets).zip(&mut next) {
+                let events = &inst.cover_events[*next..];
+                let n = events.iter().take_while(|(time, _)| *time <= at).count();
+                set.extend(events[..n].iter().map(|(_, m)| *m));
+                *next += n;
+            }
+            (t, average_jaccard(&sets))
+        })
+        .collect()
 }
 
 /// Runs one session and reduces it.
@@ -142,22 +183,7 @@ pub fn run_and_summarize(
 
 /// Reduces a raw session result to a [`RunSummary`].
 pub fn summarize(app_name: &str, result: &SessionResult, scale: &ExperimentScale) -> RunSummary {
-    // AJS over a time grid.
-    let total = scale.duration.as_secs().max(1);
-    let grid: Vec<u64> = (1..=scale.grid_points)
-        .map(|i| total * i as u64 / scale.grid_points as u64)
-        .collect();
-    let mut ajs_curve = Vec::with_capacity(grid.len());
-    for t in &grid {
-        let at = VirtualTime::from_secs(*t);
-        let sets: Vec<BTreeSet<MethodId>> =
-            result.instances.iter().map(|i| i.covered_at(at)).collect();
-        ajs_curve.push((*t, average_jaccard(&sets)));
-    }
-    // Offline subspace partition + explorer histogram (Table 1).
     let traces = result.traces();
-    let subspaces = partition_traces(&traces, &PartitionConfig::default());
-    let overlap_histogram = subspace_overlap_histogram(&subspaces, &traces, 2);
     RunSummary {
         app: app_name.to_owned(),
         tool: result.tool,
@@ -169,8 +195,8 @@ pub fn summarize(app_name: &str, result: &SessionResult, scale: &ExperimentScale
         wall_clock: result.wall_clock,
         union_curve: result.union_curve.clone(),
         avg_ui_occurrences: average_ui_occurrences(&traces),
-        ajs_curve,
-        overlap_histogram,
+        baseline: (result.mode == RunMode::Baseline)
+            .then(|| BaselineOverlap::measure(result, &traces, scale)),
         confirmed_subspaces: result.subspaces.iter().filter(|s| s.confirmed).count(),
     }
 }
@@ -188,40 +214,48 @@ pub fn evaluation_matrix(
     scale: &ExperimentScale,
     base_seed: u64,
 ) -> Vec<RunSummary> {
-    let mut out: Vec<RunSummary> = Vec::new();
+    per_app(apps, |name, app| {
+        let mut rows = Vec::new();
+        for tool in ToolKind::ALL {
+            for mode in EVAL_MODES {
+                let seed =
+                    base_seed ^ fnv(name) ^ (tool as u64 + 1).wrapping_mul(0x517c_c1b7_2722_0a95);
+                rows.push(run_and_summarize(
+                    name,
+                    Arc::clone(app),
+                    tool,
+                    mode,
+                    scale,
+                    seed,
+                ));
+            }
+        }
+        rows
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// Runs `job` for every app, one scoped thread per app, and returns the
+/// results in app order.
+fn per_app<T: Send>(
+    apps: &[(String, Arc<App>)],
+    job: impl Fn(&str, &Arc<App>) -> T + Sync,
+) -> Vec<T> {
+    let job = &job;
     std::thread::scope(|scope| {
         let handles: Vec<_> = apps
             .iter()
-            .map(|(name, app)| {
-                let scale = *scale;
-                scope.spawn(move || {
-                    let mut rows = Vec::new();
-                    for tool in ToolKind::ALL {
-                        for mode in EVAL_MODES {
-                            let seed = base_seed
-                                ^ fnv(name)
-                                ^ (tool as u64 + 1).wrapping_mul(0x517c_c1b7_2722_0a95);
-                            rows.push(run_and_summarize(
-                                name,
-                                Arc::clone(app),
-                                tool,
-                                mode,
-                                &scale,
-                                seed,
-                            ));
-                        }
-                    }
-                    rows
-                })
-            })
+            .map(|(name, app)| scope.spawn(move || job(name, app)))
             .collect();
-        for h in handles {
-            // Propagating a worker panic is deliberate: a poisoned
-            // evaluation row would silently skew the paper tables.
-            out.extend(h.join().expect("evaluation worker panicked"));
-        }
-    });
-    out
+        // Propagating a worker panic is deliberate: a poisoned
+        // evaluation row would silently skew the paper tables.
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("evaluation worker panicked"))
+            .collect()
+    })
 }
 
 /// Looks up a matrix cell.
@@ -255,18 +289,20 @@ pub fn fig3_rows(matrix: &[RunSummary]) -> Vec<(ToolKind, Vec<(u64, f64)>)> {
     ToolKind::ALL
         .into_iter()
         .map(|tool| {
-            let runs: Vec<&RunSummary> = matrix
+            let curves: Vec<&[(u64, f64)]> = matrix
                 .iter()
-                .filter(|r| r.tool == tool && r.mode == RunMode::Baseline)
+                .filter(|r| r.tool == tool)
+                .filter_map(|r| r.baseline.as_ref())
+                .map(|b| b.ajs_curve.as_slice())
                 .collect();
             let mut curve: Vec<(u64, f64)> = Vec::new();
-            if let Some(first) = runs.first() {
-                for (i, (t, _)) in first.ajs_curve.iter().enumerate() {
-                    let mean = runs
+            if let Some(first) = curves.first() {
+                for (i, (t, _)) in first.iter().enumerate() {
+                    let mean = curves
                         .iter()
-                        .filter_map(|r| r.ajs_curve.get(i).map(|(_, v)| *v))
+                        .filter_map(|c| c.get(i).map(|(_, v)| *v))
                         .sum::<f64>()
-                        / runs.len() as f64;
+                        / curves.len() as f64;
                     curve.push((*t, mean));
                 }
             }
@@ -279,8 +315,8 @@ pub fn fig3_rows(matrix: &[RunSummary]) -> Vec<(ToolKind, Vec<(u64, f64)>)> {
 /// runs (how many of the `d_max` instances explored each subspace).
 pub fn table1_histogram(matrix: &[RunSummary]) -> BTreeMap<usize, usize> {
     let mut agg: BTreeMap<usize, usize> = BTreeMap::new();
-    for r in matrix.iter().filter(|r| r.mode == RunMode::Baseline) {
-        for (k, v) in &r.overlap_histogram {
+    for b in matrix.iter().filter_map(|r| r.baseline.as_ref()) {
+        for (k, v) in &b.overlap_histogram {
             *agg.entry(*k).or_insert(0) += v;
         }
     }
@@ -315,41 +351,16 @@ pub fn table2_rows(
     scale: &ExperimentScale,
     base_seed: u64,
 ) -> Vec<Table2Row> {
-    let mut rows = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = apps
-            .iter()
-            .map(|(name, app)| {
-                let scale = *scale;
-                scope.spawn(move || {
-                    let seed = base_seed ^ fnv(name);
-                    let base = run_and_summarize(
-                        name,
-                        Arc::clone(app),
-                        ToolKind::WcTester,
-                        RunMode::Baseline,
-                        &scale,
-                        seed,
-                    );
-                    let part = run_and_summarize(
-                        name,
-                        Arc::clone(app),
-                        ToolKind::WcTester,
-                        RunMode::ActivityPartition,
-                        &scale,
-                        seed,
-                    );
-                    Table2Row {
-                        app: name.clone(),
-                        baseline: base.union_coverage,
-                        parallel: part.union_coverage,
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            // Same policy as `evaluate_matrix`: surface worker panics.
-            rows.push(h.join().expect("table2 worker panicked"));
+    let mut rows = per_app(apps, |name, app| {
+        let seed = base_seed ^ fnv(name);
+        let coverage = |mode| {
+            let cfg = scale.session_config(ToolKind::WcTester, mode, seed);
+            ParallelSession::run(Arc::clone(app), &cfg).union_coverage()
+        };
+        Table2Row {
+            app: name.to_owned(),
+            baseline: coverage(RunMode::Baseline),
+            parallel: coverage(RunMode::ActivityPartition),
         }
     });
     rows.sort_by(|a, b| a.app.cmp(&b.app));
@@ -390,11 +401,6 @@ pub fn table4_rows(matrix: &[RunSummary]) -> Vec<CoverageRow> {
             row
         })
         .collect()
-}
-
-/// Alias for the crash view of the same rows (Table 5).
-pub fn table5_rows(matrix: &[RunSummary]) -> Vec<CoverageRow> {
-    table4_rows(matrix)
 }
 
 /// One row of Table 6.
@@ -519,7 +525,8 @@ pub fn behavior_rows(matrix: &[RunSummary]) -> Vec<BehaviorRow> {
                     continue;
                 };
                 jacc.push(jaccard(&base.union_covered, &taopt.union_covered));
-                let missing = base.union_covered.difference(&taopt.union_covered).count();
+                let missing = base.union_covered.len()
+                    - base.union_covered.intersection_len(&taopt.union_covered);
                 if !base.union_covered.is_empty() {
                     missed.push(missing as f64 / base.union_covered.len() as f64);
                 }
@@ -627,7 +634,8 @@ pub fn non_parallel_control(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taopt_app_sim::{generate_app, GeneratorConfig};
+    use std::collections::BTreeSet;
+    use taopt_app_sim::{generate_app, GeneratorConfig, MethodId};
 
     fn tiny_apps(n: usize) -> Vec<(String, Arc<App>)> {
         (0..n)
@@ -663,6 +671,72 @@ mod tests {
                     assert!(matrix_get(&matrix, name, tool, mode).is_some());
                 }
             }
+        }
+        // RQ1's overlap metrics are built for the baseline rows only.
+        for r in &matrix {
+            assert_eq!(r.baseline.is_some(), r.mode == RunMode::Baseline, "{r:?}");
+        }
+    }
+
+    /// Eq. (1) over per-instance `BTreeSet`s rebuilt from scratch at each
+    /// grid point: the covered set at `t` is the prefix of the cover
+    /// events up to the first one after `t`.
+    fn oracle_ajs(result: &SessionResult, t: u64) -> f64 {
+        let at = VirtualTime::from_secs(t);
+        let sets: Vec<BTreeSet<MethodId>> = result
+            .instances
+            .iter()
+            .map(|i| {
+                i.cover_events
+                    .iter()
+                    .take_while(|(time, _)| *time <= at)
+                    .map(|(_, m)| *m)
+                    .collect()
+            })
+            .collect();
+        let (mut total, mut pairs) = (0.0, 0usize);
+        for (i, a) in sets.iter().enumerate() {
+            for b in &sets[i + 1..] {
+                let inter = a.intersection(b).count();
+                let union = a.len() + b.len() - inter;
+                total += if union == 0 {
+                    1.0
+                } else {
+                    inter as f64 / union as f64
+                };
+                pairs += 1;
+            }
+        }
+        if pairs == 0 {
+            0.0
+        } else {
+            total / pairs as f64
+        }
+    }
+
+    #[test]
+    fn streamed_ajs_matches_the_per_grid_point_oracle() {
+        let apps = tiny_apps(1);
+        let (name, app) = &apps[0];
+        let mut scale = tiny_scale();
+        scale.instances = 3;
+        scale.grid_points = 6;
+        for tool in ToolKind::ALL {
+            let cfg = scale.session_config(tool, RunMode::Baseline, 11);
+            let result = ParallelSession::run(Arc::clone(app), &cfg);
+            let curve = summarize(name, &result, &scale)
+                .baseline
+                .expect("baseline rows carry RQ1 metrics")
+                .ajs_curve;
+            assert_eq!(curve.len(), scale.grid_points);
+            for (t, ajs) in curve {
+                assert_eq!(
+                    ajs.to_bits(),
+                    oracle_ajs(&result, t).to_bits(),
+                    "{tool:?} at {t}s"
+                );
+            }
+            assert!(result.instances.iter().all(|i| !i.cover_events.is_empty()));
         }
     }
 

@@ -76,7 +76,6 @@ pub mod error;
 pub mod experiments;
 pub mod findspace;
 pub mod metrics;
-pub mod offline;
 pub mod partition;
 pub mod report;
 pub mod resilience;

@@ -1,15 +1,15 @@
 //! Jaccard similarity and the Average Jaccard Similarity (AJS) of Eq. (1).
 
-use std::collections::BTreeSet;
+use taopt_app_sim::MethodSet;
 
-/// Jaccard similarity `|A ∩ B| / |A ∪ B|` of two sets.
+/// Jaccard similarity `|A ∩ B| / |A ∪ B|` of two covered-method sets.
 ///
 /// Returns 1.0 for two empty sets (identical).
-pub fn jaccard<T: Ord>(a: &BTreeSet<T>, b: &BTreeSet<T>) -> f64 {
+pub fn jaccard(a: &MethodSet, b: &MethodSet) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
-    let inter = a.intersection(b).count();
+    let inter = a.intersection_len(b);
     let union = a.len() + b.len() - inter;
     inter as f64 / union as f64
 }
@@ -18,7 +18,7 @@ pub fn jaccard<T: Ord>(a: &BTreeSet<T>, b: &BTreeSet<T>) -> f64 {
 /// Jaccard similarity over all `C(n,2)` pairs of instance coverage sets.
 ///
 /// Returns 0.0 for fewer than two sets.
-pub fn average_jaccard<T: Ord>(sets: &[BTreeSet<T>]) -> f64 {
+pub fn average_jaccard(sets: &[MethodSet]) -> f64 {
     let n = sets.len();
     if n < 2 {
         return 0.0;
@@ -37,9 +37,12 @@ pub fn average_jaccard<T: Ord>(sets: &[BTreeSet<T>]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taopt_app_sim::MethodId;
 
-    fn set(v: &[u32]) -> BTreeSet<u32> {
-        v.iter().copied().collect()
+    fn set(v: &[u32]) -> MethodSet {
+        let mut s = MethodSet::default();
+        s.extend(v.iter().map(|&m| MethodId(m)));
+        s
     }
 
     #[test]
@@ -47,8 +50,10 @@ mod tests {
         assert_eq!(jaccard(&set(&[1, 2]), &set(&[1, 2])), 1.0);
         assert_eq!(jaccard(&set(&[1, 2]), &set(&[3, 4])), 0.0);
         assert!((jaccard(&set(&[1, 2, 3]), &set(&[2, 3, 4])) - 0.5).abs() < 1e-12);
-        assert_eq!(jaccard::<u32>(&set(&[]), &set(&[])), 1.0);
+        assert_eq!(jaccard(&set(&[]), &set(&[])), 1.0);
         assert_eq!(jaccard(&set(&[1]), &set(&[])), 0.0);
+        // Sets of different word lengths.
+        assert!((jaccard(&set(&[1, 2]), &set(&[2, 300])) - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -60,7 +65,7 @@ mod tests {
 
     #[test]
     fn ajs_degenerate_inputs() {
-        assert_eq!(average_jaccard::<u32>(&[]), 0.0);
+        assert_eq!(average_jaccard(&[]), 0.0);
         assert_eq!(average_jaccard(&[set(&[1])]), 0.0);
     }
 

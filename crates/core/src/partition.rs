@@ -18,7 +18,6 @@ use std::collections::{BTreeSet, HashMap};
 use taopt_ui_model::{AbstractScreenId, StochasticDigraph, Trace, VirtualDuration};
 
 use crate::findspace::{find_space, FindSpaceConfig};
-use crate::metrics::jaccard::jaccard;
 
 /// Configuration for the offline partitioner.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -193,7 +192,7 @@ pub fn segment_trace(
 
 /// The paper's offline subspace partition: segment every trace with
 /// `FindSpace`, then merge segment screen-sets that overlap (Jaccard
-/// ≥ `merge_jaccard`) into subspaces. Conservative: only clearly loose
+/// ≥ 0.4) into subspaces. Conservative: only clearly loose
 /// boundaries split segments, and overlapping segments re-merge.
 pub fn partition_traces(
     traces: &[&Trace],
@@ -209,7 +208,10 @@ pub fn partition_traces(
             if seg.len() < config.min_cluster_size {
                 continue;
             }
-            match subspaces.iter_mut().find(|s| jaccard(s, &seg) >= 0.4) {
+            match subspaces
+                .iter_mut()
+                .find(|s| screen_jaccard(s, &seg) >= 0.4)
+            {
                 Some(existing) => existing.extend(seg),
                 None => subspaces.push(seg),
             }
@@ -217,6 +219,12 @@ pub fn partition_traces(
     }
     subspaces.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
     subspaces
+}
+
+/// Jaccard similarity of two screen sets; segments are never empty.
+fn screen_jaccard(a: &BTreeSet<AbstractScreenId>, b: &BTreeSet<AbstractScreenId>) -> f64 {
+    let inter = a.intersection(b).count();
+    inter as f64 / (a.len() + b.len() - inter) as f64
 }
 
 /// Convenience: map clusters back to a node → cluster-index lookup.

@@ -162,17 +162,6 @@ pub struct InstanceResult {
     pub trace: Trace,
 }
 
-impl InstanceResult {
-    /// Covered methods at (or before) a given time.
-    pub fn covered_at(&self, time: VirtualTime) -> BTreeSet<MethodId> {
-        self.cover_events
-            .iter()
-            .take_while(|(t, _)| *t <= time)
-            .map(|(_, m)| *m)
-            .collect()
-    }
-}
-
 /// The complete outcome of one parallel session.
 #[derive(Debug, Clone)]
 pub struct SessionResult {
@@ -211,19 +200,12 @@ impl SessionResult {
     }
 
     /// Union covered-method set.
-    pub fn union_covered(&self) -> BTreeSet<MethodId> {
-        self.instances
-            .iter()
-            .flat_map(|i| i.covered.iter())
-            .collect()
-    }
-
-    /// Per-instance coverage sets (for AJS).
-    pub fn coverage_sets(&self) -> Vec<BTreeSet<MethodId>> {
-        self.instances
-            .iter()
-            .map(|i| i.covered.iter().collect())
-            .collect()
+    pub fn union_covered(&self) -> MethodSet {
+        let mut union = MethodSet::default();
+        for i in &self.instances {
+            union.extend(i.covered.iter());
+        }
+        union
     }
 
     /// Traces of all instances.
@@ -255,18 +237,6 @@ impl SessionResult {
             .map(|(_, n)| *n)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Mean concurrency over the session's rounds.
-    pub fn mean_concurrency(&self) -> f64 {
-        if self.concurrency_timeline.is_empty() {
-            return 0.0;
-        }
-        self.concurrency_timeline
-            .iter()
-            .map(|(_, n)| *n)
-            .sum::<usize>() as f64
-            / self.concurrency_timeline.len() as f64
     }
 }
 
@@ -435,7 +405,6 @@ mod tests {
         let r = ParallelSession::run(small_app(9), &cfg);
         assert!(!r.concurrency_timeline.is_empty());
         assert!(r.peak_concurrency() <= cfg.instances);
-        assert!(r.mean_concurrency() > 0.0);
         // Resource mode starts with a single instance.
         assert_eq!(r.concurrency_timeline[0].1, 1);
     }

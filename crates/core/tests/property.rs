@@ -14,6 +14,7 @@ use taopt::metrics::curves::{coverage_at, time_to_reach, CurvePoint};
 use taopt::metrics::jaccard::{average_jaccard, jaccard};
 use taopt::partition::{partition_graph, PartitionConfig};
 use taopt::theorem::{required_samples, separation_success_rate, CliquePairConfig};
+use taopt_app_sim::{MethodId, MethodSet};
 use taopt_ui_model::abstraction::{AbstractHierarchy, AbstractNode};
 use taopt_ui_model::{
     Action, ActionId, ActivityId, ScreenId, StochasticDigraph, TraceEvent, VirtualDuration,
@@ -206,15 +207,23 @@ proptest! {
 
     #[test]
     fn jaccard_laws(
+        // Different id ranges give sets of different word lengths.
         a in proptest::collection::btree_set(0u32..64, 0..40),
-        b in proptest::collection::btree_set(0u32..64, 0..40),
-        c in proptest::collection::btree_set(0u32..64, 0..40),
+        b in proptest::collection::btree_set(0u32..320, 0..40),
+        c in proptest::collection::btree_set(0u32..130, 0..40),
     ) {
-        let j = jaccard(&a, &b);
+        let bits = |s: &BTreeSet<u32>| {
+            let mut m = MethodSet::default();
+            m.extend(s.iter().map(|&i| MethodId(i)));
+            m
+        };
+        let (ma, mb, mc) = (bits(&a), bits(&b), bits(&c));
+        prop_assert_eq!(ma.intersection_len(&mb), a.intersection(&b).count());
+        let j = jaccard(&ma, &mb);
         prop_assert!((0.0..=1.0).contains(&j));
-        prop_assert!((j - jaccard(&b, &a)).abs() < 1e-12);
-        prop_assert_eq!(jaccard(&a, &a), 1.0);
-        let ajs = average_jaccard(&[a.clone(), b.clone(), c.clone()]);
+        prop_assert!((j - jaccard(&mb, &ma)).abs() < 1e-12);
+        prop_assert_eq!(jaccard(&ma, &ma), 1.0);
+        let ajs = average_jaccard(&[ma, mb, mc]);
         prop_assert!((0.0..=1.0).contains(&ajs));
     }
 

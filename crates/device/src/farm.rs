@@ -32,30 +32,6 @@ impl FarmMetrics {
     }
 }
 
-/// The kind of device slot a testing cloud rents out.
-///
-/// Real devices cost several times an emulator's rate (the paper quotes
-/// AWS Device Farm at $0.17 per device-*minute* for real hardware) and
-/// respond slightly slower; emulators are the default for scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum DeviceClass {
-    /// An x86 emulator slot (the paper's test platform).
-    #[default]
-    Emulator,
-    /// A physical device slot.
-    RealDevice,
-}
-
-impl DeviceClass {
-    /// Billing rate in dollars per device-minute.
-    pub fn dollars_per_minute(&self) -> f64 {
-        match self {
-            DeviceClass::Emulator => 0.05,
-            DeviceClass::RealDevice => 0.17,
-        }
-    }
-}
-
 /// A pool of device slots with allocate/deallocate and machine-time
 /// accounting.
 ///
@@ -67,10 +43,9 @@ impl DeviceClass {
 pub struct DeviceFarm {
     capacity: usize,
     next_id: u32,
-    active: BTreeMap<DeviceId, (VirtualTime, DeviceClass)>,
+    active: BTreeMap<DeviceId, VirtualTime>,
     lost: std::collections::BTreeSet<DeviceId>,
     consumed: VirtualDuration,
-    billed: f64,
     peak_active: usize,
     metrics: FarmMetrics,
 }
@@ -84,7 +59,6 @@ impl DeviceFarm {
             active: BTreeMap::new(),
             lost: std::collections::BTreeSet::new(),
             consumed: VirtualDuration::ZERO,
-            billed: 0.0,
             peak_active: 0,
             metrics: FarmMetrics::new(),
         }
@@ -117,19 +91,6 @@ impl DeviceFarm {
     ///
     /// Returns [`DeviceError::NoCapacity`] when all slots are taken.
     pub fn allocate(&mut self, now: VirtualTime) -> Result<DeviceId, DeviceError> {
-        self.allocate_class(DeviceClass::Emulator, now)
-    }
-
-    /// Allocates a slot of the given class at `now`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::NoCapacity`] when all slots are taken.
-    pub fn allocate_class(
-        &mut self,
-        class: DeviceClass,
-        now: VirtualTime,
-    ) -> Result<DeviceId, DeviceError> {
         if self.active.len() >= self.capacity {
             self.metrics.refusals.inc();
             return Err(DeviceError::NoCapacity {
@@ -138,16 +99,11 @@ impl DeviceFarm {
         }
         let id = DeviceId(self.next_id);
         self.next_id += 1;
-        self.active.insert(id, (now, class));
+        self.active.insert(id, now);
         self.peak_active = self.peak_active.max(self.active.len());
         self.metrics.allocations.inc();
         self.metrics.active.set(self.active.len() as i64);
         Ok(id)
-    }
-
-    /// The class of an active device.
-    pub fn class_of(&self, id: DeviceId) -> Option<DeviceClass> {
-        self.active.get(&id).map(|(_, c)| *c)
     }
 
     /// Deallocates a device at `now`, charging its machine time.
@@ -158,7 +114,7 @@ impl DeviceFarm {
     /// fault (the slot was already settled), [`DeviceError::UnknownDevice`]
     /// if the id was never allocated.
     pub fn deallocate(&mut self, id: DeviceId, now: VirtualTime) -> Result<(), DeviceError> {
-        let Some((allocated_at, class)) = self.active.remove(&id) else {
+        let Some(allocated_at) = self.active.remove(&id) else {
             return Err(if self.lost.contains(&id) {
                 DeviceError::DeviceLost(id)
             } else {
@@ -167,7 +123,6 @@ impl DeviceFarm {
         };
         let used = now.since(allocated_at);
         self.consumed += used;
-        self.billed += used.as_secs() as f64 / 60.0 * class.dollars_per_minute();
         self.metrics.deallocations.inc();
         self.metrics.active.set(self.active.len() as i64);
         Ok(())
@@ -183,7 +138,7 @@ impl DeviceFarm {
     /// Returns [`DeviceError::DeviceLost`] if the device is already dead,
     /// [`DeviceError::UnknownDevice`] if the id was never allocated.
     pub fn kill(&mut self, id: DeviceId, now: VirtualTime) -> Result<VirtualDuration, DeviceError> {
-        let Some((allocated_at, class)) = self.active.remove(&id) else {
+        let Some(allocated_at) = self.active.remove(&id) else {
             return Err(if self.lost.contains(&id) {
                 DeviceError::DeviceLost(id)
             } else {
@@ -192,7 +147,6 @@ impl DeviceFarm {
         };
         let used = now.since(allocated_at);
         self.consumed += used;
-        self.billed += used.as_secs() as f64 / 60.0 * class.dollars_per_minute();
         self.lost.insert(id);
         self.metrics.kills.inc();
         self.metrics.active.set(self.active.len() as i64);
@@ -219,24 +173,9 @@ impl DeviceFarm {
         let running: u64 = self
             .active
             .values()
-            .map(|(t, _)| now.since(*t).as_millis())
+            .map(|t| now.since(*t).as_millis())
             .sum();
         self.consumed + VirtualDuration::from_millis(running)
-    }
-
-    /// Dollars billed for *deallocated* devices so far.
-    pub fn billed(&self) -> f64 {
-        self.billed
-    }
-
-    /// Dollars billed including still-running devices, as of `now`.
-    pub fn billed_as_of(&self, now: VirtualTime) -> f64 {
-        let running: f64 = self
-            .active
-            .values()
-            .map(|(t, c)| now.since(*t).as_secs() as f64 / 60.0 * c.dollars_per_minute())
-            .sum();
-        self.billed + running
     }
 }
 
@@ -353,33 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn billing_tracks_device_classes() {
-        let mut farm = DeviceFarm::new(2);
-        let emu = farm
-            .allocate_class(DeviceClass::Emulator, VirtualTime::ZERO)
-            .unwrap();
-        let real = farm
-            .allocate_class(DeviceClass::RealDevice, VirtualTime::ZERO)
-            .unwrap();
-        assert_eq!(farm.class_of(emu), Some(DeviceClass::Emulator));
-        assert_eq!(farm.class_of(real), Some(DeviceClass::RealDevice));
-        let t = VirtualTime::from_secs(600); // 10 minutes each
-        assert!((farm.billed_as_of(t) - (10.0 * 0.05 + 10.0 * 0.17)).abs() < 1e-9);
-        farm.deallocate(emu, t).unwrap();
-        farm.deallocate(real, t).unwrap();
-        assert!((farm.billed() - 2.2).abs() < 1e-9);
-        assert_eq!(farm.class_of(emu), None);
-    }
-
-    #[test]
-    fn real_devices_cost_more() {
-        assert!(
-            DeviceClass::RealDevice.dollars_per_minute()
-                > 3.0 * DeviceClass::Emulator.dollars_per_minute()
-        );
-    }
-
-    #[test]
     fn deallocate_unknown_errors() {
         let mut farm = DeviceFarm::new(1);
         assert_eq!(
@@ -389,13 +301,12 @@ mod tests {
     }
 
     #[test]
-    fn killed_devices_free_the_slot_but_stay_billed() {
+    fn killed_devices_free_the_slot_and_stay_consumed() {
         let mut farm = DeviceFarm::new(1);
         let a = farm.allocate(VirtualTime::ZERO).unwrap();
         let used = farm.kill(a, VirtualTime::from_secs(120)).unwrap();
         assert_eq!(used, VirtualDuration::from_secs(120));
         assert_eq!(farm.consumed(), VirtualDuration::from_secs(120));
-        assert!(farm.billed() > 0.0, "lost machine time is still billed");
         assert_eq!(farm.lost_count(), 1);
         assert!(farm.is_lost(a));
         // The slot is free again.

@@ -33,6 +33,6 @@ pub use clock::VirtualClock;
 pub use coverage::CoverageTracer;
 pub use emulator::{DeviceId, Emulator, EmulatorConfig};
 pub use error::DeviceError;
-pub use farm::{fair_targets, fair_targets_from, DeviceClass, DeviceFarm};
+pub use farm::{fair_targets, fair_targets_from, DeviceFarm};
 pub use logcat::{CrashCollector, LogEntry, Logcat};
 pub use triage::{CrashGroup, TriageReport};

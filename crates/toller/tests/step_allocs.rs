@@ -86,7 +86,7 @@ fn step_allocations_stay_bounded_per_tool() {
     let bounds = [
         (ToolKind::Monkey, 4.0),
         (ToolKind::WcTester, 4.0),
-        (ToolKind::Ape, 45.0),
+        (ToolKind::Ape, 20.0),
     ];
     let mut over = Vec::new();
     for (tool, bound) in bounds {

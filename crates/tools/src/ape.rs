@@ -72,9 +72,6 @@ impl StateModel {
 pub struct Ape {
     rng: StdRng,
     model: HashMap<AbstractScreenId, StateModel>,
-    /// Planned action path towards a frontier state.
-    plan: VecDeque<Action>,
-    planned_for: Option<AbstractScreenId>,
 }
 
 impl Ape {
@@ -83,8 +80,6 @@ impl Ape {
         Ape {
             rng: StdRng::seed_from_u64(seed),
             model: HashMap::new(),
-            plan: VecDeque::new(),
-            planned_for: None,
         }
     }
 
@@ -95,20 +90,20 @@ impl Ape {
 
     /// BFS over the learned model from `start` to any state with frontier
     /// actions; returns the first action of the path.
-    fn plan_to_frontier(&self, start: AbstractScreenId) -> Option<Vec<Action>> {
+    fn plan_to_frontier(&self, start: AbstractScreenId) -> Option<ActionId> {
         let mut queue = VecDeque::new();
         let mut seen = HashSet::new();
-        queue.push_back((start, Vec::new()));
+        queue.push_back((start, None, 0));
         seen.insert(start);
-        while let Some((state, path)) = queue.pop_front() {
+        while let Some((state, first, depth)) = queue.pop_front() {
             if state != start {
                 if let Some(m) = self.model.get(&state) {
                     if m.has_frontier() {
-                        return Some(path);
+                        return first;
                     }
                 }
             }
-            if path.len() >= MAX_PLAN {
+            if depth >= MAX_PLAN {
                 continue;
             }
             if let Some(m) = self.model.get(&state) {
@@ -119,9 +114,7 @@ impl Ape {
                 for (aid, stats) in actions {
                     if let Some(succ) = stats.likely_successor() {
                         if seen.insert(succ) {
-                            let mut p = path.clone();
-                            p.push(Action::Widget(*aid));
-                            queue.push_back((succ, p));
+                            queue.push_back((succ, first.or(Some(*aid)), depth + 1));
                         }
                     }
                 }
@@ -140,7 +133,6 @@ impl TestingTool for Ape {
         let state_id = obs.abstract_id();
         let enabled = obs.enabled_actions();
         if enabled.is_empty() {
-            self.plan.clear();
             return Action::Back;
         }
         // Register/update the state.
@@ -151,13 +143,11 @@ impl TestingTool for Ape {
         }
         // ε-greedy noise.
         if self.rng.gen::<f64>() < EPSILON {
-            self.plan.clear();
             let (id, _) = enabled.choose(&mut self.rng).expect("nonempty");
             return Action::Widget(*id);
         }
         // Exploitation/refinement mix.
         if self.rng.gen::<f64>() < EXPLOIT_PROB {
-            self.plan.clear();
             let tried: Vec<ActionId> = {
                 let st = self.model.get(&state_id);
                 enabled
@@ -181,27 +171,15 @@ impl TestingTool for Ape {
         for (id, _) in &enabled {
             let tried = state.actions.get(id).map(|s| s.tries).unwrap_or(0);
             if tried == 0 {
-                self.plan.clear();
                 return Action::Widget(*id);
             }
         }
-        // 2. Follow or compute a plan towards the nearest frontier state.
-        if self.planned_for != Some(state_id) || self.plan.is_empty() {
-            self.plan.clear();
-            if let Some(path) = self.plan_to_frontier(state_id) {
-                self.plan.extend(path);
-            }
-        }
-        if let Some(next) = self.plan.pop_front() {
-            // Re-plan from the next state on the following call.
-            self.planned_for = None;
-            if let Action::Widget(id) = next {
-                if enabled.iter().any(|(a, _)| *a == id) {
-                    return next;
-                }
-                self.plan.clear();
-            } else {
-                return next;
+        // 2. Take the first step of a shortest learned path towards the
+        //    nearest frontier state (re-planned on every call, since the
+        //    next observation may differ from the predicted successor).
+        if let Some(id) = self.plan_to_frontier(state_id) {
+            if enabled.iter().any(|(a, _)| *a == id) {
+                return Action::Widget(id);
             }
         }
         // 3. No reachable frontier: fall back to a random excursion (the
@@ -224,11 +202,6 @@ impl TestingTool for Ape {
             *stats.outcomes.entry(to.abstract_id()).or_insert(0) += 1;
         }
         self.model.entry(to.abstract_id()).or_default();
-    }
-
-    fn on_crash(&mut self) {
-        self.plan.clear();
-        self.planned_for = None;
     }
 }
 
@@ -312,15 +285,5 @@ mod tests {
             "Ape instances should overlap heavily: {}",
             inter / union
         );
-    }
-
-    #[test]
-    fn plan_is_dropped_on_crash() {
-        let mut ape = Ape::new(5);
-        ape.plan.push_back(Action::Back);
-        ape.planned_for = Some(AbstractScreenId(1));
-        ape.on_crash();
-        assert!(ape.plan.is_empty());
-        assert_eq!(ape.planned_for, None);
     }
 }

@@ -1,29 +1,21 @@
-//! Minimal JSON support for offline artifacts.
+//! Minimal JSON support for persisted and wire documents.
 //!
 //! The build environment has no access to crates.io, so the workspace
 //! carries its own small JSON layer instead of `serde_json`: a [`Value`]
-//! tree with a recursive-descent parser and a compact writer, plus
-//! conversions for the types persisted by trace archives and fault plans.
+//! tree with a recursive-descent parser and a compact writer. Each crate
+//! converts its own types (fault plans, campaign specs, checkpoints, wire
+//! messages) to and from [`Value`].
 //!
 //! Integers are kept exact: values without a fraction or exponent parse
 //! into [`Value::UInt`] / [`Value::Int`], never through `f64`, because
 //! abstract-screen ids are 64-bit hashes that must roundtrip bit-for-bit.
 
 use std::fmt::{self, Write as _};
-use std::sync::Arc;
-
-use crate::abstraction::{AbstractHierarchy, AbstractNode};
-use crate::action::{Action, ActionId};
-use crate::screen::{ActivityId, ScreenId};
-use crate::time::VirtualTime;
-use crate::trace::{Trace, TraceEvent};
-use crate::widget::WidgetClass;
 
 /// Deepest array/object nesting [`Value::parse`] accepts. The parser is
 /// recursive descent, so without a bound a request body of a few MB of
 /// `[` overflows the stack and aborts the process; the documents this
-/// workspace writes nest a few dozen levels at most (trace archives,
-/// whose widget trees are the deepest part, stay far below this).
+/// workspace writes nest a few dozen levels at most.
 pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON document.
@@ -567,227 +559,6 @@ impl Parser<'_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Conversions for persisted trace archives.
-// ---------------------------------------------------------------------------
-
-fn class_name(class: WidgetClass) -> &'static str {
-    match class {
-        WidgetClass::LinearLayout => "LinearLayout",
-        WidgetClass::FrameLayout => "FrameLayout",
-        WidgetClass::RecyclerView => "RecyclerView",
-        WidgetClass::Button => "Button",
-        WidgetClass::ImageButton => "ImageButton",
-        WidgetClass::TextView => "TextView",
-        WidgetClass::EditText => "EditText",
-        WidgetClass::ImageView => "ImageView",
-        WidgetClass::CheckBox => "CheckBox",
-        WidgetClass::TabHost => "TabHost",
-        WidgetClass::WebView => "WebView",
-        WidgetClass::Switch => "Switch",
-    }
-}
-
-fn class_from_name(name: &str) -> Result<WidgetClass, JsonError> {
-    Ok(match name {
-        "LinearLayout" => WidgetClass::LinearLayout,
-        "FrameLayout" => WidgetClass::FrameLayout,
-        "RecyclerView" => WidgetClass::RecyclerView,
-        "Button" => WidgetClass::Button,
-        "ImageButton" => WidgetClass::ImageButton,
-        "TextView" => WidgetClass::TextView,
-        "EditText" => WidgetClass::EditText,
-        "ImageView" => WidgetClass::ImageView,
-        "CheckBox" => WidgetClass::CheckBox,
-        "TabHost" => WidgetClass::TabHost,
-        "WebView" => WidgetClass::WebView,
-        "Switch" => WidgetClass::Switch,
-        other => {
-            return Err(JsonError::conversion(format!(
-                "unknown widget class `{other}`"
-            )));
-        }
-    })
-}
-
-/// Encodes an abstract node as `{c, r?, k?}` (class, resource id,
-/// children; absent fields mean `None` / empty).
-pub fn abstract_node_to_value(node: &AbstractNode) -> Value {
-    let mut fields = vec![("c".to_owned(), Value::from(class_name(node.class)))];
-    if let Some(rid) = &node.resource_id {
-        fields.push(("r".to_owned(), Value::from(rid.clone())));
-    }
-    if !node.children.is_empty() {
-        fields.push((
-            "k".to_owned(),
-            Value::Array(node.children.iter().map(abstract_node_to_value).collect()),
-        ));
-    }
-    Value::Object(fields)
-}
-
-/// Decodes an abstract node written by [`abstract_node_to_value`].
-///
-/// # Errors
-///
-/// Returns [`JsonError`] on missing or mistyped fields.
-pub fn abstract_node_from_value(v: &Value) -> Result<AbstractNode, JsonError> {
-    let class = class_from_name(
-        v.require("c")?
-            .as_str()
-            .ok_or_else(|| JsonError::conversion("widget class must be a string"))?,
-    )?;
-    let resource_id = match v.get("r") {
-        Some(r) => Some(
-            r.as_str()
-                .ok_or_else(|| JsonError::conversion("resource id must be a string"))?
-                .to_owned(),
-        ),
-        None => None,
-    };
-    let children = match v.get("k") {
-        Some(k) => k
-            .as_array()
-            .ok_or_else(|| JsonError::conversion("children must be an array"))?
-            .iter()
-            .map(abstract_node_from_value)
-            .collect::<Result<_, _>>()?,
-        None => Vec::new(),
-    };
-    Ok(AbstractNode {
-        class,
-        resource_id,
-        children,
-    })
-}
-
-fn action_to_value(action: Option<Action>) -> Value {
-    match action {
-        None => Value::Null,
-        Some(Action::Back) => Value::from("back"),
-        Some(Action::Noop) => Value::from("noop"),
-        Some(Action::Widget(id)) => Value::from(id.0),
-    }
-}
-
-fn action_from_value(v: &Value) -> Result<Option<Action>, JsonError> {
-    Ok(match v {
-        Value::Null => None,
-        Value::Str(s) if s == "back" => Some(Action::Back),
-        Value::Str(s) if s == "noop" => Some(Action::Noop),
-        other => {
-            let id = other
-                .as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| JsonError::conversion("action must be null/back/noop/u32"))?;
-            Some(Action::Widget(ActionId(id)))
-        }
-    })
-}
-
-/// Encodes a trace as `{abstractions: [...], events: [...]}`.
-///
-/// Distinct abstractions are stored once in a table (first-appearance
-/// order); events reference them by index, so the `Arc` sharing between
-/// events with the same screen survives a roundtrip.
-pub fn trace_to_value(trace: &Trace) -> Value {
-    let mut table: Vec<&Arc<AbstractHierarchy>> = Vec::new();
-    let mut events = Vec::with_capacity(trace.len());
-    for e in trace.events() {
-        let idx = match table.iter().position(|a| a.id() == e.abstract_id) {
-            Some(i) => i,
-            None => {
-                table.push(&e.abstraction);
-                table.len() - 1
-            }
-        };
-        events.push(Value::Object(vec![
-            ("t".to_owned(), Value::from(e.time.as_millis())),
-            ("s".to_owned(), Value::from(e.screen.0)),
-            ("y".to_owned(), Value::from(e.activity.0)),
-            ("u".to_owned(), Value::from(idx)),
-            ("a".to_owned(), action_to_value(e.action)),
-            (
-                "w".to_owned(),
-                e.action_widget_rid
-                    .as_deref()
-                    .map_or(Value::Null, Value::from),
-            ),
-        ]));
-    }
-    Value::Object(vec![
-        (
-            "abstractions".to_owned(),
-            Value::Array(
-                table
-                    .iter()
-                    .map(|a| abstract_node_to_value(a.root()))
-                    .collect(),
-            ),
-        ),
-        ("events".to_owned(), Value::Array(events)),
-    ])
-}
-
-/// Decodes a trace written by [`trace_to_value`]. Abstract ids and
-/// similarity signatures are recomputed from the stored trees, so they
-/// match the originals exactly (the id is a pure function of the tree).
-///
-/// # Errors
-///
-/// Returns [`JsonError`] on missing or mistyped fields.
-pub fn trace_from_value(v: &Value) -> Result<Trace, JsonError> {
-    let table: Vec<Arc<AbstractHierarchy>> = v
-        .require("abstractions")?
-        .as_array()
-        .ok_or_else(|| JsonError::conversion("abstractions must be an array"))?
-        .iter()
-        .map(|n| {
-            Ok(Arc::new(AbstractHierarchy::from_root(
-                abstract_node_from_value(n)?,
-            )))
-        })
-        .collect::<Result<_, JsonError>>()?;
-    let events = v
-        .require("events")?
-        .as_array()
-        .ok_or_else(|| JsonError::conversion("events must be an array"))?;
-    let mut trace = Trace::new();
-    for e in events {
-        let field_u64 = |key: &str| -> Result<u64, JsonError> {
-            e.require(key)?
-                .as_u64()
-                .ok_or_else(|| JsonError::conversion(format!("field `{key}` must be a u64")))
-        };
-        let idx = field_u64("u")? as usize;
-        let abstraction = table
-            .get(idx)
-            .ok_or_else(|| JsonError::conversion("abstraction index out of range"))?
-            .clone();
-        let widget_rid = match e.require("w")? {
-            Value::Null => None,
-            Value::Str(s) => Some(Arc::from(s.as_str())),
-            _ => return Err(JsonError::conversion("field `w` must be a string or null")),
-        };
-        trace.push(TraceEvent {
-            time: VirtualTime::from_millis(field_u64("t")?),
-            screen: ScreenId(
-                u32::try_from(field_u64("s")?)
-                    .map_err(|_| JsonError::conversion("screen id out of range"))?,
-            ),
-            activity: ActivityId(
-                u32::try_from(field_u64("y")?)
-                    .map_err(|_| JsonError::conversion("activity id out of range"))?,
-            ),
-            abstract_id: abstraction.id(),
-            abstraction,
-            action: action_from_value(e.require("a")?)?,
-            action_widget_rid: widget_rid,
-        });
-    }
-    Ok(trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -876,27 +647,5 @@ mod tests {
             let past = format!("{opener}{at_limit}{closer}");
             assert!(Value::parse(&past).is_err());
         }
-    }
-
-    #[test]
-    fn trace_roundtrips_with_shared_abstractions() {
-        use crate::trace::tests::event;
-        let tr: Trace = [event(0, 1, "a"), event(3, 2, "b"), event(6, 1, "a")]
-            .into_iter()
-            .collect();
-        let text = trace_to_value(&tr).to_json_string();
-        let back = trace_from_value(&Value::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.len(), tr.len());
-        for (x, y) in tr.events().iter().zip(back.events()) {
-            assert_eq!(x.abstract_id, y.abstract_id);
-            assert_eq!(x.time, y.time);
-            assert_eq!(x.screen, y.screen);
-            assert_eq!(x.action, y.action);
-        }
-        // Events 0 and 2 share one hierarchy after the roundtrip.
-        assert!(Arc::ptr_eq(
-            &back.events()[0].abstraction,
-            &back.events()[2].abstraction
-        ));
     }
 }

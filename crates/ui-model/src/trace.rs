@@ -135,13 +135,13 @@ impl Extend<TraceEvent> for Trace {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::abstraction::abstract_hierarchy;
     use crate::hierarchy::UiHierarchy;
     use crate::widget::{Widget, WidgetClass};
 
-    pub(crate) fn event(t: u64, screen: u32, rid: &str) -> TraceEvent {
+    fn event(t: u64, screen: u32, rid: &str) -> TraceEvent {
         let h = UiHierarchy::new(
             Widget::container(WidgetClass::LinearLayout).with_child(Widget::text_view(rid, "txt")),
         );

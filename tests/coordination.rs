@@ -146,7 +146,7 @@ fn behavior_preservation_bound_holds_loosely() {
     let taopt = mk(RunMode::TaoptDuration);
     let base_set = base.union_covered();
     let taopt_set = taopt.union_covered();
-    let retained = base_set.intersection(&taopt_set).count();
+    let retained = base_set.intersection_len(&taopt_set);
     assert!(
         retained as f64 >= 0.6 * base_set.len() as f64,
         "TaOPT retained only {retained}/{} baseline methods",

@@ -101,7 +101,11 @@ fn ape_overlaps_most_in_baseline() {
         let mut v = Vec::new();
         for (name, _) in &apps {
             let r = matrix_get(&matrix, name, tool, RunMode::Baseline).unwrap();
-            if let Some((_, a)) = r.ajs_curve.last() {
+            let overlap = r
+                .baseline
+                .as_ref()
+                .expect("baseline rows carry RQ1 metrics");
+            if let Some((_, a)) = overlap.ajs_curve.last() {
                 v.push(*a);
             }
         }
