@@ -1,6 +1,6 @@
 //! The validated, immutable app specification.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -15,10 +15,11 @@ use crate::method::MethodId;
 use crate::spec::{FlowRule, LoginSpec, ScreenSpec};
 
 /// One (screen, feed page) as every observation of it shares it: the
-/// widget tree without volatile text, and that tree's abstraction.
+/// widget tree without volatile text with its action table, and that
+/// tree's abstraction.
 #[derive(Debug, Clone)]
 pub(crate) struct PageTemplate {
-    pub(crate) root: Arc<Widget>,
+    pub(crate) hierarchy: UiHierarchy,
     pub(crate) abstraction: Arc<AbstractHierarchy>,
 }
 
@@ -56,7 +57,9 @@ impl fmt::Debug for TemplateStore {
 #[derive(Debug, Clone)]
 pub struct App {
     pub(crate) name: String,
-    pub(crate) screens: BTreeMap<ScreenId, ScreenSpec>,
+    /// Screen `ScreenId(i)` at index `i`: ids run `0..n` (builders and
+    /// evolution hand them out as counters), so a lookup is an index.
+    pub(crate) screens: Vec<ScreenSpec>,
     pub(crate) functionalities: Vec<Functionality>,
     pub(crate) start_screen: ScreenId,
     pub(crate) flows: Vec<FlowRule>,
@@ -73,7 +76,7 @@ impl App {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         name: String,
-        screens: Vec<ScreenSpec>,
+        mut screens: Vec<ScreenSpec>,
         functionalities: Vec<Functionality>,
         start_screen: ScreenId,
         flows: Vec<FlowRule>,
@@ -84,12 +87,17 @@ impl App {
         if screens.is_empty() {
             return Err(AppSimError::NoScreens);
         }
-        let mut map = BTreeMap::new();
+        screens.sort_by_key(|s| s.id);
         let mut action_index = HashMap::new();
-        for s in screens {
-            let id = s.id;
+        for (i, s) in screens.iter().enumerate() {
+            if i > 0 && screens[i - 1].id == s.id {
+                return Err(AppSimError::DuplicateScreen(s.id));
+            }
+            if s.id != ScreenId(i as u32) {
+                return Err(AppSimError::ScreenIdGap(s.id));
+            }
             for a in &s.actions {
-                if action_index.insert(a.id, id).is_some() {
+                if action_index.insert(a.id, s.id).is_some() {
                     return Err(AppSimError::DuplicateAction(a.id));
                 }
                 for t in &a.targets {
@@ -98,18 +106,16 @@ impl App {
                     }
                 }
             }
-            if map.insert(id, s).is_some() {
-                return Err(AppSimError::DuplicateScreen(id));
-            }
         }
-        if !map.contains_key(&start_screen) {
+        let exists = |id: ScreenId| (id.0 as usize) < screens.len();
+        if !exists(start_screen) {
             return Err(AppSimError::BadStartScreen(start_screen));
         }
         // Check targets exist.
-        for s in map.values() {
+        for s in &screens {
             for a in &s.actions {
                 for t in &a.targets {
-                    if !map.contains_key(&t.screen) {
+                    if !exists(t.screen) {
                         return Err(AppSimError::DanglingTarget {
                             action: a.id,
                             target: t.screen,
@@ -119,19 +125,17 @@ impl App {
             }
         }
         if let Some(l) = &login {
-            let ok = map.contains_key(&l.login_screen)
-                && map.contains_key(&l.home_screen)
-                && map
-                    .get(&l.login_screen)
-                    .map(|s| s.action(l.login_action).is_some())
-                    .unwrap_or(false);
+            let ok = exists(l.home_screen)
+                && screens
+                    .get(l.login_screen.0 as usize)
+                    .is_some_and(|s| s.action(l.login_action).is_some());
             if !ok {
                 return Err(AppSimError::BadLoginSpec);
             }
         }
         Ok(App {
             name,
-            screens: map,
+            screens,
             functionalities,
             start_screen,
             flows,
@@ -147,7 +151,7 @@ impl App {
     pub fn reindex(&mut self) {
         self.action_index = self
             .screens
-            .values()
+            .iter()
             .flat_map(|s| s.actions.iter().map(move |a| (a.id, s.id)))
             .collect();
     }
@@ -164,7 +168,7 @@ impl App {
 
     /// All screens, ordered by id.
     pub fn screens(&self) -> impl Iterator<Item = &ScreenSpec> {
-        self.screens.values()
+        self.screens.iter()
     }
 
     /// Number of screens.
@@ -174,7 +178,7 @@ impl App {
 
     /// Looks up a screen.
     pub fn screen(&self, id: ScreenId) -> Option<&ScreenSpec> {
-        self.screens.get(&id)
+        self.screens.get(id.0 as usize)
     }
 
     /// The screen hosting the given action.
@@ -209,13 +213,13 @@ impl App {
 
     /// The set of distinct activities.
     pub fn activities(&self) -> BTreeSet<ActivityId> {
-        self.screens.values().map(|s| s.activity).collect()
+        self.screens.iter().map(|s| s.activity).collect()
     }
 
     /// Screens hosted by the given activity.
     pub fn screens_of_activity(&self, a: ActivityId) -> Vec<ScreenId> {
         self.screens
-            .values()
+            .iter()
             .filter(|s| s.activity == a)
             .map(|s| s.id)
             .collect()
@@ -224,7 +228,7 @@ impl App {
     /// Ground-truth membership: screens per functionality.
     pub fn screens_of_functionality(&self, f: FunctionalityId) -> Vec<ScreenId> {
         self.screens
-            .values()
+            .iter()
             .filter(|s| s.functionality == f)
             .map(|s| s.id)
             .collect()
@@ -236,7 +240,7 @@ impl App {
     /// graph captures app structure for analysis and tests.
     pub fn structural_graph(&self) -> StochasticDigraph {
         let mut g = StochasticDigraph::new();
-        for s in self.screens.values() {
+        for s in &self.screens {
             g.add_node(s.id.0 as u64);
             for a in &s.actions {
                 let total = a.total_target_weight();
@@ -277,9 +281,10 @@ impl App {
     }
 
     /// The shared template of a page, built on its first request. An
-    /// observation wraps its tree without copying it; its abstraction
-    /// equals that of every [`App::render_screen_page`] of the page,
-    /// since abstraction drops text.
+    /// observation clones its hierarchy (tree and action table) without
+    /// copying either; its abstraction equals that of every
+    /// [`App::render_screen_page`] of the page, since abstraction drops
+    /// text.
     ///
     /// # Panics
     ///
@@ -288,16 +293,17 @@ impl App {
         if let Some(t) = self.templates.pages().get(&(id, page)) {
             return t.clone();
         }
-        let root = Arc::new(self.page_tree(id, None, page));
-        let abstraction = Arc::new(abstract_hierarchy(&UiHierarchy::from_shared(Arc::clone(
-            &root,
-        ))));
+        let hierarchy = UiHierarchy::new(self.page_tree(id, None, page));
+        let abstraction = Arc::new(abstract_hierarchy(&hierarchy));
         // Two first observations may race to build a page; the first
         // insert wins and both get that one.
         self.templates
             .pages()
             .entry((id, page))
-            .or_insert(PageTemplate { root, abstraction })
+            .or_insert(PageTemplate {
+                hierarchy,
+                abstraction,
+            })
             .clone()
     }
 
@@ -305,10 +311,7 @@ impl App {
     /// visit `visit` (badge counters, timestamps, product names…), or
     /// with none for `None`.
     fn page_tree(&self, id: ScreenId, visit: Option<u64>, page: usize) -> Widget {
-        let spec = self
-            .screens
-            .get(&id)
-            .expect("render_screen: unknown screen");
+        let spec = self.screen(id).expect("render_screen: unknown screen");
         let mut root = Widget::container(WidgetClass::LinearLayout);
         root.resource_id = Some(format!("{}_root", spec.name));
         // Title bar with volatile text.
@@ -411,6 +414,37 @@ mod tests {
     }
 
     #[test]
+    fn assemble_indexes_screens_by_id_and_refuses_gaps() {
+        let screen =
+            |id| crate::spec::ScreenSpec::new(ScreenId(id), ActivityId(0), FunctionalityId(0), "S");
+        let assemble = |ids: &[u32]| {
+            App::assemble(
+                "ids".into(),
+                ids.iter().map(|&i| screen(i)).collect(),
+                Vec::new(),
+                ScreenId(0),
+                Vec::new(),
+                None,
+                0,
+                Vec::new(),
+            )
+        };
+        let app = assemble(&[2, 0, 1]).expect("ids 0..3 in any order");
+        for id in 0..3 {
+            assert_eq!(app.screen(ScreenId(id)).map(|s| s.id), Some(ScreenId(id)));
+        }
+        assert!(app.screen(ScreenId(3)).is_none());
+        assert_eq!(
+            assemble(&[0, 2]).unwrap_err(),
+            AppSimError::ScreenIdGap(ScreenId(2))
+        );
+        assert_eq!(
+            assemble(&[0, 1, 1]).unwrap_err(),
+            AppSimError::DuplicateScreen(ScreenId(1))
+        );
+    }
+
+    #[test]
     fn render_is_structurally_stable_across_visits() {
         let app = two_screen_app();
         let home = app.start_screen();
@@ -447,15 +481,12 @@ mod tests {
             let pages = s.feed.as_ref().map(|f| f.pages).unwrap_or(0);
             for page in 0..=pages {
                 let t = app.page_template(s.id, page);
-                let th = UiHierarchy::from_shared(Arc::clone(&t.root));
+                let th = &t.hierarchy;
                 for visit in [0, 1, 7] {
                     let r = app.render_screen_page(s.id, visit, page);
                     assert_eq!(t.abstraction.id(), abstract_hierarchy(&r).id());
                     assert_eq!(th.enabled_actions(), r.enabled_actions());
-                    for (aid, _) in r.all_actions() {
-                        let rid = |h: &UiHierarchy| h.widget_for(aid).unwrap().resource_id.clone();
-                        assert_eq!(rid(&th), rid(&r));
-                    }
+                    assert_eq!(th.affordances(), r.affordances());
                     // Apart from text, the template is the render.
                     let (mut a, mut b) = (th.root().clone(), r.root().clone());
                     strip_text(&mut a);
@@ -506,7 +537,7 @@ mod tests {
         let next = Arc::new(derive_app(&cfg, &[diff]).unwrap());
         assert_eq!(next.templates.pages().len(), 0);
         let after = AppRuntime::launch(Arc::clone(&next), 1).observe(VirtualTime::ZERO);
-        let rid = |o: &ScreenObservation| o.hierarchy.widget_for(aid).unwrap().resource_id.clone();
+        let rid = |o: &ScreenObservation| o.hierarchy.affordance(aid).unwrap().resource_id.clone();
         assert_eq!(rid(&after).as_deref(), Some("renamed_widget"));
         assert_ne!(rid(&before), rid(&after));
         let base_again = AppRuntime::launch(base, 2).observe(VirtualTime::ZERO);

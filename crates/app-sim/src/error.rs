@@ -18,6 +18,8 @@ pub enum AppSimError {
     },
     /// A screen id was defined twice.
     DuplicateScreen(ScreenId),
+    /// Screen ids do not run `0..n`: this one follows a gap.
+    ScreenIdGap(ScreenId),
     /// An action id was defined twice.
     DuplicateAction(ActionId),
     /// The app has no screens.
@@ -42,6 +44,7 @@ impl fmt::Display for AppSimError {
                 write!(f, "action {action} targets missing screen {target}")
             }
             AppSimError::DuplicateScreen(s) => write!(f, "screen {s} defined twice"),
+            AppSimError::ScreenIdGap(s) => write!(f, "screen {s} follows a gap in the screen ids"),
             AppSimError::DuplicateAction(a) => write!(f, "action {a} defined twice"),
             AppSimError::NoScreens => write!(f, "app defines no screens"),
             AppSimError::BadStartScreen(s) => write!(f, "start screen {s} does not exist"),
@@ -71,6 +74,7 @@ mod tests {
                 target: ScreenId(2),
             },
             AppSimError::DuplicateScreen(ScreenId(1)),
+            AppSimError::ScreenIdGap(ScreenId(3)),
             AppSimError::DuplicateAction(ActionId(1)),
             AppSimError::NoScreens,
             AppSimError::BadStartScreen(ScreenId(0)),

@@ -1,17 +1,16 @@
 //! The app execution engine: one running copy of an app on one emulator.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use taopt_ui_model::{Action, ActionId, ScreenId, ScreenObservation, UiHierarchy, VirtualTime};
+use taopt_ui_model::{Action, ScreenId, ScreenObservation, VirtualTime};
 
 use crate::app::{App, PageTemplate};
 use crate::crash::CrashSignature;
 use crate::error::AppSimError;
-use crate::functionality::FunctionalityId;
 use crate::method::{MethodId, MethodSet};
 
 /// The outcome of executing one tool action.
@@ -27,12 +26,44 @@ pub struct StepOutcome {
     pub transitioned: bool,
 }
 
+/// A set of small dense ids (screen or action ids) as a bitset that
+/// grows on demand.
+#[derive(Debug, Clone, Default)]
+struct IdFlags(Vec<u64>);
+
+impl IdFlags {
+    fn with_capacity(n: usize) -> Self {
+        IdFlags(vec![0; n.div_ceil(64)])
+    }
+
+    /// Adds `i`; returns `true` if it was not present.
+    fn insert(&mut self, i: u32) -> bool {
+        let (word, bit) = (i as usize / 64, 1u64 << (i % 64));
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        let fresh = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        fresh
+    }
+
+    fn contains(&self, i: u32) -> bool {
+        self.0
+            .get(i as usize / 64)
+            .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
+    }
+}
+
 /// One running instance of an [`App`]: screen pointer, back stack,
 /// per-instance coverage state, flow progress and crash arming.
 ///
 /// Each testing instance in a parallel run owns one `AppRuntime`, seeded
 /// independently — the seed plays the role of the per-instance random seed
 /// the paper's baseline uses to diversify instances (§3.1).
+///
+/// Screen, action and functionality ids are counters (`0..n`), so every
+/// per-step lookup is an index into a vector or bitset, never a hash or
+/// a tree.
 #[derive(Debug, Clone)]
 pub struct AppRuntime {
     app: Arc<App>,
@@ -40,36 +71,42 @@ pub struct AppRuntime {
     current: ScreenId,
     back_stack: Vec<ScreenId>,
     covered_methods: MethodSet,
-    executed_actions: HashSet<ActionId>,
-    visited_screens: HashSet<ScreenId>,
-    completed_flows: HashSet<usize>,
-    functionality_visits: HashMap<FunctionalityId, HashSet<ScreenId>>,
+    executed_actions: IdFlags,
+    visited_screens: IdFlags,
+    visited_count: usize,
+    completed_flows: Vec<bool>,
+    /// Distinct screens visited per functionality (crash-arming depth).
+    functionality_visits: Vec<usize>,
     logged_in: bool,
     restarts: u32,
-    /// The app's templates of the pages this instance has shown, so a
-    /// repeat observation takes no lock.
-    page_templates: HashMap<(ScreenId, usize), PageTemplate>,
-    feed_pages: HashMap<ScreenId, usize>,
-    feed_pages_seen: HashMap<ScreenId, usize>,
+    /// The app's templates of the pages this instance has shown, by
+    /// screen id then feed page, so a repeat observation takes no lock.
+    page_templates: Vec<Vec<Option<PageTemplate>>>,
+    /// Current feed page per screen id.
+    feed_pages: Vec<usize>,
+    /// Deepest feed page reached per screen id.
+    feed_pages_seen: Vec<usize>,
 }
 
 impl AppRuntime {
     /// Launches the app; startup methods are pre-covered.
     pub fn launch(app: Arc<App>, seed: u64) -> Self {
+        let screens = app.screen_count();
         let mut rt = AppRuntime {
             current: app.start_screen(),
             rng: StdRng::seed_from_u64(seed),
             back_stack: Vec::new(),
             covered_methods: MethodSet::with_capacity(app.method_count()),
-            executed_actions: HashSet::new(),
-            visited_screens: HashSet::new(),
-            completed_flows: HashSet::new(),
-            functionality_visits: HashMap::new(),
+            executed_actions: IdFlags::with_capacity(app.action_index.len()),
+            visited_screens: IdFlags::with_capacity(screens),
+            visited_count: 0,
+            completed_flows: vec![false; app.flows().len()],
+            functionality_visits: vec![0; app.functionalities().len()],
             logged_in: false,
             restarts: 0,
-            page_templates: HashMap::new(),
-            feed_pages: HashMap::new(),
-            feed_pages_seen: HashMap::new(),
+            page_templates: vec![Vec::new(); screens],
+            feed_pages: vec![0; screens],
+            feed_pages_seen: vec![0; screens],
             app,
         };
         rt.covered_methods
@@ -98,9 +135,18 @@ impl AppRuntime {
         &self.covered_methods
     }
 
-    /// Distinct screens visited so far.
-    pub fn visited_screens(&self) -> &HashSet<ScreenId> {
-        &self.visited_screens
+    /// Number of distinct screens visited so far.
+    pub fn visited_screen_count(&self) -> usize {
+        self.visited_count
+    }
+
+    /// The distinct screens visited so far, in id order.
+    pub fn visited_screens(&self) -> BTreeSet<ScreenId> {
+        self.app
+            .screens()
+            .map(|s| s.id)
+            .filter(|s| self.visited_screens.contains(s.0))
+            .collect()
     }
 
     /// Runs the auto-login script once, if the app is gated and the wall is
@@ -132,14 +178,15 @@ impl AppRuntime {
             .screen(self.current)
             .expect("current screen exists");
         let page = self.feed_page(spec.id);
-        let template = self
-            .page_templates
-            .entry((spec.id, page))
-            .or_insert_with(|| self.app.page_template(spec.id, page));
+        let pages = &mut self.page_templates[spec.id.0 as usize];
+        if pages.len() <= page {
+            pages.resize_with(page + 1, || None);
+        }
+        let template = pages[page].get_or_insert_with(|| self.app.page_template(spec.id, page));
         ScreenObservation::with_abstraction(
             spec.id,
             spec.activity,
-            UiHierarchy::from_shared(Arc::clone(&template.root)),
+            template.hierarchy.clone(),
             Arc::clone(&template.abstraction),
             time,
         )
@@ -147,7 +194,7 @@ impl AppRuntime {
 
     /// Current feed page of a screen (0 when not a feed or never scrolled).
     pub fn feed_page(&self, screen: ScreenId) -> usize {
-        self.feed_pages.get(&screen).copied().unwrap_or(0)
+        self.feed_pages.get(screen.0 as usize).copied().unwrap_or(0)
     }
 
     /// Jumps directly to a screen, as an `am start` Intent would launch an
@@ -191,7 +238,7 @@ impl AppRuntime {
                 let spec = app.screen(self.current).expect("current screen exists");
                 let act = spec.action(id).ok_or(AppSimError::ActionNotAvailable(id))?;
                 // Handler coverage on first execution.
-                if self.executed_actions.insert(id) {
+                if self.executed_actions.insert(id.0) {
                     for m in &act.methods {
                         if self.covered_methods.insert(*m) {
                             newly.push(*m);
@@ -202,11 +249,12 @@ impl AppRuntime {
                 // next page and covers its methods on first reach.
                 if act.kind == taopt_ui_model::ActionKind::Scroll {
                     if let Some(feed) = &spec.feed {
-                        let page = self.feed_pages.entry(self.current).or_insert(0);
+                        let slot = self.current.0 as usize;
+                        let page = &mut self.feed_pages[slot];
                         if *page < feed.pages {
                             *page += 1;
                             let reached = *page;
-                            let seen = self.feed_pages_seen.entry(self.current).or_insert(0);
+                            let seen = &mut self.feed_pages_seen[slot];
                             if reached > *seen {
                                 *seen = reached;
                                 for m in &feed.page_methods[reached - 1] {
@@ -224,8 +272,8 @@ impl AppRuntime {
                 if let Some(cp) = &act.crash {
                     let depth = self
                         .functionality_visits
-                        .get(&spec.functionality)
-                        .map(|v| v.len())
+                        .get(spec.functionality.0 as usize)
+                        .copied()
                         .unwrap_or(0);
                     if cp.armed(depth) && self.rng.gen::<f64>() < cp.probability {
                         crash = Some(cp.signature);
@@ -297,7 +345,16 @@ impl AppRuntime {
         let mut newly = Vec::new();
         let app = Arc::clone(&self.app);
         let spec = app.screen(screen).expect("screen exists");
-        if self.visited_screens.insert(screen) {
+        if self.visited_screens.insert(screen.0) {
+            self.visited_count += 1;
+            // Per-functionality exploration depth (crash arming): a
+            // screen belongs to one functionality, so its first visit is
+            // the one that deepens it.
+            let f = spec.functionality.0 as usize;
+            if self.functionality_visits.len() <= f {
+                self.functionality_visits.resize(f + 1, 0);
+            }
+            self.functionality_visits[f] += 1;
             for m in &spec.methods {
                 if self.covered_methods.insert(*m) {
                     newly.push(*m);
@@ -305,15 +362,15 @@ impl AppRuntime {
             }
             // Flow completion check (only needed when the visited set grew).
             for (i, flow) in app.flows().iter().enumerate() {
-                if self.completed_flows.contains(&i)
+                if self.completed_flows[i]
                     || !flow
                         .screens
                         .iter()
-                        .all(|s| self.visited_screens.contains(s))
+                        .all(|s| self.visited_screens.contains(s.0))
                 {
                     continue;
                 }
-                self.completed_flows.insert(i);
+                self.completed_flows[i] = true;
                 for m in &flow.methods {
                     if self.covered_methods.insert(*m) {
                         newly.push(*m);
@@ -321,11 +378,6 @@ impl AppRuntime {
                 }
             }
         }
-        // Per-functionality exploration depth (crash arming).
-        self.functionality_visits
-            .entry(spec.functionality)
-            .or_default()
-            .insert(screen);
         newly
     }
 
@@ -347,6 +399,7 @@ mod tests {
     use crate::builder::AppBuilder;
     use crate::crash::{CrashPoint, CrashSignature};
     use crate::spec::LoginSpec;
+    use taopt_ui_model::ActionId;
 
     fn chain_app(crash_on_last: bool) -> Arc<App> {
         let mut b = AppBuilder::new("chain");
@@ -376,7 +429,8 @@ mod tests {
         let app = chain_app(false);
         let rt = AppRuntime::launch(app, 1);
         assert_eq!(rt.covered_methods().len(), 2);
-        assert_eq!(rt.visited_screens().len(), 1);
+        assert_eq!(rt.visited_screen_count(), 1);
+        assert_eq!(rt.visited_screens(), BTreeSet::from([rt.current_screen()]));
     }
 
     #[test]
@@ -554,9 +608,9 @@ mod feed_tests {
 
     fn scroll_action(rt: &mut AppRuntime) -> Action {
         let obs = rt.observe(VirtualTime::ZERO);
-        let (id, _) = obs
+        let &(id, _) = obs
             .enabled_actions()
-            .into_iter()
+            .iter()
             .find(|(_, k)| *k == ActionKind::Scroll)
             .expect("list has a scroll");
         Action::Widget(id)

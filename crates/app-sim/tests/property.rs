@@ -113,7 +113,8 @@ proptest! {
             let mut screens = Vec::new();
             for (i, p) in picks.iter().enumerate() {
                 let t = VirtualTime::from_secs(i as u64);
-                let actions = rt.observe(t).enabled_actions();
+                let obs = rt.observe(t);
+                let actions = obs.enabled_actions();
                 let action = if actions.is_empty() {
                     Action::Back
                 } else {

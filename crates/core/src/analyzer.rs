@@ -208,12 +208,22 @@ pub struct OnlineTraceAnalyzer {
     instances: HashMap<InstanceId, InstanceState>,
     /// The app's similarity store, shared by every instance's engine.
     similarity_cache: SimilarityCache,
-    /// Per-analysis latency of the incremental FindSpace run, in µs.
-    analysis_latency: taopt_telemetry::Histogram,
+    /// The sweep's telemetry handles.
+    sweep_metrics: SweepMetrics,
     /// Batch-contract violations: duplicate instances skipped by
     /// [`ingest_round`](Self::ingest_round) (release builds skip and
     /// count; debug builds assert).
     duplicates_counter: taopt_telemetry::Counter,
+}
+
+/// The analysis sweep's telemetry handles, resolved once per analyzer so
+/// a sweep takes no registry lock.
+#[derive(Debug)]
+struct SweepMetrics {
+    /// Per-analysis latency of the incremental FindSpace run, in µs.
+    latency: taopt_telemetry::Histogram,
+    /// `span_ns{kind="findspace"}`.
+    span: taopt_telemetry::Histogram,
 }
 
 /// A split candidate that survived validation: everything the apply
@@ -238,7 +248,10 @@ impl OnlineTraceAnalyzer {
             subspaces: Vec::new(),
             instances: HashMap::new(),
             similarity_cache: SimilarityCache::new(),
-            analysis_latency: taopt_telemetry::global().histogram("findspace_analysis_us"),
+            sweep_metrics: SweepMetrics {
+                latency: taopt_telemetry::global().histogram("findspace_analysis_us"),
+                span: taopt_telemetry::global().span_histogram("findspace"),
+            },
             duplicates_counter: taopt_telemetry::global()
                 .counter("analyzer_duplicate_instance_total"),
         }
@@ -361,11 +374,11 @@ impl OnlineTraceAnalyzer {
         state: &mut InstanceState,
         window: &[TraceEvent],
         cache: &SimilarityCache,
-        latency: &taopt_telemetry::Histogram,
+        metrics: &SweepMetrics,
     ) -> Vec<SplitCandidate> {
         // Span opens after due-gating, so it times actual FindSpace
         // runs rather than every per-round poll.
-        let _span = taopt_telemetry::global().span("findspace");
+        let _span = metrics.span.span();
         // The engine mirrors `window` incrementally: only events appended
         // since the last analysis are fed. A shrunk window means the
         // trace was replaced under this id — start over.
@@ -375,7 +388,7 @@ impl OnlineTraceAnalyzer {
         let timer = std::time::Instant::now();
         state.engine.extend_from(window, cache);
         let candidates = state.engine.analyze(5);
-        latency.record(timer.elapsed().as_micros() as u64);
+        metrics.latency.record(timer.elapsed().as_micros() as u64);
         candidates
     }
 
@@ -387,12 +400,12 @@ impl OnlineTraceAnalyzer {
         trace: &Trace,
         now: VirtualTime,
         cache: &SimilarityCache,
-        latency: &taopt_telemetry::Histogram,
+        metrics: &SweepMetrics,
     ) -> Option<ValidatedSplit> {
         let events = trace.events();
         let start = Self::due_window(config, state, events, now)?;
         let window = &events[start..];
-        let candidates = Self::analysis_sweep(state, window, cache, latency);
+        let candidates = Self::analysis_sweep(state, window, cache, metrics);
         Self::validate_candidates(
             config.min_subspace_screens,
             &state.occurrences,
@@ -449,7 +462,7 @@ impl OnlineTraceAnalyzer {
                 trace,
                 now,
                 &self.similarity_cache,
-                &self.analysis_latency,
+                &self.sweep_metrics,
             );
             if let Some(v) = validated {
                 confirmed.extend(self.apply_validated(*id, v, now));
@@ -972,7 +985,7 @@ mod tests {
                 state,
                 &events[start..],
                 &a.similarity_cache,
-                &a.analysis_latency,
+                &a.sweep_metrics,
             );
             let validated =
                 validate_candidates_oracle(config.min_subspace_screens, events, start, candidates);

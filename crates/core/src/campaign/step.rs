@@ -25,7 +25,7 @@ use std::sync::Arc;
 use taopt_app_sim::{App, MethodId, MethodSet};
 use taopt_chaos::{FaultInjector, RecoveryKind};
 use taopt_device::DeviceId;
-use taopt_telemetry::Counter;
+use taopt_telemetry::{Counter, Histogram};
 use taopt_toller::{EntrypointRule, InstanceId, InstrumentedInstance};
 use taopt_ui_model::abstraction::abstract_hierarchy;
 use taopt_ui_model::{ActivityId, ScreenId, Trace, VirtualDuration, VirtualTime};
@@ -264,6 +264,10 @@ pub struct SessionStep {
     round_counter: Counter,
     cover_counter: Counter,
     coordinator_errors: Counter,
+    allocated_counter: Counter,
+    deallocated_counter: Counter,
+    /// `span_ns{kind="analysis"}`.
+    analysis_span: Histogram,
 }
 
 impl std::fmt::Debug for SessionStep {
@@ -324,6 +328,9 @@ impl SessionStep {
             round_counter: telemetry.counter("session_rounds_total"),
             cover_counter: telemetry.counter("cover_events_total"),
             coordinator_errors: telemetry.counter("coordinator_errors_total"),
+            allocated_counter: telemetry.counter("instances_allocated_total"),
+            deallocated_counter: telemetry.counter("instances_deallocated_total"),
+            analysis_span: telemetry.span_histogram("analysis"),
         }
     }
 
@@ -407,9 +414,7 @@ impl SessionStep {
         );
         self.started = true;
         self.pending_growth = self.pending_growth.saturating_sub(1);
-        taopt_telemetry::global()
-            .counter("instances_allocated_total")
-            .inc();
+        self.allocated_counter.inc();
         let iid = InstanceId(self.next_instance);
         self.next_instance += 1;
         let seed = instance_seed(self.config.seed, iid);
@@ -550,7 +555,7 @@ impl SessionStep {
         // TaOPT analysis + dedication.
         let mut newly_confirmed = 0usize;
         if self.config.mode.uses_taopt() {
-            let _span = taopt_telemetry::global().span("analysis");
+            let _span = self.analysis_span.span();
             // One analyzer call for the whole round.
             let batch: Vec<(InstanceId, &Trace)> = self
                 .active
@@ -784,9 +789,7 @@ impl SessionStep {
             f.broadcaster.unregister(a.inst.id());
         }
         self.meter.stop(a.device, now);
-        taopt_telemetry::global()
-            .counter("instances_deallocated_total")
-            .inc();
+        self.deallocated_counter.inc();
         let visited: BTreeSet<_> = a
             .inst
             .trace()

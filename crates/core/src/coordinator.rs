@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use taopt_telemetry::{Counter, Histogram};
 use taopt_toller::{EntrypointRule, InstanceId, SharedBlockList};
 use taopt_ui_model::{Trace, VirtualDuration, VirtualTime};
 
@@ -64,6 +65,27 @@ pub struct TestCoordinator {
     stall_timeout: VirtualDuration,
     events: Vec<CoordinatorEvent>,
     tombstoned: std::collections::BTreeSet<SubspaceId>,
+    metrics: DedicationMetrics,
+}
+
+/// Dedication's telemetry handles, resolved once per coordinator.
+#[derive(Debug)]
+struct DedicationMetrics {
+    /// `span_ns{kind="dedicate"}`.
+    span: Histogram,
+    dedicated: Counter,
+    entrypoints_blocked: Counter,
+}
+
+impl DedicationMetrics {
+    fn new() -> Self {
+        let t = taopt_telemetry::global();
+        DedicationMetrics {
+            span: t.span_histogram("dedicate"),
+            dedicated: t.counter("subspaces_dedicated_total"),
+            entrypoints_blocked: t.counter("entrypoints_blocked_total"),
+        }
+    }
 }
 
 impl TestCoordinator {
@@ -76,6 +98,7 @@ impl TestCoordinator {
             stall_timeout: VirtualDuration::from_mins(1),
             events: Vec::new(),
             tombstoned: std::collections::BTreeSet::new(),
+            metrics: DedicationMetrics::new(),
         }
     }
 
@@ -92,6 +115,7 @@ impl TestCoordinator {
             stall_timeout: VirtualDuration::from_mins(1),
             events: Vec::new(),
             tombstoned: std::collections::BTreeSet::new(),
+            metrics: DedicationMetrics::new(),
         }
     }
 
@@ -319,8 +343,7 @@ impl TestCoordinator {
     /// analyzer's registry. Confirmed ids always are, so callers treat
     /// this as a diagnosable internal error rather than a panic.
     fn dedicate(&mut self, sid: SubspaceId, now: VirtualTime) -> Result<(), TaoptError> {
-        let telemetry = taopt_telemetry::global();
-        let _span = telemetry.span("dedicate");
+        let _span = self.metrics.span.span();
         let (owner, entrypoints) = {
             let info = self
                 .analyzer
@@ -341,8 +364,7 @@ impl TestCoordinator {
             owner,
             at: now,
         });
-        telemetry.counter("subspaces_dedicated_total").inc();
-        let blocked = telemetry.counter("entrypoints_blocked_total");
+        self.metrics.dedicated.inc();
         for (inst, bl) in &self.blocklists {
             if *inst == owner {
                 // The owner keeps access; make sure nothing lingers from
@@ -356,7 +378,7 @@ impl TestCoordinator {
             let mut bl = bl.write();
             for rule in &entrypoints {
                 bl.block(rule.clone());
-                blocked.inc();
+                self.metrics.entrypoints_blocked.inc();
                 self.events.push(CoordinatorEvent::EntrypointBlocked {
                     subspace: sid,
                     instance: *inst,

@@ -21,6 +21,7 @@
 use std::collections::BTreeMap;
 
 use taopt_chaos::{FaultInjector, RecoveryKind};
+use taopt_telemetry::{Counter, Histogram};
 use taopt_toller::enforce::shared_block_list;
 use taopt_toller::{EntrypointRule, InstanceId, SharedBlockList};
 use taopt_ui_model::{VirtualDuration, VirtualTime};
@@ -87,6 +88,28 @@ pub struct EnforcementBroadcaster {
     /// several broadcasters sharing one plan (a campaign) draw
     /// decorrelated failure streams.
     lane_base: u32,
+    metrics: BroadcastMetrics,
+}
+
+/// The broadcaster's telemetry handles, resolved once so a round takes
+/// no registry lock.
+#[derive(Debug)]
+struct BroadcastMetrics {
+    /// `span_ns{kind="broadcast"}`.
+    span: Histogram,
+    applied: Counter,
+    retries: Counter,
+}
+
+impl Default for BroadcastMetrics {
+    fn default() -> Self {
+        let t = taopt_telemetry::global();
+        BroadcastMetrics {
+            span: t.span_histogram("broadcast"),
+            applied: t.counter("enforcement_applied_total"),
+            retries: t.counter("enforcement_retries_total"),
+        }
+    }
 }
 
 impl EnforcementBroadcaster {
@@ -114,12 +137,14 @@ impl EnforcementBroadcaster {
             next_broadcast,
             reapplied,
             lane_base,
+            metrics,
         } = self;
         if let Some(ep) = endpoints.get_mut(&instance) {
             Self::reconcile_endpoint(
                 *lane_base,
                 next_broadcast,
                 reapplied,
+                metrics,
                 instance,
                 ep,
                 injector,
@@ -153,20 +178,21 @@ impl EnforcementBroadcaster {
     /// Failed deliveries stay queued for the next round. Returns how many
     /// operations were applied.
     pub fn reconcile(&mut self, injector: &FaultInjector, now: VirtualTime) -> usize {
-        let telemetry = taopt_telemetry::global();
-        let _span = telemetry.span("broadcast");
         let EnforcementBroadcaster {
             endpoints,
             next_broadcast,
             reapplied,
             lane_base,
+            metrics,
         } = self;
+        let _span = metrics.span.span();
         let mut applied = 0;
         for (iid, ep) in endpoints.iter_mut() {
             applied += Self::reconcile_endpoint(
                 *lane_base,
                 next_broadcast,
                 reapplied,
+                metrics,
                 *iid,
                 ep,
                 injector,
@@ -179,18 +205,17 @@ impl EnforcementBroadcaster {
     /// Diffs one endpoint's shadow vs device rules, queues the changes,
     /// and attempts every pending delivery once through `injector`.
     /// Failed deliveries stay queued. Returns operations applied.
+    #[allow(clippy::too_many_arguments)]
     fn reconcile_endpoint(
         lane_base: u32,
         next_broadcast: &mut u64,
         reapplied: &mut usize,
+        metrics: &BroadcastMetrics,
         iid: InstanceId,
         ep: &mut Endpoint,
         injector: &FaultInjector,
         now: VirtualTime,
     ) -> usize {
-        let telemetry = taopt_telemetry::global();
-        let applied_counter = telemetry.counter("enforcement_applied_total");
-        let retry_counter = telemetry.counter("enforcement_retries_total");
         let mut applied = 0;
         let intended = ep.shadow.read().clone();
         let (to_block, to_unblock) = ep.actual.read().diff_to(&intended);
@@ -227,7 +252,7 @@ impl EnforcementBroadcaster {
             let attempt = op.attempts;
             op.attempts += 1;
             if injector.enforcement_failure(lane_base + iid.0, op.broadcast, attempt, now) {
-                retry_counter.inc();
+                metrics.retries.inc();
                 return true; // retry next round
             }
             {
@@ -239,7 +264,7 @@ impl EnforcementBroadcaster {
                 }
             }
             applied += 1;
-            applied_counter.inc();
+            metrics.applied.inc();
             if attempt > 0 {
                 injector.record_recovery(
                     op.first_tried,

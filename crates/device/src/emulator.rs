@@ -210,7 +210,7 @@ impl Emulator {
 
     /// Number of distinct screens visited.
     pub fn distinct_screens(&self) -> usize {
-        self.runtime.visited_screens().len()
+        self.runtime.visited_screen_count()
     }
 
     /// Advances the clock without an action (idle wait).
@@ -293,7 +293,8 @@ mod tests {
             use rand::seq::SliceRandom;
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..400 {
-                let actions = e.observe().enabled_actions();
+                let obs = e.observe();
+                let actions = obs.enabled_actions();
                 let a = actions
                     .choose(&mut rng)
                     .map(|(id, _)| Action::Widget(*id))

@@ -8,9 +8,10 @@
 //!   latency [histograms](histogram::LogHistogram) (p50/p95/p99),
 //!   labeled by instance/seam/kind, with Prometheus-style text
 //!   exposition — the one telemetry record;
-//! * spans ([`Telemetry::span`], [`SpanGuard`]) timing named regions of
-//!   the loop (analysis, FindSpace, subspace dedication, enforcement
-//!   broadcast) into the registry's `span_ns` histograms.
+//! * spans ([`Telemetry::span_histogram`], [`Histogram::span`],
+//!   [`SpanGuard`]) timing named regions of the loop (analysis,
+//!   FindSpace, subspace dedication, enforcement broadcast) into the
+//!   registry's `span_ns` histograms.
 //!
 //! Per-fault detail (kind, instance, virtual time, recovery latency)
 //! lives in each campaign's chaos fault log; the registry counts faults
@@ -112,15 +113,10 @@ impl Telemetry {
     }
 
     /// The latency histogram series backing spans named `name`
-    /// (exposed as `span_ns{kind="<name>"}`).
+    /// (exposed as `span_ns{kind="<name>"}`): resolve it once, then open
+    /// each span with [`Histogram::span`].
     pub fn span_histogram(&self, name: &'static str) -> Histogram {
         self.registry.histogram("span_ns", Labels::kind(name))
-    }
-
-    /// Opens a span named `name`; the returned guard records its
-    /// duration into [`span_histogram`](Self::span_histogram) on drop.
-    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        SpanGuard::enter(self, name)
     }
 
     /// Records a fault injection: bumps `faults_injected_total`, total
@@ -182,8 +178,9 @@ mod tests {
     #[test]
     fn span_guard_records_its_histogram() {
         let t = Telemetry::new();
+        let h = t.span_histogram("unit_work");
         {
-            let _g = t.span("unit_work");
+            let _g = h.span();
             std::hint::black_box(0u64);
         }
         let snap = t.snapshot();
@@ -212,8 +209,9 @@ mod tests {
     fn disabled_domain_is_silent() {
         let t = Telemetry::disabled();
         t.fault("x");
+        let h = t.span_histogram("quiet");
         {
-            let _g = t.span("quiet");
+            let _g = h.span();
         }
         assert!(t.snapshot().is_empty());
     }

@@ -14,6 +14,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use crate::histogram::{bucket_bounds, HistogramSnapshot, LogHistogram, BUCKET_COUNT};
+use crate::span::SpanGuard;
 
 /// Label set attached to a metric series. All fields are optional; the
 /// cardinality stays bounded because instances are small per-session
@@ -193,6 +194,12 @@ impl Histogram {
     /// A point-in-time copy of the distribution.
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.inner.snapshot()
+    }
+
+    /// Opens a span on this histogram: the guard records its duration
+    /// on drop, or nothing when telemetry is disabled.
+    pub fn span(&self) -> SpanGuard<'_> {
+        SpanGuard::enter(self.enabled.load(Ordering::Relaxed).then_some(self))
     }
 }
 

@@ -1,37 +1,39 @@
 //! Span tracer: RAII guards timing a named region of the exploration
 //! loop.
 //!
-//! A guard records one sample in the span name's latency histogram
-//! (`span_ns{kind="<name>"}`) when dropped. When telemetry is disabled
-//! the guard is inert and never reads the wall clock.
+//! A component resolves its span's series once
+//! ([`crate::Telemetry::span_histogram`], `span_ns{kind="<name>"}`) and
+//! opens each span on that handle with [`crate::Histogram::span`], so no
+//! span takes the registry lock. The guard records one sample when
+//! dropped; when telemetry is disabled it is inert and never reads the
+//! wall clock.
 
 use std::time::Instant;
 
-use crate::Telemetry;
+use crate::registry::Histogram;
 
-/// Live span opened by [`Telemetry::span`]; records its duration when
+/// Live span opened by [`Histogram::span`]; records its duration when
 /// dropped.
 #[derive(Debug)]
 pub struct SpanGuard<'a> {
-    telemetry: &'a Telemetry,
-    name: &'static str,
-    start: Option<Instant>,
+    timed: Option<(&'a Histogram, Instant)>,
 }
 
 impl<'a> SpanGuard<'a> {
-    pub(crate) fn enter(telemetry: &'a Telemetry, name: &'static str) -> Self {
+    /// A guard recording into `histogram`, or an inert one for `None`.
+    pub(crate) fn enter(histogram: Option<&'a Histogram>) -> Self {
         SpanGuard {
-            telemetry,
-            name,
-            start: telemetry.is_enabled().then(Instant::now),
+            timed: histogram.map(|h| (h, Instant::now())),
         }
     }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let Some(start) = self.start else { return };
+        let Some((histogram, start)) = self.timed else {
+            return;
+        };
         let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.telemetry.span_histogram(self.name).record(ns);
+        histogram.record(ns);
     }
 }

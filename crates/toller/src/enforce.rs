@@ -1,11 +1,12 @@
 //! Entrypoint enforcement — blocking UI subspaces by disabling widgets.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 
-use taopt_telemetry::Labels;
+use taopt_telemetry::{Counter, Labels};
 use taopt_ui_model::{AbstractScreenId, UiHierarchy};
 
 /// One blocked subspace entrypoint.
@@ -38,14 +39,37 @@ impl fmt::Display for EntrypointRule {
     }
 }
 
+/// The source of rule-set generations: every change to any list draws
+/// a fresh number, so a generation names one rule set process-wide.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
+/// `block_rules_{installed,removed}_total`, resolved once.
+fn rule_counters() -> &'static (Counter, Counter) {
+    static COUNTERS: OnceLock<(Counter, Counter)> = OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        let t = taopt_telemetry::global();
+        (
+            t.counter_labeled("block_rules_installed_total", Labels::seam("enforce")),
+            t.counter_labeled("block_rules_removed_total", Labels::seam("enforce")),
+        )
+    })
+}
+
 /// The set of entrypoints blocked on one testing instance.
 ///
 /// The test coordinator owns one `BlockList` per instance (wrapped in a
 /// [`SharedBlockList`]) and updates it when subspaces are dedicated; the
 /// instance's step loop applies it to every observation.
+///
+/// The list carries a [`generation`](Self::generation): a `block` or
+/// `unblock` that changes the rules draws a fresh, process-unique one, so
+/// two lists (or one list at two moments) with one generation hold the
+/// same rules, across clones and assignments too. An instance keeps its
+/// enforced pages for as long as the generation stands.
 #[derive(Debug, Clone, Default)]
 pub struct BlockList {
     rules: Vec<EntrypointRule>,
+    generation: u64,
 }
 
 impl BlockList {
@@ -58,9 +82,8 @@ impl BlockList {
     pub fn block(&mut self, rule: EntrypointRule) {
         if !self.rules.contains(&rule) {
             self.rules.push(rule);
-            taopt_telemetry::global()
-                .counter_labeled("block_rules_installed_total", Labels::seam("enforce"))
-                .inc();
+            self.bump();
+            rule_counters().0.inc();
         }
     }
 
@@ -70,10 +93,24 @@ impl BlockList {
         let before = self.rules.len();
         self.rules.retain(|r| r != rule);
         if self.rules.len() < before {
-            taopt_telemetry::global()
-                .counter_labeled("block_rules_removed_total", Labels::seam("enforce"))
-                .inc();
+            self.bump();
+            rule_counters().1.inc();
         }
+    }
+
+    fn bump(&mut self) {
+        self.generation = NEXT_GENERATION.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The rule set's generation (0 for a list never changed, which is
+    /// empty).
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Whether some rule targets screen `screen`.
+    pub fn targets(&self, screen: AbstractScreenId) -> bool {
+        self.rules.iter().any(|r| r.screen == screen)
     }
 
     /// The current rules.
@@ -122,16 +159,6 @@ impl BlockList {
             if rule.screen == screen {
                 n += hierarchy.disable_by_resource_id(&rule.widget_rid);
             }
-        }
-        // Telemetry only when something was disabled, keeping the
-        // per-observation hot path free of registry lookups.
-        if n > 0 {
-            taopt_telemetry::global()
-                .counter_labeled(
-                    "enforcement_widgets_disabled_total",
-                    Labels::seam("enforce"),
-                )
-                .add(n as u64);
         }
         n
     }
@@ -192,6 +219,28 @@ mod tests {
     }
 
     #[test]
+    fn only_a_change_moves_the_generation() {
+        let mut bl = BlockList::new();
+        assert_eq!(bl.generation(), 0);
+        let r = EntrypointRule::new(AbstractScreenId(1), "x");
+        bl.block(r.clone());
+        let blocked = bl.generation();
+        assert_ne!(blocked, 0);
+        bl.block(r.clone());
+        bl.unblock(&EntrypointRule::new(AbstractScreenId(2), "x"));
+        assert_eq!(bl.generation(), blocked, "no-op changes keep it");
+        let copy = bl.clone();
+        bl.unblock(&r);
+        assert!(bl.is_empty());
+        assert_ne!(bl.generation(), blocked);
+        assert_ne!(bl.generation(), 0, "empty again, but a new rule set");
+        assert_eq!(copy.generation(), blocked, "a clone keeps its rules' name");
+        let mut other = BlockList::new();
+        other.block(r);
+        assert_ne!(other.generation(), blocked, "equal rules, other history");
+    }
+
+    #[test]
     fn diff_to_yields_exactly_the_missing_and_stale_rules() {
         let mut actual = BlockList::new();
         let mut intended = BlockList::new();
@@ -227,15 +276,15 @@ mod tests {
         let (mut a, mut b) = (launch(1), launch(2));
         let mut obs_a = a.observe(VirtualTime::ZERO);
         let obs_b = b.observe(VirtualTime::ZERO);
-        let same_tree = |x: &UiHierarchy, y: &UiHierarchy| std::ptr::eq(x.root(), y.root());
+        let same_tree = |x: &UiHierarchy, y: &UiHierarchy| x.shares_tree(y);
         assert!(
             same_tree(&obs_a.hierarchy, &obs_b.hierarchy),
             "one template"
         );
         let (aid, _) = obs_a.enabled_actions()[0];
-        let rid = obs_a.hierarchy.widget_for(aid).unwrap().resource_id.clone();
+        let rid = obs_a.hierarchy.affordance(aid).unwrap().resource_id.clone();
         let mut bl = BlockList::new();
-        bl.block(EntrypointRule::new(obs_a.abstract_id(), rid.unwrap()));
+        bl.block(EntrypointRule::new(obs_a.abstract_id(), &*rid.unwrap()));
         assert_eq!(bl.apply(obs_a.abstract_id(), &mut obs_a.hierarchy), 1);
         let widget = Action::Widget(aid);
         assert!(

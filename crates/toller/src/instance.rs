@@ -5,8 +5,9 @@ use std::sync::Arc;
 
 use taopt_app_sim::{App, CrashSignature, MethodSet};
 use taopt_device::{CrashCollector, DeviceId, Emulator};
+use taopt_telemetry::{Counter, Labels};
 use taopt_tools::TestingTool;
-use taopt_ui_model::{ScreenObservation, VirtualTime};
+use taopt_ui_model::{ScreenObservation, UiHierarchy, VirtualTime};
 
 use crate::enforce::{shared_block_list, SharedBlockList};
 use crate::monitor::TransitionMonitor;
@@ -36,6 +37,24 @@ pub struct StepReport {
     pub newly_covered: Vec<taopt_app_sim::MethodId>,
 }
 
+/// One page as this instance's rules leave it.
+#[derive(Debug)]
+struct EnforcedPage {
+    /// The page as observed (an app's shared template). Holding it keeps
+    /// its tree alive, so a tree match is never a reused address.
+    page: UiHierarchy,
+    enforced: UiHierarchy,
+    widgets_blocked: usize,
+}
+
+/// The enforced pages of one rule-set generation: a blocked page is
+/// copied once per instance and rule set, not once per observation.
+#[derive(Debug, Default)]
+struct EnforcementMemo {
+    generation: u64,
+    pages: Vec<EnforcedPage>,
+}
+
 /// One testing instance: emulator + black-box tool + Toller monitor +
 /// shared block list, advanced one tool action at a time.
 ///
@@ -49,6 +68,8 @@ pub struct InstrumentedInstance {
     tool: Box<dyn TestingTool>,
     monitor: TransitionMonitor,
     blocklist: SharedBlockList,
+    memo: EnforcementMemo,
+    widgets_disabled: Counter,
     distinct_screens: usize,
     last_obs: Option<ScreenObservation>,
 }
@@ -103,14 +124,17 @@ impl InstrumentedInstance {
             tool,
             monitor: TransitionMonitor::new(id),
             blocklist: shared_block_list(),
+            memo: EnforcementMemo::default(),
+            widgets_disabled: taopt_telemetry::global().counter_labeled(
+                "enforcement_widgets_disabled_total",
+                Labels::seam("enforce"),
+            ),
             distinct_screens: 0,
             last_obs: None,
         };
         // Record the initial screen (after auto-login, if any).
         let mut obs = inst.emulator.observe();
-        inst.blocklist
-            .read()
-            .apply(obs.abstract_id(), &mut obs.hierarchy);
+        inst.enforce(&mut obs);
         inst.monitor.record(None, None, &obs);
         inst.distinct_screens = inst.emulator.distinct_screens();
         inst.last_obs = Some(obs);
@@ -173,10 +197,7 @@ impl InstrumentedInstance {
             .expect("tools only fire actions offered by the observation");
         // Enforce on the *next* observation before the tool sees it.
         let mut obs = out.observation;
-        let widgets_blocked = self
-            .blocklist
-            .read()
-            .apply(obs.abstract_id(), &mut obs.hierarchy);
+        let widgets_blocked = self.enforce(&mut obs);
         self.tool.on_transition(prev.abstract_id(), action, &obs);
         if out.crash.is_some() {
             self.tool.on_crash();
@@ -201,12 +222,49 @@ impl InstrumentedInstance {
     /// action-less observation.
     pub fn jump_to(&mut self, screen: taopt_ui_model::ScreenId) {
         let mut obs = self.emulator.jump_to(screen);
-        self.blocklist
-            .read()
-            .apply(obs.abstract_id(), &mut obs.hierarchy);
+        self.enforce(&mut obs);
         self.monitor.record(None, None, &obs);
         self.distinct_screens = self.emulator.distinct_screens();
         self.last_obs = Some(obs);
+    }
+
+    /// Disables the blocked entrypoints on `obs` before anyone sees it;
+    /// returns how many widgets that disabled.
+    ///
+    /// The outcome for a page is a function of the page and the rule set,
+    /// so it is computed once per generation of the block list and then
+    /// shared: a repeat observation of a blocked page swaps in the
+    /// enforced copy, and one of a page no rule targets is left alone.
+    /// A `block` or `unblock` moves the generation, so it is in force
+    /// from the very next observation.
+    fn enforce(&mut self, obs: &mut ScreenObservation) -> usize {
+        let rules = self.blocklist.read();
+        if rules.generation() != self.memo.generation {
+            self.memo.generation = rules.generation();
+            self.memo.pages.clear();
+        }
+        if !rules.targets(obs.abstract_id()) {
+            return 0;
+        }
+        let page = &obs.hierarchy;
+        let n = match self.memo.pages.iter().find(|e| e.page.shares_tree(page)) {
+            Some(e) => {
+                obs.hierarchy = e.enforced.clone();
+                e.widgets_blocked
+            }
+            None => {
+                let page = obs.hierarchy.clone();
+                let n = rules.apply(obs.abstract_id(), &mut obs.hierarchy);
+                self.memo.pages.push(EnforcedPage {
+                    page,
+                    enforced: obs.hierarchy.clone(),
+                    widgets_blocked: n,
+                });
+                n
+            }
+        };
+        self.widgets_disabled.add(n as u64);
+        n
     }
 
     /// Runs steps until the device clock reaches `deadline`.
@@ -298,6 +356,73 @@ mod tests {
             .iter()
             .any(|e| e.action_widget_rid.as_deref() == Some(tab_rid.as_str()));
         assert!(!fired, "blocked widget must never be actioned");
+    }
+
+    #[test]
+    fn enforced_pages_are_shared_until_the_rules_change() {
+        use crate::enforce::EntrypointRule;
+        use taopt_tools::{ScriptStep, Scripted};
+        use taopt_ui_model::Action;
+        let app = Arc::new(generate_app(&GeneratorConfig::small("memo", 5)).unwrap());
+        // Back on the start screen stays there: every step observes it.
+        let stay = |seed: u32| {
+            let tool = Scripted::new(vec![ScriptStep::Back; 16], seed.into());
+            InstrumentedInstance::boot(
+                InstanceId(seed),
+                DeviceId(seed),
+                Arc::clone(&app),
+                Box::new(tool),
+                seed.into(),
+                VirtualTime::ZERO,
+            )
+        };
+        let (mut a, b) = (stay(1), stay(2));
+        let hub = b.last_obs.clone().expect("booted");
+        let entry = hub.hierarchy.affordances()[0].clone();
+        let widget = Action::Widget(entry.id);
+        let rule = EntrypointRule::new(hub.abstract_id(), &*entry.resource_id.unwrap());
+        let step = |inst: &mut InstrumentedInstance| {
+            let n = inst.step().widgets_blocked;
+            (n, inst.last_obs.clone().unwrap())
+        };
+        let (n, plain) = step(&mut a);
+        assert_eq!(n, 0);
+        assert!(
+            plain.hierarchy.shares_tree(&hub.hierarchy),
+            "no rule, no copy"
+        );
+
+        a.blocklist().write().block(rule.clone());
+        let mut fresh = hub.hierarchy.clone();
+        let want = a.blocklist().read().apply(hub.abstract_id(), &mut fresh);
+        assert!(want > 0);
+        let (n1, first) = step(&mut a);
+        let (n2, second) = step(&mut a);
+        assert_eq!((n1, n2), (want, want), "a fresh apply's count");
+        assert!(!first.hierarchy.offers(widget), "in force at the next step");
+        assert_eq!(first.hierarchy, fresh);
+        assert!(first.hierarchy.shares_tree(&second.hierarchy), "one copy");
+        a.jump_to(hub.screen);
+        let jumped = a.last_obs.clone().unwrap();
+        assert!(jumped.hierarchy.shares_tree(&first.hierarchy));
+        // The template and the other instance keep the widget.
+        assert!(hub.hierarchy.offers(widget));
+        assert!(b.last_obs.as_ref().unwrap().hierarchy.offers(widget));
+        let template = a.emulator_mut().observe().hierarchy;
+        assert!(template.shares_tree(&hub.hierarchy) && template.offers(widget));
+
+        a.blocklist().write().unblock(&rule);
+        let (n3, after) = step(&mut a);
+        assert_eq!(n3, 0, "an unblock is in force at the next step");
+        assert!(after.hierarchy.shares_tree(&hub.hierarchy));
+        a.blocklist().write().block(rule);
+        let (n4, again) = step(&mut a);
+        assert_eq!(n4, want);
+        assert!(!again.hierarchy.offers(widget));
+        assert!(
+            !again.hierarchy.shares_tree(&first.hierarchy),
+            "a new rule set, a new copy"
+        );
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! UI transition monitoring.
 
-use std::sync::Arc;
-
 use taopt_ui_model::{Action, ScreenObservation, Trace, TraceEvent};
 
 use crate::instance::InstanceId;
@@ -27,7 +25,8 @@ impl TransitionMonitor {
     }
 
     /// Records an observation. `prev` is the screen the `action` was fired
-    /// on (`None` for the very first observation).
+    /// on (`None` for the very first observation). The fired widget's
+    /// resource id is shared from `prev`'s action table, not copied.
     pub fn record(
         &mut self,
         prev: Option<&ScreenObservation>,
@@ -37,8 +36,8 @@ impl TransitionMonitor {
         let action_widget_rid = match (prev, action) {
             (Some(p), Some(Action::Widget(id))) => p
                 .hierarchy
-                .widget_for(id)
-                .and_then(|w| w.resource_id.as_deref().map(Arc::from)),
+                .affordance(id)
+                .and_then(|a| a.resource_id.clone()),
             _ => None,
         };
         let event = TraceEvent {

@@ -1,6 +1,6 @@
 //! Ape — model-based exploration with abstraction and refinement.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -8,6 +8,7 @@ use rand::{Rng, SeedableRng};
 
 use taopt_ui_model::{AbstractScreenId, Action, ActionId, ScreenObservation};
 
+use crate::idhash::{IdMap, IdSet};
 use crate::tool::TestingTool;
 
 /// Exploration noise: probability of a uniformly random choice instead of
@@ -23,19 +24,30 @@ const MAX_PLAN: usize = 5;
 
 #[derive(Debug, Default, Clone)]
 struct ActionStats {
-    tries: u32,
-    /// Observed successor states and counts.
-    outcomes: HashMap<AbstractScreenId, u32>,
+    /// Observed successor states and counts, in first-seen order.
+    outcomes: Vec<(AbstractScreenId, u32)>,
+    /// `(count, state)` of the most frequently observed successor (ties
+    /// broken by the larger id for determinism), kept as outcomes come
+    /// in: counts only grow, so the maximum is the old one or the state
+    /// just counted.
+    likely: Option<(u32, AbstractScreenId)>,
 }
 
 impl ActionStats {
-    /// The most frequently observed successor (ties broken by id for
-    /// determinism).
-    fn likely_successor(&self) -> Option<AbstractScreenId> {
-        self.outcomes
-            .iter()
-            .max_by_key(|(s, c)| (**c, *s))
-            .map(|(s, _)| *s)
+    fn record(&mut self, to: AbstractScreenId) {
+        let count = match self.outcomes.iter_mut().find(|(s, _)| *s == to) {
+            Some((_, c)) => {
+                *c += 1;
+                *c
+            }
+            None => {
+                self.outcomes.push((to, 1));
+                1
+            }
+        };
+        if self.likely.is_none_or(|best| (count, to) > best) {
+            self.likely = Some((count, to));
+        }
     }
 }
 
@@ -44,14 +56,17 @@ struct StateModel {
     visits: u32,
     /// Actions seen enabled on this state (last observation wins).
     known_actions: Vec<ActionId>,
-    actions: HashMap<ActionId, ActionStats>,
+    /// The actions tried on this state, sorted by id: the order a
+    /// frontier search expands them in.
+    actions: Vec<(ActionId, ActionStats)>,
+    /// Entries of `known_actions` never tried: the state is a frontier
+    /// while this is non-zero.
+    untried: usize,
 }
 
 impl StateModel {
-    fn has_frontier(&self) -> bool {
-        self.known_actions
-            .iter()
-            .any(|a| self.actions.get(a).map(|s| s.tries == 0).unwrap_or(true))
+    fn tried(&self, id: ActionId) -> bool {
+        self.actions.binary_search_by_key(&id, |(a, _)| *a).is_ok()
     }
 }
 
@@ -68,10 +83,21 @@ impl StateModel {
 /// same order — which is exactly why the paper finds Ape suffers the
 /// *most* from overlapping explorations in uncoordinated parallel runs
 /// (§3.2, Fig. 3) and benefits the most from TaOPT (Table 6).
+///
+/// The model is kept incrementally, so a step allocates nothing once the
+/// model stops growing: each state's tried actions stay sorted by id,
+/// each action's likely successor and each state's untried count are
+/// updated as transitions come in, and the search queue, its visited set
+/// and the exploitation list are reused from step to step.
 #[derive(Debug)]
 pub struct Ape {
     rng: StdRng,
-    model: HashMap<AbstractScreenId, StateModel>,
+    model: IdMap<AbstractScreenId, StateModel>,
+    /// Frontier search queue: (state, first action of the path, depth).
+    queue: VecDeque<(AbstractScreenId, Option<ActionId>, usize)>,
+    seen: IdSet<AbstractScreenId>,
+    /// The current state's enabled actions already tried.
+    exploit: Vec<ActionId>,
 }
 
 impl Ape {
@@ -79,7 +105,10 @@ impl Ape {
     pub fn new(seed: u64) -> Self {
         Ape {
             rng: StdRng::seed_from_u64(seed),
-            model: HashMap::new(),
+            model: IdMap::default(),
+            queue: VecDeque::new(),
+            seen: IdSet::default(),
+            exploit: Vec::new(),
         }
     }
 
@@ -89,33 +118,30 @@ impl Ape {
     }
 
     /// BFS over the learned model from `start` to any state with frontier
-    /// actions; returns the first action of the path.
-    fn plan_to_frontier(&self, start: AbstractScreenId) -> Option<ActionId> {
-        let mut queue = VecDeque::new();
-        let mut seen = HashSet::new();
+    /// actions; returns the first action of the path. A state expands its
+    /// tried actions in id order, each towards its likely successor.
+    fn plan_to_frontier(&mut self, start: AbstractScreenId) -> Option<ActionId> {
+        let Ape {
+            model, queue, seen, ..
+        } = self;
+        queue.clear();
+        seen.clear();
         queue.push_back((start, None, 0));
         seen.insert(start);
         while let Some((state, first, depth)) = queue.pop_front() {
-            if state != start {
-                if let Some(m) = self.model.get(&state) {
-                    if m.has_frontier() {
-                        return first;
-                    }
-                }
+            let Some(m) = model.get(&state) else {
+                continue;
+            };
+            if state != start && m.untried > 0 {
+                return first;
             }
             if depth >= MAX_PLAN {
                 continue;
             }
-            if let Some(m) = self.model.get(&state) {
-                // Deterministic expansion order (HashMap iteration order
-                // would otherwise leak OS entropy into the tool's policy).
-                let mut actions: Vec<(&ActionId, &ActionStats)> = m.actions.iter().collect();
-                actions.sort_by_key(|(aid, _)| **aid);
-                for (aid, stats) in actions {
-                    if let Some(succ) = stats.likely_successor() {
-                        if seen.insert(succ) {
-                            queue.push_back((succ, first.or(Some(*aid)), depth + 1));
-                        }
+            for (aid, stats) in &m.actions {
+                if let Some((_, succ)) = stats.likely {
+                    if seen.insert(succ) {
+                        queue.push_back((succ, first.or(Some(*aid)), depth + 1));
                     }
                 }
             }
@@ -135,11 +161,19 @@ impl TestingTool for Ape {
         if enabled.is_empty() {
             return Action::Back;
         }
-        // Register/update the state.
-        {
-            let state = self.model.entry(state_id).or_default();
-            state.visits += 1;
-            state.known_actions = enabled.iter().map(|(a, _)| *a).collect();
+        // Register/update the state; note its first unexecuted action in
+        // document order.
+        let state = self.model.entry(state_id).or_default();
+        state.visits += 1;
+        state.known_actions.clear();
+        state.known_actions.extend(enabled.iter().map(|(a, _)| *a));
+        let mut first_untried = None;
+        state.untried = 0;
+        for &(id, _) in enabled {
+            if !state.tried(id) {
+                state.untried += 1;
+                first_untried.get_or_insert(id);
+            }
         }
         // ε-greedy noise.
         if self.rng.gen::<f64>() < EPSILON {
@@ -148,31 +182,19 @@ impl TestingTool for Ape {
         }
         // Exploitation/refinement mix.
         if self.rng.gen::<f64>() < EXPLOIT_PROB {
-            let tried: Vec<ActionId> = {
-                let st = self.model.get(&state_id);
-                enabled
-                    .iter()
-                    .map(|(a, _)| *a)
-                    .filter(|a| {
-                        st.and_then(|m| m.actions.get(a))
-                            .map(|s| s.tries > 0)
-                            .unwrap_or(false)
-                    })
-                    .collect()
-            };
-            if let Some(id) = tried.choose(&mut self.rng) {
+            let state = &self.model[&state_id];
+            self.exploit.clear();
+            self.exploit
+                .extend(enabled.iter().map(|(a, _)| *a).filter(|a| state.tried(*a)));
+            if let Some(id) = self.exploit.choose(&mut self.rng) {
                 return Action::Widget(*id);
             }
         }
         // 1. Unexecuted action on the current state, in document order
         //    (deterministic frontier chasing — the source of cross-seed
         //    convergence the paper observes).
-        let state = &self.model[&state_id];
-        for (id, _) in &enabled {
-            let tried = state.actions.get(id).map(|s| s.tries).unwrap_or(0);
-            if tried == 0 {
-                return Action::Widget(*id);
-            }
+        if let Some(id) = first_untried {
+            return Action::Widget(id);
         }
         // 2. Take the first step of a shortest learned path towards the
         //    nearest frontier state (re-planned on every call, since the
@@ -195,13 +217,21 @@ impl TestingTool for Ape {
     }
 
     fn on_transition(&mut self, from: AbstractScreenId, action: Action, to: &ScreenObservation) {
+        let to = to.abstract_id();
         if let Action::Widget(id) = action {
             let st = self.model.entry(from).or_default();
-            let stats = st.actions.entry(id).or_default();
-            stats.tries += 1;
-            *stats.outcomes.entry(to.abstract_id()).or_insert(0) += 1;
+            let i = match st.actions.binary_search_by_key(&id, |(a, _)| *a) {
+                Ok(i) => i,
+                Err(i) => {
+                    // First try: the state loses this frontier action.
+                    st.actions.insert(i, (id, ActionStats::default()));
+                    st.untried -= st.known_actions.iter().filter(|a| **a == id).count();
+                    i
+                }
+            };
+            st.actions[i].1.record(to);
         }
-        self.model.entry(to.abstract_id()).or_default();
+        self.model.entry(to).or_default();
     }
 }
 
@@ -231,7 +261,7 @@ mod tests {
                 }
             }
         }
-        rt.visited_screens().len()
+        rt.visited_screen_count()
     }
 
     #[test]
@@ -278,8 +308,8 @@ mod tests {
         drive(&mut b, &mut rb, 500);
         let sa = ra.visited_screens();
         let sb = rb.visited_screens();
-        let inter = sa.intersection(sb).count() as f64;
-        let union = sa.union(sb).count() as f64;
+        let inter = sa.intersection(&sb).count() as f64;
+        let union = sa.union(&sb).count() as f64;
         assert!(
             inter / union > 0.5,
             "Ape instances should overlap heavily: {}",

@@ -100,7 +100,7 @@ impl TestingTool for Badge {
         } else {
             let mut best = enabled[0].0;
             let mut best_ucb = f64::MIN;
-            for (a, _) in &enabled {
+            for (a, _) in enabled {
                 let ucb = self
                     .arms
                     .get(&(state, *a))

@@ -29,6 +29,7 @@
 
 pub mod ape;
 pub mod badge;
+mod idhash;
 pub mod monkey;
 pub mod scripted;
 pub mod tool;

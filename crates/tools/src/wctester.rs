@@ -1,12 +1,11 @@
 //! WCTester — activity-transition prioritizing weighted random testing.
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use taopt_ui_model::{AbstractScreenId, Action, ActionId, ActivityId, ScreenObservation};
 
+use crate::idhash::IdMap;
 use crate::tool::TestingTool;
 
 /// Weight of an action never tried before.
@@ -36,8 +35,10 @@ struct ActionRecord {
 #[derive(Debug)]
 pub struct WcTester {
     rng: StdRng,
-    records: HashMap<ActionId, ActionRecord>,
+    records: IdMap<ActionId, ActionRecord>,
     last_activity: Option<ActivityId>,
+    /// The current screen's action weights, reused from step to step.
+    weights: Vec<f64>,
 }
 
 impl WcTester {
@@ -45,19 +46,21 @@ impl WcTester {
     pub fn new(seed: u64) -> Self {
         WcTester {
             rng: StdRng::seed_from_u64(seed),
-            records: HashMap::new(),
+            records: IdMap::default(),
             last_activity: None,
+            weights: Vec::new(),
         }
     }
+}
 
-    fn weight(&self, id: ActionId) -> f64 {
-        match self.records.get(&id) {
-            None => W_UNKNOWN,
-            Some(r) if r.tries == 0 => W_UNKNOWN,
-            Some(r) => {
-                let rate = r.activity_changes as f64 / r.tries as f64;
-                W_LOCAL + W_ACTIVITY_BONUS * rate
-            }
+/// An action's selection weight given what the tool has learned.
+fn weight(records: &IdMap<ActionId, ActionRecord>, id: ActionId) -> f64 {
+    match records.get(&id) {
+        None => W_UNKNOWN,
+        Some(r) if r.tries == 0 => W_UNKNOWN,
+        Some(r) => {
+            let rate = r.activity_changes as f64 / r.tries as f64;
+            W_LOCAL + W_ACTIVITY_BONUS * rate
         }
     }
 }
@@ -81,10 +84,12 @@ impl TestingTool for WcTester {
             self.last_activity = Some(obs.activity);
             return Action::Widget(id);
         }
-        let weights: Vec<f64> = enabled.iter().map(|(id, _)| self.weight(*id)).collect();
-        let total: f64 = weights.iter().sum();
+        self.weights.clear();
+        self.weights
+            .extend(enabled.iter().map(|(id, _)| weight(&self.records, *id)));
+        let total: f64 = self.weights.iter().sum();
         let mut pick = self.rng.gen::<f64>() * total;
-        for ((id, _), w) in enabled.iter().zip(&weights) {
+        for ((id, _), w) in enabled.iter().zip(&self.weights) {
             if pick < *w {
                 self.last_activity = Some(obs.activity);
                 return Action::Widget(*id);
@@ -124,7 +129,7 @@ mod tests {
     #[test]
     fn untried_actions_have_optimistic_weight() {
         let w = WcTester::new(1);
-        assert_eq!(w.weight(ActionId(5)), W_UNKNOWN);
+        assert_eq!(weight(&w.records, ActionId(5)), W_UNKNOWN);
     }
 
     #[test]
@@ -144,7 +149,7 @@ mod tests {
                 activity_changes: 0,
             },
         );
-        assert!(w.weight(ActionId(1)) > 4.0 * w.weight(ActionId(2)));
+        assert!(weight(&w.records, ActionId(1)) > 4.0 * weight(&w.records, ActionId(2)));
     }
 
     #[test]

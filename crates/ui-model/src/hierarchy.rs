@@ -1,9 +1,51 @@
 //! UI hierarchies — the screen content visible to a testing tool.
 
+use std::fmt;
 use std::sync::Arc;
 
 use crate::action::{Action, ActionId, ActionKind};
 use crate::widget::Widget;
+
+/// One affordance of a page, as its action table lists it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Affordance {
+    /// The action the widget fires.
+    pub id: ActionId,
+    /// Its gesture class.
+    pub kind: ActionKind,
+    /// Whether the widget is enabled (enforcement clears this).
+    pub enabled: bool,
+    /// The widget's resource id, shared by every clone of the hierarchy.
+    pub resource_id: Option<Arc<str>>,
+}
+
+/// A page's affordances in document order, derived from its tree.
+#[derive(Debug, Default)]
+struct ActionTable {
+    all: Vec<Affordance>,
+    /// `(id, kind)` of the enabled entries of `all`: the tools' menu.
+    enabled: Vec<(ActionId, ActionKind)>,
+}
+
+impl ActionTable {
+    fn of(root: &Widget) -> Self {
+        let mut table = ActionTable::default();
+        root.visit(&mut |w| {
+            if let Some((id, kind)) = w.affordance {
+                table.all.push(Affordance {
+                    id,
+                    kind,
+                    enabled: w.enabled,
+                    resource_id: w.resource_id.as_deref().map(Arc::from),
+                });
+                if w.enabled {
+                    table.enabled.push((id, kind));
+                }
+            }
+        });
+        table
+    }
+}
 
 /// A full-screen widget tree, analogous to a `uiautomator dump`.
 ///
@@ -11,27 +53,47 @@ use crate::widget::Widget;
 /// testing tool: tools enumerate enabled affordances from it, and the Toller
 /// enforcement shim disables widgets on it before the tool looks.
 ///
-/// The tree sits behind an `Arc` and is copied on write: cloning a
-/// hierarchy, or wrapping an app's shared page template with
-/// [`UiHierarchy::from_shared`], copies no widget. [`UiHierarchy::root_mut`]
-/// and a disable that actually disables something copy the tree once if
-/// it is shared, so a change never shows through another holder.
-#[derive(Debug, Clone, PartialEq)]
+/// Beside the tree the hierarchy carries its *action table*: every
+/// affordance in document order with its enabled flag and resource id.
+/// Tools and the transition monitor read the table, never the tree, so an
+/// observation is answered without a walk. The table is built with the
+/// tree ([`UiHierarchy::new`]) and again only after a disable changes the
+/// tree.
+///
+/// Tree and table sit behind `Arc`s and are copied on write: cloning a
+/// hierarchy (say, an app's shared page template) copies no widget, and
+/// a disable that actually disables something copies the tree once if it
+/// is shared, so a change never shows through another holder.
+#[derive(Clone)]
 pub struct UiHierarchy {
     root: Arc<Widget>,
+    actions: Arc<ActionTable>,
+}
+
+impl fmt::Debug for UiHierarchy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("UiHierarchy")
+            .field("root", &self.root)
+            .finish()
+    }
+}
+
+/// Two hierarchies are equal when their trees are; the action table is a
+/// function of the tree.
+impl PartialEq for UiHierarchy {
+    fn eq(&self, other: &Self) -> bool {
+        self.root == other.root
+    }
 }
 
 impl UiHierarchy {
-    /// Wraps a widget tree.
+    /// Wraps a widget tree and builds its action table.
     pub fn new(root: Widget) -> Self {
+        let actions = Arc::new(ActionTable::of(&root));
         UiHierarchy {
             root: Arc::new(root),
+            actions,
         }
-    }
-
-    /// Wraps a shared widget tree without copying it.
-    pub fn from_shared(root: Arc<Widget>) -> Self {
-        UiHierarchy { root }
     }
 
     /// The root widget.
@@ -39,10 +101,10 @@ impl UiHierarchy {
         &self.root
     }
 
-    /// Mutable access to the root widget; copies the tree first if it is
-    /// shared.
-    pub fn root_mut(&mut self) -> &mut Widget {
-        Arc::make_mut(&mut self.root)
+    /// Whether `self` and `other` share one tree (neither copied it since
+    /// one was cloned from the other).
+    pub fn shares_tree(&self, other: &UiHierarchy) -> bool {
+        Arc::ptr_eq(&self.root, &other.root)
     }
 
     /// Total number of widgets.
@@ -54,27 +116,18 @@ impl UiHierarchy {
     ///
     /// This is the action menu a testing tool chooses from; disabled
     /// widgets (blocked entrypoints) do not appear.
-    pub fn enabled_actions(&self) -> Vec<(ActionId, ActionKind)> {
-        let mut out = Vec::new();
-        self.root.visit(&mut |w| {
-            if w.enabled {
-                if let Some(a) = w.affordance {
-                    out.push(a);
-                }
-            }
-        });
-        out
+    pub fn enabled_actions(&self) -> &[(ActionId, ActionKind)] {
+        &self.actions.enabled
     }
 
-    /// All affordances regardless of enablement.
-    pub fn all_actions(&self) -> Vec<(ActionId, ActionKind)> {
-        let mut out = Vec::new();
-        self.root.visit(&mut |w| {
-            if let Some(a) = w.affordance {
-                out.push(a);
-            }
-        });
-        out
+    /// Every affordance regardless of enablement, in document order.
+    pub fn affordances(&self) -> &[Affordance] {
+        &self.actions.all
+    }
+
+    /// The first affordance (in document order) firing `id`.
+    pub fn affordance(&self, id: ActionId) -> Option<&Affordance> {
+        self.actions.all.iter().find(|a| a.id == id)
     }
 
     /// Whether the given action is currently offered (enabled).
@@ -106,7 +159,7 @@ impl UiHierarchy {
 
     /// Disables every enabled widget that `hit` selects. The tree is
     /// scanned read-only first, so a disable that matches nothing never
-    /// copies a shared tree.
+    /// copies a shared tree; one that does rebuilds the action table.
     fn disable_where(&mut self, hit: impl Fn(&Widget) -> bool) -> usize {
         let mut any = false;
         self.root.visit(&mut |w| any |= w.enabled && hit(w));
@@ -114,28 +167,15 @@ impl UiHierarchy {
             return 0;
         }
         let mut n = 0;
-        self.root_mut().visit_mut(&mut |w| {
+        let root = Arc::make_mut(&mut self.root);
+        root.visit_mut(&mut |w| {
             if w.enabled && hit(w) {
                 w.enabled = false;
                 n += 1;
             }
         });
+        self.actions = Arc::new(ActionTable::of(root));
         n
-    }
-
-    /// Finds the widget carrying the given action id.
-    pub fn widget_for(&self, id: ActionId) -> Option<&Widget> {
-        let mut found: Option<&Widget> = None;
-        self.root.visit(&mut |w| {
-            if found.is_none() {
-                if let Some((a, _)) = w.affordance {
-                    if a == id {
-                        found = Some(w);
-                    }
-                }
-            }
-        });
-        found
     }
 }
 
@@ -171,8 +211,9 @@ mod tests {
         assert_eq!(h.disable_actions(&[ActionId(1)]), 1);
         let ids: Vec<_> = h.enabled_actions().iter().map(|(a, _)| a.0).collect();
         assert_eq!(ids, vec![2]);
-        // All-actions still sees the disabled affordance.
-        assert_eq!(h.all_actions().len(), 2);
+        // The table still lists the disabled affordance, marked so.
+        let flags: Vec<_> = h.affordances().iter().map(|a| a.enabled).collect();
+        assert_eq!(flags, vec![false, true]);
         // Disabling again is a no-op.
         assert_eq!(h.disable_actions(&[ActionId(1)]), 0);
     }
@@ -200,15 +241,9 @@ mod tests {
         let shared = screen();
         let mut copy = shared.clone();
         assert_eq!(copy.disable_by_resource_id("nope"), 0);
-        assert!(
-            std::ptr::eq(copy.root(), shared.root()),
-            "a miss copies nothing"
-        );
+        assert!(copy.shares_tree(&shared), "a miss copies nothing");
         assert_eq!(copy.disable_by_resource_id("buy"), 1);
-        assert!(
-            !std::ptr::eq(copy.root(), shared.root()),
-            "a hit copies the tree"
-        );
+        assert!(!copy.shares_tree(&shared), "a hit copies the tree");
         assert!(
             shared.offers(Action::Widget(ActionId(1))),
             "original intact"
@@ -217,10 +252,11 @@ mod tests {
     }
 
     #[test]
-    fn widget_for_finds_carrier() {
+    fn affordance_finds_carrier() {
         let h = screen();
-        let w = h.widget_for(ActionId(2)).expect("should find scroll list");
-        assert_eq!(w.resource_id.as_deref(), Some("list"));
-        assert!(h.widget_for(ActionId(42)).is_none());
+        let a = h.affordance(ActionId(2)).expect("should find scroll list");
+        assert_eq!(a.resource_id.as_deref(), Some("list"));
+        assert_eq!(a.kind, ActionKind::Scroll);
+        assert!(h.affordance(ActionId(42)).is_none());
     }
 }

@@ -55,7 +55,7 @@ pub use dump::{from_xml, to_xml, ParseDumpError};
 pub use error::UiModelError;
 pub use geometry::Bounds;
 pub use graph::StochasticDigraph;
-pub use hierarchy::UiHierarchy;
+pub use hierarchy::{Affordance, UiHierarchy};
 pub use json::{JsonError, Value};
 pub use screen::{ActivityId, ScreenId, ScreenObservation};
 pub use similarity::{count_in, tree_similarity};

@@ -44,7 +44,8 @@ pub struct ScreenObservation {
     pub activity: ActivityId,
     /// The (possibly enforcement-filtered) widget tree. A simulated app
     /// hands out its page template here, shared by every observation of
-    /// that page; enforcement copies it only when a rule disables a widget.
+    /// that page; enforcement copies it only when a rule disables a widget,
+    /// once per instance and rule set.
     pub hierarchy: UiHierarchy,
     /// Structural abstraction of the hierarchy (text removed).
     pub abstraction: Arc<AbstractHierarchy>,
@@ -98,8 +99,9 @@ impl ScreenObservation {
         self.abstraction.id()
     }
 
-    /// Enabled affordances on this screen.
-    pub fn enabled_actions(&self) -> Vec<(ActionId, ActionKind)> {
+    /// Enabled affordances on this screen, in document order (borrowed
+    /// from the hierarchy's action table).
+    pub fn enabled_actions(&self) -> &[(ActionId, ActionKind)] {
         self.hierarchy.enabled_actions()
     }
 }

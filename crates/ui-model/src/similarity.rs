@@ -184,10 +184,10 @@ impl SimilarityCache {
 
     /// Evaluates the pair's tree similarity at `threshold` — counted by
     /// [`computations`](Self::computations) — without reading or
-    /// recording the store.
+    /// recording the store. See [`similar_at`].
     pub fn decide(&self, a: &TraceEvent, b: &TraceEvent, threshold: f64) -> bool {
         self.computations.fetch_add(1, Ordering::Relaxed);
-        tree_similarity(&a.abstraction, &b.abstraction) >= threshold
+        similar_at(&a.abstraction, &b.abstraction, threshold)
     }
 
     /// Reads row `id` against the dense ids `others` under one lock:
@@ -307,6 +307,70 @@ pub fn tree_similarity(a: &AbstractHierarchy, b: &AbstractHierarchy) -> f64 {
     2.0 * common as f64 / (sa.len() + sb.len()) as f64
 }
 
+/// Whether `tree_similarity(a, b) >= threshold`, decided exactly but
+/// without finishing the merge when the outcome is already known.
+///
+/// The score `2·c / n` (`c` common signatures, `n = |A| + |B|`) is
+/// computed as [`tree_similarity`] computes it, and it never decreases as
+/// `c` grows, so the decision is `c ≥ c_min` for the least count `c_min`
+/// that scores at least `threshold`. That needs `c_min ≤ min(|A|, |B|)`
+/// before anything is merged; during the sorted merge the answer is
+/// "yes" once `c` reaches `c_min`, and "no" once `c` plus the shorter
+/// remainder falls below it.
+pub fn similar_at(a: &AbstractHierarchy, b: &AbstractHierarchy, threshold: f64) -> bool {
+    if a.id() == b.id() {
+        return 1.0 >= threshold;
+    }
+    let (sa, sb) = (a.signatures(), b.signatures());
+    let n = sa.len() + sb.len();
+    if n == 0 {
+        return 1.0 >= threshold;
+    }
+    let score = |c: usize| 2.0 * c as f64 / n as f64;
+    let shorter = sa.len().min(sb.len());
+    // The least count scoring at least `threshold`, or `shorter + 1` when
+    // none does. The estimate is within one of it; the loops settle it on
+    // the exact score.
+    let estimate = (threshold * n as f64 / 2.0).ceil();
+    let mut need = if estimate.is_nan() {
+        shorter + 1
+    } else {
+        estimate.clamp(0.0, (shorter + 1) as f64) as usize
+    };
+    while need > 0 && score(need - 1) >= threshold {
+        need -= 1;
+    }
+    while need <= shorter && score(need) < threshold {
+        need += 1;
+    }
+    if need > shorter {
+        return false;
+    }
+    if need == 0 {
+        return true;
+    }
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < sa.len() && j < sb.len() {
+        match sa[i].cmp(&sb[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                common += 1;
+                if common >= need {
+                    return true;
+                }
+                i += 1;
+                j += 1;
+                continue;
+            }
+        }
+        if common + (sa.len() - i).min(sb.len() - j) < need {
+            return false;
+        }
+    }
+    false
+}
+
 /// The paper's `CountIn(s, window)`: how many screens in `window` are
 /// tree-similar to `s` at or above `threshold`.
 pub fn count_in(
@@ -316,7 +380,7 @@ pub fn count_in(
 ) -> usize {
     window
         .into_iter()
-        .filter(|x| tree_similarity(s, x.as_ref()) >= threshold)
+        .filter(|x| similar_at(s, x.as_ref(), threshold))
         .count()
 }
 

@@ -4,9 +4,10 @@
 use proptest::prelude::*;
 
 use taopt_ui_model::abstraction::abstract_hierarchy;
-use taopt_ui_model::similarity::tree_similarity;
+use taopt_ui_model::similarity::{tree_similarity, SimilarityCache};
 use taopt_ui_model::{
-    ActionId, ActionKind, Bounds, StochasticDigraph, UiHierarchy, Widget, WidgetClass,
+    AbstractHierarchy, ActionId, ActionKind, ActivityId, Bounds, ScreenId, StochasticDigraph,
+    TraceEvent, UiHierarchy, VirtualTime, Widget, WidgetClass,
 };
 
 const CLASSES: [WidgetClass; 6] = [
@@ -47,6 +48,57 @@ pub fn arb_widget() -> impl Strategy<Value = Widget> {
                 w
             })
     })
+}
+
+/// A flat screen whose rows draw resource ids from a small alphabet, so
+/// two of them share most signatures and often score near 0.9.
+fn arb_flat_screen() -> impl Strategy<Value = Widget> {
+    proptest::collection::vec((0usize..2, 0u8..5), 0..40).prop_map(|rows| {
+        let mut root = Widget::container(WidgetClass::LinearLayout);
+        for (ci, r) in rows {
+            root = root.with_child(Widget::leaf(CLASSES[ci], &format!("r{r}")));
+        }
+        root
+    })
+}
+
+fn event_of(w: Widget) -> TraceEvent {
+    let abstraction = std::sync::Arc::new(abstract_hierarchy(&UiHierarchy::new(w)));
+    TraceEvent {
+        time: VirtualTime::ZERO,
+        screen: ScreenId(0),
+        activity: ActivityId(0),
+        abstract_id: abstraction.id(),
+        abstraction,
+        action: None,
+        action_widget_rid: None,
+    }
+}
+
+/// `SimilarityCache::decide` against the reference `tree_similarity >= θ`
+/// at `extra`, at the default 0.9, exactly on the pair's score and one
+/// float step either side of it, and at out-of-range thresholds.
+fn decide_matches_reference(a: Widget, b: Widget, extra: f64) -> Result<(), TestCaseError> {
+    let (a, b) = (event_of(a), event_of(b));
+    let score = |x: &AbstractHierarchy, y: &AbstractHierarchy| tree_similarity(x, y);
+    let exact = score(&a.abstraction, &b.abstraction);
+    let cache = SimilarityCache::new();
+    for th in [
+        extra,
+        0.9,
+        exact,
+        exact.next_up(),
+        exact.next_down(),
+        0.0,
+        1.0,
+        -0.5,
+        1.5,
+        f64::NAN,
+    ] {
+        prop_assert_eq!(cache.decide(&a, &b, th), exact >= th, "θ = {}", th);
+        prop_assert_eq!(cache.decide(&b, &a, th), exact >= th, "θ = {} swapped", th);
+    }
+    Ok(())
 }
 
 /// Randomly mutates only the *volatile* parts of a tree: text, bounds,
@@ -90,6 +142,25 @@ proptest! {
     }
 
     #[test]
+    fn similarity_decision_matches_the_reference_on_near_duplicates(
+        a in arb_flat_screen(),
+        b in arb_flat_screen(),
+        extra in 0.0f64..1.0,
+    ) {
+        decide_matches_reference(a, b, extra)?;
+    }
+
+    #[test]
+    fn similarity_decision_matches_the_reference_on_deep_trees(
+        a in arb_widget(),
+        b in arb_widget(),
+        extra in 0.0f64..1.0,
+    ) {
+        decide_matches_reference(a.clone(), b, extra)?;
+        decide_matches_reference(a.clone(), a, extra)?;
+    }
+
+    #[test]
     fn identical_abstractions_have_similarity_one(w in arb_widget()) {
         let a = abstract_hierarchy(&UiHierarchy::new(w.clone()));
         let b = abstract_hierarchy(&UiHierarchy::new(w));
@@ -100,7 +171,7 @@ proptest! {
     fn disabling_preserves_structure_but_hides_actions(w in arb_widget()) {
         let mut h = UiHierarchy::new(w);
         let before = abstract_hierarchy(&h).id();
-        let all: Vec<ActionId> = h.all_actions().iter().map(|(a, _)| *a).collect();
+        let all: Vec<ActionId> = h.affordances().iter().map(|a| a.id).collect();
         h.disable_actions(&all);
         prop_assert!(h.enabled_actions().is_empty());
         prop_assert_eq!(abstract_hierarchy(&h).id(), before);
