@@ -15,11 +15,12 @@ use crate::method::{MethodId, MethodSet};
 
 /// The outcome of executing one tool action.
 #[derive(Debug, Clone)]
-pub struct StepOutcome {
+pub struct StepOutcome<'a> {
     /// The screen observed after the step.
     pub observation: ScreenObservation,
-    /// Methods newly covered by this step (first time for this instance).
-    pub newly_covered: Vec<MethodId>,
+    /// Methods newly covered by this step (first time for this instance),
+    /// borrowed from the runtime's reused buffer.
+    pub newly_covered: &'a [MethodId],
     /// Crash fired by this step, if any (the app has been restarted).
     pub crash: Option<CrashSignature>,
     /// Whether the step changed the current screen.
@@ -71,6 +72,9 @@ pub struct AppRuntime {
     current: ScreenId,
     back_stack: Vec<ScreenId>,
     covered_methods: MethodSet,
+    /// Methods the last step or jump covered for the first time; cleared
+    /// and refilled in place, so covering allocates nothing once warm.
+    newly: Vec<MethodId>,
     executed_actions: IdFlags,
     visited_screens: IdFlags,
     visited_count: usize,
@@ -97,6 +101,7 @@ impl AppRuntime {
             rng: StdRng::seed_from_u64(seed),
             back_stack: Vec::new(),
             covered_methods: MethodSet::with_capacity(app.method_count()),
+            newly: Vec::new(),
             executed_actions: IdFlags::with_capacity(app.action_index.len()),
             visited_screens: IdFlags::with_capacity(screens),
             visited_count: 0,
@@ -112,6 +117,7 @@ impl AppRuntime {
         rt.covered_methods
             .extend(rt.app.startup_methods().iter().copied());
         rt.arrive(rt.current);
+        rt.newly.clear();
         rt
     }
 
@@ -135,6 +141,18 @@ impl AppRuntime {
         &self.covered_methods
     }
 
+    /// Consumes the runtime, returning the methods it covered.
+    pub fn into_covered_methods(self) -> MethodSet {
+        self.covered_methods
+    }
+
+    /// Methods the last [`execute`](Self::execute) or
+    /// [`jump_to`](Self::jump_to) covered for the first time (launch
+    /// coverage is not among them).
+    pub fn newly_covered(&self) -> &[MethodId] {
+        &self.newly
+    }
+
     /// Number of distinct screens visited so far.
     pub fn visited_screen_count(&self) -> usize {
         self.visited_count
@@ -153,16 +171,26 @@ impl AppRuntime {
     /// currently shown. Mirrors the paper's manual auto-login scripts
     /// "executed only once before the corresponding app starts to be
     /// tested in each testing instance" (§6.1).
-    pub fn auto_login(&mut self, time: VirtualTime) -> Option<StepOutcome> {
+    pub fn auto_login(&mut self, time: VirtualTime) -> Option<StepOutcome<'_>> {
         let login = *self.app.login()?;
         if self.current != login.login_screen || self.logged_in {
             return None;
         }
-        let out = self
+        let StepOutcome {
+            observation,
+            crash,
+            transitioned,
+            ..
+        } = self
             .execute(Action::Widget(login.login_action), time)
             .expect("login action must be valid");
         self.logged_in = true;
-        Some(out)
+        Some(StepOutcome {
+            observation,
+            newly_covered: &self.newly,
+            crash,
+            transitioned,
+        })
     }
 
     /// Observes the current screen (no state change).
@@ -200,13 +228,14 @@ impl AppRuntime {
     /// Jumps directly to a screen, as an `am start` Intent would launch an
     /// activity (used by the ParaAim-style activity-partition baseline).
     /// Clears the back stack and returns methods newly covered by arrival.
-    pub fn jump_to(&mut self, screen: ScreenId) -> Vec<MethodId> {
-        if self.app.screen(screen).is_none() {
-            return Vec::new();
+    pub fn jump_to(&mut self, screen: ScreenId) -> &[MethodId] {
+        self.newly.clear();
+        if self.app.screen(screen).is_some() {
+            self.back_stack.clear();
+            self.current = screen;
+            self.arrive(screen);
         }
-        self.back_stack.clear();
-        self.current = screen;
-        self.arrive(screen)
+        &self.newly
     }
 
     /// Executes one tool action.
@@ -219,8 +248,8 @@ impl AppRuntime {
         &mut self,
         action: Action,
         time: VirtualTime,
-    ) -> Result<StepOutcome, AppSimError> {
-        let mut newly = Vec::new();
+    ) -> Result<StepOutcome<'_>, AppSimError> {
+        self.newly.clear();
         let mut crash = None;
         let before = self.current;
         match action {
@@ -239,11 +268,7 @@ impl AppRuntime {
                 let act = spec.action(id).ok_or(AppSimError::ActionNotAvailable(id))?;
                 // Handler coverage on first execution.
                 if self.executed_actions.insert(id.0) {
-                    for m in &act.methods {
-                        if self.covered_methods.insert(*m) {
-                            newly.push(*m);
-                        }
-                    }
+                    self.cover(&act.methods);
                 }
                 // Feed pagination: a scroll on a feed screen reveals the
                 // next page and covers its methods on first reach.
@@ -257,11 +282,7 @@ impl AppRuntime {
                             let seen = &mut self.feed_pages_seen[slot];
                             if reached > *seen {
                                 *seen = reached;
-                                for m in &feed.page_methods[reached - 1] {
-                                    if self.covered_methods.insert(*m) {
-                                        newly.push(*m);
-                                    }
-                                }
+                                self.cover(&feed.page_methods[reached - 1]);
                             }
                         }
                     }
@@ -314,35 +335,34 @@ impl AppRuntime {
             }
         }
 
-        if let Some(sig) = crash {
+        if crash.is_some() {
             self.restart();
-            newly.extend(self.arrive(self.current));
-            let obs = self.observe(time);
-            return Ok(StepOutcome {
-                observation: obs,
-                newly_covered: newly,
-                crash: Some(sig),
-                transitioned: true,
-            });
         }
-
-        let transitioned = self.current != before;
-        newly.extend(self.arrive(self.current));
+        let transitioned = crash.is_some() || self.current != before;
+        self.arrive(self.current);
         let obs = self.observe(time);
         Ok(StepOutcome {
             observation: obs,
-            newly_covered: newly,
-            crash: None,
+            newly_covered: &self.newly,
+            crash,
             transitioned,
         })
     }
 
+    /// Covers `methods`, noting the ones covered for the first time.
+    fn cover(&mut self, methods: &[MethodId]) {
+        for &m in methods {
+            if self.covered_methods.insert(m) {
+                self.newly.push(m);
+            }
+        }
+    }
+
     /// Handles arrival on a screen: first-visit methods,
     /// flow progress and crash-arming depth (distinct screens visited per
-    /// functionality over the runtime's whole life). Returns newly
-    /// covered methods.
-    fn arrive(&mut self, screen: ScreenId) -> Vec<MethodId> {
-        let mut newly = Vec::new();
+    /// functionality over the runtime's whole life). Newly covered
+    /// methods join [`newly_covered`](Self::newly_covered).
+    fn arrive(&mut self, screen: ScreenId) {
         let app = Arc::clone(&self.app);
         let spec = app.screen(screen).expect("screen exists");
         if self.visited_screens.insert(screen.0) {
@@ -355,11 +375,7 @@ impl AppRuntime {
                 self.functionality_visits.resize(f + 1, 0);
             }
             self.functionality_visits[f] += 1;
-            for m in &spec.methods {
-                if self.covered_methods.insert(*m) {
-                    newly.push(*m);
-                }
-            }
+            self.cover(&spec.methods);
             // Flow completion check (only needed when the visited set grew).
             for (i, flow) in app.flows().iter().enumerate() {
                 if self.completed_flows[i]
@@ -371,14 +387,9 @@ impl AppRuntime {
                     continue;
                 }
                 self.completed_flows[i] = true;
-                for m in &flow.methods {
-                    if self.covered_methods.insert(*m) {
-                        newly.push(*m);
-                    }
-                }
+                self.cover(&flow.methods);
             }
         }
-        newly
     }
 
     /// Restarts the app after a crash. Coverage and crash-arming depth

@@ -79,11 +79,16 @@ proptest! {
                 _ if actions.is_empty() => Action::Back,
                 _ => Action::Widget(actions[pick % actions.len()].0),
             };
-            let out = rt.execute(action, t).expect("offered actions always execute");
+            let newly = rt
+                .execute(action, t)
+                .expect("offered actions always execute")
+                .newly_covered
+                .len();
             // Coverage is monotone.
             let now = rt.covered_methods().len();
             prop_assert!(now >= covered_before);
-            prop_assert_eq!(now - covered_before, out.newly_covered.len());
+            prop_assert_eq!(now - covered_before, newly);
+            prop_assert_eq!(rt.newly_covered().len(), newly);
             covered_before = now;
             // The current screen always exists and renders.
             prop_assert!(app.screen(rt.current_screen()).is_some());

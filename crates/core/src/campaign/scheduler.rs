@@ -294,7 +294,7 @@ fn write_app_report(a: &AppReport, out: &mut String) {
             .uint("allocated_ms", i.allocated_at.as_millis())
             .uint("deallocated_ms", i.deallocated_at.as_millis())
             .uint("covered", i.covered.len() as u64)
-            .uint("cover_events", i.cover_events.len() as u64)
+            .uint("cover_events", i.cover_event_count() as u64)
             .uint("crashes", i.crashes.len() as u64)
             .uint("trace_len", i.trace.len() as u64)
             .close();

@@ -185,24 +185,23 @@ impl TestCoordinator {
     /// * unfinished subspaces are redistributed round-robin among the
     ///   surviving instances, whose block lists are opened accordingly.
     ///
-    /// `visited` is the set of abstract screens the dead instance
-    /// explored (from its trace).
-    pub fn unregister_instance_with_trace(
-        &mut self,
-        instance: InstanceId,
-        visited: &std::collections::BTreeSet<taopt_ui_model::AbstractScreenId>,
-    ) {
+    /// `trace` is the dead instance's trace; the abstract screens it
+    /// visited are gathered from it only when the instance owns a
+    /// confirmed subspace, which few retiring instances do.
+    pub fn unregister_instance_with_trace(&mut self, instance: InstanceId, trace: &Trace) {
         const EXHAUSTED_FRACTION: f64 = 0.95;
         self.blocklists.remove(&instance);
         // The id will never analyze again (replacements get fresh ids);
         // drop its cursor and incremental FindSpace engine now so a
         // session with heavy churn does not accumulate dead windows.
         self.analyzer.forget_instance(instance);
+        let mut visited = None;
         let owned: Vec<(SubspaceId, bool)> = self
             .analyzer
             .confirmed()
             .filter(|s| s.owner == Some(instance))
             .map(|s| {
+                let visited = visited.get_or_insert_with(|| trace.distinct_from(0));
                 let seen = s.screens.intersection(visited).count();
                 let exhausted = !s.screens.is_empty()
                     && seen as f64 / s.screens.len() as f64 >= EXHAUSTED_FRACTION;
@@ -253,7 +252,7 @@ impl TestCoordinator {
     /// [`TestCoordinator::unregister_instance_with_trace`] without a
     /// trace: every owned subspace is treated as unfinished.
     pub fn unregister_instance(&mut self, instance: InstanceId) {
-        self.unregister_instance_with_trace(instance, &std::collections::BTreeSet::new());
+        self.unregister_instance_with_trace(instance, &Trace::new());
     }
 
     /// Instances currently registered.
@@ -459,6 +458,7 @@ impl TestCoordinator {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use std::sync::Arc;
     use taopt_toller::enforce::shared_block_list;
     use taopt_ui_model::AbstractScreenId;
 
@@ -468,6 +468,25 @@ mod tests {
 
     fn screens(ids: &[u64]) -> BTreeSet<AbstractScreenId> {
         ids.iter().map(|i| AbstractScreenId(*i)).collect()
+    }
+
+    /// A trace event observing abstract screen `id`.
+    fn visit(id: u64) -> taopt_ui_model::TraceEvent {
+        use taopt_ui_model::abstraction::{AbstractHierarchy, AbstractNode};
+        use taopt_ui_model::{ActivityId, ScreenId, WidgetClass};
+        taopt_ui_model::TraceEvent {
+            time: VirtualTime::ZERO,
+            screen: ScreenId(0),
+            activity: ActivityId(0),
+            abstract_id: AbstractScreenId(id),
+            abstraction: Arc::new(AbstractHierarchy::from_root(AbstractNode {
+                class: WidgetClass::FrameLayout,
+                resource_id: None,
+                children: Vec::new(),
+            })),
+            action: None,
+            action_widget_rid: None,
+        }
     }
 
     #[test]
@@ -592,7 +611,8 @@ mod tests {
             .unwrap();
         c.dedicate(sid, VirtualTime::ZERO).unwrap();
         // The owner dies having visited every subspace screen.
-        c.unregister_instance_with_trace(InstanceId(0), &screens(&[1, 2]));
+        let trace = [1, 2, 1].into_iter().map(visit).collect();
+        c.unregister_instance_with_trace(InstanceId(0), &trace);
         assert_eq!(c.tombstoned().collect::<Vec<_>>(), vec![sid]);
         assert!(
             c.orphaned_subspaces().is_empty(),

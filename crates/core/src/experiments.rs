@@ -151,16 +151,19 @@ impl BaselineOverlap {
 fn ajs_curve(result: &SessionResult, scale: &ExperimentScale) -> Vec<(u64, f64)> {
     let total = scale.duration.as_secs().max(1);
     let mut sets = vec![MethodSet::default(); result.instances.len()];
-    let mut next = vec![0usize; result.instances.len()];
+    let mut events: Vec<_> = result
+        .instances
+        .iter()
+        .map(|i| i.cover_events().peekable())
+        .collect();
     (1..=scale.grid_points)
         .map(|i| {
             let t = total * i as u64 / scale.grid_points as u64;
             let at = VirtualTime::from_secs(t);
-            for ((inst, set), next) in result.instances.iter().zip(&mut sets).zip(&mut next) {
-                let events = &inst.cover_events[*next..];
-                let n = events.iter().take_while(|(time, _)| *time <= at).count();
-                set.extend(events[..n].iter().map(|(_, m)| *m));
-                *next += n;
+            for (events, set) in events.iter_mut().zip(&mut sets) {
+                while let Some((_, m)) = events.next_if(|(time, _)| *time <= at) {
+                    set.insert(m);
+                }
             }
             (t, average_jaccard(&sets))
         })
@@ -687,10 +690,9 @@ mod tests {
             .instances
             .iter()
             .map(|i| {
-                i.cover_events
-                    .iter()
+                i.cover_events()
                     .take_while(|(time, _)| *time <= at)
-                    .map(|(_, m)| *m)
+                    .map(|(_, m)| m)
                     .collect()
             })
             .collect();
@@ -736,7 +738,7 @@ mod tests {
                     "{tool:?} at {t}s"
                 );
             }
-            assert!(result.instances.iter().all(|i| !i.cover_events.is_empty()));
+            assert!(result.instances.iter().all(|i| i.cover_event_count() > 0));
         }
     }
 

@@ -140,7 +140,11 @@ impl SessionConfig {
 }
 
 /// Per-instance results of a session.
-#[derive(Debug, Clone)]
+///
+/// The instance's cover events are its boot set, all at `allocated_at`,
+/// followed by its post-boot log; [`cover_events`](Self::cover_events)
+/// yields them as one sequence, and `Debug` prints them as one list.
+#[derive(Clone)]
 pub struct InstanceResult {
     /// Instance id.
     pub instance: InstanceId,
@@ -150,8 +154,12 @@ pub struct InstanceResult {
     pub deallocated_at: VirtualTime,
     /// Methods covered by this instance.
     pub covered: MethodSet,
-    /// Time-stamped cover events (for overlap-over-time analyses).
-    pub cover_events: Vec<(VirtualTime, MethodId)>,
+    /// Methods covered at boot (startup, start screen, auto-login), in
+    /// ascending id order. Every instance of a session whose boot covered
+    /// the same set shares one allocation.
+    pub boot_covered: Arc<[MethodId]>,
+    /// Time-stamped cover events after boot, in order.
+    pub cover_log: Vec<(VirtualTime, MethodId)>,
     /// Unique crashes triggered on this instance.
     pub crashes: BTreeSet<CrashSignature>,
     /// Every crash occurrence (time, signature) on this instance.
@@ -160,6 +168,42 @@ pub struct InstanceResult {
     pub device: taopt_device::DeviceId,
     /// The instance's UI transition trace.
     pub trace: Trace,
+}
+
+impl InstanceResult {
+    /// Every time-stamped cover event of the instance, boot first (for
+    /// overlap-over-time analyses). Each covered method appears once.
+    pub fn cover_events(&self) -> impl Iterator<Item = (VirtualTime, MethodId)> + '_ {
+        let boot = self.boot_covered.iter().map(|&m| (self.allocated_at, m));
+        boot.chain(self.cover_log.iter().copied())
+    }
+
+    /// Number of [`cover_events`](Self::cover_events).
+    pub fn cover_event_count(&self) -> usize {
+        self.boot_covered.len() + self.cover_log.len()
+    }
+}
+
+impl std::fmt::Debug for InstanceResult {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct Events<'a>(&'a InstanceResult);
+        impl std::fmt::Debug for Events<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_list().entries(self.0.cover_events()).finish()
+            }
+        }
+        f.debug_struct("InstanceResult")
+            .field("instance", &self.instance)
+            .field("allocated_at", &self.allocated_at)
+            .field("deallocated_at", &self.deallocated_at)
+            .field("covered", &self.covered)
+            .field("cover_events", &Events(self))
+            .field("crashes", &self.crashes)
+            .field("crash_occurrences", &self.crash_occurrences)
+            .field("device", &self.device)
+            .field("trace", &self.trace)
+            .finish()
+    }
 }
 
 /// The complete outcome of one parallel session.
@@ -407,6 +451,33 @@ mod tests {
         assert!(r.peak_concurrency() <= cfg.instances);
         // Resource mode starts with a single instance.
         assert_eq!(r.concurrency_timeline[0].1, 1);
+    }
+
+    #[test]
+    fn every_cover_event_reaches_the_union_in_every_mode() {
+        // Paper-default sessions: long enough for stalled instances to
+        // jump by Intent in the partition and master-slave modes.
+        let app = Arc::new(generate_app(&GeneratorConfig::small("j", 3)).unwrap());
+        for mode in [
+            RunMode::Baseline,
+            RunMode::TaoptDuration,
+            RunMode::TaoptResource,
+            RunMode::ActivityPartition,
+            RunMode::PatsMasterSlave,
+        ] {
+            let r = ParallelSession::run(
+                Arc::clone(&app),
+                &SessionConfig::new(ToolKind::Monkey, mode),
+            );
+            assert_eq!(r.union_coverage(), r.union_covered().len(), "{mode:?}");
+            for i in &r.instances {
+                assert_eq!(i.cover_event_count(), i.covered.len(), "{mode:?}");
+                let mut from_events = MethodSet::default();
+                from_events.extend(i.cover_events().map(|(_, m)| m));
+                assert_eq!(from_events.len(), i.covered.len(), "{mode:?}");
+                assert_eq!(from_events.intersection_len(&i.covered), i.covered.len());
+            }
+        }
     }
 
     #[test]

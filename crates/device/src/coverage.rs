@@ -2,44 +2,51 @@
 //!
 //! The paper collects method coverage with MiniTrace, a DalvikVM/ART-level
 //! tracer needing no app instrumentation (§6.1). Here the app runtime
-//! reports covered methods directly; the tracer accumulates the per-device
-//! covered set as a dense [`MethodSet`]. Coverage over time comes from the
-//! session's time-stamped cover events, not from the tracer.
+//! reports the methods each step covers for the first time, and the
+//! tracer stamps them with the device clock: one ordered log of
+//! `(time, method)` cover events per device. The covered *set* is the
+//! runtime's own bitset ([`crate::Emulator::covered`]). What boot covers
+//! (startup, the start screen, auto-login) is that set as boot leaves it
+//! and is not logged, so the instances of one app can share it.
 
-use taopt_app_sim::{MethodId, MethodSet};
+use taopt_app_sim::MethodId;
+use taopt_ui_model::VirtualTime;
 
-/// Accumulates the covered methods of one testing instance.
+/// The time-stamped cover events of one testing instance after boot.
 #[derive(Debug, Clone, Default)]
 pub struct CoverageTracer {
-    covered: MethodSet,
+    events: Vec<(VirtualTime, MethodId)>,
 }
 
 impl CoverageTracer {
-    /// Creates an empty tracer sized for an app of `method_count` methods.
-    pub fn new(method_count: usize) -> Self {
-        CoverageTracer {
-            covered: MethodSet::with_capacity(method_count),
-        }
+    /// Creates an empty tracer.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Records covered methods.
-    pub fn record(&mut self, methods: &[MethodId]) {
-        self.covered.extend(methods.iter().copied());
+    /// Records `methods` as covered at `time`.
+    pub fn record(&mut self, time: VirtualTime, methods: &[MethodId]) {
+        self.events.extend(methods.iter().map(|&m| (time, m)));
     }
 
-    /// The covered method set.
-    pub fn covered(&self) -> &MethodSet {
-        &self.covered
+    /// The cover events so far, in recording order (which is time order).
+    pub fn events(&self) -> &[(VirtualTime, MethodId)] {
+        &self.events
     }
 
-    /// Number of covered methods.
-    pub fn count(&self) -> usize {
-        self.covered.len()
+    /// Number of cover events.
+    pub fn len(&self) -> usize {
+        self.events.len()
     }
 
-    /// Consumes the tracer, returning its covered set.
-    pub fn into_covered(self) -> MethodSet {
-        self.covered
+    /// Whether nothing has been covered since boot.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Consumes the tracer, returning its events.
+    pub fn into_events(self) -> Vec<(VirtualTime, MethodId)> {
+        self.events
     }
 }
 
@@ -52,15 +59,17 @@ mod tests {
     }
 
     #[test]
-    fn record_accumulates_and_dedupes() {
-        let mut t = CoverageTracer::new(4);
-        t.record(&m(&[1, 2]));
-        t.record(&m(&[2, 3]));
-        t.record(&m(&[3, 70]));
-        assert_eq!(t.count(), 4, "ids past the sized range still count");
+    fn record_stamps_and_appends_in_order() {
+        let mut t = CoverageTracer::new();
+        assert!(t.is_empty());
+        let (t1, t2) = (VirtualTime::from_secs(1), VirtualTime::from_secs(2));
+        t.record(t1, &m(&[1, 2]));
+        t.record(t2, &[]);
+        t.record(t2, &m(&[70]));
+        assert_eq!(t.len(), 3);
         assert_eq!(
-            t.into_covered().iter().collect::<Vec<_>>(),
-            m(&[1, 2, 3, 70])
+            t.into_events(),
+            vec![(t1, MethodId(1)), (t1, MethodId(2)), (t2, MethodId(70))]
         );
     }
 }

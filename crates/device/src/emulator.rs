@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 use taopt_telemetry::{Counter, Histogram, Labels};
 use taopt_ui_model::{Action, ScreenObservation, VirtualDuration, VirtualTime};
 
-use taopt_app_sim::{App, AppRuntime, AppSimError, StepOutcome};
+use taopt_app_sim::{App, AppRuntime, AppSimError, MethodSet, StepOutcome};
 
 use crate::clock::VirtualClock;
 use crate::coverage::CoverageTracer;
@@ -51,6 +51,9 @@ impl Default for EmulatorConfig {
 }
 
 /// One simulated testing device: app runtime + clock + tracer + logcat.
+///
+/// The runtime's covered-method bitset is the device's only covered set;
+/// the [`CoverageTracer`] adds when each method was first covered.
 #[derive(Debug, Clone)]
 pub struct Emulator {
     id: DeviceId,
@@ -85,8 +88,9 @@ impl EmulatorMetrics {
 }
 
 impl Emulator {
-    /// Boots a device, installs the app, runs the auto-login script if the
-    /// app is gated (paper §6.1), and records startup coverage.
+    /// Boots a device, installs the app and runs the auto-login script if
+    /// the app is gated (paper §6.1). What boot covers is the
+    /// [`covered`](Self::covered) set it leaves; the tracer starts empty.
     pub fn boot(id: DeviceId, app: Arc<App>, seed: u64, start: VirtualTime) -> Self {
         Emulator::boot_with(id, app, seed, start, EmulatorConfig::default())
     }
@@ -101,21 +105,14 @@ impl Emulator {
     ) -> Self {
         let mut runtime = AppRuntime::launch(app.clone(), seed);
         let mut clock = VirtualClock::starting_at(start);
-        let mut coverage = CoverageTracer::new(app.method_count());
         let mut logcat = Logcat::new();
-        coverage.record(app.startup_methods());
         logcat.log(
             clock.now(),
             "ActivityManager",
             format!("Start proc {}", app.name()),
         );
-        // Screen methods of the start screen were covered at launch.
-        if let Some(s) = app.screen(runtime.current_screen()) {
-            coverage.record(&s.methods);
-        }
-        if let Some(out) = runtime.auto_login(clock.now()) {
+        if runtime.auto_login(clock.now()).is_some() {
             clock.advance(config.action_latency);
-            coverage.record(&out.newly_covered);
             logcat.log(clock.now(), "AutoLogin", "executed login script");
         }
         Emulator {
@@ -123,7 +120,7 @@ impl Emulator {
             config,
             runtime,
             clock,
-            coverage,
+            coverage: CoverageTracer::new(),
             logcat,
             crashes: CrashCollector::new(),
             flake_rng: StdRng::seed_from_u64(seed ^ 0x00f1_a5e5),
@@ -151,14 +148,15 @@ impl Emulator {
         self.runtime.observe(self.clock.now())
     }
 
-    /// Executes a tool action: advances the clock, updates coverage and
-    /// logcat, and returns the step outcome.
+    /// Executes a tool action: advances the clock, records the step's
+    /// newly covered methods at the clock after the step (crash-restart
+    /// latency included), updates logcat, and returns the step outcome.
     ///
     /// # Errors
     ///
     /// Propagates [`AppSimError::ActionNotAvailable`] for widget actions
     /// the current screen does not define.
-    pub fn execute(&mut self, action: Action) -> Result<StepOutcome, AppSimError> {
+    pub fn execute(&mut self, action: Action) -> Result<StepOutcome<'_>, AppSimError> {
         let timer = self.metrics.step_ns.timer();
         self.metrics.actions.inc();
         self.clock.advance(self.config.action_latency);
@@ -171,9 +169,13 @@ impl Emulator {
         } else {
             action
         };
-        let out = self.runtime.execute(action, self.clock.now())?;
-        self.coverage.record(&out.newly_covered);
-        if let Some(sig) = out.crash {
+        let StepOutcome {
+            observation,
+            crash,
+            transitioned,
+            ..
+        } = self.runtime.execute(action, self.clock.now())?;
+        if let Some(sig) = crash {
             self.clock.advance(self.config.crash_restart_latency);
             self.crashes.record(self.clock.now(), sig);
             self.metrics.crashes.inc();
@@ -183,11 +185,23 @@ impl Emulator {
                 sig.stack_trace(self.runtime.app().name()),
             );
         }
+        let newly_covered = self.runtime.newly_covered();
+        self.coverage.record(self.clock.now(), newly_covered);
         self.metrics.step_ns.stop(timer);
-        Ok(out)
+        Ok(StepOutcome {
+            observation,
+            newly_covered,
+            crash,
+            transitioned,
+        })
     }
 
-    /// Coverage tracer.
+    /// The methods covered so far, boot included.
+    pub fn covered(&self) -> &MethodSet {
+        self.runtime.covered_methods()
+    }
+
+    /// Coverage tracer: the time-stamped cover events since boot.
     pub fn coverage(&self) -> &CoverageTracer {
         &self.coverage
     }
@@ -197,10 +211,14 @@ impl Emulator {
         &self.crashes
     }
 
-    /// Consumes the device, returning what it collected: the coverage
-    /// tracer and the crash collector.
-    pub fn into_findings(self) -> (CoverageTracer, CrashCollector) {
-        (self.coverage, self.crashes)
+    /// Consumes the device, returning what it collected: the covered
+    /// methods, the coverage tracer and the crash collector.
+    pub fn into_findings(self) -> (MethodSet, CoverageTracer, CrashCollector) {
+        (
+            self.runtime.into_covered_methods(),
+            self.coverage,
+            self.crashes,
+        )
     }
 
     /// Logcat buffer.
@@ -220,11 +238,12 @@ impl Emulator {
 
     /// Launches a specific screen directly, as `am start` launches an
     /// activity by Intent (used by ParaAim-style activity partitioning).
-    /// Costs app-restart latency; records arrival coverage.
+    /// Costs app-restart latency; records arrival coverage at the clock
+    /// after the jump.
     pub fn jump_to(&mut self, screen: taopt_ui_model::ScreenId) -> ScreenObservation {
         self.clock.advance(self.config.crash_restart_latency);
         let newly = self.runtime.jump_to(screen);
-        self.coverage.record(&newly);
+        self.coverage.record(self.clock.now(), newly);
         self.logcat.log(
             self.clock.now(),
             "ActivityManager",
@@ -249,7 +268,8 @@ mod tests {
     #[test]
     fn boot_covers_startup_methods() {
         let e = boot_small(false);
-        assert!(e.coverage().count() >= 60, "startup pool covered");
+        assert!(e.covered().len() >= 60, "startup pool covered");
+        assert!(e.coverage().is_empty(), "boot coverage is not logged");
         assert_eq!(e.crashes().unique_crashes().len(), 0);
     }
 
@@ -265,14 +285,14 @@ mod tests {
     #[test]
     fn execute_advances_clock_and_coverage() {
         let mut e = boot_small(false);
-        let before_cov = e.coverage().count();
+        let before_cov = e.covered().len();
         let before_t = e.now();
         let (aid, _) = e.observe().enabled_actions()[0];
-        let out = e.execute(Action::Widget(aid)).unwrap();
+        let newly = e.execute(Action::Widget(aid)).unwrap().newly_covered.len();
         assert!(e.now() > before_t);
-        if out.transitioned {
-            assert!(e.coverage().count() >= before_cov);
-        }
+        assert_eq!(e.covered().len(), before_cov + newly);
+        assert_eq!(e.coverage().len(), newly);
+        assert!(e.coverage().events().iter().all(|(t, _)| *t == e.now()));
     }
 
     #[test]
@@ -301,7 +321,7 @@ mod tests {
                     .unwrap_or(Action::Back);
                 e.execute(a).unwrap();
             }
-            e.coverage().count()
+            e.covered().len()
         };
         // A single walk is noisy (losing events perturbs the whole
         // trajectory), so compare aggregates across seeds.
@@ -317,9 +337,9 @@ mod tests {
     #[test]
     fn idle_only_moves_time() {
         let mut e = boot_small(false);
-        let cov = e.coverage().count();
+        let cov = e.covered().len();
         e.idle(VirtualDuration::from_secs(30));
-        assert_eq!(e.coverage().count(), cov);
+        assert_eq!(e.covered().len(), cov);
         assert_eq!(e.now(), VirtualTime::from_secs(30));
     }
 }

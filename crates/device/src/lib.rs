@@ -6,8 +6,9 @@
 //!
 //! * [`Emulator`] — one device running one [`taopt_app_sim::AppRuntime`],
 //!   with a per-device virtual clock, per-action latency, a
-//!   [`CoverageTracer`] (the MiniTrace stand-in) and a [`Logcat`] buffer
-//!   collecting crash stack traces;
+//!   [`CoverageTracer`] (the MiniTrace stand-in: time-stamped cover
+//!   events since boot) and a [`Logcat`] buffer collecting crash stack
+//!   traces;
 //! * [`DeviceFarm`] — a bounded pool of devices with allocate/deallocate
 //!   and machine-time accounting (the "testing resources" of RQ4); the
 //!   campaign scheduler allocates from it directly, and under a fault

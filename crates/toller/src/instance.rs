@@ -1,9 +1,10 @@
 //! One instrumented testing instance.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
-use taopt_app_sim::{App, CrashSignature, MethodSet};
+use taopt_app_sim::{App, CrashSignature, MethodId, MethodSet, StepOutcome};
 use taopt_device::{CrashCollector, DeviceId, Emulator};
 use taopt_telemetry::{Counter, Labels};
 use taopt_tools::TestingTool;
@@ -33,8 +34,23 @@ pub struct StepReport {
     pub new_screen: bool,
     /// How many widgets enforcement disabled before the tool observed.
     pub widgets_blocked: usize,
-    /// Methods newly covered by this step (first time for this instance).
-    pub newly_covered: Vec<taopt_app_sim::MethodId>,
+    /// The step's cover events (methods covered for the first time by
+    /// this instance, stamped with `time`), as a range into
+    /// [`InstrumentedInstance::cover_log`].
+    pub newly_covered: Range<usize>,
+}
+
+/// What a retired instance leaves behind.
+#[derive(Debug)]
+pub struct Findings {
+    /// The UI transition trace.
+    pub trace: taopt_ui_model::Trace,
+    /// Every method the instance covered, boot included.
+    pub covered: MethodSet,
+    /// The time-stamped cover events after boot, in order.
+    pub cover_log: Vec<(VirtualTime, MethodId)>,
+    /// The crashes the device collected.
+    pub crashes: CrashCollector,
 }
 
 /// One page as this instance's rules leave it.
@@ -167,11 +183,21 @@ impl InstrumentedInstance {
         self.monitor.trace()
     }
 
-    /// Consumes a retired instance, moving out what it leaves behind: its
-    /// UI transition trace, its covered methods and its crash collector.
-    pub fn into_findings(self) -> (taopt_ui_model::Trace, MethodSet, CrashCollector) {
-        let (coverage, crashes) = self.emulator.into_findings();
-        (self.monitor.into_trace(), coverage.into_covered(), crashes)
+    /// The time-stamped cover events since boot, in order: every
+    /// method this instance covered after boot, by a step or a jump.
+    pub fn cover_log(&self) -> &[(VirtualTime, MethodId)] {
+        self.emulator.coverage().events()
+    }
+
+    /// Consumes a retired instance, moving out what it leaves behind.
+    pub fn into_findings(self) -> Findings {
+        let (covered, coverage, crashes) = self.emulator.into_findings();
+        Findings {
+            trace: self.monitor.into_trace(),
+            covered,
+            cover_log: coverage.into_events(),
+            crashes,
+        }
     }
 
     /// The tool's name.
@@ -191,15 +217,19 @@ impl InstrumentedInstance {
             .take()
             .unwrap_or_else(|| self.emulator.observe());
         let action = self.tool.next_action(&prev);
-        let out = self
+        let logged = self.emulator.coverage().len();
+        let StepOutcome {
+            observation: mut obs,
+            crash,
+            ..
+        } = self
             .emulator
             .execute(action)
             .expect("tools only fire actions offered by the observation");
         // Enforce on the *next* observation before the tool sees it.
-        let mut obs = out.observation;
         let widgets_blocked = self.enforce(&mut obs);
         self.tool.on_transition(prev.abstract_id(), action, &obs);
-        if out.crash.is_some() {
+        if crash.is_some() {
             self.tool.on_crash();
         }
         self.monitor.record(Some(&prev), Some(action), &obs);
@@ -208,10 +238,10 @@ impl InstrumentedInstance {
         self.distinct_screens = screens;
         let report = StepReport {
             time: self.emulator.now(),
-            crash: out.crash,
+            crash,
             new_screen,
             widgets_blocked,
-            newly_covered: out.newly_covered,
+            newly_covered: logged..self.emulator.coverage().len(),
         };
         self.last_obs = Some(obs);
         report
@@ -219,7 +249,8 @@ impl InstrumentedInstance {
 
     /// Launches a screen directly by Intent (ParaAim-style activity
     /// partitioning); the jump is recorded in the trace as an
-    /// action-less observation.
+    /// action-less observation, and its arrival coverage in the
+    /// [`cover_log`](Self::cover_log).
     pub fn jump_to(&mut self, screen: taopt_ui_model::ScreenId) {
         let mut obs = self.emulator.jump_to(screen);
         self.enforce(&mut obs);
@@ -268,12 +299,10 @@ impl InstrumentedInstance {
     }
 
     /// Runs steps until the device clock reaches `deadline`.
-    pub fn run_until(&mut self, deadline: VirtualTime) -> Vec<StepReport> {
-        let mut reports = Vec::new();
+    pub fn run_until(&mut self, deadline: VirtualTime) {
         while self.emulator.now() < deadline {
-            reports.push(self.step());
+            self.step();
         }
-        reports
     }
 }
 
@@ -304,7 +333,37 @@ mod tests {
         }
         assert_eq!(inst.trace().len(), 51, "initial + 50 step events");
         assert!(inst.now() > VirtualTime::ZERO);
-        assert!(inst.emulator().coverage().count() > 0);
+        assert!(!inst.emulator().covered().is_empty());
+    }
+
+    #[test]
+    fn steps_and_jumps_log_their_first_covers() {
+        let mut inst = boot(ToolKind::Monkey, 4);
+        let at_boot = inst.emulator().covered().len();
+        assert!(inst.cover_log().is_empty(), "boot coverage is not logged");
+        for _ in 0..200 {
+            let r = inst.step();
+            assert_eq!(r.newly_covered.end, inst.cover_log().len());
+            let events = &inst.cover_log()[r.newly_covered.clone()];
+            assert!(events.iter().all(|(t, _)| *t == r.time));
+        }
+        // A jump's arrival coverage lands in the log at the jump's time.
+        let seen: std::collections::BTreeSet<_> =
+            inst.trace().events().iter().map(|e| e.screen).collect();
+        let target = inst
+            .emulator()
+            .app()
+            .screens()
+            .find(|s| !seen.contains(&s.id) && !s.methods.is_empty())
+            .map(|s| s.id)
+            .expect("an unvisited screen with methods");
+        let logged = inst.cover_log().len();
+        inst.jump_to(target);
+        let jumped = &inst.cover_log()[logged..];
+        assert!(!jumped.is_empty());
+        assert!(jumped.iter().all(|(t, _)| *t == inst.now()));
+        let covered = inst.emulator().covered().len();
+        assert_eq!(at_boot + inst.cover_log().len(), covered);
     }
 
     #[test]

@@ -32,5 +32,5 @@ pub mod instance;
 pub mod monitor;
 
 pub use enforce::{BlockList, EntrypointRule, SharedBlockList};
-pub use instance::{InstanceId, InstrumentedInstance, StepReport};
+pub use instance::{Findings, InstanceId, InstrumentedInstance, StepReport};
 pub use monitor::TransitionMonitor;

@@ -88,7 +88,7 @@ fn solo_run(app: Arc<App>, minutes: u64, seed: u64) -> usize {
         VirtualTime::ZERO,
     );
     inst.run_until(VirtualTime::ZERO + VirtualDuration::from_mins(minutes));
-    inst.emulator().coverage().count()
+    inst.emulator().covered().len()
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -138,7 +138,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let union: std::collections::BTreeSet<_> = instances
         .iter()
-        .flat_map(|i| i.emulator().coverage().covered().iter())
+        .flat_map(|i| i.emulator().covered().iter())
         .collect();
     let confirmed = coordinator.analyzer().confirmed().count();
     println!(

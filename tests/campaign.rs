@@ -234,7 +234,7 @@ fn value_tree_report(result: &CampaignResult) -> String {
                         ("covered".to_owned(), Value::UInt(i.covered.len() as u64)),
                         (
                             "cover_events".to_owned(),
-                            Value::UInt(i.cover_events.len() as u64),
+                            Value::UInt(i.cover_event_count() as u64),
                         ),
                         ("crashes".to_owned(), Value::UInt(i.crashes.len() as u64)),
                         ("trace_len".to_owned(), Value::UInt(i.trace.len() as u64)),

@@ -137,8 +137,7 @@ fn instance_coverage_is_a_subset_of_union() {
         let covered: std::collections::BTreeSet<_> = i.covered.iter().collect();
         assert!(covered.iter().all(|m| union.contains(*m)));
         // Cover events reconstruct the covered set.
-        let from_events: std::collections::BTreeSet<_> =
-            i.cover_events.iter().map(|(_, m)| *m).collect();
+        let from_events: std::collections::BTreeSet<_> = i.cover_events().map(|(_, m)| m).collect();
         assert_eq!(from_events, covered, "{} cover events diverge", i.instance);
     }
     assert_eq!(r.union_coverage(), union.len());
