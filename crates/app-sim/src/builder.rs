@@ -32,10 +32,14 @@ use crate::spec::{ActionSpec, FlowRule, LoginSpec, ScreenSpec, TransitionTarget}
 #[derive(Debug)]
 pub struct AppBuilder {
     name: String,
+    /// Screen `ScreenId(i)` at index `i`: `add_screen` is the only push.
     screens: Vec<ScreenSpec>,
+    /// Action `ActionId(i)` at index `i`: the (screen index, slot in its
+    /// actions) that `add_action` placed it at, or `None` if its screen
+    /// did not exist. Slots stay put: actions are only ever appended.
+    /// Raw pushes are not indexed.
+    actions: Vec<Option<(u32, u32)>>,
     functionalities: Vec<Functionality>,
-    next_screen: u32,
-    next_action: u32,
     next_activity: u32,
     start: Option<ScreenId>,
     flows: Vec<FlowRule>,
@@ -50,9 +54,8 @@ impl AppBuilder {
         AppBuilder {
             name: name.into(),
             screens: Vec::new(),
+            actions: Vec::new(),
             functionalities: Vec::new(),
-            next_screen: 0,
-            next_action: 0,
             next_activity: 0,
             start: None,
             flows: Vec::new(),
@@ -83,8 +86,7 @@ impl AppBuilder {
         functionality: FunctionalityId,
         name: &str,
     ) -> ScreenId {
-        let id = ScreenId(self.next_screen);
-        self.next_screen += 1;
+        let id = ScreenId(self.screens.len() as u32);
         self.screens
             .push(ScreenSpec::new(id, activity, functionality, name));
         id
@@ -141,8 +143,7 @@ impl AppBuilder {
         label: &str,
         targets: Vec<(ScreenId, f64)>,
     ) -> ActionId {
-        let id = ActionId(self.next_action);
-        self.next_action += 1;
+        let id = ActionId(self.actions.len() as u32);
         let spec = ActionSpec {
             id,
             kind,
@@ -155,29 +156,25 @@ impl AppBuilder {
             methods: Vec::new(),
             crash: None,
         };
-        if let Some(s) = self.screen_mut(from) {
+        let slot = self.screen_mut(from).map(|s| {
             s.actions.push(spec);
-        }
+            (from.0, s.actions.len() as u32 - 1)
+        });
+        self.actions.push(slot);
         id
     }
 
     /// Attaches handler methods to an existing action.
     pub fn set_action_methods(&mut self, action: ActionId, methods: Vec<MethodId>) {
-        for s in &mut self.screens {
-            if let Some(a) = s.actions.iter_mut().find(|a| a.id == action) {
-                a.methods = methods;
-                return;
-            }
+        if let Some(a) = self.action_mut(action) {
+            a.methods = methods;
         }
     }
 
     /// Attaches a crash point to an existing action.
     pub fn set_action_crash(&mut self, action: ActionId, crash: CrashPoint) {
-        for s in &mut self.screens {
-            if let Some(a) = s.actions.iter_mut().find(|a| a.id == action) {
-                a.crash = Some(crash);
-                return;
-            }
+        if let Some(a) = self.action_mut(action) {
+            a.crash = Some(crash);
         }
     }
 
@@ -210,7 +207,9 @@ impl AppBuilder {
         self.start = Some(screen);
     }
 
-    /// Pushes a raw action spec (test helper for invalid specs).
+    /// Pushes a raw action spec (test helper for invalid specs). The
+    /// action is not indexed: the action setters never reach it, and its
+    /// id may clash with a built one, which [`AppBuilder::build`] reports.
     pub fn push_raw_action(&mut self, screen: ScreenId, action: ActionSpec) {
         if let Some(s) = self.screen_mut(screen) {
             s.actions.push(action);
@@ -238,7 +237,12 @@ impl AppBuilder {
     }
 
     fn screen_mut(&mut self, id: ScreenId) -> Option<&mut ScreenSpec> {
-        self.screens.iter_mut().find(|s| s.id == id)
+        self.screens.get_mut(id.0 as usize)
+    }
+
+    fn action_mut(&mut self, id: ActionId) -> Option<&mut ActionSpec> {
+        let (screen, slot) = (*self.actions.get(id.0 as usize)?)?;
+        Some(&mut self.screens[screen as usize].actions[slot as usize])
     }
 }
 
@@ -281,6 +285,87 @@ mod tests {
         assert_eq!(app.method_count(), 5);
         assert_eq!(app.screen(s1).unwrap().methods, m_screen);
         assert_eq!(app.screen(s1).unwrap().action(a).unwrap().methods, m_action);
+    }
+
+    #[test]
+    fn action_setters_reach_earlier_screens() {
+        let mut b = AppBuilder::new("x");
+        let f = b.add_functionality("F");
+        let act = b.add_activity();
+        let s1 = b.add_screen(act, f, "A");
+        let s2 = b.add_screen(act, f, "B");
+        let first = b.add_click(s1, s2, "w0", "l0");
+        let second = b.add_click(s1, s1, "w1", "l1");
+        // Later screens and actions must not move the earlier ones.
+        for i in 0..5 {
+            let s = b.add_screen(act, f, &format!("C{i}"));
+            b.add_click(s, s1, "back", "Back");
+            b.add_click(s2, s, "open", "Open");
+        }
+        let m = b.alloc_methods(2);
+        b.set_action_methods(second, m.clone());
+        let crash = CrashPoint::new(0.5, 1, crate::crash::CrashSignature(7));
+        b.set_action_crash(first, crash.clone());
+        b.set_start(s1);
+        let app = b.build().unwrap();
+        let home = app.screen(s1).unwrap();
+        assert_eq!(home.action(second).unwrap().methods, m);
+        assert_eq!(home.action(second).unwrap().crash, None);
+        assert_eq!(home.action(first).unwrap().crash, Some(crash));
+        assert!(home.action(first).unwrap().methods.is_empty());
+    }
+
+    #[test]
+    fn action_setters_ignore_ids_never_placed() {
+        let build = |stray: bool| {
+            let mut b = AppBuilder::new("x");
+            let f = b.add_functionality("F");
+            let act = b.add_activity();
+            let s = b.add_screen(act, f, "S");
+            b.add_click(s, s, "w", "l");
+            if stray {
+                let crash = CrashPoint::new(1.0, 0, crate::crash::CrashSignature(1));
+                // Never allocated.
+                b.set_action_methods(ActionId(99), vec![MethodId(0)]);
+                b.set_action_crash(ActionId(99), crash.clone());
+                // Allocated, but its screen does not exist.
+                let lost = b.add_click(ScreenId(42), s, "w", "l");
+                b.set_action_methods(lost, vec![MethodId(0)]);
+                b.set_action_crash(lost, crash);
+            }
+            b.set_start(s);
+            b.build().unwrap()
+        };
+        let (plain, stray) = (build(false), build(true));
+        assert!(plain.screens().eq(stray.screens()));
+    }
+
+    #[test]
+    fn raw_actions_still_fail_assembly() {
+        let setup = || {
+            let mut b = AppBuilder::new("x");
+            let f = b.add_functionality("F");
+            let act = b.add_activity();
+            let s = b.add_screen(act, f, "S");
+            let a = b.add_click(s, s, "w", "l");
+            b.set_start(s);
+            (b, s, a)
+        };
+        let (mut b, s, _) = setup();
+        b.push_raw_action(
+            s,
+            ActionSpec::click_to(ActionId(9), "x", "y", ScreenId(4242)),
+        );
+        assert_eq!(
+            b.build().unwrap_err(),
+            AppSimError::DanglingTarget {
+                action: ActionId(9),
+                target: ScreenId(4242)
+            }
+        );
+        let (mut b, s, a) = setup();
+        b.push_raw_action(s, ActionSpec::click_to(a, "x", "y", s));
+        assert_eq!(b.build().unwrap_err(), AppSimError::DuplicateAction(a));
     }
 
     #[test]

@@ -25,7 +25,7 @@ impl fmt::Display for AbstractScreenId {
     }
 }
 
-/// One node of an abstracted hierarchy.
+/// One node of a hand-built abstraction (see [`AbstractHierarchy::from_root`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AbstractNode {
     /// Widget class (kept by the abstraction).
@@ -37,14 +37,6 @@ pub struct AbstractNode {
 }
 
 impl AbstractNode {
-    fn from_widget(w: &Widget) -> Self {
-        AbstractNode {
-            class: w.class,
-            resource_id: w.resource_id.clone(),
-            children: w.children.iter().map(AbstractNode::from_widget).collect(),
-        }
-    }
-
     /// Number of nodes in the subtree.
     pub fn subtree_size(&self) -> usize {
         1 + self
@@ -54,24 +46,36 @@ impl AbstractNode {
             .sum::<usize>()
     }
 
-    /// Collects the multiset of node signatures used by the similarity
-    /// measure: `(depth, class, resource_id)` triples hashed to `u64`.
-    pub(crate) fn collect_signatures(&self, depth: u32, out: &mut Vec<u64>) {
-        let mut h = DefaultHasher::new();
-        depth.hash(&mut h);
-        self.class.hash(&mut h);
-        self.resource_id.hash(&mut h);
-        out.push(h.finish());
+    fn collect_signatures(&self, depth: u32, out: &mut Vec<u64>) {
+        out.push(signature(depth, self.class, &self.resource_id));
         for c in &self.children {
             c.collect_signatures(depth + 1, out);
         }
     }
 }
 
-/// A text-free structural abstraction of a screen's widget tree.
+/// The similarity measure's view of one node: its `(depth, class,
+/// resource_id)` triple hashed to `u64`.
+fn signature(depth: u32, class: WidgetClass, resource_id: &Option<String>) -> u64 {
+    let mut h = DefaultHasher::new();
+    depth.hash(&mut h);
+    class.hash(&mut h);
+    resource_id.hash(&mut h);
+    h.finish()
+}
+
+fn collect_widget_signatures(w: &Widget, depth: u32, out: &mut Vec<u64>) {
+    out.push(signature(depth, w.class, &w.resource_id));
+    for c in &w.children {
+        collect_widget_signatures(c, depth + 1, out);
+    }
+}
+
+/// A text-free structural abstraction of a screen's widget tree: the
+/// sorted multiset of its node signatures and their hash. The tree
+/// itself is not kept; equality is equality of id and signatures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbstractHierarchy {
-    root: AbstractNode,
     id: AbstractScreenId,
     signatures: Vec<u64>,
 }
@@ -81,20 +85,17 @@ impl AbstractHierarchy {
     pub fn from_root(root: AbstractNode) -> Self {
         let mut signatures = Vec::with_capacity(root.subtree_size());
         root.collect_signatures(0, &mut signatures);
+        Self::from_signatures(signatures)
+    }
+
+    fn from_signatures(mut signatures: Vec<u64>) -> Self {
         signatures.sort_unstable();
         let mut h = DefaultHasher::new();
         signatures.hash(&mut h);
-        let id = AbstractScreenId(h.finish());
         AbstractHierarchy {
-            root,
-            id,
+            id: AbstractScreenId(h.finish()),
             signatures,
         }
-    }
-
-    /// The abstract root node.
-    pub fn root(&self) -> &AbstractNode {
-        &self.root
     }
 
     /// Stable hash identity of this abstraction.
@@ -119,7 +120,9 @@ impl AbstractHierarchy {
 /// The abstraction is *idempotent* with respect to text edits: two
 /// hierarchies differing only in widget text produce identical abstractions.
 pub fn abstract_hierarchy(hierarchy: &UiHierarchy) -> AbstractHierarchy {
-    AbstractHierarchy::from_root(AbstractNode::from_widget(hierarchy.root()))
+    let mut signatures = Vec::with_capacity(hierarchy.node_count());
+    collect_widget_signatures(hierarchy.root(), 0, &mut signatures);
+    AbstractHierarchy::from_signatures(signatures)
 }
 
 #[cfg(test)]
@@ -162,6 +165,41 @@ mod tests {
         h.disable_actions(&[ActionId(1)]);
         let after = abstract_hierarchy(&h);
         assert_eq!(before.id(), after.id());
+    }
+
+    /// A hand-built abstract tree mirroring a widget tree.
+    fn mirror(w: &Widget) -> AbstractNode {
+        AbstractNode {
+            class: w.class,
+            resource_id: w.resource_id.clone(),
+            children: w.children.iter().map(mirror).collect(),
+        }
+    }
+
+    #[test]
+    fn hand_built_and_derived_abstractions_agree() {
+        for extra_row in [false, true] {
+            let h = page("x", extra_row);
+            let derived = abstract_hierarchy(&h);
+            let built = AbstractHierarchy::from_root(mirror(h.root()));
+            assert_eq!(built, derived);
+            assert_eq!(built.signatures(), derived.signatures());
+        }
+    }
+
+    #[test]
+    fn equality_is_id_and_signatures() {
+        // Sibling order is not part of the signature multiset, so two
+        // trees that differ only in it are one abstraction.
+        let a = page("x", true);
+        let mut root = a.root().clone();
+        root.children.reverse();
+        let b = UiHierarchy::new(root);
+        assert_eq!(abstract_hierarchy(&a), abstract_hierarchy(&b));
+        assert_ne!(
+            abstract_hierarchy(&a),
+            abstract_hierarchy(&page("x", false))
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Integration checks over the 18-app catalog (Table 3).
 
-use taopt_app_sim::{catalog_entries, AppRuntime};
+use taopt_app_sim::{catalog_entries, generate_app, AppRuntime, GeneratorConfig};
 use taopt_ui_model::abstraction::abstract_hierarchy;
 use taopt_ui_model::VirtualTime;
 
@@ -34,15 +34,49 @@ fn all_catalog_apps_generate_and_validate() {
     }
 }
 
+/// FNV-1a 64 over everything an app's recipe decides: every screen spec,
+/// the flows, the functionalities, the method count, the startup methods,
+/// and the abstract id of every screen's page-0 render. `App`'s own
+/// `Debug` is not used: its action index is a `HashMap`.
+fn fingerprint(apps: impl IntoIterator<Item = taopt_app_sim::App>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for app in apps {
+        feed(app.name().as_bytes());
+        for s in app.screens() {
+            feed(format!("{s:?}").as_bytes());
+            let id = abstract_hierarchy(&app.render_screen(s.id, 0)).id();
+            feed(&id.0.to_le_bytes());
+        }
+        feed(format!("{:?}", app.flows()).as_bytes());
+        feed(format!("{:?}", app.functionalities()).as_bytes());
+        feed(&(app.method_count() as u64).to_le_bytes());
+        feed(format!("{:?}", app.startup_methods()).as_bytes());
+    }
+    h
+}
+
+/// The constants were recorded before app and page materialization were
+/// made linear; a speed-up there must not move them.
 #[test]
-fn catalog_generation_is_deterministic() {
-    let a = catalog_entries()[0].generate();
-    let b = catalog_entries()[0].generate();
-    assert_eq!(a.screen_count(), b.screen_count());
-    assert_eq!(a.method_count(), b.method_count());
-    let names_a: Vec<_> = a.screens().map(|s| s.name.clone()).collect();
-    let names_b: Vec<_> = b.screens().map(|s| s.name.clone()).collect();
-    assert_eq!(names_a, names_b);
+fn generated_apps_and_abstractions_are_pinned() {
+    let catalog = fingerprint(catalog_entries().iter().map(|e| e.generate()));
+    let small = fingerprint(
+        (0..20).map(|seed| generate_app(&GeneratorConfig::small("small", seed)).unwrap()),
+    );
+    assert_eq!(
+        catalog, 0x6b33_5205_18a9_04f2,
+        "catalog fingerprint {catalog:#018x}"
+    );
+    assert_eq!(
+        small, 0x6ed5_118d_e7b3_f20b,
+        "small-app fingerprint {small:#018x}"
+    );
 }
 
 #[test]
