@@ -4,20 +4,17 @@
 
 use std::sync::Arc;
 
-use taopt::experiments::{run_and_summarize, ExperimentScale};
+use taopt::experiments::run_and_summarize;
 use taopt::session::RunMode;
-use taopt_bench::load_apps;
+use taopt_bench::{load_apps, HarnessArgs};
 use taopt_tools::ToolKind;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let n_apps: usize = args.first().and_then(|a| a.parse().ok()).unwrap_or(2);
-    let scale = if args.iter().any(|a| a == "quick") {
-        ExperimentScale::quick()
-    } else {
-        ExperimentScale::paper()
-    };
-    let seed: u64 = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(2025);
+    let HarnessArgs {
+        scale,
+        n_apps,
+        seed,
+    } = HarnessArgs::parse();
     let apps = load_apps(n_apps);
     for (name, app) in &apps {
         println!(

@@ -1,11 +1,12 @@
-//! Shared harness for the table/figure regeneration binaries.
+//! Shared harness for the evaluation binaries.
 //!
-//! Every binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation (see `DESIGN.md` for the index). All binaries accept an
-//! optional scale argument:
+//! `all` regenerates every table and figure of the paper's evaluation
+//! from one matrix; the other binaries in `src/bin/` run the extension
+//! experiments (see `DESIGN.md` for the index). The harness binaries
+//! parse their optional arguments with [`HarnessArgs`]:
 //!
 //! ```text
-//! cargo run --release -p taopt-bench --bin table4 [-- quick|paper] [n_apps]
+//! cargo run --release -p taopt-bench --bin all [-- quick|paper] [n_apps] [seed]
 //! ```
 //!
 //! `paper` (default) runs the full §6.1 setting — 18 apps, 5 instances,
@@ -82,16 +83,6 @@ impl HarnessArgs {
             seed,
         }
     }
-}
-
-/// Formats a `(tool → value)` summary line.
-pub fn tool_line(label: &str, values: [f64; 3]) -> String {
-    format!(
-        "{label}: Monkey {:.1}%  Ape {:.1}%  WCTester {:.1}%",
-        values[0] * 100.0,
-        values[1] * 100.0,
-        values[2] * 100.0
-    )
 }
 
 #[cfg(test)]
