@@ -147,15 +147,6 @@ impl App {
         })
     }
 
-    /// Rebuilds the action index (needed after deserialization).
-    pub fn reindex(&mut self) {
-        self.action_index = self
-            .screens
-            .iter()
-            .flat_map(|s| s.actions.iter().map(move |a| (a.id, s.id)))
-            .collect();
-    }
-
     /// App name.
     pub fn name(&self) -> &str {
         &self.name

@@ -20,20 +20,6 @@ impl fmt::Display for CrashSignature {
     }
 }
 
-impl CrashSignature {
-    /// Renders a synthetic logcat-style stack trace for this signature.
-    pub fn stack_trace(&self, app_name: &str) -> String {
-        format!(
-            "FATAL EXCEPTION: main\nProcess: com.example.{}\njava.lang.RuntimeException: \
-             simulated fault\n\tat com.example.{}.Handler{:x}.onEvent(Handler.java:{})",
-            app_name.to_lowercase().replace(' ', ""),
-            app_name.to_lowercase().replace(' ', ""),
-            self.0,
-            (self.0 % 900) + 17,
-        )
-    }
-}
-
 /// A latent fault attached to an action.
 ///
 /// The crash fires with probability [`CrashPoint::probability`] each time
@@ -84,14 +70,6 @@ mod tests {
         assert!(!cp.armed(2));
         assert!(cp.armed(3));
         assert!(cp.armed(10));
-    }
-
-    #[test]
-    fn stack_trace_mentions_app_and_signature() {
-        let t = CrashSignature(0xabcd).stack_trace("Ms Word");
-        assert!(t.contains("com.example.msword"));
-        assert!(t.contains("abcd"));
-        assert!(t.contains("FATAL EXCEPTION"));
     }
 
     #[test]

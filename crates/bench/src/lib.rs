@@ -50,33 +50,33 @@ impl HarnessArgs {
         Self::from_strs(&args.iter().map(String::as_str).collect::<Vec<_>>())
     }
 
-    /// Parses from raw strings (testable).
+    /// Parses from raw strings (testable). The first number is the app
+    /// count and the second the seed, in any position; `quick` lowers the
+    /// default app count to 4, but never an explicit one.
     pub fn from_strs(args: &[&str]) -> Self {
         let mut scale = ExperimentScale::paper();
-        let mut n_apps = 18;
+        let mut quick = false;
+        let mut n_apps = None;
         let mut seed = 2025;
-        let mut positional = 0;
         for a in args {
             match *a {
                 "quick" => {
                     scale = ExperimentScale::quick();
-                    if n_apps == 18 {
-                        n_apps = 4;
-                    }
+                    quick = true;
                 }
                 "paper" => scale = ExperimentScale::paper(),
                 other => {
                     if let Ok(v) = other.parse::<u64>() {
-                        if positional == 0 {
-                            n_apps = v as usize;
+                        if n_apps.is_none() {
+                            n_apps = Some(v as usize);
                         } else {
                             seed = v;
                         }
-                        positional += 1;
                     }
                 }
             }
         }
+        let n_apps = n_apps.unwrap_or(if quick { 4 } else { 18 });
         HarnessArgs {
             scale,
             n_apps: n_apps.clamp(1, 18),
@@ -102,6 +102,10 @@ mod tests {
         assert_eq!(a.scale, ExperimentScale::quick());
         assert_eq!(a.n_apps, 6);
         assert_eq!(a.seed, 7);
+        // An explicit app count wins over `quick`'s default, in any order.
+        assert_eq!(HarnessArgs::from_strs(&["18", "quick"]).n_apps, 18);
+        assert_eq!(HarnessArgs::from_strs(&["quick", "18"]).n_apps, 18);
+        assert_eq!(HarnessArgs::from_strs(&["quick"]).n_apps, 4);
     }
 
     #[test]

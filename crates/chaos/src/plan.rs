@@ -9,17 +9,14 @@
 //! shared RNG stream) and keeps the plan itself trivially serializable —
 //! it is just the seed and the rates.
 
-use std::collections::BTreeMap;
-
 use taopt_ui_model::json::{JsonError, Value};
 use taopt_ui_model::VirtualDuration;
 
 /// Lane offset between apps sharing one fault plan: app `i` draws its
 /// lane-scoped decisions (latency, bus, enforcement) from lanes
 /// `(i << APP_LANE_SHIFT) + instance`, so per-app fault streams are
-/// decorrelated yet reproducible, and [`FaultPlan::rates_for_lane`] can
-/// recover the app index from a lane. Every app's `d_max` must stay
-/// below `1 << APP_LANE_SHIFT`.
+/// decorrelated yet reproducible. Every app's `d_max` must stay below
+/// `1 << APP_LANE_SHIFT`.
 pub const APP_LANE_SHIFT: u32 = 16;
 
 /// The three seams faults are injected at.
@@ -111,17 +108,6 @@ impl FaultRates {
         }
     }
 
-    /// Whether every rate is zero (the plan can be skipped entirely).
-    pub fn is_zero(&self) -> bool {
-        self.device_loss == 0.0
-            && self.alloc_refusal == 0.0
-            && self.latency_spike == 0.0
-            && self.event_drop == 0.0
-            && self.event_duplicate == 0.0
-            && self.event_delay == 0.0
-            && self.enforcement_failure == 0.0
-    }
-
     /// Serializes the rates as JSON object fields.
     fn to_fields(self) -> Vec<(String, Value)> {
         vec![
@@ -169,39 +155,17 @@ impl FaultRates {
     }
 }
 
-/// A reproducible chaos schedule: a seed plus per-seam rates, optionally
-/// overridden per app for campaigns with heterogeneous fault profiles.
+/// A reproducible chaos schedule: a seed plus per-seam rates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     rates: FaultRates,
-    /// Per-app rate overrides, keyed by app index (campaign lane ids pack
-    /// the app index above [`APP_LANE_SHIFT`]). Apps without an entry use
-    /// the global `rates`.
-    app_rates: BTreeMap<u32, FaultRates>,
 }
 
 impl FaultPlan {
     /// Builds a plan from a seed and rates.
     pub fn new(seed: u64, rates: FaultRates) -> Self {
-        FaultPlan {
-            seed,
-            rates,
-            app_rates: BTreeMap::new(),
-        }
-    }
-
-    /// Overrides the rates for campaign app index `app`.
-    ///
-    /// Overrides apply to the *lane-scoped* seams — latency spikes, bus
-    /// event fates, enforcement failures — whose query keys carry the
-    /// app's lane range. Device loss and allocation refusal stay on the
-    /// global rates: loss decisions are keyed by farm-global device ids
-    /// and refusals by a farm-global attempt counter, neither of which
-    /// belongs to one app.
-    pub fn with_app_rates(mut self, app: u32, rates: FaultRates) -> Self {
-        self.app_rates.insert(app, rates);
-        self
+        FaultPlan { seed, rates }
     }
 
     /// The plan's seed.
@@ -209,22 +173,9 @@ impl FaultPlan {
         self.seed
     }
 
-    /// The plan's global rates.
+    /// The plan's rates.
     pub fn rates(&self) -> &FaultRates {
         &self.rates
-    }
-
-    /// The rates governing `lane` (the app override when one exists for
-    /// `lane >> APP_LANE_SHIFT`, the global rates otherwise).
-    pub fn rates_for_lane(&self, lane: u32) -> &FaultRates {
-        self.app_rates
-            .get(&(lane >> APP_LANE_SHIFT))
-            .unwrap_or(&self.rates)
-    }
-
-    /// Per-app overrides, in app-index order.
-    pub fn app_rates(&self) -> impl Iterator<Item = (u32, &FaultRates)> {
-        self.app_rates.iter().map(|(a, r)| (*a, r))
     }
 
     /// Uniform pseudo-random value in `[0, 1)` for a `(seam, key)` query.
@@ -260,90 +211,54 @@ impl FaultPlan {
 
     /// Latency spike for `instance`'s `step`-th action, if any.
     pub fn latency_spike(&self, instance: u32, step: u64) -> Option<VirtualDuration> {
-        let rates = self.rates_for_lane(instance);
         let key = Self::key(instance, step) ^ 0x5A5A;
-        (self.roll(Seam::Device, key) < rates.latency_spike).then_some(rates.spike_extra)
+        (self.roll(Seam::Device, key) < self.rates.latency_spike).then_some(self.rates.spike_extra)
     }
 
     /// Should the event with sequence number `seq` from `instance` be
     /// dropped?
     pub fn event_drop(&self, instance: u32, seq: u64) -> bool {
-        self.roll(Seam::EventBus, Self::key(instance, seq))
-            < self.rates_for_lane(instance).event_drop
+        self.roll(Seam::EventBus, Self::key(instance, seq)) < self.rates.event_drop
     }
 
     /// Should that event be delivered twice?
     pub fn event_duplicate(&self, instance: u32, seq: u64) -> bool {
         let key = Self::key(instance, seq) ^ 0xD0D0;
-        self.roll(Seam::EventBus, key) < self.rates_for_lane(instance).event_duplicate
+        self.roll(Seam::EventBus, key) < self.rates.event_duplicate
     }
 
     /// Should that event be delayed one delivery round?
     pub fn event_delay(&self, instance: u32, seq: u64) -> bool {
         let key = Self::key(instance, seq) ^ 0xDE1A;
-        self.roll(Seam::EventBus, key) < self.rates_for_lane(instance).event_delay
+        self.roll(Seam::EventBus, key) < self.rates.event_delay
     }
 
     /// Should delivery number `attempt` of broadcast `broadcast` fail to
     /// apply at `instance`?
     pub fn enforcement_failure(&self, instance: u32, broadcast: u64, attempt: u64) -> bool {
         let key = Self::key(instance, broadcast.wrapping_mul(1009).wrapping_add(attempt));
-        self.roll(Seam::Enforcement, key) < self.rates_for_lane(instance).enforcement_failure
+        self.roll(Seam::Enforcement, key) < self.rates.enforcement_failure
     }
 
-    /// Whether no query can ever inject a fault (global rates and every
-    /// per-app override all zero).
-    pub fn is_inert(&self) -> bool {
-        self.rates.is_zero() && self.app_rates.values().all(FaultRates::is_zero)
-    }
-
-    /// Serializes the plan (seed + rates + per-app overrides) to a JSON
-    /// value.
+    /// Serializes the plan (seed + rates) to a JSON value.
     pub fn to_value(&self) -> Value {
         let mut fields = vec![("seed".to_owned(), Value::from(self.seed))];
         fields.extend(self.rates.to_fields());
-        if !self.app_rates.is_empty() {
-            let overrides = self
-                .app_rates
-                .iter()
-                .map(|(app, rates)| {
-                    let mut f = vec![("app".to_owned(), Value::from(*app as u64))];
-                    f.extend(rates.to_fields());
-                    Value::Object(f)
-                })
-                .collect();
-            fields.push(("app_rates".to_owned(), Value::Array(overrides)));
-        }
         Value::Object(fields)
     }
 
-    /// Deserializes a plan written by [`FaultPlan::to_value`]. The
-    /// `app_rates` field is optional, so pre-override plans still load.
+    /// Deserializes a plan written by [`FaultPlan::to_value`].
     ///
     /// # Errors
     ///
     /// Returns [`JsonError`] on missing or mistyped fields.
     pub fn from_value(v: &Value) -> Result<Self, JsonError> {
-        let mut app_rates = BTreeMap::new();
-        if let Some(overrides) = v.get("app_rates") {
-            let list = overrides
-                .as_array()
-                .ok_or_else(|| JsonError::conversion("app_rates must be an array"))?;
-            for entry in list {
-                let app = entry
-                    .require("app")?
-                    .as_u64()
-                    .ok_or_else(|| JsonError::conversion("app_rates[].app must be a u32"))?;
-                app_rates.insert(app as u32, FaultRates::from_object(entry)?);
-            }
-        }
         Ok(FaultPlan {
             seed: v
                 .require("seed")?
                 .as_u64()
                 .ok_or_else(|| JsonError::conversion("seed must be a u64"))?,
             rates: FaultRates::from_object(v)?,
-            app_rates,
         })
     }
 }
@@ -388,41 +303,6 @@ mod tests {
         let c: Vec<bool> = (0..200).map(|s| plan.event_duplicate(1, s)).collect();
         assert_ne!(a, b, "two instances should not share a fault stream");
         assert_ne!(a, c, "two fault kinds should not share a stream");
-    }
-
-    #[test]
-    fn per_app_overrides_govern_lane_scoped_seams() {
-        let mut quiet = FaultRates::none();
-        quiet.spike_extra = VirtualDuration::from_secs(10);
-        let plan = FaultPlan::new(9, FaultRates::uniform(0.5))
-            // App 1 is completely quiet on the lane-scoped seams.
-            .with_app_rates(1, quiet);
-        let app0_lane = 3u32;
-        let app1_lane = (1 << APP_LANE_SHIFT) | 3;
-        assert!((0..500).any(|s| plan.event_drop(app0_lane, s)));
-        assert!((0..500).all(|s| !plan.event_drop(app1_lane, s)));
-        assert!((0..500).all(|s| plan.latency_spike(app1_lane, s).is_none()));
-        assert!((0..500).all(|s| !plan.enforcement_failure(app1_lane, s, 0)));
-        // Device loss stays on the global rates (device ids are farm-global).
-        assert!((0..500).any(|t| plan.device_loss(app1_lane, t)));
-        assert!(!plan.is_inert());
-        assert!(FaultPlan::new(9, FaultRates::none())
-            .with_app_rates(0, FaultRates::none())
-            .is_inert());
-    }
-
-    #[test]
-    fn per_app_overrides_roundtrip_through_json() {
-        let plan = FaultPlan::new(77, FaultRates::uniform(0.2))
-            .with_app_rates(0, FaultRates::none())
-            .with_app_rates(2, FaultRates::uniform(0.4));
-        let text = plan.to_value().to_json_string();
-        let back = FaultPlan::from_value(&Value::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, plan);
-        let lane = (2u32 << APP_LANE_SHIFT) | 1;
-        for s in 0..200 {
-            assert_eq!(plan.event_drop(lane, s), back.event_drop(lane, s));
-        }
     }
 
     #[test]

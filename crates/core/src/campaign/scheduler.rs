@@ -546,11 +546,6 @@ impl Campaign {
         self.round
     }
 
-    /// Whether any app is still live (unfinished).
-    pub fn is_live(&self) -> bool {
-        self.slots.iter().any(|s| s.lock().step.is_some())
-    }
-
     /// Advances the campaign one global round. Returns `false` once no
     /// further round can run (every app finished, or the `max_rounds`
     /// stop) — after which the driver must call [`Campaign::finish`].

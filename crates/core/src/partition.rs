@@ -227,17 +227,6 @@ fn screen_jaccard(a: &BTreeSet<AbstractScreenId>, b: &BTreeSet<AbstractScreenId>
     inter as f64 / (a.len() + b.len() - inter) as f64
 }
 
-/// Convenience: map clusters back to a node → cluster-index lookup.
-pub fn cluster_index(clusters: &[BTreeSet<u64>]) -> HashMap<u64, usize> {
-    let mut map = HashMap::new();
-    for (i, c) in clusters.iter().enumerate() {
-        for n in c {
-            map.insert(*n, i);
-        }
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,17 +318,6 @@ mod tests {
         let t2: Trace = rev.into_iter().collect();
         let clusters = partition_traces(&[&t1, &t2], &PartitionConfig::default());
         assert_eq!(clusters.len(), 2, "got {clusters:?}");
-    }
-
-    #[test]
-    fn cluster_index_roundtrip() {
-        let clusters = partition_graph(&gs_ld_graph(), &PartitionConfig::default());
-        let idx = cluster_index(&clusters);
-        for (i, c) in clusters.iter().enumerate() {
-            for n in c {
-                assert_eq!(idx[n], i);
-            }
-        }
     }
 
     #[test]

@@ -257,23 +257,6 @@ impl SessionResult {
         self.instances.iter().map(|i| &i.trace).collect()
     }
 
-    /// Aggregates all crash occurrences into a ranked triage report.
-    pub fn triage_report(&self) -> taopt_device::TriageReport {
-        use taopt_device::CrashCollector;
-        let collectors: Vec<(taopt_device::DeviceId, CrashCollector)> = self
-            .instances
-            .iter()
-            .map(|i| {
-                let mut c = CrashCollector::new();
-                for (t, sig) in &i.crash_occurrences {
-                    c.record(*t, *sig);
-                }
-                (i.device, c)
-            })
-            .collect();
-        taopt_device::TriageReport::build(collectors.iter().map(|(d, c)| (*d, c)))
-    }
-
     /// Peak concurrency reached during the session.
     pub fn peak_concurrency(&self) -> usize {
         self.concurrency_timeline
@@ -421,26 +404,6 @@ mod tests {
             flaky.union_coverage(),
             clean.union_coverage()
         );
-    }
-
-    #[test]
-    fn triage_report_matches_unique_crashes() {
-        // An app with shallow-armed crash points so a short run hits some.
-        let mut gcfg = GeneratorConfig::small("triage", 11);
-        gcfg.crash_points = 8;
-        gcfg.crash_probability = 0.2;
-        gcfg.crash_depth_fraction = 0.2;
-        let app = Arc::new(taopt_app_sim::generate_app(&gcfg).unwrap());
-        let mut cfg = quick(ToolKind::Monkey, RunMode::Baseline);
-        cfg.duration = VirtualDuration::from_mins(15);
-        let r = ParallelSession::run(app, &cfg);
-        let report = r.triage_report();
-        assert_eq!(report.unique_count(), r.unique_crashes().len());
-        assert!(report.occurrence_count() >= report.unique_count());
-        if report.unique_count() > 0 {
-            let text = report.render("triage");
-            assert!(text.contains("unique crash"));
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use taopt_app_sim::{App, AppRuntime, AppSimError, MethodSet, StepOutcome};
 
 use crate::clock::VirtualClock;
 use crate::coverage::CoverageTracer;
-use crate::logcat::{CrashCollector, Logcat};
+use crate::logcat::CrashCollector;
 
 /// Identifier of one device in the farm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -50,7 +50,8 @@ impl Default for EmulatorConfig {
     }
 }
 
-/// One simulated testing device: app runtime + clock + tracer + logcat.
+/// One simulated testing device: app runtime + clock + tracer + crash
+/// collector.
 ///
 /// The runtime's covered-method bitset is the device's only covered set;
 /// the [`CoverageTracer`] adds when each method was first covered.
@@ -61,7 +62,6 @@ pub struct Emulator {
     runtime: AppRuntime,
     clock: VirtualClock,
     coverage: CoverageTracer,
-    logcat: Logcat,
     crashes: CrashCollector,
     flake_rng: StdRng,
     metrics: EmulatorMetrics,
@@ -103,17 +103,10 @@ impl Emulator {
         start: VirtualTime,
         config: EmulatorConfig,
     ) -> Self {
-        let mut runtime = AppRuntime::launch(app.clone(), seed);
+        let mut runtime = AppRuntime::launch(app, seed);
         let mut clock = VirtualClock::starting_at(start);
-        let mut logcat = Logcat::new();
-        logcat.log(
-            clock.now(),
-            "ActivityManager",
-            format!("Start proc {}", app.name()),
-        );
         if runtime.auto_login(clock.now()).is_some() {
             clock.advance(config.action_latency);
-            logcat.log(clock.now(), "AutoLogin", "executed login script");
         }
         Emulator {
             id,
@@ -121,7 +114,6 @@ impl Emulator {
             runtime,
             clock,
             coverage: CoverageTracer::new(),
-            logcat,
             crashes: CrashCollector::new(),
             flake_rng: StdRng::seed_from_u64(seed ^ 0x00f1_a5e5),
             metrics: EmulatorMetrics::new(),
@@ -150,7 +142,7 @@ impl Emulator {
 
     /// Executes a tool action: advances the clock, records the step's
     /// newly covered methods at the clock after the step (crash-restart
-    /// latency included), updates logcat, and returns the step outcome.
+    /// latency included), records any crash, and returns the step outcome.
     ///
     /// # Errors
     ///
@@ -179,11 +171,6 @@ impl Emulator {
             self.clock.advance(self.config.crash_restart_latency);
             self.crashes.record(self.clock.now(), sig);
             self.metrics.crashes.inc();
-            self.logcat.log(
-                self.clock.now(),
-                "AndroidRuntime",
-                sig.stack_trace(self.runtime.app().name()),
-            );
         }
         let newly_covered = self.runtime.newly_covered();
         self.coverage.record(self.clock.now(), newly_covered);
@@ -221,11 +208,6 @@ impl Emulator {
         )
     }
 
-    /// Logcat buffer.
-    pub fn logcat(&self) -> &Logcat {
-        &self.logcat
-    }
-
     /// Number of distinct screens visited.
     pub fn distinct_screens(&self) -> usize {
         self.runtime.visited_screen_count()
@@ -244,11 +226,6 @@ impl Emulator {
         self.clock.advance(self.config.crash_restart_latency);
         let newly = self.runtime.jump_to(screen);
         self.coverage.record(self.clock.now(), newly);
-        self.logcat.log(
-            self.clock.now(),
-            "ActivityManager",
-            format!("START u0 {screen} (intent)"),
-        );
         self.runtime.observe(self.clock.now())
     }
 }
@@ -279,7 +256,10 @@ mod tests {
         let obs = e.observe();
         // After auto-login the device is on the hub, which has tab actions.
         assert!(obs.enabled_actions().len() > 2);
-        assert!(e.logcat().with_tag("AutoLogin").count() == 1);
+        // The login script costs one action; an ungated app boots at once.
+        let latency = EmulatorConfig::default().action_latency;
+        assert_eq!(e.now(), VirtualTime::ZERO + latency);
+        assert_eq!(boot_small(false).now(), VirtualTime::ZERO);
     }
 
     #[test]

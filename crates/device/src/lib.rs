@@ -7,13 +7,13 @@
 //! * [`Emulator`] — one device running one [`taopt_app_sim::AppRuntime`],
 //!   with a per-device virtual clock, per-action latency, a
 //!   [`CoverageTracer`] (the MiniTrace stand-in: time-stamped cover
-//!   events since boot) and a [`Logcat`] buffer collecting crash stack
-//!   traces;
+//!   events since boot) and a [`CrashCollector`] recording the crashes
+//!   it hits;
 //! * [`DeviceFarm`] — a bounded pool of devices with allocate/deallocate
 //!   and machine-time accounting (the "testing resources" of RQ4); the
 //!   campaign scheduler allocates from it directly, and under a fault
 //!   plan `taopt-chaos` decides refusals and losses the scheduler applies;
-//! * [`CrashCollector`] — logcat-style unique-crash deduplication by stack
+//! * [`CrashCollector`] — unique-crash deduplication by stack-trace
 //!   signature.
 //!
 //! Virtual time makes hour-long parallel runs execute in milliseconds while
@@ -28,12 +28,10 @@ pub mod emulator;
 pub mod error;
 pub mod farm;
 pub mod logcat;
-pub mod triage;
 
 pub use clock::VirtualClock;
 pub use coverage::CoverageTracer;
 pub use emulator::{DeviceId, Emulator, EmulatorConfig};
 pub use error::DeviceError;
 pub use farm::{fair_targets, fair_targets_from, DeviceFarm};
-pub use logcat::{CrashCollector, LogEntry, Logcat};
-pub use triage::{CrashGroup, TriageReport};
+pub use logcat::CrashCollector;

@@ -59,12 +59,6 @@ impl Labels {
         }
     }
 
-    /// Returns a copy with the instance set.
-    pub fn with_instance(mut self, instance: u32) -> Self {
-        self.instance = Some(instance);
-        self
-    }
-
     /// True when no label is set.
     pub fn is_empty(&self) -> bool {
         *self == Labels::default()

@@ -162,7 +162,7 @@ impl InstrumentedInstance {
         self.id
     }
 
-    /// The emulator (coverage, crashes, logcat, clock).
+    /// The emulator (coverage, crashes, clock).
     pub fn emulator(&self) -> &Emulator {
         &self.emulator
     }

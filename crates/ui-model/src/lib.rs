@@ -51,14 +51,14 @@ pub mod widget;
 
 pub use abstraction::{abstract_hierarchy, AbstractHierarchy, AbstractScreenId};
 pub use action::{Action, ActionId, ActionKind};
-pub use dump::{from_xml, to_xml, ParseDumpError};
+pub use dump::to_xml;
 pub use error::UiModelError;
 pub use geometry::Bounds;
 pub use graph::StochasticDigraph;
 pub use hierarchy::{Affordance, UiHierarchy};
 pub use json::{JsonError, Value};
 pub use screen::{ActivityId, ScreenId, ScreenObservation};
-pub use similarity::{count_in, tree_similarity};
+pub use similarity::tree_similarity;
 pub use time::{VirtualDuration, VirtualTime};
 pub use trace::{Trace, TraceEvent};
 pub use widget::{Widget, WidgetClass};

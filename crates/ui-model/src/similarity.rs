@@ -371,19 +371,6 @@ pub fn similar_at(a: &AbstractHierarchy, b: &AbstractHierarchy, threshold: f64) 
     false
 }
 
-/// The paper's `CountIn(s, window)`: how many screens in `window` are
-/// tree-similar to `s` at or above `threshold`.
-pub fn count_in(
-    s: &AbstractHierarchy,
-    window: impl IntoIterator<Item = impl AsRef<AbstractHierarchy>>,
-    threshold: f64,
-) -> usize {
-    window
-        .into_iter()
-        .filter(|x| similar_at(s, x.as_ref(), threshold))
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,17 +559,5 @@ mod tests {
             cache.snapshot().into_iter().collect::<Vec<_>>(),
             vec![((x.min(y), x.max(y)), true)]
         );
-    }
-
-    #[test]
-    fn count_in_respects_threshold() {
-        let probe = screen(4, "shop");
-        let window = [
-            std::sync::Arc::new(screen(4, "shop")),
-            std::sync::Arc::new(screen(4, "acct")),
-            std::sync::Arc::new(screen(4, "shop")),
-        ];
-        assert_eq!(count_in(&probe, window.iter().cloned(), 0.9), 2);
-        assert_eq!(count_in(&probe, window.iter().cloned(), 0.01), 3);
     }
 }

@@ -218,30 +218,3 @@ proptest! {
         }
     }
 }
-
-mod dump_roundtrip {
-    use proptest::prelude::*;
-
-    use taopt_ui_model::dump::{from_xml, to_xml};
-    use taopt_ui_model::{UiHierarchy, Widget};
-
-    use super::arb_widget;
-
-    proptest! {
-        #[test]
-        fn xml_dump_roundtrips(w in arb_widget(), text in "[ -~]{0,24}") {
-            // Stamp an arbitrary printable text on every node, then dump
-            // and parse back.
-            let mut w: Widget = w;
-            w.visit_mut(&mut |n| {
-                if n.text.is_some() {
-                    n.text = Some(text.clone());
-                }
-            });
-            let h = UiHierarchy::new(w);
-            let xml = to_xml(&h);
-            let back = from_xml(&xml).expect("dump parses back");
-            prop_assert_eq!(back, h);
-        }
-    }
-}

@@ -9,7 +9,7 @@
 //!   transition graphs, traces;
 //! * [`app_sim`] — synthetic GS-LD apps, the app runtime and the 18-app
 //!   catalog;
-//! * [`device`] — emulators, device farm, coverage tracer, logcat;
+//! * [`device`] — emulators, device farm, coverage tracer, crash collector;
 //! * [`tools`] — Monkey, Ape and WCTester reimplementations;
 //! * [`toller`] — monitoring + entrypoint-enforcement shim;
 //! * [`core`] — TaOPT itself: `FindSpace`, the online analyzer, the test

@@ -148,11 +148,19 @@ fn cmd_run(args: &[String]) {
             );
         }
     }
-    let triage = r.triage_report();
-    if triage.unique_count() > 0 {
-        println!("\n{}", triage.render(app.name()));
-    } else {
+    let crashes = r.unique_crashes();
+    if crashes.is_empty() {
         println!("no crashes observed");
+    } else {
+        let occurrences: usize = r.instances.iter().map(|i| i.crash_occurrences.len()).sum();
+        println!(
+            "\n{} unique crash(es), {} occurrence(s):",
+            crashes.len(),
+            occurrences
+        );
+        for sig in &crashes {
+            println!("  {sig}");
+        }
     }
 }
 
