@@ -22,6 +22,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 use taopt_toller::{EntrypointRule, InstanceId};
+use taopt_ui_model::idhash::IdMap;
 use taopt_ui_model::{AbstractScreenId, Trace, TraceEvent, VirtualDuration, VirtualTime};
 
 use crate::findspace::{FindSpaceConfig, FindSpaceEngine, SimilarityCache, SplitCandidate};
@@ -139,7 +140,7 @@ struct OccurrenceIndex {
     /// Trace events indexed so far.
     indexed: usize,
     /// Ascending positions; `usize::MAX` marks an absent occurrence.
-    first3: HashMap<AbstractScreenId, [usize; 3]>,
+    first3: IdMap<AbstractScreenId, [usize; 3]>,
 }
 
 impl OccurrenceIndex {
@@ -520,8 +521,8 @@ impl OnlineTraceAnalyzer {
             // The subspace is the cohesive region entered at the split:
             // the connected component of the entry target in the suffix's
             // transition structure, with transit screens removed.
-            let mut adjacency: HashMap<AbstractScreenId, BTreeSet<AbstractScreenId>> =
-                HashMap::new();
+            let mut adjacency: IdMap<AbstractScreenId, BTreeSet<AbstractScreenId>> =
+                IdMap::default();
             for w in window[p..].windows(2) {
                 let (a, b) = (w[0].abstract_id, w[1].abstract_id);
                 if a != b && !is_transit(a) && !is_transit(b) {

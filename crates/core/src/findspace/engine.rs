@@ -14,11 +14,12 @@
 //!
 //! * the local `D×D` similarity matrix — flat, row-major, symmetric, its
 //!   buffer kept across resets — extended by one row per *new* screen.
-//!   Screens are interned and rows read through the app's
-//!   [`SimilarityCache`] under one lock per new screen: every pair some
-//!   engine of the app already decided is answered from the store, and
-//!   only the rest are evaluated and recorded there. Re-feeding a rebased
-//!   window therefore evaluates nothing;
+//!   A screen already in the window is found through the engine's own
+//!   map; only a screen new to the window is interned and has its row
+//!   read through the app's [`SimilarityCache`], under its lock: every
+//!   pair some engine of the app already decided is answered from the
+//!   store, and only the rest are evaluated and recorded there.
+//!   Re-feeding a rebased window therefore evaluates nothing;
 //! * `total_sim[j]` — events anywhere in the trace similar to screen `j`;
 //! * `first_occ[j]` / `last_occ[j]` — first and last occurrence position.
 //!
@@ -71,6 +72,9 @@
 //! pair the app has never decided; one analysis costs `O(P + D log D)` for
 //! the sweep plus `O(1)` amortized frontier advancement.
 
+use std::collections::hash_map::Entry;
+
+use taopt_ui_model::idhash::IdMap;
 use taopt_ui_model::TraceEvent;
 
 use super::{sigmoid, FindSpaceConfig, SimilarityCache, SplitCandidate};
@@ -83,9 +87,6 @@ const SCREEN_CAPACITY_HINT: usize = 64;
 /// four times over at f64, small enough that short runs don't round up
 /// past `p_max`.
 const LANES: usize = 8;
-
-/// Sentinel in `local_of_store`: screen not interned in this window.
-const NO_LOCAL: u32 = u32::MAX;
 
 /// Scores [`LANES`] consecutive positions `q = start..start + LANES` of
 /// the fused sweep:
@@ -139,10 +140,10 @@ fn score_chunk(
 #[derive(Debug)]
 pub struct FindSpaceEngine {
     config: FindSpaceConfig,
-    /// The cache's dense screen id → dense local index (`NO_LOCAL` when
-    /// absent). Reused across resets: only entries named in `store_ids`
-    /// are ever set.
-    local_of_store: Vec<u32>,
+    /// Abstract-screen id → dense local index of every screen in the
+    /// window: a screen seen before is found here without touching the
+    /// app's store. Cleared (capacity kept) by resets.
+    local: IdMap<u64, u32>,
     /// The cache's dense id of every local screen, in first-appearance
     /// order.
     store_ids: Vec<u32>,
@@ -189,7 +190,7 @@ impl FindSpaceEngine {
     pub fn new(config: FindSpaceConfig) -> Self {
         FindSpaceEngine {
             config,
-            local_of_store: Vec::new(),
+            local: IdMap::default(),
             store_ids: Vec::new(),
             reps: Vec::new(),
             sim: Vec::new(),
@@ -235,9 +236,7 @@ impl FindSpaceEngine {
     /// or replaced — an accepted split moving the analysis start, or the
     /// instance being re-dedicated onto a replacement device.
     pub fn reset(&mut self) {
-        for &sid in &self.store_ids {
-            self.local_of_store[sid as usize] = NO_LOCAL;
-        }
+        self.local.clear();
         self.store_ids.clear();
         let d = self.reps.len();
         for j in 0..d {
@@ -330,16 +329,15 @@ impl FindSpaceEngine {
     /// relation and per-screen state for a new screen. Returns the dense
     /// id.
     fn intern(&mut self, event: &TraceEvent, cache: &SimilarityCache) -> usize {
-        let sid = cache.intern(event.abstract_id.0);
-        let slot = sid as usize;
-        if self.local_of_store.len() <= slot {
-            self.local_of_store.resize(slot + 1, NO_LOCAL);
-        }
-        if self.local_of_store[slot] != NO_LOCAL {
-            return self.local_of_store[slot] as usize;
-        }
         let id = self.reps.len();
-        self.local_of_store[slot] = id as u32;
+        match self.local.entry(event.abstract_id.0) {
+            Entry::Occupied(known) => return *known.get() as usize,
+            Entry::Vacant(slot) => {
+                slot.insert(id as u32);
+            }
+        }
+        // Only a screen new to the window takes the store's lock.
+        let sid = cache.intern(event.abstract_id.0);
         self.ensure_sim_capacity(id + 1);
         let stride = self.sim_stride;
         // New similarity row against every existing representative: the

@@ -109,18 +109,20 @@ impl Client {
         stream.write_all(body.as_bytes())?;
         stream.flush()?;
 
-        // Connection: close framing — read to EOF, then split the head.
+        // Connection: close framing — read to EOF, then drain the head in
+        // place so the body is handed back without a second copy.
         let mut raw = String::new();
         stream.read_to_string(&mut raw)?;
-        let (head, payload) = raw
-            .split_once("\r\n\r\n")
+        let head_len = raw
+            .find("\r\n\r\n")
             .ok_or_else(|| ClientError::Protocol("response missing header block".to_owned()))?;
-        let status = head
+        let status = raw[..head_len]
             .split_whitespace()
             .nth(1)
             .and_then(|s| s.parse::<u16>().ok())
             .ok_or_else(|| ClientError::Protocol("unreadable status line".to_owned()))?;
-        Ok((status, payload.to_owned()))
+        raw.drain(..head_len + 4);
+        Ok((status, raw))
     }
 
     /// Like [`Client::exchange`], but turns non-2xx statuses into
@@ -210,18 +212,15 @@ impl Client {
         }
     }
 
-    /// The finished campaign's coverage report.
+    /// The finished campaign's coverage report: the response body,
+    /// exactly as the shard stored it.
     pub fn result(&self, id: CampaignId) -> Result<String, ClientError> {
-        let payload = self.call(
+        self.call(
             "GET",
             &format!("/v1/campaigns/{}/result", id.0),
             "text/plain",
             "",
-        )?;
-        Self::parse(&payload)?
-            .get("report")
-            .and_then(|r| r.as_str().map(str::to_owned))
-            .ok_or_else(|| ClientError::Protocol("result missing `report`".to_owned()))
+        )
     }
 
     /// Prometheus text exposition of the shard's metrics.

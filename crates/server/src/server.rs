@@ -21,7 +21,7 @@
 //! | `POST /v1/campaigns`               | submit `{"priority":P,"spec":{...}}`     |
 //! | `GET /v1/campaigns/{id}`           | status                                   |
 //! | `GET /v1/campaigns/{id}/wait`      | status, blocking up to `?timeout_ms=T`   |
-//! | `GET /v1/campaigns/{id}/result`    | finished coverage report                 |
+//! | `GET /v1/campaigns/{id}/result`    | body *is* the finished coverage report   |
 //! | `GET /v1/campaigns/{id}/checkpoint`| export checkpoint (preempts, detaches)   |
 //! | `POST /v1/campaigns/import`        | admit a foreign checkpoint               |
 //! | `POST /v1/drain`                   | checkpoint everything, stop accepting    |
@@ -393,13 +393,8 @@ fn handle_result(raw_id: &str, inner: &Inner) -> Response {
         Err(r) => return r,
     };
     match inner.service.result(id) {
-        Ok(Some(report)) => {
-            let v = Value::Object(vec![
-                ("id".to_owned(), Value::UInt(id.0)),
-                ("report".to_owned(), Value::Str(report)),
-            ]);
-            Response::json(200, v.to_json_string())
-        }
+        // The stored report is already JSON text: it is the body.
+        Ok(Some(report)) => Response::json(200, report),
         Ok(None) => match inner.service.status(id) {
             Ok(CampaignStatus::Failed(reason)) => {
                 Response::error(409, &format!("campaign failed: {reason}"))

@@ -71,7 +71,7 @@ use taopt::{Campaign, CampaignDigest, CampaignSequence};
 use taopt_app_sim::AppEvolution;
 use taopt_chaos::{FaultKind, RecoveryKind};
 use taopt_telemetry::{Gauge, Labels};
-use taopt_ui_model::json::Value;
+use taopt_ui_model::json;
 
 use crate::checkpoint::{micros, Checkpoint, CheckpointStore, CHECKPOINT_VERSION};
 use crate::error::ServiceError;
@@ -972,7 +972,11 @@ fn run_one(shared: &Arc<Shared>, id: u64) {
     let resumed = resume_round > 0 || resume_sequence > 0;
     let mut sequence =
         CampaignSequence::new(apps, AppEvolution::new(evo.seed), evo.versions, evo.warm);
-    let mut versions_out: Vec<Value> = Vec::new();
+    // The document is streamed: each release's coverage report is
+    // already JSON text and is spliced in verbatim.
+    let mut report = String::from("{\"name\":");
+    json::write_escaped(&spec.name, &mut report);
+    report.push_str(",\"versions\":[");
     while !sequence.is_done() {
         let version = sequence.version();
         let run_apps = match sequence.begin_version() {
@@ -995,25 +999,19 @@ fn run_one(shared: &Arc<Shared>, id: u64) {
             }
         }
         let result = campaign.finish();
-        let coverage = result.coverage_report();
-        let report = sequence.complete_version(&result);
-        versions_out.push(Value::Object(vec![
-            ("version".to_owned(), Value::UInt(version)),
-            ("evolution".to_owned(), report.to_value()),
-            (
-                "coverage".to_owned(),
-                match Value::parse(&coverage) {
-                    Ok(v) => v,
-                    Err(_) => Value::Str(coverage),
-                },
-            ),
-        ]));
+        let evolution = sequence.complete_version(&result);
+        if version > 0 {
+            report.push(',');
+        }
+        report.push_str("{\"version\":");
+        json::write_uint(version, &mut report);
+        report.push_str(",\"evolution\":");
+        report.push_str(&evolution.to_value().to_json_string());
+        report.push_str(",\"coverage\":");
+        report.push_str(&result.coverage_report());
+        report.push('}');
     }
-    let report = Value::Object(vec![
-        ("name".to_owned(), Value::Str(spec.name.clone())),
-        ("versions".to_owned(), Value::Array(versions_out)),
-    ])
-    .to_json_string();
+    report.push_str("]}");
     runner.lag_gauge.set(0);
     record_completion(shared, id, report);
 }

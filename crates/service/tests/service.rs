@@ -14,7 +14,8 @@ use proptest::prelude::*;
 
 use taopt::campaign::run_campaign;
 use taopt::experiments::ExperimentScale;
-use taopt::{Campaign, KillEvent, RunMode};
+use taopt::{run_campaign_sequence, Campaign, KillEvent, RunMode};
+use taopt_app_sim::AppEvolution;
 use taopt_chaos::{FaultPlan, FaultRates};
 use taopt_service::{
     AppSource, AppSpec, CampaignService, CampaignSpec, CampaignStatus, Checkpoint, CheckpointStore,
@@ -526,28 +527,44 @@ fn evolution_spec(seed: u64, versions: u64) -> CampaignSpec {
 
 #[test]
 fn evolution_campaign_reports_every_release() {
+    let spec = evolution_spec(61, 3);
+    let evo = spec.evolution.unwrap();
+    let (apps, config) = spec.build().unwrap();
+    let direct = run_campaign_sequence(
+        apps,
+        &config,
+        &AppEvolution::new(evo.seed),
+        evo.versions,
+        evo.warm,
+    )
+    .unwrap();
+
     let dir = scratch("evolution");
     let mut config = ServiceConfig::new(&dir);
     config.farm_capacity = 8;
     let service = CampaignService::start(config).unwrap();
 
-    let id = service.submit(evolution_spec(61, 3), 4).unwrap();
+    let id = service.submit(spec, 4).unwrap();
     assert_eq!(service.wait(id).unwrap(), CampaignStatus::Done);
     let report = service.result(id).unwrap().unwrap();
+    // The streamed document is exactly what its value tree would write.
     let v = Value::parse(&report).unwrap();
+    assert_eq!(v.to_json_string(), report);
     let versions = v.require("versions").unwrap().as_array().unwrap();
     assert_eq!(versions.len(), 3);
-    for (i, ver) in versions.iter().enumerate() {
+    for ((i, ver), outcome) in versions.iter().enumerate().zip(&direct) {
         assert_eq!(
             ver.require("version").unwrap().as_u64(),
             Some(i as u64),
             "versions out of order"
         );
-        // Each release carries its evolution report and a full coverage
-        // report.
+        // Each release carries its evolution report and, byte for byte,
+        // its own coverage report.
         let evo = ver.require("evolution").unwrap();
         assert!(evo.require("apps").unwrap().as_array().unwrap().len() == 2);
-        assert!(ver.require("coverage").is_ok());
+        let coverage = outcome.result.coverage_report();
+        assert_eq!(ver.require("coverage").unwrap().to_json_string(), coverage);
+        assert!(report.contains(&format!(",\"coverage\":{coverage}}}")));
     }
     service.shutdown();
     let _ = fs::remove_dir_all(&dir);

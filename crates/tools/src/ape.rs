@@ -6,9 +6,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+use taopt_ui_model::idhash::{IdMap, IdSet};
 use taopt_ui_model::{AbstractScreenId, Action, ActionId, ScreenObservation};
 
-use crate::idhash::{IdMap, IdSet};
 use crate::tool::TestingTool;
 
 /// Exploration noise: probability of a uniformly random choice instead of

@@ -29,7 +29,6 @@
 
 pub mod ape;
 pub mod badge;
-mod idhash;
 pub mod monkey;
 pub mod scripted;
 pub mod tool;

@@ -3,9 +3,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use taopt_ui_model::idhash::IdMap;
 use taopt_ui_model::{AbstractScreenId, Action, ActionId, ActivityId, ScreenObservation};
 
-use crate::idhash::IdMap;
 use crate::tool::TestingTool;
 
 /// Weight of an action never tried before.

@@ -42,6 +42,7 @@ pub mod error;
 pub mod geometry;
 pub mod graph;
 pub mod hierarchy;
+pub mod idhash;
 pub mod json;
 pub mod screen;
 pub mod similarity;

@@ -12,11 +12,12 @@
 //! ids, two bits per unordered pair, behind one lock. Each pair is
 //! evaluated at most once per app (per asking thread, when threads race).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use crate::abstraction::AbstractHierarchy;
+use crate::idhash::IdMap;
 use crate::trace::TraceEvent;
 
 /// Default similarity above which two abstract screens count as "the same
@@ -69,7 +70,7 @@ impl PairRelation {
 #[derive(Debug)]
 struct Store {
     /// Abstract-screen id → dense id, append-only.
-    index: HashMap<u64, u32>,
+    index: IdMap<u64, u32>,
     /// Dense id → abstract-screen id.
     abstract_ids: Vec<u64>,
     relation: PairRelation,
@@ -129,7 +130,7 @@ impl SimilarityCache {
     pub fn new() -> Self {
         SimilarityCache {
             store: Mutex::new(Store {
-                index: HashMap::with_capacity(SCREEN_CAPACITY_HINT),
+                index: IdMap::with_capacity_and_hasher(SCREEN_CAPACITY_HINT, Default::default()),
                 abstract_ids: Vec::with_capacity(SCREEN_CAPACITY_HINT),
                 relation: PairRelation::default(),
             }),

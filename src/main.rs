@@ -96,9 +96,9 @@ fn cmd_run(args: &[String]) {
     if let Some(m) = flag(args, "--minutes").and_then(|v| v.parse().ok()) {
         cfg.duration = VirtualDuration::from_mins(m);
     }
-    if let Some(s) = flag(args, "--seed").and_then(|v| v.parse().ok()) {
-        cfg.seed = s;
-    }
+    cfg.seed = flag(args, "--seed")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(2025);
     if let Some(f) = flag(args, "--event-loss").and_then(|v| v.parse().ok()) {
         cfg.emulator.event_loss = f;
     }

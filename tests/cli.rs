@@ -7,17 +7,26 @@ use taopt_app_sim::catalog_entries;
 
 /// Runs `taopt-sim` with `args`, asserts it exits 0, and returns stdout.
 fn taopt_sim(args: &[&str]) -> String {
+    taopt_sim_streams(args).0
+}
+
+/// Runs `taopt-sim` with `args`, asserts it exits 0, and returns stdout
+/// and stderr.
+fn taopt_sim_streams(args: &[&str]) -> (String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_taopt-sim"))
         .args(args)
         .output()
         .expect("taopt-sim starts");
+    let stderr = String::from_utf8(out.stderr).expect("stderr is utf-8");
     assert!(
         out.status.success(),
-        "taopt-sim {args:?} exited with {}: {}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
+        "taopt-sim {args:?} exited with {}: {stderr}",
+        out.status
     );
-    String::from_utf8(out.stdout).expect("stdout is utf-8")
+    (
+        String::from_utf8(out.stdout).expect("stdout is utf-8"),
+        stderr,
+    )
 }
 
 #[test]
@@ -45,7 +54,12 @@ fn dump_prints_one_xml_hierarchy() {
 #[test]
 fn run_prints_its_coverage_line() {
     let app = catalog_entries()[0].name;
-    let out = taopt_sim(&["run", "--app", app, "--minutes", "2"]);
+    let (out, err) = taopt_sim_streams(&["run", "--app", app, "--minutes", "2"]);
+    let header = err.lines().next().unwrap_or_default();
+    assert!(
+        header.ends_with(", seed 2025"),
+        "`run` without --seed uses the documented default: {header}"
+    );
     let coverage = out
         .lines()
         .find(|l| l.starts_with("coverage: "))

@@ -6,6 +6,7 @@
 //! `/metrics` route emits well-formed Prometheus text.
 
 use std::collections::HashSet;
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -18,6 +19,7 @@ use taopt_service::{
     AppSource, AppSpec, CampaignService, CampaignSpec, CampaignStatus, ServiceConfig,
 };
 use taopt_tools::ToolKind;
+use taopt_ui_model::json::Value;
 use taopt_ui_model::VirtualDuration;
 
 /// A fresh scratch dir under the system temp root.
@@ -96,6 +98,63 @@ fn submit_over_wire_is_byte_identical_to_in_process() {
     let status = client.wait(id, WAIT).unwrap();
     assert_eq!(status, CampaignStatus::Done);
     assert_eq!(client.result(id).unwrap(), reference);
+    handle.stop().shutdown();
+}
+
+/// Sends a bare `GET path` over its own connection and returns the status,
+/// the `Content-Type` header and the body, parsed from the raw bytes.
+fn raw_get(addr: std::net::SocketAddr, path: &str) -> (u16, String, String) {
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    let (head, body) = raw.split_once("\r\n\r\n").expect("header block");
+    let mut lines = head.lines();
+    let status = lines.next().unwrap().split(' ').nth(1).unwrap();
+    let content_type = lines
+        .filter_map(|l| l.split_once(": "))
+        .find(|(name, _)| name.eq_ignore_ascii_case("content-type"))
+        .map(|(_, value)| value.to_owned())
+        .expect("Content-Type header");
+    (status.parse().unwrap(), content_type, body.to_owned())
+}
+
+#[test]
+fn result_route_serves_the_stored_report_as_its_body() {
+    let spec = tiny_spec("raw", 43, 3);
+    let reference = direct_report(&spec);
+
+    let (handle, client) = shard("raw-result");
+    let id = client.submit(&spec, 5).unwrap();
+    assert_eq!(client.wait(id, WAIT).unwrap(), CampaignStatus::Done);
+    let (status, content_type, body) =
+        raw_get(handle.addr(), &format!("/v1/campaigns/{}/result", id.0));
+    assert_eq!(status, 200);
+    assert_eq!(content_type, "application/json");
+    assert_eq!(body, reference, "the body is the coverage report itself");
+
+    // Errors keep their JSON `error` body.
+    let error_of = |body: &str| {
+        Value::parse(body)
+            .unwrap()
+            .get("error")
+            .and_then(|e| e.as_str().map(str::to_owned))
+            .expect("a JSON `error` field")
+    };
+    let holder = client.submit(&farm_holder(), 9).unwrap();
+    let (status, content_type, body) =
+        raw_get(handle.addr(), &format!("/v1/campaigns/{}/result", holder.0));
+    assert_eq!((status, content_type.as_str()), (409, "application/json"));
+    assert!(error_of(&body).contains("not finished"), "{body}");
+    let (status, _, body) = raw_get(handle.addr(), "/v1/campaigns/999999/result");
+    assert_eq!(status, 404);
+    error_of(&body);
+
+    client.drain().unwrap();
     handle.stop().shutdown();
 }
 
@@ -292,7 +351,11 @@ fn wire_wait_is_bounded() {
 #[test]
 fn drain_checkpoints_everything_and_stops_accepting() {
     let (handle, client) = shard("drain");
-    let running = client.submit(&tiny_spec("drain-run", 29, 60), 9).unwrap();
+    // The running campaign reserves the whole farm, so the second one is
+    // still queued when the drain lands instead of racing it to Done.
+    let mut running_spec = tiny_spec("drain-run", 29, 60);
+    running_spec.capacity = Some(ServiceConfig::new(PathBuf::new()).farm_capacity);
+    let running = client.submit(&running_spec, 9).unwrap();
     let queued = client.submit(&tiny_spec("drain-queue", 31, 3), 1).unwrap();
 
     let drained = client.drain().unwrap();
