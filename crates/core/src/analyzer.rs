@@ -209,22 +209,13 @@ pub struct OnlineTraceAnalyzer {
     instances: HashMap<InstanceId, InstanceState>,
     /// The app's similarity store, shared by every instance's engine.
     similarity_cache: SimilarityCache,
-    /// The sweep's telemetry handles.
-    sweep_metrics: SweepMetrics,
+    /// `span_ns{kind="findspace"}`, resolved once per analyzer so a sweep
+    /// takes no registry lock.
+    findspace_span: taopt_telemetry::Histogram,
     /// Batch-contract violations: duplicate instances skipped by
     /// [`ingest_round`](Self::ingest_round) (release builds skip and
     /// count; debug builds assert).
     duplicates_counter: taopt_telemetry::Counter,
-}
-
-/// The analysis sweep's telemetry handles, resolved once per analyzer so
-/// a sweep takes no registry lock.
-#[derive(Debug)]
-struct SweepMetrics {
-    /// Per-analysis latency of the incremental FindSpace run, in µs.
-    latency: taopt_telemetry::Histogram,
-    /// `span_ns{kind="findspace"}`.
-    span: taopt_telemetry::Histogram,
 }
 
 /// A split candidate that survived validation: everything the apply
@@ -249,10 +240,7 @@ impl OnlineTraceAnalyzer {
             subspaces: Vec::new(),
             instances: HashMap::new(),
             similarity_cache: SimilarityCache::new(),
-            sweep_metrics: SweepMetrics {
-                latency: taopt_telemetry::global().histogram("findspace_analysis_us"),
-                span: taopt_telemetry::global().span_histogram("findspace"),
-            },
+            findspace_span: taopt_telemetry::global().span_histogram("findspace"),
             duplicates_counter: taopt_telemetry::global()
                 .counter("analyzer_duplicate_instance_total"),
         }
@@ -375,22 +363,19 @@ impl OnlineTraceAnalyzer {
         state: &mut InstanceState,
         window: &[TraceEvent],
         cache: &SimilarityCache,
-        metrics: &SweepMetrics,
+        span: &taopt_telemetry::Histogram,
     ) -> Vec<SplitCandidate> {
         // Span opens after due-gating, so it times actual FindSpace
         // runs rather than every per-round poll.
-        let _span = metrics.span.span();
+        let _span = span.span();
         // The engine mirrors `window` incrementally: only events appended
         // since the last analysis are fed. A shrunk window means the
         // trace was replaced under this id — start over.
         if window.len() < state.engine.len() {
             state.engine.reset();
         }
-        let timer = std::time::Instant::now();
         state.engine.extend_from(window, cache);
-        let candidates = state.engine.analyze(5);
-        metrics.latency.record(timer.elapsed().as_micros() as u64);
-        candidates
+        state.engine.analyze(5)
     }
 
     /// One instance's registry-free work: due-gating, sweep, and
@@ -401,12 +386,12 @@ impl OnlineTraceAnalyzer {
         trace: &Trace,
         now: VirtualTime,
         cache: &SimilarityCache,
-        metrics: &SweepMetrics,
+        span: &taopt_telemetry::Histogram,
     ) -> Option<ValidatedSplit> {
         let events = trace.events();
         let start = Self::due_window(config, state, events, now)?;
         let window = &events[start..];
-        let candidates = Self::analysis_sweep(state, window, cache, metrics);
+        let candidates = Self::analysis_sweep(state, window, cache, span);
         Self::validate_candidates(
             config.min_subspace_screens,
             &state.occurrences,
@@ -463,7 +448,7 @@ impl OnlineTraceAnalyzer {
                 trace,
                 now,
                 &self.similarity_cache,
-                &self.sweep_metrics,
+                &self.findspace_span,
             );
             if let Some(v) = validated {
                 confirmed.extend(self.apply_validated(*id, v, now));
@@ -986,7 +971,7 @@ mod tests {
                 state,
                 &events[start..],
                 &a.similarity_cache,
-                &a.sweep_metrics,
+                &a.findspace_span,
             );
             let validated =
                 validate_candidates_oracle(config.min_subspace_screens, events, start, candidates);

@@ -739,9 +739,11 @@ impl SessionStep {
         } else {
             0
         };
-        // Capture the warm bundle *before* draining: retiring an instance
-        // evicts its similarity-cache entries, and the bundle should carry
-        // everything the campaign learned.
+        // Capture the warm bundle before draining, so it reads the analyzer
+        // as the last round left it: every confirmed subspace and the whole
+        // similarity store. The drain would lose neither: retiring forgets
+        // an instance's window, not the store's decisions, and only moves
+        // subspace ownership, which the bundle does not carry.
         let warm = (self.config.capture_warm_start && uses_taopt)
             .then(|| self.coordinator.analyzer().warm_start(self.union.len()));
         let end = self.now;

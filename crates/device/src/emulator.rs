@@ -1,12 +1,12 @@
 //! One simulated emulator.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use taopt_telemetry::{Counter, Histogram, Labels};
+use taopt_telemetry::{BatchedCounter, Counter, Histogram, Labels};
 use taopt_ui_model::{Action, ScreenObservation, VirtualDuration, VirtualTime};
 
 use taopt_app_sim::{App, AppRuntime, AppSimError, MethodSet, StepOutcome};
@@ -64,27 +64,30 @@ pub struct Emulator {
     coverage: CoverageTracer,
     crashes: CrashCollector,
     flake_rng: StdRng,
-    metrics: EmulatorMetrics,
+    /// This device's `emulator_actions_total`, published once per
+    /// [`BATCH`](taopt_telemetry::BATCH) actions and when it is dropped.
+    actions: BatchedCounter,
 }
 
-/// Cached handles into the global metrics registry; fetched once at
-/// boot so the per-action hot path is a few relaxed atomic ops.
-#[derive(Debug, Clone)]
+/// The device seam's handles into the global metrics registry, resolved
+/// once per process.
+#[derive(Debug)]
 struct EmulatorMetrics {
     step_ns: Histogram,
     actions: Counter,
     crashes: Counter,
 }
 
-impl EmulatorMetrics {
-    fn new() -> Self {
+fn metrics() -> &'static EmulatorMetrics {
+    static METRICS: OnceLock<EmulatorMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
         let t = taopt_telemetry::global();
         EmulatorMetrics {
             step_ns: t.histogram_labeled("emulator_step_ns", Labels::seam("device")),
             actions: t.counter_labeled("emulator_actions_total", Labels::seam("device")),
             crashes: t.counter_labeled("emulator_crashes_total", Labels::seam("device")),
         }
-    }
+    })
 }
 
 impl Emulator {
@@ -116,7 +119,7 @@ impl Emulator {
             coverage: CoverageTracer::new(),
             crashes: CrashCollector::new(),
             flake_rng: StdRng::seed_from_u64(seed ^ 0x00f1_a5e5),
-            metrics: EmulatorMetrics::new(),
+            actions: BatchedCounter::new(&metrics().actions),
         }
     }
 
@@ -144,13 +147,22 @@ impl Emulator {
     /// newly covered methods at the clock after the step (crash-restart
     /// latency included), records any crash, and returns the step outcome.
     ///
+    /// The action is tallied on the device, not in the shared counter,
+    /// and only the action that completes a batch of
+    /// [`BATCH`](taopt_telemetry::BATCH) is timed into `emulator_step_ns`,
+    /// so the other actions read no clock and write nothing shared.
+    ///
     /// # Errors
     ///
     /// Propagates [`AppSimError::ActionNotAvailable`] for widget actions
     /// the current screen does not define.
     pub fn execute(&mut self, action: Action) -> Result<StepOutcome<'_>, AppSimError> {
-        let timer = self.metrics.step_ns.timer();
-        self.metrics.actions.inc();
+        let step_ns = &metrics().step_ns;
+        let timer = if self.actions.add(1) {
+            step_ns.timer()
+        } else {
+            None
+        };
         self.clock.advance(self.config.action_latency);
         // Flaky event delivery: the event may be lost in flight.
         let action = if self.config.event_loss > 0.0
@@ -170,11 +182,11 @@ impl Emulator {
         if let Some(sig) = crash {
             self.clock.advance(self.config.crash_restart_latency);
             self.crashes.record(self.clock.now(), sig);
-            self.metrics.crashes.inc();
+            metrics().crashes.inc();
         }
         let newly_covered = self.runtime.newly_covered();
         self.coverage.record(self.clock.now(), newly_covered);
-        self.metrics.step_ns.stop(timer);
+        step_ns.stop(timer);
         Ok(StepOutcome {
             observation,
             newly_covered,

@@ -139,7 +139,9 @@ struct Entry {
     spec: CampaignSpec,
     demand: usize,
     status: CampaignStatus,
-    report: Option<String>,
+    /// The finished report; a fetch clones the `Arc` under the state lock
+    /// and copies the text after releasing it.
+    report: Option<Arc<str>>,
     resume_round: u64,
     /// Release version `resume_round` belongs to (0 for plain campaigns).
     resume_sequence_version: u64,
@@ -440,11 +442,14 @@ impl CampaignService {
     /// The finished campaign's canonical coverage report
     /// ([`taopt::CampaignResult::coverage_report`]), if it completed.
     pub fn result(&self, id: CampaignId) -> Result<Option<String>, ServiceError> {
-        let st = self.shared.state.lock();
-        st.entries
-            .get(&id.0)
-            .map(|e| e.report.clone())
-            .ok_or(ServiceError::UnknownCampaign(id.0))
+        let report = {
+            let st = self.shared.state.lock();
+            st.entries
+                .get(&id.0)
+                .map(|e| e.report.clone())
+                .ok_or(ServiceError::UnknownCampaign(id.0))?
+        };
+        Ok(report.map(|r| String::from(&*r)))
     }
 
     /// Kills the service abruptly: checkpoints handed off but not yet
@@ -733,6 +738,7 @@ fn record_failure(shared: &Arc<Shared>, id: u64, why: String) {
 /// the writer has let go of the campaign, so no late cadence write can
 /// put the file back.
 fn record_completion(shared: &Arc<Shared>, id: u64, report: String) {
+    let report = Arc::<str>::from(report);
     shared.writer.cancel(id);
     shared.store.remove(id);
     {

@@ -8,6 +8,9 @@
 //!   latency [histograms](histogram::LogHistogram) (p50/p95/p99),
 //!   labeled by instance/seam/kind, with Prometheus-style text
 //!   exposition — the one telemetry record;
+//! * [`BatchedCounter`] tallies, kept by the owner of a per-action
+//!   series and published to its counter every [`BATCH`] updates, so a
+//!   tool action writes nothing shared;
 //! * spans ([`Telemetry::span_histogram`], [`Histogram::span`],
 //!   [`SpanGuard`]) timing named regions of the loop (analysis,
 //!   FindSpace, subspace dedication, enforcement broadcast) into the
@@ -35,7 +38,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 pub use crate::histogram::{HistogramSnapshot, LogHistogram};
-pub use crate::registry::{Counter, Gauge, Histogram, Labels, MetricsRegistry, MetricsSnapshot};
+pub use crate::registry::{
+    BatchedCounter, Counter, Gauge, Histogram, Labels, MetricsRegistry, MetricsSnapshot, BATCH,
+};
 pub use crate::span::SpanGuard;
 
 /// One telemetry domain: a metrics registry and its enabled flag.

@@ -2,11 +2,11 @@
 
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use taopt_app_sim::{App, CrashSignature, MethodId, MethodSet, StepOutcome};
 use taopt_device::{CrashCollector, DeviceId, Emulator};
-use taopt_telemetry::{Counter, Labels};
+use taopt_telemetry::{BatchedCounter, Counter, Labels};
 use taopt_tools::TestingTool;
 use taopt_ui_model::{ScreenObservation, UiHierarchy, VirtualTime};
 
@@ -71,6 +71,17 @@ struct EnforcementMemo {
     pages: Vec<EnforcedPage>,
 }
 
+/// `enforcement_widgets_disabled_total`, resolved once per process.
+fn widgets_disabled_counter() -> &'static Counter {
+    static COUNTER: OnceLock<Counter> = OnceLock::new();
+    COUNTER.get_or_init(|| {
+        taopt_telemetry::global().counter_labeled(
+            "enforcement_widgets_disabled_total",
+            Labels::seam("enforce"),
+        )
+    })
+}
+
 /// One testing instance: emulator + black-box tool + Toller monitor +
 /// shared block list, advanced one tool action at a time.
 ///
@@ -85,7 +96,10 @@ pub struct InstrumentedInstance {
     monitor: TransitionMonitor,
     blocklist: SharedBlockList,
     memo: EnforcementMemo,
-    widgets_disabled: Counter,
+    /// This instance's `enforcement_widgets_disabled_total`, published
+    /// once per [`BATCH`](taopt_telemetry::BATCH) enforced observations
+    /// and when the instance is dropped.
+    widgets_disabled: BatchedCounter,
     distinct_screens: usize,
     last_obs: Option<ScreenObservation>,
 }
@@ -141,10 +155,7 @@ impl InstrumentedInstance {
             monitor: TransitionMonitor::new(id),
             blocklist: shared_block_list(),
             memo: EnforcementMemo::default(),
-            widgets_disabled: taopt_telemetry::global().counter_labeled(
-                "enforcement_widgets_disabled_total",
-                Labels::seam("enforce"),
-            ),
+            widgets_disabled: BatchedCounter::new(widgets_disabled_counter()),
             distinct_screens: 0,
             last_obs: None,
         };

@@ -79,6 +79,30 @@ fn chaos_session_populates_the_registry() {
     ] {
         assert!(delta(name) > 0, "counter {name} never incremented");
     }
+    // Every emulator has been dropped by the end of the campaign, so its
+    // batched action tally is fully published: the counter equals the
+    // tool steps the traces record (the boot observation carries no
+    // action, and this mode makes no Intent jumps).
+    let mut steps = 0;
+    for i in result.apps.iter().flat_map(|a| &a.session.instances) {
+        let actions = i
+            .trace
+            .events()
+            .iter()
+            .filter(|e| e.action.is_some())
+            .count();
+        assert_eq!(
+            actions + 1,
+            i.trace.len(),
+            "a boot event, then one per step"
+        );
+        steps += actions as u64;
+    }
+    assert_eq!(
+        delta("emulator_actions_total"),
+        steps,
+        "telemetry and the traces disagree on executed steps"
+    );
     // The unlabeled series exactly mirror the fault log (the per-kind
     // labeled series would double the `counter_total` sum).
     let unlabeled = |name: &str| {
